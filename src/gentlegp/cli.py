@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import gentle, gp, quiver, reps, strings, surface
-from .linalg import QQ, parse_field
+from .linalg import parse_field
 
 
 def _emit(payload, pretty):
@@ -117,7 +117,7 @@ def cmd_oracle(args):
 
 def cmd_stable(args):
     a = _load_algebra(args.file)
-    table = gp.stable_category_table(a)
+    table = gp.stable_category_table(a, parse_field(args.field))
     _emit({"objects": [{"cycle": c, "arrow": arrow}
                        for c, arrow in table.objects],
            "orbits": table.orbits,

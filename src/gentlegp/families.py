@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from .gentle import GentleAlgebra, validate_gentle
 from .quiver import Arrow, QuiverPresentation
 
 
@@ -66,7 +65,3 @@ def eight_vertex_example() -> QuiverPresentation:
     from .quiver import parse_presentation
 
     return parse_presentation(EXAMPLE_EIGHT_VERTEX_DSL)
-
-
-def algebra(p: QuiverPresentation) -> GentleAlgebra:
-    return validate_gentle(p)

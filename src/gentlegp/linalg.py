@@ -225,63 +225,55 @@ class Matrix:
     def column_vector(self, j):
         return [self.rows[i][j] for i in range(self.nrows)]
 
-    def _echelon(self):
-        """In-place row echelon form on a copy; returns (rows, pivot cols)."""
+    def _echelon(self, rhs=(), reduced=True):
+        """Row echelon form of [self | rhs] on a copy; returns (rows, pivot
+        columns), with pivots searched in the columns of self only.
+
+        The forward pass scales each pivot row to 1 and clears the column
+        below it; with ``reduced`` set, back substitution then clears it
+        above as well, giving the reduced form.  rhs is a list of rows."""
         F = self.field
-        z = F.zero
-        rows = [row[:] for row in self.rows]
+        nrows = self.nrows
+        if rhs:
+            rows = [a + b for a, b in zip(self.rows, rhs)]
+        else:
+            rows = [row[:] for row in self.rows]
+
+        def clear(r, c, targets):
+            prow = rows[r]
+            nz = [(j, prow[j]) for j in range(c, len(prow)) if prow[j]]
+            for i in targets:
+                ri = rows[i]
+                f = ri[c]
+                if f:
+                    for j, x in nz:
+                        ri[j] = F.sub(ri[j], F.mul(f, x))
+
+        one = F.one
         pivots = []
-        r = 0
         for c in range(self.ncols):
-            pr = None
-            for i in range(r, self.nrows):
-                if rows[i][c] != z:
-                    pr = i
-                    break
-            if pr is None:
-                continue
-            rows[r], rows[pr] = rows[pr], rows[r]
-            inv = F.div(F.one, rows[r][c])
-            rows[r] = [F.mul(inv, x) for x in rows[r]]
-            for i in range(self.nrows):
-                if i != r and rows[i][c] != z:
-                    f = rows[i][c]
-                    rows[i] = [F.sub(a, F.mul(f, b))
-                               for a, b in zip(rows[i], rows[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.nrows:
+            r = len(pivots)
+            if r == nrows:
                 break
+            for i in range(r, nrows):
+                if rows[i][c]:
+                    break
+            else:
+                continue
+            rows[r], rows[i] = rows[i], rows[r]
+            prow = rows[r]
+            if prow[c] != one:
+                inv = F.div(one, prow[c])
+                prow[c:] = [F.mul(inv, x) if x else x for x in prow[c:]]
+            pivots.append(c)
+            clear(r, c, range(r + 1, nrows))
+        if reduced:
+            for r in reversed(range(len(pivots))):
+                clear(r, pivots[r], range(r))
         return rows, pivots
 
     def rank(self):
-        # forward elimination only; cheaper than the full reduced form
-        F = self.field
-        z = F.zero
-        rows = [row[:] for row in self.rows]
-        rank = 0
-        for c in range(self.ncols):
-            pr = None
-            for i in range(rank, len(rows)):
-                if rows[i][c] != z:
-                    pr = i
-                    break
-            if pr is None:
-                continue
-            rows[rank], rows[pr] = rows[pr], rows[rank]
-            prow = rows[rank]
-            pval = prow[c]
-            for i in range(rank + 1, len(rows)):
-                riv = rows[i][c]
-                if riv != z:
-                    f = F.div(riv, pval)
-                    ri = rows[i]
-                    for j in range(c, self.ncols):
-                        ri[j] = F.sub(ri[j], F.mul(f, prow[j]))
-            rank += 1
-            if rank == len(rows):
-                break
-        return rank
+        return len(self._echelon(reduced=False)[1])
 
     def kernel_basis(self):
         """Matrix whose columns form a basis of the null space."""
@@ -289,56 +281,39 @@ class Matrix:
         rows, pivots = self._echelon()
         pivot_set = set(pivots)
         free = [c for c in range(self.ncols) if c not in pivot_set]
-        basis_cols = []
-        for fc in free:
-            vec = [F.zero] * self.ncols
-            vec[fc] = F.one
+        out = Matrix.zeros(F, self.ncols, len(free))
+        for k, fc in enumerate(free):
+            out.rows[fc][k] = F.one
             for r, pc in enumerate(pivots):
-                vec[pc] = F.neg(rows[r][fc])
-            basis_cols.append(vec)
-        out = Matrix.zeros(F, self.ncols, len(basis_cols))
-        for j, vec in enumerate(basis_cols):
-            for i in range(self.ncols):
-                out.rows[i][j] = vec[i]
+                out.rows[pc][k] = F.neg(rows[r][fc])
         return out
 
     def solve(self, b):
-        """Solve self @ x = b for a column vector b; None if unsolvable."""
-        if len(b) != self.nrows:
-            raise ValueError("dimension mismatch in solve")
+        """Solve self @ X = b, where b is a column vector given as a list or
+        a Matrix of right-hand sides; X has the same kind as b.  None if
+        some column has no solution."""
         F = self.field
-        aug = Matrix(F, self.nrows, self.ncols + 1,
-                     [row + [F.of(x)] for row, x in zip(self.rows, b)])
-        rows, pivots = aug._echelon()
-        if self.ncols in pivots:
+        vector = not isinstance(b, Matrix)
+        rhs = [[F.of(x)] for x in b] if vector else b.rows
+        if len(rhs) != self.nrows:
+            raise ValueError("dimension mismatch in solve")
+        rows, pivots = self._echelon(rhs)
+        n = self.ncols
+        if any(x for row in rows[len(pivots):] for x in row[n:]):
             return None
-        x = [F.zero] * self.ncols
+        width = 1 if vector else b.ncols
+        x = [[F.zero] * width for _ in range(n)]
         for r, pc in enumerate(pivots):
-            x[pc] = rows[r][self.ncols]
-        return x
+            x[pc] = rows[r][n:]
+        if vector:
+            return [row[0] for row in x]
+        return Matrix(F, n, width, x)
 
     def column_space_basis(self):
         """Columns of self restricted to a maximal independent subset."""
-        pivots = self._echelon()[1]
-        cols = [self.column_vector(j) for j in pivots]
-        out = Matrix.zeros(self.field, self.nrows, len(cols))
-        for j, col in enumerate(cols):
-            for i in range(self.nrows):
-                out.rows[i][j] = col[i]
-        return out
-
-
-def solve_linear(m: Matrix, b):
-    return m.solve(b)
-
-
-def kernel_basis(m: Matrix) -> Matrix:
-    return m.kernel_basis()
-
-
-def in_span(basis: Matrix, vec) -> bool:
-    """Is vec in the column span of basis?"""
-    return basis.solve(vec) is not None
+        pivots = self._echelon(reduced=False)[1]
+        return Matrix(self.field, self.nrows, len(pivots),
+                      [[row[j] for j in pivots] for row in self.rows])
 
 
 def intersect_subspaces(bases) -> Matrix:

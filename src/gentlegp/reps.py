@@ -10,7 +10,7 @@ from functools import lru_cache
 
 from .gentle import GentleAlgebra, radical_summand_word
 from .linalg import Matrix, QQ
-from .quiver import Path, PresentationError
+from .quiver import PresentationError
 
 
 class Representation:
@@ -45,13 +45,6 @@ class Representation:
 
     def is_zero(self):
         return self.total_dim == 0
-
-    def act_path(self, path: Path, vec):
-        """Apply a path (traversal order) to a vector at path.source."""
-        col = Matrix.column(self.field, vec)
-        for name in path.arrows:
-            col = self.mats[name].mul(col)
-        return [col.rows[i][0] for i in range(col.nrows)]
 
 
 @dataclass
@@ -139,21 +132,10 @@ def projective_rep(a: GentleAlgebra, v: str, fld=QQ) -> Representation:
 
 
 def regular_rep_mats(a: GentleAlgebra, fld=QQ):
-    """The left regular module: basis all basis paths, indexed by target
-    vertex; returns (dims, mats)."""
-    slot = {}
-    counts = {w: 0 for w in a.vertices}
-    for p in a.path_basis:
-        slot[p] = counts[p.target]
-        counts[p.target] += 1
-    mats = {arr.name: Matrix.zeros(fld, counts[arr.target], counts[arr.source])
-            for arr in a.arrows}
-    for p in a.path_basis:
-        for arr in a.presentation.arrows_out(p.target):
-            q = a.left_multiply(arr.name, p)
-            if q is not None:
-                mats[arr.name].rows[slot[q]][slot[p]] = fld.one
-    return counts, mats
+    """The left regular module as the direct sum of the indecomposable
+    projectives; returns (dims, mats)."""
+    regular, _ = direct_sum([projective_rep(a, v, fld) for v in a.vertices])
+    return regular.dims, regular.mats
 
 
 def regular_dim_at(a: GentleAlgebra, v: str) -> int:
@@ -251,14 +233,12 @@ def top_generators(m: Representation):
     rad = radical_bases(m)
     gens = []
     for v in a.vertices:
-        basis = rad[v]
-        for i in range(m.dims[v]):
-            e = [fld.zero] * m.dims[v]
-            e[i] = fld.one
-            if basis.solve(e) is None:
-                cand = Matrix.column(fld, e)
-                basis = Matrix.hstack(fld, [basis, cand])
-                gens.append((v, e))
+        # the radical basis is independent, so the pivot columns past it
+        # are the standard vectors a greedy completion would pick
+        basis = Matrix.hstack(fld, [rad[v], Matrix.identity(fld, m.dims[v])])
+        basis = basis.column_space_basis()
+        gens.extend((v, basis.column_vector(j))
+                    for j in range(rad[v].ncols, basis.ncols))
     return gens, rad
 
 
@@ -289,16 +269,10 @@ def _subrepresentation(m: Representation, bases):
     dims = {v: bases[v].ncols for v in a.vertices}
     mats = {}
     for arr in a.arrows:
-        src_b = bases[arr.source]
-        tgt_b = bases[arr.target]
-        mapped = m.mats[arr.name].mul(src_b)
-        block = Matrix.zeros(fld, dims[arr.target], dims[arr.source])
-        for j in range(mapped.ncols):
-            coords = tgt_b.solve(mapped.column_vector(j))
-            if coords is None:
-                raise ValueError("subspace not closed under arrow action")
-            for i in range(len(coords)):
-                block.rows[i][j] = coords[i]
+        mapped = m.mats[arr.name].mul(bases[arr.source])
+        block = bases[arr.target].solve(mapped)
+        if block is None:
+            raise ValueError("subspace not closed under arrow action")
         mats[arr.name] = block
     sub = Representation(a, fld, dims, mats, check=False)
     incl = ModuleMap(sub, m, {v: bases[v] for v in a.vertices})
@@ -326,13 +300,17 @@ def projective_cover(m: Representation) -> Cover:
     p, offsets = direct_sum(summand_reps)
     blocks = {v: Matrix.zeros(fld, m.dims[v], p.dims[v]) for v in a.vertices}
     for (v, x), off in zip(gens, offsets):
-        paths, slot, counts = _projective_data(a, v)
+        paths, slot, _ = _projective_data(a, v)
+        # paths come shortest first, so every prefix has its image already
+        images = {(): Matrix.column(fld, x)}
         for q in paths:
+            if q.arrows:
+                images[q.arrows] = m.mats[q.arrows[-1]].mul(
+                    images[q.arrows[:-1]])
             w = q.target
             col = off[w] + slot[q]
-            img = m.act_path(q, x)
-            for i in range(m.dims[w]):
-                blocks[w].rows[i][col] = img[i]
+            for i, (entry,) in enumerate(images[q.arrows].rows):
+                blocks[w].rows[i][col] = entry
     pi = ModuleMap(p, m, blocks)
     # surjectivity: generators were a basis of the top
     for v in a.vertices:
@@ -352,9 +330,8 @@ def syzygy(m: Representation, cover: Cover | None = None) -> Representation:
     # minimality: the kernel must sit inside the radical of the cover
     rad = radical_bases(cover.projective)
     for v in a.vertices:
-        for j in range(kernels[v].ncols):
-            if rad[v].solve(kernels[v].column_vector(j)) is None:
-                raise AssertionError("cover kernel escapes the radical")
+        if rad[v].solve(kernels[v]) is None:
+            raise AssertionError("cover kernel escapes the radical")
     return sub
 
 

@@ -113,12 +113,6 @@ def check_string(a: GentleAlgebra, letters) -> tuple[bool, str | None]:
             if (p.arrow, l.arrow) in a.relations:
                 return False, (f"inverse letters {p.arrow}^-1,{l.arrow}^-1 "
                                f"reverse a relation")
-        elif p.direct and not l.direct:
-            if p.arrow == l.arrow:
-                return False, f"letter {i+1} immediately undoes letter {i}"
-        else:
-            if p.arrow == l.arrow:
-                return False, f"letter {i+1} immediately undoes letter {i}"
     return True, None
 
 

@@ -94,6 +94,22 @@ def test_stable(capsys):
     assert len(out["stable_hom_matrix"]) == 6
 
 
+def test_stable_passes_field(capsys, monkeypatch):
+    from gentlegp import PrimeField, gp
+
+    seen = []
+    table = gp.stable_category_table
+
+    def spy(a, fld):
+        seen.append(fld)
+        return table(a, fld)
+
+    monkeypatch.setattr(gp, "stable_category_table", spy)
+    code, out = invoke(capsys, "--field", "f101", "stable", EX22)
+    assert code == 0 and out["identity"] is True
+    assert seen == [PrimeField(101)]
+
+
 def test_ext_word(capsys):
     code, out = invoke(capsys, "ext", EX22, "--word", "i,d,a,f,k",
                        "--bound", "9")

@@ -44,6 +44,8 @@ def test_solve_underdetermined_verified_by_residual():
 def test_solve_dimension_mismatch():
     with pytest.raises(ValueError):
         Matrix.identity(QQ, 2).solve([1, 2, 3])
+    with pytest.raises(ValueError):
+        Matrix.identity(QQ, 2).solve(Matrix.identity(QQ, 3))
 
 
 def test_intersect_same_space():
@@ -99,6 +101,36 @@ def test_rank_agrees_with_large_prime_field(nrows, ncols, data):
     mq = Matrix.from_rows(QQ, rows)
     mp = Matrix.from_rows(PrimeField(10007), rows)
     assert mq.rank() == mp.rank()
+
+
+def _draw_matrix(data, fld, nrows, ncols):
+    return Matrix(fld, nrows, ncols,
+                  [[fld.of(data.draw(small_entries)) for _ in range(ncols)]
+                   for _ in range(nrows)])
+
+
+@given(st.sampled_from([QQ, PrimeField(5)]), st.integers(0, 4),
+       st.integers(0, 4), st.lists(st.booleans(), max_size=3), st.data())
+def test_solve_matrix_rhs(fld, nrows, ncols, consistent, data):
+    a = _draw_matrix(data, fld, nrows, ncols)
+    nrhs = len(consistent)
+    # each column is either in the image of a or drawn at random
+    image = a.mul(_draw_matrix(data, fld, ncols, nrhs))
+    noise = _draw_matrix(data, fld, nrows, nrhs)
+    b = Matrix(fld, nrows, nrhs,
+               [[i if keep else r
+                 for i, r, keep in zip(irow, rrow, consistent)]
+                for irow, rrow in zip(image.rows, noise.rows)])
+    x = a.solve(b)
+    by_column = [a.solve(b.column_vector(j)) for j in range(nrhs)]
+    unsolvable = [a.rank() != Matrix.hstack(fld, [a, Matrix.column(
+        fld, b.column_vector(j))]).rank() for j in range(nrhs)]
+    assert (x is None) == any(unsolvable)
+    assert [c is None for c in by_column] == unsolvable
+    if x is not None:
+        assert (x.nrows, x.ncols) == (ncols, nrhs)
+        assert a.mul(x) == b
+        assert [x.column_vector(j) for j in range(nrhs)] == by_column
 
 
 def test_prime_field_arithmetic():

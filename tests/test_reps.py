@@ -1,13 +1,17 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gentlegp import (Letter, QQ, direct_sum, embedding_obstruction,
+from gentlegp import (Letter, Matrix, PrimeField, QQ, Representation,
+                      direct_sum, embedding_obstruction, enumerate_strings,
                       ext_profile, hom_basis, hom_dim, injective_dimension,
                       is_projective, lazy_word, make_string, module_signature,
                       parse_field, projective_cover, projective_rep,
                       radical_summand_rep, regular_dim_at, stable_hom_dim,
                       string_module, syzygy, top_and_radical,
-                      zero_representation)
-from gentlegp.families import algebra, cyclic_nakayama
+                      validate_gentle, zero_representation)
+from gentlegp.families import (cyclic_nakayama, eight_vertex_example,
+                               kronecker, projective_line_chain)
+from gentlegp.reps import radical_bases, top_generators
 
 
 def simple(a, v, fld=QQ):
@@ -145,7 +149,7 @@ def test_injective_dimension_values(eightv, a2, i3):
     assert injective_dimension(eightv) == 2
     assert injective_dimension(a2) == 1
     assert injective_dimension(i3) == 0
-    assert injective_dimension(algebra(cyclic_nakayama(4))) == 0
+    assert injective_dimension(validate_gentle(cyclic_nakayama(4))) == 0
 
 
 def test_everything_works_over_prime_field(eightv):
@@ -154,3 +158,54 @@ def test_everything_works_over_prime_field(eightv):
     prof = ext_profile(rj, 6)
     assert prof.all_zero and prof.period == 3
     assert embedding_obstruction(rj) == 0
+
+
+SMALL_ALGEBRAS = [validate_gentle(p) for p in (
+    eight_vertex_example(), projective_line_chain(3), cyclic_nakayama(3),
+    kronecker())]
+
+
+def greedy_top_generators(m):
+    """Reference: add a standard vector whenever it leaves the span of the
+    radical and the vectors added so far, one solve per vector."""
+    fld = m.field
+    rad = radical_bases(m)
+    gens = []
+    for v in m.algebra.vertices:
+        basis = rad[v]
+        for i in range(m.dims[v]):
+            e = [fld.zero] * m.dims[v]
+            e[i] = fld.one
+            if basis.solve(e) is None:
+                basis = Matrix.hstack(fld, [basis, Matrix.column(fld, e)])
+                gens.append((v, e))
+    return gens
+
+
+def _unitriangular(data, fld, n, lower):
+    m = Matrix.identity(fld, n)
+    for i in range(n):
+        for j in range(i):
+            r, c = (i, j) if lower else (j, i)
+            m.rows[r][c] = fld.of(data.draw(st.integers(-2, 2)))
+    return m
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SMALL_ALGEBRAS), st.sampled_from([QQ, PrimeField(5)]),
+       st.data())
+def test_top_generators_match_greedy_reference(a, fld, data):
+    words = list(enumerate_strings(a, 3))
+    summands = data.draw(st.lists(st.sampled_from(words), min_size=1,
+                                  max_size=3))
+    m, _ = direct_sum([string_module(a, w, fld) for w in summands])
+    # an invertible change of basis at every vertex hides the string basis
+    g = {v: _unitriangular(data, fld, m.dims[v], True).mul(
+             _unitriangular(data, fld, m.dims[v], False))
+         for v in a.vertices}
+    g_inv = {v: g[v].solve(Matrix.identity(fld, m.dims[v]))
+             for v in a.vertices}
+    mats = {arr.name: g[arr.target].mul(m.mats[arr.name]).mul(
+                g_inv[arr.source]) for arr in a.arrows}
+    m = Representation(a, fld, m.dims, mats)
+    assert top_generators(m)[0] == greedy_top_generators(m)
