@@ -6,8 +6,8 @@ from .quiver import (Arrow, Path, QuiverPresentation, QuiverError,
                      serialize_presentation, opposite, is_isomorphic,
                      canonical_key)
 from .gentle import (GentleAlgebra, GentleViolation, NotGentleError,
-                     CriticalCycle, validate_gentle, gentle_violations,
-                     algebra_dimension, critical_cycles, cycle_of_arrow,
+                     BasisTooLargeError, CriticalCycle, validate_gentle,
+                     gentle_violations, critical_cycles, cycle_of_arrow,
                      radical_summand_word, radical_summand_vertices)
 from .linalg import Matrix, QQ, PrimeField, parse_field, intersect_subspaces
 from .strings import (Letter, StringWord, BandWord, parse_letters,

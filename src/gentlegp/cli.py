@@ -1,8 +1,8 @@
 """Command-line front end with machine-readable JSON output.
 
-Exit codes: 0 ok; 2 not gentle / invalid input; 1 internal assertion
-failure (the combinatorial classification and the homological oracle
-disagree, which would be a bug).
+Exit codes: 0 ok; 2 not gentle / invalid / too large input; 1 internal
+assertion failure (the combinatorial classification and the homological
+oracle disagree, which would be a bug).
 """
 
 from __future__ import annotations

@@ -7,9 +7,14 @@ in :mod:`gentlegp.reps`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
+from functools import cached_property
 
-from .quiver import Path, PresentationError, QuiverPresentation
+from .quiver import Path, PresentationError, QuiverError, QuiverPresentation
+
+# the largest path basis _enumerate_basis_paths builds before refusing
+MAX_BASIS_PATHS = 100000
 
 
 @dataclass(frozen=True)
@@ -26,6 +31,10 @@ class NotGentleError(ValueError):
         self.violations = list(violations)
         msgs = "; ".join(v.describe() for v in self.violations)
         super().__init__(f"presentation is not gentle: {msgs}")
+
+
+class BasisTooLargeError(QuiverError):
+    """A valid presentation whose path basis exceeds MAX_BASIS_PATHS."""
 
 
 @dataclass(frozen=True)
@@ -56,7 +65,6 @@ class CriticalCycle:
 def gentle_violations(p: QuiverPresentation) -> list[GentleViolation]:
     """All violations of the gentle axioms, each with a witness."""
     violations = []
-    amap = p.arrow_map
 
     for v in p.vertices:
         n_out = len(p.arrows_out(v))
@@ -65,10 +73,10 @@ def gentle_violations(p: QuiverPresentation) -> list[GentleViolation]:
             violations.append(GentleViolation("G1", (v,)))
 
     # G3: per arrow, at most one forbidden continuation / predecessor
+    n_succ = Counter(e for (l, e) in p.relations)
+    n_pred = Counter(l for (l, e) in p.relations)
     for b in p.arrows:
-        succ = [l for (l, e) in p.relations if e == b.name]
-        pred = [e for (l, e) in p.relations if l == b.name]
-        if len(succ) > 1 or len(pred) > 1:
+        if n_succ[b.name] > 1 or n_pred[b.name] > 1:
             violations.append(GentleViolation("G3", (b.name,)))
 
     # G4: per arrow, at most one allowed continuation / predecessor
@@ -82,67 +90,56 @@ def gentle_violations(p: QuiverPresentation) -> list[GentleViolation]:
 
     # admissibility / finite dimensionality: no relation-free cycle in the
     # allowed-composition graph (nodes = arrows)
-    cycle = _find_cycle(p, forbidden=False)
+    cycle = _find_cycle(p)
     if cycle is not None:
         violations.append(GentleViolation("infinite-dimensional", tuple(cycle)))
 
     return violations
 
 
-def _find_cycle(p, forbidden):
-    """A cycle in the composition graph on arrows.
-
-    forbidden=False: edges are allowed compositions (relation-free);
-    forbidden=True: edges are compositions lying in the ideal.
-    """
-    succ = {}
-    for a in p.arrows:
-        nxt = []
-        for b in p.arrows_out(a.target):
-            in_ideal = (b.name, a.name) in p.relations
-            if in_ideal == forbidden:
-                nxt.append(b.name)
-        succ[a.name] = nxt
+def _find_cycle(p):
+    """A cycle in the graph on arrows whose edges are the allowed
+    (relation-free) compositions, or None."""
+    succ = {a.name: [b.name for b in p.arrows_out(a.target)
+                     if (b.name, a.name) not in p.relations]
+            for a in p.arrows}
+    # iterative depth-first search, successors in declaration order;
+    # color 1 marks the arrows on the current path, 2 the finished ones
     color = {name: 0 for name in succ}
-    stack_path = []
-
-    def dfs(u):
-        color[u] = 1
-        stack_path.append(u)
-        for w in succ[u]:
-            if color[w] == 1:
-                i = stack_path.index(w)
-                return stack_path[i:]
-            if color[w] == 0:
-                found = dfs(w)
-                if found is not None:
-                    return found
-        stack_path.pop()
-        color[u] = 2
-        return None
-
-    for name in succ:
-        if color[name] == 0:
-            found = dfs(name)
-            if found is not None:
-                return found
+    for root in succ:
+        if color[root]:
+            continue
+        color[root] = 1
+        stack_path = [root]
+        pending = [iter(succ[root])]
+        while pending:
+            for w in pending[-1]:
+                if color[w] == 1:
+                    return stack_path[stack_path.index(w):]
+                if color[w] == 0:
+                    color[w] = 1
+                    stack_path.append(w)
+                    pending.append(iter(succ[w]))
+                    break
+            else:
+                color[stack_path.pop()] = 2
+                pending.pop()
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GentleAlgebra:
+    """Compares and hashes by identity: each validation is its own key."""
+
     presentation: QuiverPresentation
     path_basis: tuple[Path, ...]
-    _basis_set: frozenset = field(repr=False)
 
     @staticmethod
     def from_presentation(p: QuiverPresentation) -> "GentleAlgebra":
         violations = gentle_violations(p)
         if violations:
             raise NotGentleError(violations)
-        basis = _enumerate_basis_paths(p)
-        return GentleAlgebra(p, tuple(basis),
-                             frozenset(b.arrows for b in basis if b.arrows))
+        return GentleAlgebra(p, tuple(_enumerate_basis_paths(p)))
 
     @property
     def vertices(self):
@@ -163,11 +160,16 @@ class GentleAlgebra:
     def dimension(self):
         return len(self.path_basis)
 
-    def basis_paths_from(self, v):
-        return [p for p in self.path_basis if p.source == v]
+    @cached_property
+    def _paths_from(self):
+        grouped = {v: [] for v in self.vertices}
+        for p in self.path_basis:
+            grouped[p.source].append(p)
+        return {v: tuple(paths) for v, paths in grouped.items()}
 
-    def basis_paths_to(self, v):
-        return [p for p in self.path_basis if p.target == v]
+    def basis_paths_from(self, v):
+        """Basis paths starting at v, shortest first."""
+        return self._paths_from.get(v, ())
 
     def left_multiply(self, arrow_name, path: Path):
         """Compose ``path`` then ``arrow``; None encodes zero in the algebra."""
@@ -178,12 +180,6 @@ class GentleAlgebra:
             return None
         return Path(path.arrows + (arrow_name,), path.source, a.target)
 
-    def allowed_continuations(self, arrow_name):
-        """Arrows b with 'first arrow_name then b' composable and not in I."""
-        a = self.arrow_map[arrow_name]
-        return [b.name for b in self.presentation.arrows_out(a.target)
-                if (b.name, arrow_name) not in self.relations]
-
 
 def validate_gentle(p: QuiverPresentation) -> GentleAlgebra:
     """Validate the gentle axioms; raises NotGentleError with all violations."""
@@ -193,7 +189,6 @@ def validate_gentle(p: QuiverPresentation) -> GentleAlgebra:
 def _enumerate_basis_paths(p: QuiverPresentation):
     """All relation-free paths, lazy paths included, by breadth-first
     extension.  Finite because validation rejected relation-free cycles."""
-    amap = p.arrow_map
     basis = [p.lazy_path(v) for v in p.vertices]
     frontier = [Path((a.name,), a.source, a.target) for a in p.arrows]
     while frontier:
@@ -206,15 +201,12 @@ def _enumerate_basis_paths(p: QuiverPresentation):
                     nxt.append(Path(path.arrows + (a.name,),
                                     path.source, a.target))
         frontier = nxt
-        if len(basis) > 100000:
-            raise AssertionError(
-                "path basis exploded; admissibility check failed")
+        if len(basis) > MAX_BASIS_PATHS:
+            raise BasisTooLargeError(
+                f"path basis exceeds {MAX_BASIS_PATHS} paths; "
+                "the algebra is too large for this library")
     basis.sort(key=lambda q: (len(q.arrows), q.source, q.arrows))
     return basis
-
-
-def algebra_dimension(a: GentleAlgebra) -> int:
-    return a.dimension()
 
 
 def critical_cycles(a: GentleAlgebra) -> list[CriticalCycle]:
@@ -268,13 +260,13 @@ def radical_summand_word(a: GentleAlgebra, arrow_name: str):
     word = []
     cur = arrow_name
     while True:
-        cont = a.allowed_continuations(cur)
-        if not cont:
-            break
-        # unique by G4
-        cur = cont[0]
+        target = a.arrow_map[cur].target
+        # the allowed continuation of cur, unique by G4
+        cur = next((b.name for b in a.presentation.arrows_out(target)
+                    if (b.name, cur) not in a.relations), None)
+        if cur is None:
+            return tuple(word)
         word.append(cur)
-    return tuple(word)
 
 
 def radical_summand_vertices(a: GentleAlgebra, arrow_name: str):

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
+from types import MappingProxyType
 
 
 class QuiverError(ValueError):
@@ -86,36 +88,32 @@ class QuiverPresentation:
                     f"target({earlier}) = {seen_a[earlier].target!r} but "
                     f"source({later}) = {seen_a[later].source!r}")
 
-    @property
+    @cached_property
     def arrow_map(self):
-        return {a.name: a for a in self.arrows}
+        return MappingProxyType({a.name: a for a in self.arrows})
+
+    @cached_property
+    def _adjacency(self):
+        """Per vertex, the arrows leaving it and entering it, in
+        declaration order; built once per presentation."""
+        out = {v: [] for v in self.vertices}
+        into = {v: [] for v in self.vertices}
+        for a in self.arrows:
+            out[a.source].append(a)
+            into[a.target].append(a)
+        return ({v: tuple(arrows) for v, arrows in out.items()},
+                {v: tuple(arrows) for v, arrows in into.items()})
 
     def arrows_out(self, v):
-        return [a for a in self.arrows if a.source == v]
+        return self._adjacency[0].get(v, ())
 
     def arrows_in(self, v):
-        return [a for a in self.arrows if a.target == v]
+        return self._adjacency[1].get(v, ())
 
     def lazy_path(self, v):
         if v not in self.vertices:
             raise PresentationError(f"unknown vertex {v!r}")
         return Path((), v, v)
-
-    def path(self, arrow_names):
-        """Build a Path from arrow names in traversal order."""
-        amap = self.arrow_map
-        names = tuple(arrow_names)
-        if not names:
-            raise PresentationError("empty path needs a vertex; use lazy_path")
-        prev = None
-        for name in names:
-            if name not in amap:
-                raise PresentationError(f"unknown arrow {name!r}")
-            if prev is not None and amap[prev].target != amap[name].source:
-                raise PresentationError(
-                    f"arrows {prev!r} and {name!r} are not composable")
-            prev = name
-        return Path(names, amap[names[0]].source, amap[names[-1]].target)
 
 
 def opposite(p: QuiverPresentation) -> QuiverPresentation:

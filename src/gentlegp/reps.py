@@ -139,7 +139,8 @@ def regular_rep_mats(a: GentleAlgebra, fld=QQ):
 
 
 def regular_dim_at(a: GentleAlgebra, v: str) -> int:
-    return len(a.basis_paths_to(v))
+    """dim Hom(P_v, A): the number of basis paths ending at v."""
+    return sum(1 for p in a.path_basis if p.target == v)
 
 
 def _hom_system(m: Representation, n: Representation):
@@ -179,7 +180,8 @@ def _hom_system(m: Representation, n: Representation):
 
 
 def hom_dim(m: Representation, n: Representation) -> int:
-    if m.algebra is not n.algebra and m.algebra != n.algebra:
+    if m.algebra is not n.algebra and \
+            m.algebra.presentation != n.algebra.presentation:
         raise ValueError("modules over different algebras")
     system, _, total = _hom_system(m, n)
     if total == 0:
@@ -188,7 +190,8 @@ def hom_dim(m: Representation, n: Representation) -> int:
 
 
 def hom_basis(m: Representation, n: Representation):
-    if m.algebra is not n.algebra and m.algebra != n.algebra:
+    if m.algebra is not n.algebra and \
+            m.algebra.presentation != n.algebra.presentation:
         raise ValueError("modules over different algebras")
     system, offsets, total = _hom_system(m, n)
     a = m.algebra
@@ -382,11 +385,6 @@ class ExtProfile:
         return self.status in ("terminated", "periodic")
 
 
-def _hom_dim_regular(m: Representation) -> int:
-    a = m.algebra
-    return sum(hom_dim(m, projective_rep(a, v, m.field)) for v in a.vertices)
-
-
 def ext_profile(m: Representation, bound: int) -> ExtProfile:
     """dim Ext^i(M, Lambda) for i = 1..bound via dimension shifting along
     the minimal resolution: from 0 -> Omega X -> P -> X -> 0,
@@ -403,14 +401,14 @@ def ext_profile(m: Representation, bound: int) -> ExtProfile:
     dimvecs = [m.dim_vector()]
     seen = {module_signature(m): 0}
     x = m
-    hx = _hom_dim_regular(x)
+    hx = sum(hom_profile(x))
     period = None
     status = "checked-to-bound"
     for i in range(1, bound + 1):
         cover = projective_cover(x)
         omega = syzygy(x, cover)
         hp = sum(regular_dim_at(a, v) for v in cover.summands)
-        homega = _hom_dim_regular(omega)
+        homega = sum(hom_profile(omega))
         dims.append(homega - hp + hx)
         dimvecs.append(omega.dim_vector())
         if omega.is_zero():

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from gentlegp import serialize_presentation
 from gentlegp.cli import run
+from gentlegp.families import linear_quiver, projective_line_chain
 
 from conftest import data_path
 
@@ -38,6 +40,18 @@ def test_validate_not_gentle(capsys):
 def test_missing_file(capsys):
     code, out = invoke(capsys, "validate", "/no/such/file.gentle")
     assert code == 2 and out["status"] == "error"
+
+
+@pytest.mark.parametrize("p", [linear_quiver(460), projective_line_chain(1000)],
+                         ids=["A460", "lambda1000"])
+def test_validate_too_large_is_input_error(p, tmp_path, capsys):
+    # gentle, but the path basis exceeds the library's cap: bad input, not
+    # an internal error or a traceback
+    f = tmp_path / "big.gentle"
+    f.write_text(serialize_presentation(p))
+    code, out = invoke(capsys, "validate", str(f))
+    assert code == 2
+    assert out["status"] == "error" and "path basis" in out["reason"]
 
 
 def test_syntax_error_reported(tmp_path, capsys):

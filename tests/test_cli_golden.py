@@ -24,6 +24,10 @@ GOLDEN = DATA / "cli_golden.json"
 
 GENTLE = sorted(p.name for p in DATA.glob("*.gentle"))
 TRI = sorted(p.name for p in DATA.glob("*.tri"))
+# A_12, lambda_5, I_6 and the octagon2 triangulation's algebra, written with
+# serialize_presentation from gentlegp.families and surface.algebra_presentation
+FAMILIES = sorted(f"families/{p.name}"
+                  for p in (DATA / "families").glob("*.gentle"))
 
 
 def _commands():
@@ -48,6 +52,14 @@ def _commands():
         cmds.append(["compare", left, right])
     for name in TRI:
         cmds.append(["surface", name])
+    for name in FAMILIES:
+        for sub in ("validate", "cycles", "gp", "dsg"):
+            cmds.append([sub, name])
+        for field in ("q", "f101"):
+            cmds.append(["--field", field, "stable", name])
+            cmds.append(["--field", field, "dim", name])
+            cmds.append(["--field", field, "oracle", name,
+                         "--max-letters", "3"])
     return cmds
 
 
@@ -59,7 +71,8 @@ def _key(argv):
 
 
 def _resolve(argv):
-    return [str(DATA / a) if a in GENTLE or a in TRI else a for a in argv]
+    files = set(GENTLE) | set(TRI) | set(FAMILIES)
+    return [str(DATA / a) if a in files else a for a in argv]
 
 
 def _invoke(argv):

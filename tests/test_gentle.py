@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gentlegp import (NotGentleError, critical_cycles, cycle_of_arrow,
-                      gentle_violations, parse_presentation,
+from gentlegp import (Arrow, BasisTooLargeError, NotGentleError,
+                      QuiverError, QuiverPresentation, critical_cycles,
+                      cycle_of_arrow, gentle_violations, parse_presentation,
                       radical_summand_vertices, radical_summand_word,
                       validate_gentle)
 from gentlegp.families import (cyclic_nakayama, linear_quiver,
@@ -158,3 +160,78 @@ def test_linear_quiver_has_no_relations():
     a = validate_gentle(linear_quiver(4))
     assert a.dimension() == 4 + 3 + 2 + 1
     assert critical_cycles(a) == []
+
+
+def test_long_linear_quiver_needs_no_recursion():
+    assert gentle_violations(linear_quiver(1500)) == []
+
+
+def test_long_relation_free_cycle_is_reported_whole():
+    n = 1500
+    vertices = tuple(str(i) for i in range(n))
+    arrows = tuple(Arrow(f"a{i}", str(i), str((i + 1) % n)) for i in range(n))
+    p = QuiverPresentation(vertices, arrows, frozenset())
+    violations = gentle_violations(p)
+    assert [v.axiom for v in violations] == ["infinite-dimensional"]
+    assert violations[0].witness == tuple(a.name for a in arrows)
+
+
+def _recursive_cycle(p):
+    """Reference: the recursive depth-first search over allowed
+    compositions, successors in declaration order."""
+    succ = {a.name: [b.name for b in p.arrows if b.source == a.target
+                     and (b.name, a.name) not in p.relations]
+            for a in p.arrows}
+    color = dict.fromkeys(succ, 0)
+    path = []
+
+    def dfs(u):
+        color[u] = 1
+        path.append(u)
+        for w in succ[u]:
+            if color[w] == 1:
+                return tuple(path[path.index(w):])
+            if color[w] == 0:
+                found = dfs(w)
+                if found is not None:
+                    return found
+        path.pop()
+        color[u] = 2
+        return None
+
+    for name in succ:
+        if color[name] == 0:
+            found = dfs(name)
+            if found is not None:
+                return found
+    return None
+
+
+@st.composite
+def small_presentations(draw):
+    vertices = tuple(str(i) for i in range(draw(st.integers(1, 4))))
+    ends = draw(st.lists(st.tuples(st.sampled_from(vertices),
+                                   st.sampled_from(vertices)), max_size=7))
+    arrows = tuple(Arrow(f"x{i}", s, t) for i, (s, t) in enumerate(ends))
+    composable = [(b.name, a.name) for a in arrows for b in arrows
+                  if a.target == b.source]
+    relations = draw(st.sets(st.sampled_from(composable))
+                     if composable else st.just(set()))
+    return QuiverPresentation(vertices, arrows, frozenset(relations))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_presentations())
+def test_cycle_witness_matches_recursive_search(p):
+    witnesses = [v.witness for v in gentle_violations(p)
+                 if v.axiom == "infinite-dimensional"]
+    expected = _recursive_cycle(p)
+    assert witnesses == ([] if expected is None else [expected])
+
+
+def test_oversized_path_basis_is_an_input_error():
+    # A_460 is gentle, but its 106 030 basis paths exceed the cap
+    with pytest.raises(BasisTooLargeError) as err:
+        validate_gentle(linear_quiver(460))
+    assert isinstance(err.value, QuiverError)
+    assert "100000" in str(err.value)

@@ -152,6 +152,27 @@ def test_injective_dimension_values(eightv, a2, i3):
     assert injective_dimension(validate_gentle(cyclic_nakayama(4))) == 0
 
 
+def test_hom_across_validations_of_one_presentation(eightv):
+    twin = validate_gentle(eightv.presentation)
+    assert twin != eightv
+    m = radical_summand_rep(eightv, "k")
+    for arrow in ("j", "e", "k"):
+        n_twin = radical_summand_rep(twin, arrow)
+        n_same = radical_summand_rep(eightv, arrow)
+        assert hom_dim(m, n_twin) == hom_dim(m, n_same)
+        assert len(hom_basis(m, n_twin)) == hom_dim(m, n_same)
+    assert hom_dim(projective_rep(twin, "7"), m) == m.dims["7"]
+
+
+def test_hom_rejects_modules_over_different_presentations(eightv, a2):
+    m = projective_rep(eightv, "1")
+    n = projective_rep(a2, "1")
+    with pytest.raises(ValueError, match="different algebras"):
+        hom_dim(m, n)
+    with pytest.raises(ValueError, match="different algebras"):
+        hom_basis(n, m)
+
+
 def test_everything_works_over_prime_field(eightv):
     f5 = parse_field("f5")
     rj = radical_summand_rep(eightv, "j", f5)
