@@ -18,8 +18,9 @@ from .reps import (Representation, ModuleMap, ExtProfile, hom_basis, hom_dim,
                    top_and_radical, projective_cover, projective_rep,
                    radical_summand_rep, syzygy, is_projective, ext_profile,
                    embedding_obstruction, stable_hom_dim, module_signature,
-                   injective_dimension, zero_representation, direct_sum,
-                   regular_dim_at, hom_profile)
+                   ModuleSignature, InternalError, injective_dimension,
+                   zero_representation, direct_sum, regular_dim_at,
+                   hom_profile)
 from .gp import (GPClassification, SingularityDescriptor, OracleCertificate,
                  StableCategoryTable, ComparisonReport, ClassificationMismatchError,
                  classify_gp, gp_oracle, singularity_descriptor,

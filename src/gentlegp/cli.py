@@ -2,7 +2,9 @@
 
 Exit codes: 0 ok; 2 not gentle / invalid / too large input; 1 internal
 assertion failure (the combinatorial classification and the homological
-oracle disagree, which would be a bug).
+oracle disagree, or an invariant of the computation failed: a bug);
+3 the oracle agrees wherever it reached a verdict, but some verdicts are
+inconclusive-to-bound.
 """
 
 from __future__ import annotations
@@ -90,15 +92,15 @@ def cmd_oracle(args):
     fld = parse_field(args.field)
     bound = args.bound if args.bound else gp.default_ext_bound(a)
     certificates = []
-    agreement = True
+    inconclusive = disagreement = False
     for w in strings.enumerate_strings(a, args.max_letters):
         m = strings.string_module(a, w, fld)
         cert = gp.gp_oracle(a, m, bound, label=w.display())
         claimed = gp.classifier_membership(a, m)
         if cert.verdict == "inconclusive-to-bound":
-            agreement = False
+            inconclusive = True
         elif (cert.verdict == "GP") != claimed:
-            agreement = False
+            disagreement = True
         certificates.append({
             "module": cert.module_label,
             "verdict": cert.verdict,
@@ -109,10 +111,12 @@ def cmd_oracle(args):
             "reason": cert.reason,
         })
     certificates.sort(key=lambda c: c["module"])
-    _emit({"agreement": agreement, "bound": bound,
+    _emit({"agreement": not (inconclusive or disagreement), "bound": bound,
            "max_letters": args.max_letters,
            "certificates": certificates}, args.pretty)
-    return 0 if agreement else 1
+    if disagreement:
+        return 1
+    return 3 if inconclusive else 0
 
 
 def cmd_stable(args):

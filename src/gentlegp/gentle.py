@@ -171,6 +171,14 @@ class GentleAlgebra:
         """Basis paths starting at v, shortest first."""
         return self._paths_from.get(v, ())
 
+    @cached_property
+    def _count_to(self):
+        return Counter(p.target for p in self.path_basis)
+
+    def count_paths_to(self, v):
+        """Number of basis paths ending at v."""
+        return self._count_to[v]
+
     def left_multiply(self, arrow_name, path: Path):
         """Compose ``path`` then ``arrow``; None encodes zero in the algebra."""
         a = self.arrow_map[arrow_name]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 from .gentle import (CriticalCycle, GentleAlgebra, critical_cycles,
                      radical_summand_word)
@@ -112,21 +113,24 @@ def gp_oracle(a: GentleAlgebra, m: Representation, bound: int | None = None,
 
 @lru_cache(maxsize=None)
 def gp_signatures(a: GentleAlgebra, fld=QQ):
-    """Signatures of every classified indecomposable GP module."""
+    """Signatures of every classified indecomposable GP module, grouped by
+    dimension vector; their hom profiles are computed only when a module
+    with the same dimension vector is compared with them."""
     cls = classify_gp(a)
-    sigs = []
-    for v in cls.projectives:
-        sigs.append(("P", v, module_signature(projective_rep(a, v, fld))))
-    for cycle, arrow in cls.nonprojective:
-        sigs.append(("R", arrow,
-                     module_signature(radical_summand_rep(a, arrow, fld))))
-    return tuple(sigs)
+    modules = [projective_rep(a, v, fld) for v in cls.projectives]
+    modules += [radical_summand_rep(a, arrow, fld)
+                for _, arrow in cls.nonprojective]
+    grouped = {}
+    for g in modules:
+        sig = module_signature(g)
+        grouped.setdefault(sig.dim_vector, []).append(sig)
+    return MappingProxyType({dv: tuple(sigs) for dv, sigs in grouped.items()})
 
 
 def classifier_membership(a: GentleAlgebra, m: Representation) -> bool:
     """Does M match (by signature) a module on the classified GP list?"""
     sig = module_signature(m)
-    return any(s == sig for _, _, s in gp_signatures(a, m.field))
+    return sig in gp_signatures(a, m.field).get(sig.dim_vector, ())
 
 
 @dataclass

@@ -6,15 +6,22 @@ obstruction."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .gentle import GentleAlgebra, radical_summand_word
 from .linalg import Matrix, QQ
 from .quiver import PresentationError
 
 
+class InternalError(AssertionError):
+    """An invariant of the computation failed on valid input: a bug in
+    the library, never a fault of the input."""
+
+
 class Representation:
     """Finite dimensional left module: a matrix per arrow."""
+
+    _signature = None  # set once, by module_signature
 
     def __init__(self, algebra: GentleAlgebra, fld, dims, mats, check=True):
         self.algebra = algebra
@@ -140,7 +147,7 @@ def regular_rep_mats(a: GentleAlgebra, fld=QQ):
 
 def regular_dim_at(a: GentleAlgebra, v: str) -> int:
     """dim Hom(P_v, A): the number of basis paths ending at v."""
-    return sum(1 for p in a.path_basis if p.target == v)
+    return a.count_paths_to(v)
 
 
 def _hom_system(m: Representation, n: Representation):
@@ -275,7 +282,7 @@ def _subrepresentation(m: Representation, bases):
         mapped = m.mats[arr.name].mul(bases[arr.source])
         block = bases[arr.target].solve(mapped)
         if block is None:
-            raise ValueError("subspace not closed under arrow action")
+            raise InternalError("subspace not closed under arrow action")
         mats[arr.name] = block
     sub = Representation(a, fld, dims, mats, check=False)
     incl = ModuleMap(sub, m, {v: bases[v] for v in a.vertices})
@@ -318,7 +325,7 @@ def projective_cover(m: Representation) -> Cover:
     # surjectivity: generators were a basis of the top
     for v in a.vertices:
         if blocks[v].rank() != m.dims[v]:
-            raise AssertionError("projective cover not surjective")
+            raise InternalError("projective cover not surjective")
     return Cover(p, tuple(v for v, _ in gens), pi)
 
 
@@ -334,7 +341,7 @@ def syzygy(m: Representation, cover: Cover | None = None) -> Representation:
     rad = radical_bases(cover.projective)
     for v in a.vertices:
         if rad[v].solve(kernels[v]) is None:
-            raise AssertionError("cover kernel escapes the radical")
+            raise InternalError("cover kernel escapes the radical")
     return sub
 
 
@@ -359,14 +366,52 @@ def radical_summand_rep(a: GentleAlgebra, arrow_name: str, fld=QQ):
     return string_module(a, word, fld)
 
 
-def module_signature(m: Representation):
-    """Iso-class fingerprint: dimension vector plus hom dimensions against
-    every indecomposable projective and every radical summand.  Separates
-    the finitely many modules this library names."""
+def rad_profile(m: Representation):
+    """dim Hom(M, R_a) for every arrow a, in algebra order, where R_a is
+    the radical summand generated by a."""
     a = m.algebra
-    rad_profile = tuple(hom_dim(m, radical_summand_rep(a, arr.name, m.field))
-                        for arr in a.arrows)
-    return (m.dim_vector(), hom_profile(m), rad_profile)
+    return tuple(hom_dim(m, radical_summand_rep(a, arr.name, m.field))
+                 for arr in a.arrows)
+
+
+class ModuleSignature:
+    """Iso-class fingerprint: dimension vector, then hom dimensions against
+    every indecomposable projective, then against every radical summand.
+    Separates the finitely many modules this library names.
+
+    The hom profiles are computed on first need, and equality stops at the
+    first component that differs, so signatures with different dimension
+    vectors are told apart without a hom system.  The hash is that of the
+    dimension vector."""
+
+    def __init__(self, m: Representation):
+        self.module = m
+        self.dim_vector = m.dim_vector()
+
+    @cached_property
+    def hom_profile(self):
+        return hom_profile(self.module)
+
+    @cached_property
+    def rad_profile(self):
+        return rad_profile(self.module)
+
+    def __eq__(self, other):
+        if not isinstance(other, ModuleSignature):
+            return NotImplemented
+        return (self.dim_vector == other.dim_vector
+                and self.hom_profile == other.hom_profile
+                and self.rad_profile == other.rad_profile)
+
+    def __hash__(self):
+        return hash(self.dim_vector)
+
+
+def module_signature(m: Representation) -> ModuleSignature:
+    """The signature of M, built once per module."""
+    if m._signature is None:
+        m._signature = ModuleSignature(m)
+    return m._signature
 
 
 @dataclass
@@ -397,25 +442,26 @@ def ext_profile(m: Representation, bound: int) -> ExtProfile:
     if bound < 1:
         raise ValueError("bound must be positive")
     a = m.algebra
+    sig = module_signature(m)
     dims = []
-    dimvecs = [m.dim_vector()]
-    seen = {module_signature(m): 0}
+    dimvecs = [sig.dim_vector]
+    seen = {sig: 0}
+    hx = sum(sig.hom_profile)
     x = m
-    hx = sum(hom_profile(x))
     period = None
     status = "checked-to-bound"
     for i in range(1, bound + 1):
         cover = projective_cover(x)
         omega = syzygy(x, cover)
         hp = sum(regular_dim_at(a, v) for v in cover.summands)
-        homega = sum(hom_profile(omega))
+        sig = module_signature(omega)
+        homega = sum(sig.hom_profile)
         dims.append(homega - hp + hx)
-        dimvecs.append(omega.dim_vector())
+        dimvecs.append(sig.dim_vector)
         if omega.is_zero():
             dims.extend([0] * (bound - i))
             status = "terminated"
             break
-        sig = module_signature(omega)
         if sig in seen:
             period = i - seen[sig]
             status = "periodic"
@@ -430,12 +476,17 @@ def ext_profile(m: Representation, bound: int) -> ExtProfile:
 
 def embedding_obstruction(m: Representation) -> int:
     """Dimension of the common kernel of all maps to indecomposable
-    projectives; zero exactly when M embeds into a projective module."""
+    projectives; zero exactly when M embeds into a projective module.
+    Records the sizes of the hom bases as M's hom profile."""
     a = m.algebra
     fld = m.field
     maps = []
+    profile = []
     for v in a.vertices:
-        maps.extend(hom_basis(m, projective_rep(a, v, fld)))
+        basis = hom_basis(m, projective_rep(a, v, fld))
+        profile.append(len(basis))
+        maps.extend(basis)
+    module_signature(m).hom_profile = tuple(profile)
     total = 0
     for w in a.vertices:
         if m.dims[w] == 0:
@@ -489,7 +540,7 @@ def injective_dimension(a: GentleAlgebra, fld=QQ, cap: int = 64) -> int:
         x = syzygy(x)
         steps += 1
         if steps > cap:
-            raise AssertionError(
+            raise InternalError(
                 f"resolution of the dual regular module exceeded {cap} steps; "
                 "this contradicts finiteness of the injective dimension")
     return steps - 1

@@ -100,6 +100,50 @@ def test_oracle_eight_vertex_short(capsys):
     assert code == 0 and out["agreement"] is True
 
 
+def test_oracle_inconclusive_only_exits_3(capsys):
+    code, out = invoke(capsys, "oracle", EX22, "--max-letters", "4",
+                       "--bound", "1")
+    assert code == 3 and out["agreement"] is False
+    verdicts = [c["verdict"] for c in out["certificates"]]
+    assert verdicts.count("inconclusive-to-bound") == 3
+    assert all(c["verdict"] == c["classifier"] for c in out["certificates"]
+               if c["verdict"] != "inconclusive-to-bound")
+
+
+@pytest.mark.parametrize("bound", ["1", "0"], ids=["with-inconclusive",
+                                                   "default-bound"])
+def test_oracle_disagreement_exits_1(bound, capsys, monkeypatch):
+    from gentlegp import gp
+
+    # a classifier that claims nothing is GP disagrees with every GP verdict
+    monkeypatch.setattr(gp, "classifier_membership", lambda a, m: False)
+    code, out = invoke(capsys, "oracle", EX22, "--max-letters", "4",
+                       "--bound", bound)
+    assert code == 1 and out["agreement"] is False
+    assert any(c["verdict"] == "GP" for c in out["certificates"])
+
+
+def test_internal_invariant_failure_exits_1(capsys, monkeypatch):
+    from gentlegp import Matrix, reps
+
+    real = reps._subrepresentation
+
+    def drop_an_arrow_target(m, bases):
+        # a subspace the first nonzero arrow maps out of
+        bases = {v: Matrix.identity(m.field, m.dims[v])
+                 for v in m.algebra.vertices}
+        arr = next(x for x in m.algebra.arrows
+                   if not m.mats[x.name].is_zero())
+        bases[arr.target] = Matrix.zeros(m.field, m.dims[arr.target], 0)
+        return real(m, bases)
+
+    monkeypatch.setattr(reps, "_subrepresentation", drop_an_arrow_target)
+    code, out = invoke(capsys, "dim", EX22)
+    assert code == 1
+    assert out == {"status": "internal-error",
+                   "reason": "subspace not closed under arrow action"}
+
+
 def test_stable(capsys):
     code, out = invoke(capsys, "stable", EX22)
     assert code == 0

@@ -3,7 +3,8 @@ against linear scans kept here as the reference."""
 
 import pytest
 
-from gentlegp import GentleAlgebra, parse_presentation, validate_gentle
+from gentlegp import (GentleAlgebra, parse_presentation, regular_dim_at,
+                      validate_gentle)
 from gentlegp.families import (cyclic_nakayama, kronecker, linear_quiver,
                                projective_line_chain)
 
@@ -43,6 +44,14 @@ def test_basis_paths_from_matches_linear_scan(zoo):
         for v in a.vertices:
             assert list(a.basis_paths_from(v)) == [
                 q for q in a.path_basis if q.source == v]
+
+
+def test_regular_dim_at_matches_linear_scan(zoo):
+    for a in zoo.values():
+        for v in a.vertices:
+            assert regular_dim_at(a, v) == sum(
+                1 for q in a.path_basis if q.target == v)
+        assert regular_dim_at(a, "nowhere") == 0
 
 
 def test_index_is_built_once_and_read_only(eightv):

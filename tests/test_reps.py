@@ -11,7 +11,8 @@ from gentlegp import (Letter, Matrix, PrimeField, QQ, Representation,
                       validate_gentle, zero_representation)
 from gentlegp.families import (cyclic_nakayama, eight_vertex_example,
                                kronecker, projective_line_chain)
-from gentlegp.reps import radical_bases, top_generators
+from gentlegp.reps import (InternalError, _subrepresentation,
+                          radical_bases, top_generators)
 
 
 def simple(a, v, fld=QQ):
@@ -138,6 +139,18 @@ def test_hom_additivity_over_direct_sum(eightv):
     s, _ = direct_sum([rj, rk])
     tgt = projective_rep(eightv, "7")
     assert hom_dim(s, tgt) == hom_dim(rj, tgt) + hom_dim(rk, tgt)
+
+
+def test_subspace_not_closed_is_an_internal_error(eightv):
+    # all of P_1 but its part at vertex 2: the arrow a: 1 -> 2 maps the
+    # top of P_1 out of the span
+    p1 = projective_rep(eightv, "1")
+    bases = {v: Matrix.identity(QQ, p1.dims[v]) for v in eightv.vertices}
+    bases["2"] = Matrix.zeros(QQ, p1.dims["2"], 0)
+    with pytest.raises(InternalError, match="not closed"):
+        _subrepresentation(p1, bases)
+    assert issubclass(InternalError, AssertionError)
+    assert not issubclass(InternalError, ValueError)
 
 
 def test_zero_representation(eightv):
