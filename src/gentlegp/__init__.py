@@ -1,7 +1,7 @@
 """Gorenstein-projective classification and singularity-category
 descriptors for finite dimensional gentle algebras."""
 
-from .quiver import (Arrow, Path, QuiverPresentation, QuiverError,
+from .quiver import (Arrow, Path, QuiverPresentation, QuiverError, InputError,
                      DSLSyntaxError, PresentationError, parse_presentation,
                      serialize_presentation, opposite, is_isomorphic,
                      canonical_key)

@@ -1,8 +1,8 @@
 """Command-line front end with machine-readable JSON output.
 
 Exit codes: 0 ok; 2 not gentle / invalid / too large input; 1 internal
-assertion failure (the combinatorial classification and the homological
-oracle disagree, or an invariant of the computation failed: a bug);
+failure (classifier and oracle disagree, an invariant of the computation
+failed, or any other error that is not the input's fault: a bug);
 3 the oracle agrees wherever it reached a verdict, but some verdicts are
 inconclusive-to-bound.
 """
@@ -254,11 +254,11 @@ def run(argv=None) -> int:
         _emit({"status": "not-gentle",
                "violations": _violation_payload(exc.violations)}, args.pretty)
         return 2
-    except (quiver.QuiverError, surface.TriangulationError, ValueError,
-            OSError) as exc:
+    except (quiver.QuiverError, surface.TriangulationError, quiver.InputError,
+            OSError, UnicodeDecodeError) as exc:
         _emit({"status": "error", "reason": str(exc)}, args.pretty)
         return 2
-    except AssertionError as exc:
+    except (AssertionError, ValueError) as exc:
         _emit({"status": "internal-error", "reason": str(exc)}, args.pretty)
         return 1
 

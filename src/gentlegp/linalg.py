@@ -7,23 +7,21 @@ tolerances to tune.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+
+from .quiver import InputError
 
 
 class Rationals:
     """The field of rational numbers, backed by fractions.Fraction."""
 
     name = "Q"
+    p = 0  # the characteristic; a prime field keeps its own as p
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def of(self, x):
         return Fraction(x)
-
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
 
     def add(self, a, b):
         return a + b
@@ -53,22 +51,17 @@ class Rationals:
 class PrimeField:
     """F_p for a prime p; elements are ints in range(p)."""
 
+    zero = 0
+    one = 1
+
     def __init__(self, p):
         if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
-            raise ValueError(f"{p} is not prime")
+            raise InputError(f"{p} is not prime")
         self.p = p
         self.name = f"F{p}"
 
     def of(self, x):
         return int(x) % self.p
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -105,7 +98,7 @@ def parse_field(spec: str):
         return QQ
     if s.startswith("f") and s[1:].isdigit():
         return PrimeField(int(s[1:]))
-    raise ValueError(f"unrecognized field spec {spec!r}")
+    raise InputError(f"unrecognized field spec {spec!r}")
 
 
 class Matrix:
@@ -118,7 +111,6 @@ class Matrix:
         self.nrows = nrows
         self.ncols = ncols
         self.rows = rows
-        assert len(rows) == nrows and all(len(r) == ncols for r in rows)
 
     @classmethod
     def zeros(cls, field, nrows, ncols):
@@ -136,15 +128,13 @@ class Matrix:
     def from_rows(cls, field, rows):
         rows = [[field.of(x) for x in r] for r in rows]
         ncols = len(rows[0]) if rows else 0
+        if any(len(r) != ncols for r in rows):
+            raise ValueError("rows of unequal length")
         return cls(field, len(rows), ncols, rows)
 
     @classmethod
     def column(cls, field, entries):
         return cls(field, len(entries), 1, [[field.of(x)] for x in entries])
-
-    def copy(self):
-        return Matrix(self.field, self.nrows, self.ncols,
-                      [row[:] for row in self.rows])
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
@@ -163,37 +153,21 @@ class Matrix:
             raise ValueError(
                 f"shape mismatch: {self.ncols} cols vs {other.nrows} rows")
         F = self.field
-        z = F.zero
-        out = [[z] * other.ncols for _ in range(self.nrows)]
-        for i in range(self.nrows):
-            srow = self.rows[i]
-            orow = out[i]
-            for k in range(self.ncols):
+        p = F.p
+        zeros = [F.zero] * other.ncols
+        # the nonzero rows of other, each as its nonzero (column, entry) pairs
+        brows = [(k, [(j, b) for j, b in enumerate(row) if b])
+                 for k, row in enumerate(other.rows) if any(row)]
+        out = []
+        for srow in self.rows:
+            acc = zeros[:]
+            for k, nz in brows:
                 a = srow[k]
-                if a == z:
-                    continue
-                brow = other.rows[k]
-                for j in range(other.ncols):
-                    b = brow[j]
-                    if b != z:
-                        orow[j] = F.add(orow[j], F.mul(a, b))
+                if a:
+                    for j, b in nz:
+                        acc[j] += a * b
+            out.append([x % p for x in acc] if p and acc != zeros else acc)
         return Matrix(F, self.nrows, other.ncols, out)
-
-    def add(self, other):
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch in add")
-        F = self.field
-        return Matrix(F, self.nrows, self.ncols,
-                      [[F.add(a, b) for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self.rows, other.rows)])
-
-    def sub(self, other):
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch in sub")
-        F = self.field
-        return Matrix(F, self.nrows, self.ncols,
-                      [[F.sub(a, b) for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self.rows, other.rows)])
 
     def transpose(self):
         return Matrix(self.field, self.ncols, self.nrows,
@@ -225,67 +199,21 @@ class Matrix:
     def column_vector(self, j):
         return [self.rows[i][j] for i in range(self.nrows)]
 
-    def _echelon(self, rhs=(), reduced=True):
-        """Row echelon form of [self | rhs] on a copy; returns (rows, pivot
-        columns), with pivots searched in the columns of self only.
-
-        The forward pass scales each pivot row to 1 and clears the column
-        below it; with ``reduced`` set, back substitution then clears it
-        above as well, giving the reduced form.  rhs is a list of rows."""
-        F = self.field
-        nrows = self.nrows
-        if rhs:
-            rows = [a + b for a, b in zip(self.rows, rhs)]
-        else:
-            rows = [row[:] for row in self.rows]
-
-        def clear(r, c, targets):
-            prow = rows[r]
-            nz = [(j, prow[j]) for j in range(c, len(prow)) if prow[j]]
-            for i in targets:
-                ri = rows[i]
-                f = ri[c]
-                if f:
-                    for j, x in nz:
-                        ri[j] = F.sub(ri[j], F.mul(f, x))
-
-        one = F.one
-        pivots = []
-        for c in range(self.ncols):
-            r = len(pivots)
-            if r == nrows:
-                break
-            for i in range(r, nrows):
-                if rows[i][c]:
-                    break
-            else:
-                continue
-            rows[r], rows[i] = rows[i], rows[r]
-            prow = rows[r]
-            if prow[c] != one:
-                inv = F.div(one, prow[c])
-                prow[c:] = [F.mul(inv, x) if x else x for x in prow[c:]]
-            pivots.append(c)
-            clear(r, c, range(r + 1, nrows))
-        if reduced:
-            for r in reversed(range(len(pivots))):
-                clear(r, pivots[r], range(r))
-        return rows, pivots
+    def _sparse(self, rhs=()):
+        """Rows of [self | rhs] as dicts from column to nonzero entry."""
+        rows = map(list.__add__, self.rows, rhs) if rhs else self.rows
+        return [{j: x for j, x in enumerate(row) if x} for row in rows]
 
     def rank(self):
-        return len(self._echelon(reduced=False)[1])
+        return len(echelon(self.field, self._sparse(), self.ncols, False)[1])
 
     def kernel_basis(self):
         """Matrix whose columns form a basis of the null space."""
-        F = self.field
-        rows, pivots = self._echelon()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.ncols) if c not in pivot_set]
-        out = Matrix.zeros(F, self.ncols, len(free))
-        for k, fc in enumerate(free):
-            out.rows[fc][k] = F.one
-            for r, pc in enumerate(pivots):
-                out.rows[pc][k] = F.neg(rows[r][fc])
+        vectors = kernel_vectors(self.field, self._sparse(), self.ncols)
+        out = Matrix.zeros(self.field, self.ncols, len(vectors))
+        for k, vec in enumerate(vectors):
+            for i, x in vec.items():
+                out.rows[i][k] = x
         return out
 
     def solve(self, b):
@@ -297,23 +225,114 @@ class Matrix:
         rhs = [[F.of(x)] for x in b] if vector else b.rows
         if len(rhs) != self.nrows:
             raise ValueError("dimension mismatch in solve")
-        rows, pivots = self._echelon(rhs)
         n = self.ncols
-        if any(x for row in rows[len(pivots):] for x in row[n:]):
+        prows, pivots, rest = echelon(F, self._sparse(rhs), n)
+        if rest:
             return None
         width = 1 if vector else b.ncols
         x = [[F.zero] * width for _ in range(n)]
-        for r, pc in enumerate(pivots):
-            x[pc] = rows[r][n:]
+        for prow, pc in zip(prows, pivots):
+            for j, v in prow.items():
+                if j >= n:
+                    x[pc][j - n] = v
         if vector:
             return [row[0] for row in x]
         return Matrix(F, n, width, x)
 
     def column_space_basis(self):
         """Columns of self restricted to a maximal independent subset."""
-        pivots = self._echelon(reduced=False)[1]
+        pivots = echelon(self.field, self._sparse(), self.ncols, False)[1]
         return Matrix(self.field, self.nrows, len(pivots),
                       [[row[j] for j in pivots] for row in self.rows])
+
+
+def echelon(field, rows, npiv, reduced=True):
+    """Echelon form of sparse rows, dicts from column to nonzero entry
+    that it may change.  Pivots are sought before column ``npiv``; later
+    columns (right-hand sides) ride along.  Returns (pivot rows, increasing
+    pivot columns, the other nonzero rows, whose entries all lie past
+    ``npiv``); with ``reduced``, those of the unique reduced echelon form.
+
+    Over F_p the row operations are on plain ints mod p.  Over Q they are
+    fraction-free on integer rows, with fractions only in the reduced
+    pivot rows scaled to 1 at the end."""
+    p = field.p
+    by_lead = {}  # lead column -> rows starting there
+    for r in rows:
+        if r:
+            r = r if p else _integral(r)
+            by_lead.setdefault(min(r), []).append(r)
+    prows, pivots = [], []
+    while by_lead:
+        c = min(by_lead)
+        if c >= npiv:
+            break
+        group = by_lead.pop(c)
+        prow = group.pop()
+        if p and prow[c] != 1:
+            inv = pow(prow[c], -1, p)
+            prow = {j: v * inv % p for j, v in prow.items()}
+        # only rows leading at c meet column c, so only their leads move
+        for r in group:
+            _clear(r, prow, c, p)
+            if r:
+                by_lead.setdefault(min(r), []).append(r)
+        prows.append(prow)
+        pivots.append(c)
+    rest = [r for group in by_lead.values() for r in group] if by_lead else []
+    if reduced:
+        for k in range(len(pivots) - 1, 0, -1):
+            c = pivots[k]
+            for r in prows[:k]:
+                if c in r:
+                    _clear(r, prows[k], c, p)
+        if not p:
+            prows = [{j: Fraction(v, r[c]) for j, v in r.items()}
+                     for r, c in zip(prows, pivots)]
+    return prows, pivots, rest
+
+
+def _integral(row):
+    """A row of rationals times the lcm of their denominators."""
+    den = 1
+    for x in row.values():
+        if x.denominator != 1:
+            den = lcm(den, x.denominator)
+    return {j: x.numerator * den // x.denominator for j, x in row.items()}
+
+
+def _clear(r, s, c, p):
+    """Clear column c of row r, in place, with the pivot row s, by
+    r <- a*r - b*s: over F_p s[c] is 1 and a = 1, over Q the integer row r
+    ends up without a common factor."""
+    g = 1 if p else gcd(s[c], r[c])
+    a, b = s[c] // g, r[c] // g
+    if a != 1:
+        for j in r:
+            r[j] *= a
+    for j, v in s.items():
+        w = (r.get(j, 0) - b * v) % p if p else r.get(j, 0) - b * v
+        if w:
+            r[j] = w
+        else:
+            del r[j]
+    g = 1 if p else gcd(*r.values())
+    if g > 1:
+        for j in r:
+            r[j] //= g
+
+
+def kernel_vectors(field, rows, ncols):
+    """A basis of the null space of sparse rows, as dicts from column to
+    nonzero entry: one per free column, in order, with 1 there."""
+    prows, pivots, _ = echelon(field, rows, ncols)
+    pivot_set = set(pivots)
+    vectors = {c: {c: field.one} for c in range(ncols) if c not in pivot_set}
+    for prow, pc in zip(prows, pivots):
+        for j, v in prow.items():
+            if j != pc:
+                vectors[j][pc] = field.neg(v)
+    return list(vectors.values())
 
 
 def intersect_subspaces(bases) -> Matrix:

@@ -14,6 +14,10 @@ from itertools import permutations
 from types import MappingProxyType
 
 
+class InputError(ValueError):
+    """Input rejected: a field spec, word, band or bound that is invalid."""
+
+
 class QuiverError(ValueError):
     """Base class for presentation-level problems."""
 

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .gentle import GentleAlgebra, radical_summand_word
-from .linalg import Matrix, QQ
-from .quiver import PresentationError
+from .linalg import Matrix, QQ, echelon, kernel_vectors
+from .quiver import InputError, PresentationError
 
 
 class InternalError(AssertionError):
@@ -47,6 +47,11 @@ class Representation:
     def total_dim(self):
         return sum(self.dims.values())
 
+    @cached_property
+    def support(self):
+        """The vertices where M is nonzero, in algebra order."""
+        return tuple(v for v in self.algebra.vertices if self.dims[v])
+
     def dim_vector(self):
         return tuple(self.dims[v] for v in self.algebra.vertices)
 
@@ -64,7 +69,7 @@ class ModuleMap:
         for arr in self.source.algebra.arrows:
             lhs = self.target.mats[arr.name].mul(self.blocks[arr.source])
             rhs = self.blocks[arr.target].mul(self.source.mats[arr.name])
-            if lhs.sub(rhs).is_zero() is False:
+            if lhs != rhs:
                 raise ValueError(f"map does not commute with arrow {arr.name}")
 
     def flatten(self):
@@ -151,72 +156,83 @@ def regular_dim_at(a: GentleAlgebra, v: str) -> int:
 
 
 def _hom_system(m: Representation, n: Representation):
-    """Coefficient matrix of the commutation system for Hom(M, N).
-
-    Unknowns: entries of the per-vertex blocks B_v (shape N_v x M_v),
-    flattened row-major, vertices in algebra order."""
-    a = m.algebra
-    fld = m.field
+    """Sparse commutation system for Hom(M, N), a dict from unknown to
+    coefficient per equation: (rows, offsets, number of unknowns).  The
+    unknowns are the entries of the blocks B_v (N_v x M_v) where M and N
+    are both nonzero, flattened row-major, vertices in algebra order."""
     offsets = {}
     total = 0
-    for v in a.vertices:
-        offsets[v] = total
-        total += n.dims[v] * m.dims[v]
+    for v in m.support:
+        if n.dims[v]:
+            offsets[v] = total
+            total += n.dims[v] * m.dims[v]
     rows = []
-    z = fld.zero
-    for arr in a.arrows:
+    if not total:
+        return rows, offsets, total
+    pres = m.algebra.presentation
+    fld = m.field
+    # equations of arrows with neither end among the unknowns read 0 = 0
+    arrows = [arr for v in offsets for arr in pres.arrows_out(v)]
+    arrows += [arr for v in offsets for arr in pres.arrows_in(v)
+               if arr.source not in offsets]
+    for arr in arrows:
         s, t = arr.source, arr.target
-        Na = n.mats[arr.name]
-        Ma = m.mats[arr.name]
-        # (Na @ B_s - B_t @ Ma)[i][j] = 0 for all i < N_t, j < M_s
-        for i in range(n.dims[t]):
-            for j in range(m.dims[s]):
-                row = [z] * total
-                for k in range(n.dims[s]):
-                    c = Na.rows[i][k]
-                    if c != z:
-                        row[offsets[s] + k * m.dims[s] + j] = fld.add(
-                            row[offsets[s] + k * m.dims[s] + j], c)
-                for k in range(m.dims[t]):
-                    c = Ma.rows[k][j]
-                    if c != z:
-                        idx = offsets[t] + i * m.dims[t] + k
-                        row[idx] = fld.sub(row[idx], c)
-                rows.append(row)
-    return Matrix(fld, len(rows), total, rows), offsets, total
+        ms, mt = m.dims[s], m.dims[t]
+        # (N_a B_s - B_t M_a)[i][j] = 0 for all i < N_t, j < M_s
+        if not (ms and n.dims[t]):
+            continue
+        if s in offsets:
+            left = [[(offsets[s] + k * ms, c) for k, c in enumerate(row) if c]
+                    for row in n.mats[arr.name].rows]
+        else:
+            left = [()] * n.dims[t]
+        right = [[(k, fld.neg(c)) for k, c in enumerate(col) if c]
+                 for col in zip(*m.mats[arr.name].rows)
+                 ] if t in offsets else [()] * ms
+        for i, lrow in enumerate(left):
+            base = offsets.get(t, 0) + i * mt
+            for j, rcol in enumerate(right):
+                row = {}
+                for col, c in lrow:
+                    row[col + j] = c
+                for k, c in rcol:
+                    idx = base + k
+                    if idx in row:  # a loop meets its own unknown twice
+                        c = fld.add(c, row.pop(idx))
+                    if c:
+                        row[idx] = c
+                if row:
+                    rows.append(row)
+    return rows, offsets, total
 
 
 def hom_dim(m: Representation, n: Representation) -> int:
     if m.algebra is not n.algebra and \
             m.algebra.presentation != n.algebra.presentation:
         raise ValueError("modules over different algebras")
-    system, _, total = _hom_system(m, n)
+    rows, _, total = _hom_system(m, n)
     if total == 0:
         return 0
-    return total - system.rank()
+    return total - len(echelon(m.field, rows, total, False)[1])
 
 
 def hom_basis(m: Representation, n: Representation):
     if m.algebra is not n.algebra and \
             m.algebra.presentation != n.algebra.presentation:
         raise ValueError("modules over different algebras")
-    system, offsets, total = _hom_system(m, n)
-    a = m.algebra
-    fld = m.field
+    rows, offsets, total = _hom_system(m, n)
     if total == 0:
         return []
-    ker = system.kernel_basis()
+    fld = m.field
+    cells = [(v, i, k) for v in offsets
+             for i in range(n.dims[v]) for k in range(m.dims[v])]
     maps = []
-    for j in range(ker.ncols):
-        vec = ker.column_vector(j)
-        blocks = {}
-        for v in a.vertices:
-            b = Matrix.zeros(fld, n.dims[v], m.dims[v])
-            base = offsets[v]
-            for i in range(n.dims[v]):
-                for k in range(m.dims[v]):
-                    b.rows[i][k] = vec[base + i * m.dims[v] + k]
-            blocks[v] = b
+    for vec in kernel_vectors(fld, rows, total):
+        blocks = {v: Matrix.zeros(fld, n.dims[v], m.dims[v])
+                  for v in m.algebra.vertices}
+        for idx, x in vec.items():
+            v, i, k = cells[idx]
+            blocks[v].rows[i][k] = x
         maps.append(ModuleMap(m, n, blocks))
     return maps
 
@@ -440,7 +456,7 @@ def ext_profile(m: Representation, bound: int) -> ExtProfile:
     Stops early when a syzygy vanishes (finite projective dimension) or a
     syzygy signature repeats (periodicity certificate)."""
     if bound < 1:
-        raise ValueError("bound must be positive")
+        raise InputError("bound must be positive")
     a = m.algebra
     sig = module_signature(m)
     dims = []

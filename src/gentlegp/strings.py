@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from .gentle import GentleAlgebra
 from .linalg import Matrix, QQ
-from .quiver import PresentationError
+from .quiver import InputError, PresentationError
 from .reps import Representation
 
 
@@ -32,7 +32,7 @@ def parse_letters(text: str):
     for tok in text.split(","):
         tok = tok.strip()
         if not tok:
-            raise ValueError("empty letter in word")
+            raise InputError("empty letter in word")
         if tok.endswith("^-1"):
             letters.append(Letter(tok[:-3].strip(), False))
         else:
@@ -123,10 +123,10 @@ def is_valid_string(a: GentleAlgebra, letters) -> bool:
 def make_string(a: GentleAlgebra, letters) -> StringWord:
     ok, reason = check_string(a, letters)
     if not ok:
-        raise ValueError(f"invalid string word: {reason}")
+        raise InputError(f"invalid string word: {reason}")
     letters = tuple(letters)
     if not letters:
-        raise ValueError("use lazy_word for empty words")
+        raise InputError("use lazy_word for empty words")
     verts = [_letter_endpoints(a, letters[0])[0]]
     for l in letters:
         verts.append(_letter_endpoints(a, l)[1])
@@ -181,28 +181,28 @@ class BandWord:
 def make_band(a: GentleAlgebra, letters) -> BandWord:
     letters = tuple(letters)
     if len(letters) < 2:
-        raise ValueError("a band needs at least two letters")
+        raise InputError("a band needs at least two letters")
     if all(l.direct for l in letters) or not any(l.direct for l in letters):
-        raise ValueError("a band must mix direct and inverse letters")
+        raise InputError("a band must mix direct and inverse letters")
     n = len(letters)
     for d in range(1, n):
         if n % d == 0 and letters[d:] + letters[:d] == letters:
-            raise ValueError("a band must not be a proper power")
+            raise InputError("a band must not be a proper power")
     for r in range(n):
         rot = letters[r:] + letters[:r]
         ok, reason = check_string(a, rot)
         if not ok:
-            raise ValueError(f"rotation {r} is not a string: {reason}")
+            raise InputError(f"rotation {r} is not a string: {reason}")
         # cyclic closure: last letter must compose with the first
         ok, reason = check_string(a, (rot[-1], rot[0]))
         if not ok:
-            raise ValueError(f"cyclic closure fails: {reason}")
+            raise InputError(f"cyclic closure fails: {reason}")
     start = _letter_endpoints(a, letters[0])[0]
     verts = []
     for l in letters:
         verts.append(_letter_endpoints(a, l)[1])
     if verts[-1] != start:
-        raise ValueError("band walk does not close up")
+        raise InputError("band walk does not close up")
     return BandWord(letters, tuple(verts))
 
 
@@ -216,9 +216,9 @@ def band_module(a: GentleAlgebra, b: BandWord, lam, size: int,
     the word (ties broken by position)."""
     lam = field.of(lam)
     if lam == field.zero:
-        raise ValueError("band parameter must be nonzero")
+        raise InputError("band parameter must be nonzero")
     if size < 1:
-        raise ValueError("band size must be positive")
+        raise InputError("band size must be positive")
     n = len(b.letters)
     special = min((i for i in range(n) if b.letters[i].direct),
                   key=lambda i: b.letters[i].arrow)

@@ -231,6 +231,41 @@ def test_bad_field(capsys):
     assert code == 2 and out["status"] == "error"
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (("--field", "f6", "dim", EX22), "6 is not prime"),
+    (("ext", EX22, "--word", "i,d,a,f,k", "--bound", "-3"),
+     "bound must be positive"),
+    (("ext", EX22, "--word", "a,b"),
+     "invalid string word: direct letters a,b form a relation"),
+])
+def test_input_errors_exit_2(argv, reason, capsys):
+    code = run(list(argv))
+    assert code == 2
+    assert capsys.readouterr().out == json.dumps(
+        {"reason": reason, "status": "error"}, separators=(",", ":")) + "\n"
+
+
+def test_undecodable_input_file_exits_2(tmp_path, capsys):
+    bad = tmp_path / "latin1.gentle"
+    bad.write_bytes(b"vertices: \xe9\n")
+    code, out = invoke(capsys, "validate", str(bad))
+    assert code == 2 and out["status"] == "error"
+
+
+def test_bare_value_error_is_internal(capsys, monkeypatch):
+    from gentlegp import linalg
+
+    def broken(*args):
+        raise ValueError("rows of unequal length")
+
+    # a shape bug inside the kernel is no fault of the input
+    monkeypatch.setattr(linalg, "echelon", broken)
+    code, out = invoke(capsys, "dim", EX22)
+    assert code == 1
+    assert out == {"status": "internal-error",
+                   "reason": "rows of unequal length"}
+
+
 def test_output_is_deterministic(capsys):
     _, first = invoke(capsys, "gp", EX22)
     run(["gp", EX22])

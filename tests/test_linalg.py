@@ -1,10 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gentlegp import Matrix, PrimeField, QQ, intersect_subspaces, parse_field
-from gentlegp.linalg import Rationals
+from gentlegp.linalg import Rationals, echelon
 
 
 def test_kernel_of_identity_is_trivial():
@@ -146,3 +146,119 @@ def test_parse_field():
     assert parse_field("F7") == PrimeField(7)
     with pytest.raises(ValueError):
         parse_field("r64")
+
+
+def test_from_rows_rejects_ragged_rows():
+    with pytest.raises(ValueError, match="unequal"):
+        Matrix.from_rows(QQ, [[1, 2], [3]])
+    with pytest.raises(ValueError, match="unequal"):
+        Matrix.from_rows(PrimeField(5), [[1], [2, 3]])
+
+
+def test_solve_rejects_short_right_hand_side():
+    a = Matrix.identity(QQ, 3)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        a.solve([1, 2])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        a.solve(Matrix.zeros(QQ, 2, 4))
+
+
+def test_field_constants_are_shared():
+    assert QQ.zero is Rationals().zero and QQ.one is Rationals().one
+    assert (QQ.zero, QQ.one) == (Fraction(0), Fraction(1))
+    assert (PrimeField(5).zero, PrimeField(7).one) == (0, 1)
+
+
+# ------------------------------------------- sparse kernel vs dense reference
+
+def reference_rref(fld, rows, npiv):
+    """Plain dense Gauss-Jordan with the field's own operations: the
+    reduced rows and the pivot columns, pivots sought before npiv."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    for c in range(npiv):
+        r = len(pivots)
+        i = next((i for i in range(r, len(rows)) if rows[i][c] != fld.zero),
+                 None)
+        if i is None:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        inv = fld.div(fld.one, rows[r][c])
+        rows[r] = [fld.mul(inv, x) for x in rows[r]]
+        for k in range(len(rows)):
+            f = rows[k][c]
+            if k != r and f != fld.zero:
+                rows[k] = [fld.sub(x, fld.mul(f, y))
+                           for x, y in zip(rows[k], rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def reference_kernel(fld, a):
+    rows, pivots = reference_rref(fld, a.rows, a.ncols)
+    free = [c for c in range(a.ncols) if c not in pivots]
+    out = Matrix.zeros(fld, a.ncols, len(free))
+    for k, fc in enumerate(free):
+        out.rows[fc][k] = fld.one
+        for r, pc in enumerate(pivots):
+            out.rows[pc][k] = fld.neg(rows[r][fc])
+    return out
+
+
+def reference_solve(fld, a, b):
+    """X with a X = b for a Matrix b, or None."""
+    n = a.ncols
+    rows, pivots = reference_rref(
+        fld, [ra + rb for ra, rb in zip(a.rows, b.rows)], n)
+    if any(x != fld.zero for row in rows[len(pivots):] for x in row[n:]):
+        return None
+    x = Matrix.zeros(fld, n, b.ncols)
+    for r, pc in enumerate(pivots):
+        x.rows[pc] = rows[r][n:]
+    return x
+
+
+KERNEL_FIELDS = [QQ, PrimeField(5), PrimeField(101)]
+
+
+def _draw_sparse(data, fld, nrows, ncols):
+    """A sparse matrix with some rows and columns forced to zero; over Q
+    the entries have denominators 1 to 6."""
+    zero_rows = data.draw(st.sets(st.integers(0, max(nrows - 1, 0))))
+    zero_cols = data.draw(st.sets(st.integers(0, max(ncols - 1, 0))))
+    if fld == QQ:
+        entry = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+    else:
+        entry = st.integers(0, fld.p - 1)
+    rows = [[fld.of(data.draw(entry))
+             if i not in zero_rows and j not in zero_cols
+             and data.draw(st.integers(0, 2)) == 0 else fld.zero
+             for j in range(ncols)] for i in range(nrows)]
+    return Matrix(fld, nrows, ncols, rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(KERNEL_FIELDS), st.integers(0, 8), st.integers(0, 8),
+       st.integers(0, 3), st.data())
+def test_kernel_matches_dense_reference(fld, nrows, ncols, nrhs, data):
+    a = _draw_sparse(data, fld, nrows, ncols)
+    rows, pivots = reference_rref(fld, a.rows, ncols)
+    got_rows, got_pivots, rest = echelon(
+        fld, [{j: x for j, x in enumerate(r) if x} for r in a.rows], ncols)
+    assert got_pivots == pivots and rest == []
+    assert got_rows == [{j: x for j, x in enumerate(r) if x}
+                        for r in rows[:len(pivots)]]
+    assert a.rank() == len(pivots)
+    assert a.kernel_basis() == reference_kernel(fld, a)
+    assert a.column_space_basis() == Matrix(
+        fld, nrows, len(pivots), [[r[j] for j in pivots] for r in a.rows])
+    # right-hand sides in the image of a or drawn at random
+    if data.draw(st.booleans()):
+        b = a.mul(_draw_sparse(data, fld, ncols, nrhs))
+    else:
+        b = _draw_sparse(data, fld, nrows, nrhs)
+    assert a.solve(b) == reference_solve(fld, a, b)
+    for j in range(nrhs):
+        x = reference_solve(fld, a, Matrix.column(fld, b.column_vector(j)))
+        assert a.solve(b.column_vector(j)) == (
+            None if x is None else x.column_vector(0))

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -243,3 +245,57 @@ def test_top_generators_match_greedy_reference(a, fld, data):
                 g_inv[arr.source]) for arr in a.arrows}
     m = Representation(a, fld, m.dims, mats)
     assert top_generators(m)[0] == greedy_top_generators(m)
+
+
+def _kronecker_band(kron, lam, size):
+    from gentlegp import band_module, make_band
+
+    b = make_band(kron, [Letter("alpha", False), Letter("beta", True)])
+    return band_module(kron, b, lam, size)
+
+
+BAND_PARAMETERS = [Fraction(1, 2), Fraction(3, 2), Fraction(2)]
+
+
+@pytest.mark.parametrize("mu", BAND_PARAMETERS, ids=str)
+@pytest.mark.parametrize("lam", BAND_PARAMETERS, ids=str)
+def test_hom_between_bands_with_fractional_parameters(kron, lam, mu):
+    m, n = _kronecker_band(kron, lam, 1), _kronecker_band(kron, mu, 1)
+    assert hom_dim(m, n) == (1 if lam == mu else 0)
+
+
+def test_hom_basis_of_fractional_jordan_band_commutes(kron):
+    m = _kronecker_band(kron, Fraction(1, 2), 2)
+    maps = hom_basis(m, m)
+    # End of a band of size 2 is k[x]/x^2
+    assert len(maps) == hom_dim(m, m) == 2
+    for f in maps:
+        f.check()
+
+
+def test_disjoint_supports_build_one_system_and_eliminate_nothing(
+        kron, monkeypatch):
+    from gentlegp import linalg, reps
+
+    count = {"systems": 0, "echelon": 0}
+    real_system, real_echelon = reps._hom_system, linalg.echelon
+
+    def system(m, n):
+        count["systems"] += 1
+        return real_system(m, n)
+
+    def echelon(*args):
+        count["echelon"] += 1
+        return real_echelon(*args)
+
+    monkeypatch.setattr(reps, "_hom_system", system)
+    monkeypatch.setattr(reps, "echelon", echelon)
+    monkeypatch.setattr(linalg, "echelon", echelon)
+    s1, s2 = simple(kron, "1"), simple(kron, "2")
+    assert hom_dim(s1, s2) == 0
+    assert count == {"systems": 1, "echelon": 0}
+    assert hom_basis(s2, s1) == []
+    assert count == {"systems": 2, "echelon": 0}
+    # a common support does eliminate
+    assert hom_dim(s1, s1) == 1
+    assert count == {"systems": 3, "echelon": 1}
