@@ -170,10 +170,10 @@ def cmd_surface(args):
         t = surface.parse_triangulation(fh.read())
     report = surface.verify_inner_triangle_count(t)
     inner = surface.inner_triangles(t)
-    a = surface.algebra_from_triangulation(t)
     if args.emit_algebra:
         with open(args.emit_algebra, "w", encoding="utf-8") as fh:
-            fh.write(quiver.serialize_presentation(a.presentation))
+            fh.write(quiver.serialize_presentation(
+                surface.algebra_presentation(t)))
     _emit({"inner_triangles": [list(tri) for tri in inner.triangles],
            "inner_count": inner.count,
            "descriptor": list(report.descriptor),
@@ -190,7 +190,39 @@ def cmd_dim(args):
     return 0
 
 
-def build_parser():
+def _subcommands():
+    """Name -> (handler, help, arguments as (flags, options)), in the
+    order --help lists them."""
+    file = (("file",), {})
+    bound = (("--bound",), {"type": int, "default": 0})
+    word_help = ("comma-separated letters, a or a^-1; a bare vertex id "
+                 "denotes the lazy word")
+    return {
+        "validate": (cmd_validate, "gentleness verdict with violations",
+                     [file]),
+        "cycles": (cmd_cycles, "critical cycles with lengths", [file]),
+        "gp": (cmd_gp, "indecomposable Gorenstein-projectives", [file]),
+        "dsg": (cmd_dsg, "singularity-category descriptor", [file]),
+        "oracle": (cmd_oracle, "homological oracle sweep vs the classifier",
+                   [file, (("--max-letters",), {"type": int, "default": 6}),
+                    bound]),
+        "stable": (cmd_stable, "stable category objects, orbits, hom matrix",
+                   [file]),
+        "ext": (cmd_ext, "Ext profile of a string module",
+                [file, (("--word",), {"required": True, "help": word_help}),
+                 bound]),
+        "compare": (cmd_compare, "derived-invariant comparison of two algebras",
+                    [(("file_a",), {}), (("file_b",), {})]),
+        "surface": (cmd_surface, "inner-triangle report for a triangulation",
+                    [file, (("--emit-algebra",), {"default": None})]),
+        "dim": (cmd_dim, "algebra dimension and injective dimension", [file]),
+    }
+
+
+def build_parser(command=None):
+    """The argument parser.  Given the name of a subcommand, it registers
+    only that one, which parses every command line naming it the same way;
+    otherwise all of them."""
     parser = argparse.ArgumentParser(
         prog="gentlegp",
         description="Gorenstein-projective classification for gentle algebras")
@@ -199,55 +231,32 @@ def build_parser():
     parser.add_argument("--field", default="q",
                         help="working field: q (rationals) or f<p>")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    commands = _subcommands()
+    if command in commands:
+        # usage lines still list every subcommand
+        sub.metavar = "{" + ",".join(commands) + "}"
+        commands = {command: commands[command]}
+    for name, (fn, help_text, arguments) in commands.items():
+        p = sub.add_parser(name, help=help_text)
         p.set_defaults(fn=fn)
-        return p
-
-    add("validate", cmd_validate,
-        help="gentleness verdict with violations").add_argument("file")
-    add("cycles", cmd_cycles,
-        help="critical cycles with lengths").add_argument("file")
-    add("gp", cmd_gp,
-        help="indecomposable Gorenstein-projectives").add_argument("file")
-    add("dsg", cmd_dsg,
-        help="singularity-category descriptor").add_argument("file")
-
-    p = add("oracle", cmd_oracle,
-            help="homological oracle sweep vs the classifier")
-    p.add_argument("file")
-    p.add_argument("--max-letters", type=int, default=6)
-    p.add_argument("--bound", type=int, default=0)
-
-    add("stable", cmd_stable,
-        help="stable category objects, orbits, hom matrix").add_argument("file")
-
-    p = add("ext", cmd_ext, help="Ext profile of a string module")
-    p.add_argument("file")
-    p.add_argument("--word", required=True,
-                   help="comma-separated letters, a or a^-1; a bare vertex "
-                        "id denotes the lazy word")
-    p.add_argument("--bound", type=int, default=0)
-
-    p = add("compare", cmd_compare,
-            help="derived-invariant comparison of two algebras")
-    p.add_argument("file_a")
-    p.add_argument("file_b")
-
-    p = add("surface", cmd_surface,
-            help="inner-triangle report for a triangulation")
-    p.add_argument("file")
-    p.add_argument("--emit-algebra", default=None)
-
-    add("dim", cmd_dim,
-        help="algebra dimension and injective dimension").add_argument("file")
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
     return parser
 
 
+def _command_named(argv):
+    """The token argparse reads as the subcommand when only --pretty and
+    --field come before it, else None."""
+    i = 0
+    while i < len(argv) and (argv[i] in ("--pretty", "--field")
+                             or argv[i].startswith("--field=")):
+        i += 2 if argv[i] == "--field" else 1
+    return argv[i] if i < len(argv) else None
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(_command_named(argv)).parse_args(argv)
     try:
         return args.fn(args)
     except gentle.NotGentleError as exc:

@@ -102,7 +102,11 @@ def parse_field(spec: str):
 
 
 class Matrix:
-    """Dense matrix over an exact field; 0xN and Nx0 shapes are legal."""
+    """Sparse matrix over an exact field; 0xN and Nx0 shapes are legal.
+
+    Row i is a dict from column to entry, the format ``echelon`` takes.
+    Invariant: no entry is stored as zero, so two matrices are equal
+    exactly when their rows are."""
 
     __slots__ = ("field", "nrows", "ncols", "rows")
 
@@ -114,27 +118,26 @@ class Matrix:
 
     @classmethod
     def zeros(cls, field, nrows, ncols):
-        z = field.zero
-        return cls(field, nrows, ncols, [[z] * ncols for _ in range(nrows)])
+        return cls(field, nrows, ncols, [{} for _ in range(nrows)])
 
     @classmethod
     def identity(cls, field, n):
-        m = cls.zeros(field, n, n)
-        for i in range(n):
-            m.rows[i][i] = field.one
-        return m
+        return cls(field, n, n, [{i: field.one} for i in range(n)])
 
     @classmethod
     def from_rows(cls, field, rows):
+        """The matrix of dense rows, lists of entries."""
         rows = [[field.of(x) for x in r] for r in rows]
         ncols = len(rows[0]) if rows else 0
         if any(len(r) != ncols for r in rows):
             raise ValueError("rows of unequal length")
-        return cls(field, len(rows), ncols, rows)
+        return cls(field, len(rows), ncols,
+                   [{j: x for j, x in enumerate(r) if x} for r in rows])
 
     @classmethod
     def column(cls, field, entries):
-        return cls(field, len(entries), 1, [[field.of(x)] for x in entries])
+        entries = [field.of(x) for x in entries]
+        return cls(field, len(entries), 1, [{0: x} if x else {} for x in entries])
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
@@ -145,34 +148,21 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols} over {self.field!r})"
 
     def is_zero(self):
-        z = self.field.zero
-        return all(x == z for row in self.rows for x in row)
+        return not any(self.rows)
 
     def mul(self, other):
         if self.ncols != other.nrows:
             raise ValueError(
                 f"shape mismatch: {self.ncols} cols vs {other.nrows} rows")
-        F = self.field
-        p = F.p
-        zeros = [F.zero] * other.ncols
-        # the nonzero rows of other, each as its nonzero (column, entry) pairs
-        brows = [(k, [(j, b) for j, b in enumerate(row) if b])
-                 for k, row in enumerate(other.rows) if any(row)]
-        out = []
-        for srow in self.rows:
-            acc = zeros[:]
-            for k, nz in brows:
-                a = srow[k]
-                if a:
-                    for j, b in nz:
-                        acc[j] += a * b
-            out.append([x % p for x in acc] if p and acc != zeros else acc)
-        return Matrix(F, self.nrows, other.ncols, out)
+        return Matrix(self.field, self.nrows, other.ncols,
+                      [_combine(r, other.rows, self.field.p) for r in self.rows])
 
     def transpose(self):
-        return Matrix(self.field, self.ncols, self.nrows,
-                      [list(col) for col in zip(*self.rows)]
-                      if self.nrows else [[] for _ in range(self.ncols)])
+        cols = [{} for _ in range(self.ncols)]
+        for i, row in enumerate(self.rows):
+            for j, x in row.items():
+                cols[j][i] = x
+        return Matrix(self.field, self.ncols, self.nrows, cols)
 
     @classmethod
     def hstack(cls, field, mats):
@@ -182,8 +172,13 @@ class Matrix:
         nrows = mats[0].nrows
         if any(m.nrows != nrows for m in mats):
             raise ValueError("hstack: row counts differ")
-        rows = [sum((m.rows[i] for m in mats), []) for i in range(nrows)]
-        return cls(field, nrows, sum(m.ncols for m in mats), rows)
+        rows = [{} for _ in range(nrows)]
+        offset = 0
+        for m in mats:
+            for row, mrow in zip(rows, m.rows):
+                row.update((offset + j, x) for j, x in mrow.items())
+            offset += m.ncols
+        return cls(field, nrows, offset, rows)
 
     @classmethod
     def vstack(cls, field, mats):
@@ -193,28 +188,20 @@ class Matrix:
         ncols = mats[0].ncols
         if any(m.ncols != ncols for m in mats):
             raise ValueError("vstack: column counts differ")
-        rows = [row[:] for m in mats for row in m.rows]
+        rows = [dict(row) for m in mats for row in m.rows]
         return cls(field, len(rows), ncols, rows)
 
     def column_vector(self, j):
-        return [self.rows[i][j] for i in range(self.nrows)]
-
-    def _sparse(self, rhs=()):
-        """Rows of [self | rhs] as dicts from column to nonzero entry."""
-        rows = map(list.__add__, self.rows, rhs) if rhs else self.rows
-        return [{j: x for j, x in enumerate(row) if x} for row in rows]
+        z = self.field.zero
+        return [row.get(j, z) for row in self.rows]
 
     def rank(self):
-        return len(echelon(self.field, self._sparse(), self.ncols, False)[1])
+        return len(echelon(self.field, self.rows, self.ncols, False)[1])
 
     def kernel_basis(self):
         """Matrix whose columns form a basis of the null space."""
-        vectors = kernel_vectors(self.field, self._sparse(), self.ncols)
-        out = Matrix.zeros(self.field, self.ncols, len(vectors))
-        for k, vec in enumerate(vectors):
-            for i, x in vec.items():
-                out.rows[i][k] = x
-        return out
+        vectors = kernel_vectors(self.field, self.rows, self.ncols)
+        return Matrix(self.field, len(vectors), self.ncols, vectors).transpose()
 
     def solve(self, b):
         """Solve self @ X = b, where b is a column vector given as a list or
@@ -222,33 +209,48 @@ class Matrix:
         some column has no solution."""
         F = self.field
         vector = not isinstance(b, Matrix)
-        rhs = [[F.of(x)] for x in b] if vector else b.rows
-        if len(rhs) != self.nrows:
+        rhs = Matrix.column(F, b) if vector else b
+        if rhs.nrows != self.nrows:
             raise ValueError("dimension mismatch in solve")
         n = self.ncols
-        prows, pivots, rest = echelon(F, self._sparse(rhs), n)
+        # the rows of [self | rhs]; echelon leaves them unchanged
+        rows = [{**r, **{n + j: x for j, x in s.items()}} if s else r
+                for r, s in zip(self.rows, rhs.rows)]
+        prows, pivots, rest = echelon(F, rows, n)
         if rest:
             return None
-        width = 1 if vector else b.ncols
-        x = [[F.zero] * width for _ in range(n)]
+        x = [{} for _ in range(n)]
         for prow, pc in zip(prows, pivots):
-            for j, v in prow.items():
-                if j >= n:
-                    x[pc][j - n] = v
-        if vector:
-            return [row[0] for row in x]
-        return Matrix(F, n, width, x)
+            x[pc] = {j - n: v for j, v in prow.items() if j >= n}
+        x = Matrix(F, n, rhs.ncols, x)
+        return x.column_vector(0) if vector else x
 
     def column_space_basis(self):
         """Columns of self restricted to a maximal independent subset."""
-        pivots = echelon(self.field, self._sparse(), self.ncols, False)[1]
+        pivots = echelon(self.field, self.rows, self.ncols, False)[1]
+        index = {c: k for k, c in enumerate(pivots)}
         return Matrix(self.field, self.nrows, len(pivots),
-                      [[row[j] for j in pivots] for row in self.rows])
+                      [{index[j]: x for j, x in row.items() if j in index}
+                       for row in self.rows])
+
+
+def _combine(coeffs, rows, p):
+    """The sparse row sum of coeffs[k] * rows[k], without zero entries."""
+    acc = {}
+    for k, a in coeffs.items():
+        for j, b in rows[k].items():
+            if j in acc:
+                acc[j] += a * b
+            else:
+                acc[j] = a * b
+    if p:
+        return {j: w for j, v in acc.items() if (w := v % p)}
+    return acc if all(acc.values()) else {j: v for j, v in acc.items() if v}
 
 
 def echelon(field, rows, npiv, reduced=True):
-    """Echelon form of sparse rows, dicts from column to nonzero entry
-    that it may change.  Pivots are sought before column ``npiv``; later
+    """Echelon form of sparse rows, dicts from column to nonzero entry,
+    which it leaves unchanged.  Pivots are sought before column ``npiv``; later
     columns (right-hand sides) ride along.  Returns (pivot rows, increasing
     pivot columns, the other nonzero rows, whose entries all lie past
     ``npiv``); with ``reduced``, those of the unique reduced echelon form.
@@ -260,7 +262,7 @@ def echelon(field, rows, npiv, reduced=True):
     by_lead = {}  # lead column -> rows starting there
     for r in rows:
         if r:
-            r = r if p else _integral(r)
+            r = dict(r) if p else _integral(r)
             by_lead.setdefault(min(r), []).append(r)
     prows, pivots = [], []
     while by_lead:
@@ -350,9 +352,9 @@ def intersect_subspaces(bases) -> Matrix:
             return Matrix.zeros(field, n, 0)
         # solve cur x = nxt y, i.e. [cur | -nxt] (x,y)^T = 0
         neg = Matrix(field, n, nxt.ncols,
-                     [[field.neg(x) for x in row] for row in nxt.rows])
+                     [{j: field.neg(x) for j, x in row.items()}
+                      for row in nxt.rows])
         ker = Matrix.hstack(field, [cur, neg]).kernel_basis()
-        xpart = Matrix(field, cur.ncols, ker.ncols,
-                       [ker.rows[i][:] for i in range(cur.ncols)])
+        xpart = Matrix(field, cur.ncols, ker.ncols, ker.rows[:cur.ncols])
         cur = cur.mul(xpart).column_space_basis()
     return cur

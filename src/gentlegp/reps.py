@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .gentle import GentleAlgebra, radical_summand_word
-from .linalg import Matrix, QQ, echelon, kernel_vectors
+from .linalg import Matrix, QQ, _combine, echelon, kernel_vectors
 from .quiver import InputError, PresentationError
 
 
@@ -73,11 +73,15 @@ class ModuleMap:
                 raise ValueError(f"map does not commute with arrow {arr.name}")
 
     def flatten(self):
-        """Entries in a fixed order, for rank computations on hom spaces."""
-        out = []
+        """The nonzero entries as a sparse row, by position in a fixed
+        order, for rank computations on hom spaces."""
+        out, base = {}, 0
         for v in self.source.algebra.vertices:
-            for row in self.blocks[v].rows:
-                out.extend(row)
+            block = self.blocks[v]
+            for i, row in enumerate(block.rows):
+                out.update((base + i * block.ncols + j, x)
+                           for j, x in row.items())
+            base += block.nrows * block.ncols
         return out
 
 
@@ -104,11 +108,9 @@ def direct_sum(reps):
     for arr in a.arrows:
         m = Matrix.zeros(fld, dims[arr.target], dims[arr.source])
         for r, off in zip(reps, offsets):
-            block = r.mats[arr.name]
             r0, c0 = off[arr.target], off[arr.source]
-            for i in range(block.nrows):
-                for j in range(block.ncols):
-                    m.rows[r0 + i][c0 + j] = block.rows[i][j]
+            for i, row in enumerate(r.mats[arr.name].rows):
+                m.rows[r0 + i] = {c0 + j: x for j, x in row.items()}
         mats[arr.name] = m
     return Representation(a, fld, dims, mats, check=False), offsets
 
@@ -182,13 +184,15 @@ def _hom_system(m: Representation, n: Representation):
         if not (ms and n.dims[t]):
             continue
         if s in offsets:
-            left = [[(offsets[s] + k * ms, c) for k, c in enumerate(row) if c]
+            left = [[(offsets[s] + k * ms, c) for k, c in row.items()]
                     for row in n.mats[arr.name].rows]
         else:
             left = [()] * n.dims[t]
-        right = [[(k, fld.neg(c)) for k, c in enumerate(col) if c]
-                 for col in zip(*m.mats[arr.name].rows)
-                 ] if t in offsets else [()] * ms
+        right = [[] for _ in range(ms)]  # column j of -M_a, if B_t is unknown
+        if t in offsets:
+            for k, row in enumerate(m.mats[arr.name].rows):
+                for j, c in row.items():
+                    right[j].append((k, fld.neg(c)))
         for i, lrow in enumerate(left):
             base = offsets.get(t, 0) + i * mt
             for j, rcol in enumerate(right):
@@ -216,19 +220,25 @@ def hom_dim(m: Representation, n: Representation) -> int:
     return total - len(echelon(m.field, rows, total, False)[1])
 
 
-def hom_basis(m: Representation, n: Representation):
+def _hom_vectors(m: Representation, n: Representation):
+    """A basis of Hom(M, N) as sparse kernel vectors of its system, and
+    the (vertex, row, column) block cell of every unknown."""
     if m.algebra is not n.algebra and \
             m.algebra.presentation != n.algebra.presentation:
         raise ValueError("modules over different algebras")
     rows, offsets, total = _hom_system(m, n)
     if total == 0:
-        return []
-    fld = m.field
+        return [], []
     cells = [(v, i, k) for v in offsets
              for i in range(n.dims[v]) for k in range(m.dims[v])]
+    return kernel_vectors(m.field, rows, total), cells
+
+
+def hom_basis(m: Representation, n: Representation):
+    vectors, cells = _hom_vectors(m, n)
     maps = []
-    for vec in kernel_vectors(fld, rows, total):
-        blocks = {v: Matrix.zeros(fld, n.dims[v], m.dims[v])
+    for vec in vectors:
+        blocks = {v: Matrix.zeros(m.field, n.dims[v], m.dims[v])
                   for v in m.algebra.vertices}
         for idx, x in vec.items():
             v, i, k = cells[idx]
@@ -325,17 +335,19 @@ def projective_cover(m: Representation) -> Cover:
     summand_reps = [projective_rep(a, v, fld) for v, _ in gens]
     p, offsets = direct_sum(summand_reps)
     blocks = {v: Matrix.zeros(fld, m.dims[v], p.dims[v]) for v in a.vertices}
+    # an arrow maps the sparse vector x to the combination of its columns
+    columns = {name: mat.transpose().rows for name, mat in m.mats.items()}
     for (v, x), off in zip(gens, offsets):
         paths, slot, _ = _projective_data(a, v)
         # paths come shortest first, so every prefix has its image already
-        images = {(): Matrix.column(fld, x)}
+        images = {(): {i: c for i, c in enumerate(x) if c}}
         for q in paths:
             if q.arrows:
-                images[q.arrows] = m.mats[q.arrows[-1]].mul(
-                    images[q.arrows[:-1]])
+                images[q.arrows] = _combine(images[q.arrows[:-1]],
+                                            columns[q.arrows[-1]], fld.p)
             w = q.target
             col = off[w] + slot[q]
-            for i, (entry,) in enumerate(images[q.arrows].rows):
+            for i, entry in images[q.arrows].items():
                 blocks[w].rows[i][col] = entry
     pi = ModuleMap(p, m, blocks)
     # surjectivity: generators were a basis of the top
@@ -496,24 +508,21 @@ def embedding_obstruction(m: Representation) -> int:
     Records the sizes of the hom bases as M's hom profile."""
     a = m.algebra
     fld = m.field
-    maps = []
+    stacked = {w: [] for w in a.vertices}  # block rows of all maps, per vertex
     profile = []
     for v in a.vertices:
-        basis = hom_basis(m, projective_rep(a, v, fld))
-        profile.append(len(basis))
-        maps.extend(basis)
+        vectors, cells = _hom_vectors(m, projective_rep(a, v, fld))
+        profile.append(len(vectors))
+        for vec in vectors:
+            rows = {}
+            for idx, x in vec.items():
+                w, i, k = cells[idx]
+                rows.setdefault((w, i), {})[k] = x
+            for (w, _), row in rows.items():
+                stacked[w].append(row)
     module_signature(m).hom_profile = tuple(profile)
-    total = 0
-    for w in a.vertices:
-        if m.dims[w] == 0:
-            continue
-        blocks = [f.blocks[w] for f in maps]
-        if not blocks:
-            total += m.dims[w]
-            continue
-        stacked = Matrix.vstack(fld, blocks)
-        total += m.dims[w] - stacked.rank()
-    return total
+    return sum(m.dims[w] - len(echelon(fld, rows, m.dims[w], False)[1])
+               if rows else m.dims[w] for w, rows in stacked.items())
 
 
 def stable_hom_dim(m: Representation, n: Representation) -> int:
@@ -526,14 +535,11 @@ def stable_hom_dim(m: Representation, n: Representation) -> int:
     through = hom_basis(m, cover.projective)
     if not through:
         return len(homs)
-    fld = m.field
-    composed = []
-    for g in through:
-        blocks = {v: cover.pi.blocks[v].mul(g.blocks[v])
-                  for v in m.algebra.vertices}
-        composed.append(ModuleMap(m, n, blocks).flatten())
-    image = Matrix.from_rows(fld, composed)
-    return len(homs) - image.rank()
+    composed = [ModuleMap(m, n, {v: cover.pi.blocks[v].mul(g.blocks[v])
+                                 for v in m.algebra.vertices}).flatten()
+                for g in through]
+    size = sum(n.dims[v] * m.dims[v] for v in m.algebra.vertices)
+    return len(homs) - len(echelon(m.field, composed, size, False)[1])
 
 
 def injective_dimension(a: GentleAlgebra, fld=QQ, cap: int = 64) -> int:

@@ -249,10 +249,9 @@ def band_module(a: GentleAlgebra, b: BandWord, lam, size: int,
         m = mats[l.arrow]
         r0 = block_base[dst_block]
         c0 = block_base[src_block]
-        for r in range(size):
-            for c in range(size):
-                m.rows[r0 + r][c0 + c] = field.add(
-                    m.rows[r0 + r][c0 + c], block.rows[r][c])
+        # the blocks of distinct letters never overlap
+        for r, row in enumerate(block.rows):
+            m.rows[r0 + r].update((c0 + c, x) for c, x in row.items())
     return Representation(a, field, dims, mats)
 
 

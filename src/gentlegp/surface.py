@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from .gentle import GentleAlgebra, validate_gentle
 from .gp import singularity_descriptor
@@ -21,8 +22,12 @@ class Triangulation:
     boundary_arcs: tuple[str, ...]
     triangles: tuple[tuple[str, str, str], ...]  # sides in cyclic orientation
 
+    @cached_property
+    def _internal(self):
+        return frozenset(self.internal_arcs)
+
     def is_internal(self, arc):
-        return arc in self.internal_arcs
+        return arc in self._internal
 
 
 def _validate(internal, boundary, triangles):

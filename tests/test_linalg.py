@@ -84,6 +84,17 @@ def test_zero_by_n_matrices_are_legal():
 small_entries = st.integers(min_value=-4, max_value=4)
 
 
+def _matrix(fld, nrows, ncols, rows):
+    """The Matrix of dense rows, also for 0 x ncols."""
+    return Matrix.from_rows(fld, rows) if rows else Matrix.zeros(fld, 0, ncols)
+
+
+def _dense(m):
+    """The rows of m as lists of entries, zeros included."""
+    return [[row.get(j, m.field.zero) for j in range(m.ncols)]
+            for row in m.rows]
+
+
 @given(st.integers(1, 5), st.integers(1, 5), st.data())
 def test_rank_nullity(nrows, ncols, data):
     rows = [[data.draw(small_entries) for _ in range(ncols)]
@@ -104,9 +115,9 @@ def test_rank_agrees_with_large_prime_field(nrows, ncols, data):
 
 
 def _draw_matrix(data, fld, nrows, ncols):
-    return Matrix(fld, nrows, ncols,
-                  [[fld.of(data.draw(small_entries)) for _ in range(ncols)]
-                   for _ in range(nrows)])
+    return _matrix(fld, nrows, ncols,
+                   [[fld.of(data.draw(small_entries)) for _ in range(ncols)]
+                    for _ in range(nrows)])
 
 
 @given(st.sampled_from([QQ, PrimeField(5)]), st.integers(0, 4),
@@ -117,10 +128,10 @@ def test_solve_matrix_rhs(fld, nrows, ncols, consistent, data):
     # each column is either in the image of a or drawn at random
     image = a.mul(_draw_matrix(data, fld, ncols, nrhs))
     noise = _draw_matrix(data, fld, nrows, nrhs)
-    b = Matrix(fld, nrows, nrhs,
-               [[i if keep else r
-                 for i, r, keep in zip(irow, rrow, consistent)]
-                for irow, rrow in zip(image.rows, noise.rows)])
+    b = _matrix(fld, nrows, nrhs,
+                [[i if keep else r
+                  for i, r, keep in zip(irow, rrow, consistent)]
+                 for irow, rrow in zip(_dense(image), _dense(noise))])
     x = a.solve(b)
     by_column = [a.solve(b.column_vector(j)) for j in range(nrhs)]
     unsolvable = [a.rank() != Matrix.hstack(fld, [a, Matrix.column(
@@ -195,27 +206,27 @@ def reference_rref(fld, rows, npiv):
 
 
 def reference_kernel(fld, a):
-    rows, pivots = reference_rref(fld, a.rows, a.ncols)
+    rows, pivots = reference_rref(fld, _dense(a), a.ncols)
     free = [c for c in range(a.ncols) if c not in pivots]
-    out = Matrix.zeros(fld, a.ncols, len(free))
+    out = [[fld.zero] * len(free) for _ in range(a.ncols)]
     for k, fc in enumerate(free):
-        out.rows[fc][k] = fld.one
+        out[fc][k] = fld.one
         for r, pc in enumerate(pivots):
-            out.rows[pc][k] = fld.neg(rows[r][fc])
-    return out
+            out[pc][k] = fld.neg(rows[r][fc])
+    return _matrix(fld, a.ncols, len(free), out)
 
 
 def reference_solve(fld, a, b):
     """X with a X = b for a Matrix b, or None."""
     n = a.ncols
     rows, pivots = reference_rref(
-        fld, [ra + rb for ra, rb in zip(a.rows, b.rows)], n)
+        fld, [ra + rb for ra, rb in zip(_dense(a), _dense(b))], n)
     if any(x != fld.zero for row in rows[len(pivots):] for x in row[n:]):
         return None
-    x = Matrix.zeros(fld, n, b.ncols)
+    x = [[fld.zero] * b.ncols for _ in range(n)]
     for r, pc in enumerate(pivots):
-        x.rows[pc] = rows[r][n:]
-    return x
+        x[pc] = rows[r][n:]
+    return _matrix(fld, n, b.ncols, x)
 
 
 KERNEL_FIELDS = [QQ, PrimeField(5), PrimeField(101)]
@@ -234,7 +245,7 @@ def _draw_sparse(data, fld, nrows, ncols):
              if i not in zero_rows and j not in zero_cols
              and data.draw(st.integers(0, 2)) == 0 else fld.zero
              for j in range(ncols)] for i in range(nrows)]
-    return Matrix(fld, nrows, ncols, rows)
+    return _matrix(fld, nrows, ncols, rows)
 
 
 @settings(max_examples=300, deadline=None)
@@ -242,16 +253,16 @@ def _draw_sparse(data, fld, nrows, ncols):
        st.integers(0, 3), st.data())
 def test_kernel_matches_dense_reference(fld, nrows, ncols, nrhs, data):
     a = _draw_sparse(data, fld, nrows, ncols)
-    rows, pivots = reference_rref(fld, a.rows, ncols)
+    rows, pivots = reference_rref(fld, _dense(a), ncols)
     got_rows, got_pivots, rest = echelon(
-        fld, [{j: x for j, x in enumerate(r) if x} for r in a.rows], ncols)
+        fld, [{j: x for j, x in enumerate(r) if x} for r in _dense(a)], ncols)
     assert got_pivots == pivots and rest == []
     assert got_rows == [{j: x for j, x in enumerate(r) if x}
                         for r in rows[:len(pivots)]]
     assert a.rank() == len(pivots)
     assert a.kernel_basis() == reference_kernel(fld, a)
-    assert a.column_space_basis() == Matrix(
-        fld, nrows, len(pivots), [[r[j] for j in pivots] for r in a.rows])
+    assert a.column_space_basis() == _matrix(
+        fld, nrows, len(pivots), [[r[j] for j in pivots] for r in _dense(a)])
     # right-hand sides in the image of a or drawn at random
     if data.draw(st.booleans()):
         b = a.mul(_draw_sparse(data, fld, ncols, nrhs))
@@ -262,3 +273,72 @@ def test_kernel_matches_dense_reference(fld, nrows, ncols, nrhs, data):
         x = reference_solve(fld, a, Matrix.column(fld, b.column_vector(j)))
         assert a.solve(b.column_vector(j)) == (
             None if x is None else x.column_vector(0))
+
+
+# ------------------------------------------- sparse Matrix vs dense reference
+
+def reference_mul(fld, a, b, ncols):
+    """Plain dense product with the field's own operations."""
+    out = []
+    for row in a:
+        acc = [fld.zero] * ncols
+        for k, x in enumerate(row):
+            for j in range(ncols):
+                acc[j] = fld.add(acc[j], fld.mul(x, b[k][j]))
+        out.append(acc)
+    return out
+
+
+def assert_no_stored_zero(m):
+    for row in m.rows:
+        for j, x in row.items():
+            assert 0 <= j < m.ncols and x != m.field.zero
+            assert m.field == QQ or 0 < x < m.field.p
+    assert len(m.rows) == m.nrows
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(KERNEL_FIELDS), st.integers(0, 5), st.integers(0, 5),
+       st.integers(0, 5), st.integers(0, 5), st.data())
+def test_sparse_matrix_matches_dense_reference(fld, n, k, m, extra, data):
+    a = _draw_sparse(data, fld, n, k)
+    b = _draw_sparse(data, fld, k, m)
+    c = _draw_sparse(data, fld, n, extra)
+    d = _draw_sparse(data, fld, extra, k)
+    da, db, dc, dd = map(_dense, (a, b, c, d))
+
+    prod = a.mul(b)
+    assert (prod.nrows, prod.ncols) == (n, m)
+    assert _dense(prod) == reference_mul(fld, da, db, m)
+    # a times its kernel basis: every entry's terms cancel
+    assert a.mul(a.kernel_basis()).rows == [{}] * n
+    t = a.transpose()
+    assert (t.nrows, t.ncols) == (k, n)
+    assert _dense(t) == [[row[j] for row in da] for j in range(k)]
+    h = Matrix.hstack(fld, [a, c, a])
+    assert (h.nrows, h.ncols) == (n, 2 * k + extra)
+    assert _dense(h) == [ra + rc + ra for ra, rc in zip(da, dc)]
+    v = Matrix.vstack(fld, [a, d])
+    assert (v.nrows, v.ncols) == (n + extra, k)
+    assert _dense(v) == da + dd
+    for j in range(k):
+        assert a.column_vector(j) == [row[j] for row in da]
+    for x in (a, b, prod, t, h, v):
+        assert_no_stored_zero(x)
+        assert x.is_zero() == all(y == fld.zero for row in _dense(x)
+                                  for y in row)
+        # equality is that of the dense entries, through a round trip
+        assert x == _matrix(fld, x.nrows, x.ncols, _dense(x))
+    assert (a == d) == ((n, da) == (extra, dd))
+    assert (prod == c) == ((m, _dense(prod)) == (extra, dc))
+    if n:
+        assert _dense(Matrix.from_rows(fld, da)) == da
+
+
+@pytest.mark.parametrize("fld", KERNEL_FIELDS, ids=repr)
+def test_products_that_cancel_store_no_zero(fld):
+    # [1 1] times [[1, 2], [-1, 3]] is [0, 5], and 5 vanishes in F_5
+    prod = Matrix.from_rows(fld, [[1, 1]]).mul(
+        Matrix.from_rows(fld, [[1, 2], [-1, 3]]))
+    assert prod.rows == [{} if fld.p == 5 else {1: fld.of(5)}]
+    assert_no_stored_zero(prod)

@@ -219,12 +219,13 @@ def greedy_top_generators(m):
 
 
 def _unitriangular(data, fld, n, lower):
-    m = Matrix.identity(fld, n)
+    m = [[fld.one if r == c else fld.zero for c in range(n)]
+         for r in range(n)]
     for i in range(n):
         for j in range(i):
             r, c = (i, j) if lower else (j, i)
-            m.rows[r][c] = fld.of(data.draw(st.integers(-2, 2)))
-    return m
+            m[r][c] = fld.of(data.draw(st.integers(-2, 2)))
+    return Matrix.from_rows(fld, m)
 
 
 @settings(max_examples=40, deadline=None)

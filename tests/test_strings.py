@@ -16,6 +16,12 @@ def Li(name):
     return Letter(name, False)
 
 
+def _dense(m):
+    """The rows of a Matrix as lists of entries, zeros included."""
+    return [[row.get(j, m.field.zero) for j in range(m.ncols)]
+            for row in m.rows]
+
+
 def test_parse_letters():
     assert parse_letters("i,d,a,f,k") == tuple(map(L, "idafk"))
     assert parse_letters("a^-1, b") == (Li("a"), L("b"))
@@ -160,8 +166,8 @@ def test_kronecker_band_jordan_block(kron):
     b = make_band(kron, [Li("alpha"), L("beta")])
     m = band_module(kron, b, 3, 2)
     assert m.dims == {"1": 2, "2": 2}
-    mats = {a: m.mats[a] for a in ("alpha", "beta")}
+    mats = {a: _dense(m.mats[a]) for a in ("alpha", "beta")}
     # beta is the designated direct letter: Jordan block with eigenvalue 3
-    assert mats["beta"].rows[0][0] == 3 and mats["beta"].rows[1][1] == 3
-    assert mats["beta"].rows[0][1] == 1
-    assert mats["alpha"].rows[0][0] == 1 and mats["alpha"].rows[0][1] == 0
+    assert mats["beta"][0][0] == 3 and mats["beta"][1][1] == 3
+    assert mats["beta"][0][1] == 1
+    assert mats["alpha"][0][0] == 1 and mats["alpha"][0][1] == 0

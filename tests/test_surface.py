@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from gentlegp import (TriangulationError, algebra_from_triangulation,
@@ -96,3 +98,32 @@ def test_relabeling_arcs_gives_isomorphic_algebra():
         [tuple(ren[s] for s in tri) for tri in t.triangles])
     assert is_isomorphic(algebra_presentation(t), algebra_presentation(t2))
     assert verify_inner_triangle_count(t2).holds
+
+
+@pytest.mark.parametrize("name", ["hexagon.tri", "fan5.tri", "octagon2.tri"])
+def test_emit_algebra_validates_once_and_writes_the_recorded_file(
+        name, tmp_path, capsys, monkeypatch):
+    from gentlegp import cli, surface
+
+    validations = []
+    real = surface.validate_gentle
+
+    def counting(p):
+        validations.append(p)
+        return real(p)
+
+    monkeypatch.setattr(surface, "validate_gentle", counting)
+    out = tmp_path / "algebra.gentle"
+    assert cli.run(["surface", str(data_path(name)),
+                    "--emit-algebra", str(out)]) == 0
+    capsys.readouterr()
+    expected = json.loads(
+        data_path("surface_emit_golden.json").read_text(encoding="utf-8"))
+    assert out.read_text(encoding="utf-8") == expected[name]
+    assert len(validations) == 1
+
+
+def test_is_internal_matches_the_arc_list():
+    t = load("octagon2.tri")
+    for arc in t.internal_arcs + t.boundary_arcs + ("nowhere",):
+        assert t.is_internal(arc) == (arc in t.internal_arcs)
