@@ -39,14 +39,7 @@ def _cycle_payload(c):
 
 
 def cmd_validate(args):
-    with open(args.file, encoding="utf-8") as fh:
-        p = quiver.parse_presentation(fh.read())
-    violations = gentle.gentle_violations(p)
-    if violations:
-        _emit({"status": "not-gentle",
-               "violations": _violation_payload(violations)}, args.pretty)
-        return 2
-    a = gentle.validate_gentle(p)
+    a = _load_algebra(args.file)
     _emit({"status": "ok", "gentle": True, "dimension": a.dimension()},
           args.pretty)
     return 0
@@ -89,6 +82,9 @@ def cmd_dsg(args):
 
 def cmd_oracle(args):
     a = _load_algebra(args.file)
+    # every module of the sweep reads the path basis: refuse an oversized
+    # one before enumerating strings
+    a.path_basis
     fld = parse_field(args.field)
     bound = args.bound if args.bound else gp.default_ext_bound(a)
     certificates = []

@@ -1,8 +1,8 @@
 """Gentle-algebra validation, path basis, critical cycles, radical summands.
 
 The validated algebra is purely combinatorial: a finite basis of
-relation-free paths plus composition data.  Everything homological lives
-in :mod:`gentlegp.reps`.
+relation-free paths, built only when first read, plus composition data.
+Everything homological lives in :mod:`gentlegp.reps`.
 """
 
 from __future__ import annotations
@@ -80,29 +80,27 @@ def gentle_violations(p: QuiverPresentation) -> list[GentleViolation]:
             violations.append(GentleViolation("G3", (b.name,)))
 
     # G4: per arrow, at most one allowed continuation / predecessor
+    succ = {b.name: [a.name for a in p.arrows_out(b.target)
+                     if (a.name, b.name) not in p.relations]
+            for b in p.arrows}
     for b in p.arrows:
-        succ = [a.name for a in p.arrows_out(b.target)
-                if (a.name, b.name) not in p.relations]
         pred = [a.name for a in p.arrows_in(b.source)
                 if (b.name, a.name) not in p.relations]
-        if len(succ) > 1 or len(pred) > 1:
+        if len(succ[b.name]) > 1 or len(pred) > 1:
             violations.append(GentleViolation("G4", (b.name,)))
 
     # admissibility / finite dimensionality: no relation-free cycle in the
     # allowed-composition graph (nodes = arrows)
-    cycle = _find_cycle(p)
+    cycle = _find_cycle(succ)
     if cycle is not None:
         violations.append(GentleViolation("infinite-dimensional", tuple(cycle)))
 
     return violations
 
 
-def _find_cycle(p):
+def _find_cycle(succ):
     """A cycle in the graph on arrows whose edges are the allowed
-    (relation-free) compositions, or None."""
-    succ = {a.name: [b.name for b in p.arrows_out(a.target)
-                     if (b.name, a.name) not in p.relations]
-            for a in p.arrows}
+    (relation-free) compositions, given as arrow -> successors, or None."""
     # iterative depth-first search, successors in declaration order;
     # color 1 marks the arrows on the current path, 2 the finished ones
     color = {name: 0 for name in succ}
@@ -132,14 +130,26 @@ class GentleAlgebra:
     """Compares and hashes by identity: each validation is its own key."""
 
     presentation: QuiverPresentation
-    path_basis: tuple[Path, ...]
 
     @staticmethod
     def from_presentation(p: QuiverPresentation) -> "GentleAlgebra":
         violations = gentle_violations(p)
         if violations:
             raise NotGentleError(violations)
-        return GentleAlgebra(p, tuple(_enumerate_basis_paths(p)))
+        return GentleAlgebra(p)
+
+    @cached_property
+    def path_basis(self) -> tuple[Path, ...]:
+        """Built on first use; raises BasisTooLargeError past the cap."""
+        return tuple(_enumerate_basis_paths(self.presentation))
+
+    @cached_property
+    def _next_arrow(self):
+        """Arrow name -> its allowed continuation (unique by G4), or None."""
+        out = self.presentation.arrows_out
+        return {a.name: next((b.name for b in out(a.target)
+                              if (b.name, a.name) not in self.relations), None)
+                for a in self.arrows}
 
     @property
     def vertices(self):
@@ -158,7 +168,20 @@ class GentleAlgebra:
         return self.presentation.relations
 
     def dimension(self):
-        return len(self.path_basis)
+        """|Q_0| plus, per arrow a, the L(a) = 1 + L(next(a)) basis paths
+        that begin with a: by G4 they form one chain.  No basis is built."""
+        nxt = self._next_arrow
+        length = {}
+        for a in nxt:
+            chain = []
+            while a is not None and a not in length:
+                chain.append(a)
+                a = nxt[a]
+            n = length.get(a, 0)
+            for b in reversed(chain):
+                n += 1
+                length[b] = n
+        return len(self.vertices) + sum(length.values())
 
     @cached_property
     def _paths_from(self):
@@ -265,16 +288,13 @@ def radical_summand_word(a: GentleAlgebra, arrow_name: str):
     itself excluded).  Empty tuple means the summand is simple."""
     if arrow_name not in a.arrow_map:
         raise PresentationError(f"unknown arrow {arrow_name!r}")
+    nxt = a._next_arrow
     word = []
-    cur = arrow_name
-    while True:
-        target = a.arrow_map[cur].target
-        # the allowed continuation of cur, unique by G4
-        cur = next((b.name for b in a.presentation.arrows_out(target)
-                    if (b.name, cur) not in a.relations), None)
-        if cur is None:
-            return tuple(word)
+    cur = nxt[arrow_name]
+    while cur is not None:
         word.append(cur)
+        cur = nxt[cur]
+    return tuple(word)
 
 
 def radical_summand_vertices(a: GentleAlgebra, arrow_name: str):

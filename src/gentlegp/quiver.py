@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations
+from itertools import islice, permutations
 from types import MappingProxyType
 
 
@@ -127,62 +127,12 @@ def opposite(p: QuiverPresentation) -> QuiverPresentation:
     return QuiverPresentation(p.vertices, arrows, relations)
 
 
-_IDENT = re.compile(r"[A-Za-z0-9_.']+")
-
-
-class _Cursor:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-
-    def _line_col(self, pos):
-        line = self.text.count("\n", 0, pos) + 1
-        col = pos - (self.text.rfind("\n", 0, pos) + 1) + 1
-        return line, col
-
-    def error(self, message, pos=None):
-        line, col = self._line_col(self.pos if pos is None else pos)
-        raise DSLSyntaxError(message, line, col)
-
-    def skip_ws(self):
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch == "#":
-                nl = self.text.find("\n", self.pos)
-                self.pos = len(self.text) if nl < 0 else nl
-            elif ch.isspace():
-                self.pos += 1
-            else:
-                break
-
-    def eof(self):
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, literal):
-        self.skip_ws()
-        if not self.text.startswith(literal, self.pos):
-            self.error(f"expected {literal!r}")
-        self.pos += len(literal)
-
-    def try_consume(self, literal):
-        self.skip_ws()
-        if self.text.startswith(literal, self.pos):
-            self.pos += len(literal)
-            return True
-        return False
-
-    def ident(self, what="identifier"):
-        self.skip_ws()
-        m = _IDENT.match(self.text, self.pos)
-        if not m:
-            self.error(f"expected {what}")
-        self.pos = m.end()
-        return m.group(0)
+# one match per token: the whitespace and comments before it, then the
+# token itself (an identifier, "->", any other single character, or "" at
+# the end of the text)
+_TOKEN = re.compile(r"(?:\s|#[^\n]*)*([A-Za-z0-9_.']+|->|.|\Z)", re.S)
+_IDENT_CHARS = frozenset(
+    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_.'")
 
 
 def parse_presentation(text: str) -> QuiverPresentation:
@@ -197,50 +147,70 @@ def parse_presentation(text: str) -> QuiverPresentation:
     ``#`` starts a comment.  The ``arrows`` and ``relations`` sections may
     be empty.
     """
-    cur = _Cursor(text)
+    toks = _TOKEN.findall(text)
 
-    cur.expect("vertices")
-    cur.expect(":")
+    def fail(message, i, offset=0):
+        # where token i starts is looked up only now that it is needed
+        pos = next(islice(_TOKEN.finditer(text), i, None)).start(1) + offset
+        line = text.count("\n", 0, pos) + 1
+        raise DSLSyntaxError(message, line, pos - text.rfind("\n", 0, pos))
+
+    def expect(i, literal):
+        if toks[i] != literal:
+            fail(f"expected {literal!r}", i)
+
+    def ident(i, what):
+        if toks[i][:1] not in _IDENT_CHARS:
+            fail(f"expected {what}", i)
+        return toks[i]
+
+    def header(i, keyword):
+        """The index after the section header ``keyword:`` at token i."""
+        if toks[i] != keyword:
+            if toks[i].startswith(keyword):  # an identifier such as arrows1
+                fail("expected ':'", i, len(keyword))
+            fail(f"expected {keyword!r}", i)
+        expect(i + 1, ":")
+        return i + 2
+
+    i = header(0, "vertices")
     vertices = []
-    while cur.peek() not in ("", ";") and not cur.text.startswith("arrows", cur.pos):
-        vertices.append(cur.ident("vertex id"))
-        if not cur.try_consume(","):
+    while toks[i] not in ("", ";") and not toks[i].startswith("arrows"):
+        vertices.append(ident(i, "vertex id"))
+        i += 1
+        if toks[i] != ",":
             break
-    cur.try_consume(";")
+        i += 1
+    i = header(i + (toks[i] == ";"), "arrows")
 
-    cur.expect("arrows")
-    cur.expect(":")
     arrows = []
-    while True:
-        cur.skip_ws()
-        if cur.peek() in ("", ";") or cur.text.startswith("relations", cur.pos):
+    while toks[i] not in ("", ";") and not toks[i].startswith("relations"):
+        name = ident(i, "arrow id")
+        expect(i + 1, ":")
+        src = ident(i + 2, "source vertex")
+        expect(i + 3, "->")
+        arrows.append(Arrow(name, src, ident(i + 4, "target vertex")))
+        i += 5
+        if toks[i] != ";":
             break
-        name = cur.ident("arrow id")
-        cur.expect(":")
-        src = cur.ident("source vertex")
-        cur.expect("->")
-        tgt = cur.ident("target vertex")
-        arrows.append(Arrow(name, src, tgt))
-        if not cur.try_consume(";"):
-            break
-    cur.try_consume(";")
+        i += 1
+    i = header(i + (toks[i] == ";"), "relations")
 
-    cur.expect("relations")
-    cur.expect(":")
-    relations = []
-    while cur.peek() not in ("", ";"):
-        later = cur.ident("arrow id")
-        cur.expect("*")
-        earlier = cur.ident("arrow id")
-        pair = (later, earlier)
+    relations = set()
+    while toks[i] not in ("", ";"):
+        later = ident(i, "arrow id")
+        expect(i + 1, "*")
+        pair = (later, ident(i + 2, "arrow id"))
         if pair in relations:
-            raise PresentationError(f"duplicate relation {later}*{earlier}")
-        relations.append(pair)
-        if not cur.try_consume(","):
+            raise PresentationError(f"duplicate relation {pair[0]}*{pair[1]}")
+        relations.add(pair)
+        i += 3
+        if toks[i] != ",":
             break
-    cur.try_consume(";")
-    if not cur.eof():
-        cur.error("unexpected trailing input")
+        i += 1
+    i += toks[i] == ";"
+    if toks[i]:
+        fail("unexpected trailing input", i)
 
     return QuiverPresentation(tuple(vertices), tuple(arrows),
                               frozenset(relations))

@@ -110,15 +110,22 @@ def inner_triangles(t: Triangulation) -> InnerTriangleReport:
 def algebra_presentation(t: Triangulation) -> QuiverPresentation:
     """Vertices are internal arcs; each triangle contributes an arrow
     between cyclically adjacent internal sides, and its compositions of
-    same-triangle arrows are the relations."""
+    same-triangle arrows are the relations.  An arrow is named
+    ``{s}_{d}``; one whose name is taken (two triangles with the same two
+    sides, as on an annulus) gets the first free ``{s}_{d}.{k}``, k >= 2."""
     arrows = []
+    names = set()
     relations = set()
     for tri in t.triangles:
         tri_arrows = []  # (name, src, dst) within this triangle
         for i in range(3):
             s, d = tri[i], tri[(i + 1) % 3]
             if t.is_internal(s) and t.is_internal(d):
-                name = f"{s}_{d}"
+                name, k = f"{s}_{d}", 1
+                while name in names:
+                    k += 1
+                    name = f"{s}_{d}.{k}"
+                names.add(name)
                 arrows.append(Arrow(name, s, d))
                 tri_arrows.append((name, s, d))
         # compositions of consecutive arrows from the same triangle vanish

@@ -44,14 +44,67 @@ def test_missing_file(capsys):
 
 @pytest.mark.parametrize("p", [linear_quiver(460), projective_line_chain(1000)],
                          ids=["A460", "lambda1000"])
-def test_validate_too_large_is_input_error(p, tmp_path, capsys):
-    # gentle, but the path basis exceeds the library's cap: bad input, not
-    # an internal error or a traceback
+def test_dim_too_large_is_input_error(p, tmp_path, capsys):
+    # gentle, but the path basis dim needs exceeds the library's cap: bad
+    # input, not an internal error or a traceback
+    f = tmp_path / "big.gentle"
+    f.write_text(serialize_presentation(p))
+    code, out = invoke(capsys, "dim", str(f))
+    assert code == 2
+    assert out["status"] == "error" and "path basis" in out["reason"]
+
+
+@pytest.mark.parametrize("argv", [["dim"], ["oracle"], ["stable"],
+                                  ["ext", "--word", "1"]], ids=" ".join)
+def test_basis_reading_commands_refuse_an_oversized_basis(argv, tmp_path,
+                                                          capsys):
+    # lambda_1000 has critical cycles, so stable builds modules too
+    f = tmp_path / "big.gentle"
+    f.write_text(serialize_presentation(projective_line_chain(1000)))
+    code, out = invoke(capsys, argv[0], str(f), *argv[1:])
+    assert code == 2
+    assert out["status"] == "error" and "path basis" in out["reason"]
+
+
+@pytest.mark.parametrize("p, dimension",
+                         [(linear_quiver(460), 106030),
+                          (projective_line_chain(1000), 1002001)],
+                         ids=["A460", "lambda1000"])
+def test_validate_counts_the_dimension_of_a_large_algebra(
+        p, dimension, tmp_path, capsys):
+    # validate builds no path basis, so the cap does not apply to it
     f = tmp_path / "big.gentle"
     f.write_text(serialize_presentation(p))
     code, out = invoke(capsys, "validate", str(f))
-    assert code == 2
-    assert out["status"] == "error" and "path basis" in out["reason"]
+    assert code == 0
+    assert out == {"status": "ok", "gentle": True, "dimension": dimension}
+
+
+COMBINATORIAL = [["validate", EX22], ["cycles", EX22], ["gp", EX22],
+                 ["dsg", EX22], ["compare", L3, L4], ["surface", HEXAGON],
+                 ["validate", NOTGENTLE]]
+
+
+@pytest.mark.parametrize("argv", COMBINATORIAL, ids=" ".join)
+def test_combinatorial_commands_build_no_path_basis(argv, capsys,
+                                                    monkeypatch):
+    from gentlegp import gentle
+
+    calls = []
+    real = gentle._enumerate_basis_paths
+
+    def counting(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(gentle, "_enumerate_basis_paths", counting)
+    run(argv)
+    capsys.readouterr()
+    assert calls == []
+    # the counter sees the bases that dim reads: the algebra's and its
+    # opposite's
+    assert run(["dim", EX22]) == 0
+    assert len(calls) == 2
 
 
 def test_syntax_error_reported(tmp_path, capsys):

@@ -2,12 +2,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gentlegp import (Arrow, BasisTooLargeError, NotGentleError,
-                      QuiverError, QuiverPresentation, critical_cycles,
-                      cycle_of_arrow, gentle_violations, parse_presentation,
+                      QuiverError, QuiverPresentation, algebra_presentation,
+                      critical_cycles, cycle_of_arrow, gentle_violations,
+                      parse_presentation, parse_triangulation,
                       radical_summand_vertices, radical_summand_word,
                       validate_gentle)
 from gentlegp.families import (cyclic_nakayama, linear_quiver,
                                projective_line_chain)
+
+from conftest import DATA
 
 
 def test_eight_vertex_is_gentle(eightv):
@@ -230,8 +233,38 @@ def test_cycle_witness_matches_recursive_search(p):
 
 
 def test_oversized_path_basis_is_an_input_error():
-    # A_460 is gentle, but its 106 030 basis paths exceed the cap
+    # A_460 is gentle, but its 106 030 basis paths exceed the cap; only
+    # reading the basis refuses, its dimension is counted without it
+    a = validate_gentle(linear_quiver(460))
+    assert a.dimension() == 106030
     with pytest.raises(BasisTooLargeError) as err:
-        validate_gentle(linear_quiver(460))
+        a.path_basis
     assert isinstance(err.value, QuiverError)
     assert "100000" in str(err.value)
+
+
+def _basis_zoo():
+    zoo = [parse_presentation(f.read_text())
+           for f in sorted(DATA.glob("*.gentle"))
+           if f.name != "notgentle.gentle"]
+    zoo += [algebra_presentation(parse_triangulation(f.read_text()))
+            for f in sorted(DATA.rglob("*.tri"))]
+    zoo += [linear_quiver(n) for n in range(1, 13)]
+    zoo += [projective_line_chain(n) for n in range(2, 13)]
+    zoo += [cyclic_nakayama(n) for n in range(2, 9)]
+    return zoo
+
+
+@pytest.mark.parametrize("p", _basis_zoo())
+def test_dimension_counts_the_path_basis(p):
+    a = validate_gentle(p)
+    assert a.dimension() == len(a.path_basis)
+
+
+def test_radical_summand_word_follows_the_allowed_continuations(eightv):
+    # the word is the longest basis path that begins with the arrow, less
+    # the arrow itself
+    for arrow in eightv.arrows:
+        longest = max((q for q in eightv.path_basis
+                       if q.arrows[:1] == (arrow.name,)), key=len)
+        assert radical_summand_word(eightv, arrow.name) == longest.arrows[1:]

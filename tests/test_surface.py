@@ -7,7 +7,8 @@ from gentlegp import (TriangulationError, algebra_from_triangulation,
                       inner_triangles, is_isomorphic, make_triangulation,
                       parse_triangulation, serialize_triangulation,
                       singularity_descriptor, verify_inner_triangle_count)
-from gentlegp.families import cyclic_nakayama
+from gentlegp import parse_presentation
+from gentlegp.families import cyclic_nakayama, kronecker
 
 from conftest import data_path
 
@@ -127,3 +128,28 @@ def test_is_internal_matches_the_arc_list():
     t = load("octagon2.tri")
     for arc in t.internal_arcs + t.boundary_arcs + ("nowhere",):
         assert t.is_internal(arc) == (arc in t.internal_arcs)
+
+
+def test_annulus_gives_the_kronecker_algebra(tmp_path, capsys):
+    # two triangles share both arcs, so the two arrows x -> y need two names
+    from gentlegp import cli
+
+    out = tmp_path / "algebra.gentle"
+    assert cli.run(["surface", str(data_path("surfaces/annulus.tri")),
+                    "--emit-algebra", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "count_matches": True, "descriptor": [], "inner_count": 0,
+        "inner_triangles": []}
+    p = parse_presentation(out.read_text(encoding="utf-8"))
+    assert is_isomorphic(p, kronecker())
+    assert [(a.source, a.target) for a in p.arrows] == [("x", "y")] * 2
+    assert gentle_violations(p) == []
+
+
+def test_colliding_arrow_names_skip_taken_ones():
+    # a -> b_c twice, and the arrow a_b -> c.2 already holds a_b_c.2
+    t = make_triangulation(["a", "b_c", "a_b", "c.2"], ["o1", "i1", "i2", "o2"],
+                           [("a_b", "c.2", "o1"), ("a", "b_c", "i1"),
+                            ("a", "b_c", "i2"), ("a_b", "c.2", "o2")])
+    assert [a.name for a in algebra_presentation(t).arrows] == [
+        "a_b_c.2", "a_b_c", "a_b_c.3", "a_b_c.2.2"]
