@@ -19,7 +19,7 @@ from .reps import (Representation, ModuleMap, ExtProfile, hom_basis, hom_dim,
                    radical_summand_rep, syzygy, is_projective, ext_profile,
                    embedding_obstruction, stable_hom_dim, module_signature,
                    ModuleSignature, InternalError, injective_dimension,
-                   zero_representation, direct_sum, regular_dim_at,
+                   zero_representation, direct_sum,
                    hom_profile)
 from .gp import (GPClassification, SingularityDescriptor, OracleCertificate,
                  StableCategoryTable, ComparisonReport, ClassificationMismatchError,

@@ -82,9 +82,9 @@ def cmd_dsg(args):
 
 def cmd_oracle(args):
     a = _load_algebra(args.file)
-    # every module of the sweep reads the path basis: refuse an oversized
-    # one before enumerating strings
-    a.path_basis
+    # every module of the sweep builds projectives: refuse an oversized
+    # algebra before enumerating strings
+    a.check_basis_size()
     fld = parse_field(args.field)
     bound = args.bound if args.bound else gp.default_ext_bound(a)
     certificates = []
@@ -117,6 +117,9 @@ def cmd_oracle(args):
 
 def cmd_stable(args):
     a = _load_algebra(args.file)
+    # refused like the other commands that build projectives, even when no
+    # critical cycle leaves a module to build
+    a.check_basis_size()
     table = gp.stable_category_table(a, parse_field(args.field))
     _emit({"objects": [{"cycle": c, "arrow": arrow}
                        for c, arrow in table.objects],

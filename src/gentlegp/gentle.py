@@ -1,8 +1,12 @@
-"""Gentle-algebra validation, path basis, critical cycles, radical summands.
+"""Gentle-algebra validation, dimension, critical cycles, radical summands.
 
-The validated algebra is purely combinatorial: a finite basis of
-relation-free paths, built only when first read, plus composition data.
-Everything homological lives in :mod:`gentlegp.reps`.
+The validated algebra is purely combinatorial: the allowed continuation
+of each arrow (unique by G4), from which its dimension and radical
+summand words are read.  The path basis of relation-free paths is built
+only when first read, as the reference the tests compare against; the
+library itself counts paths but never lists them.  Everything homological
+lives in :mod:`gentlegp.reps`, which builds each projective as the string
+module of :func:`gentlegp.strings.projective_word`.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from functools import cached_property
 
 from .quiver import Path, PresentationError, QuiverError, QuiverPresentation
 
-# the largest path basis _enumerate_basis_paths builds before refusing
+# the largest dimension (number of basis paths) the library works with
 MAX_BASIS_PATHS = 100000
 
 
@@ -141,6 +145,7 @@ class GentleAlgebra:
     @cached_property
     def path_basis(self) -> tuple[Path, ...]:
         """Built on first use; raises BasisTooLargeError past the cap."""
+        self.check_basis_size()
         return tuple(_enumerate_basis_paths(self.presentation))
 
     @cached_property
@@ -168,6 +173,10 @@ class GentleAlgebra:
         return self.presentation.relations
 
     def dimension(self):
+        return self._dimension
+
+    @cached_property
+    def _dimension(self):
         """|Q_0| plus, per arrow a, the L(a) = 1 + L(next(a)) basis paths
         that begin with a: by G4 they form one chain.  No basis is built."""
         nxt = self._next_arrow
@@ -183,33 +192,13 @@ class GentleAlgebra:
                 length[b] = n
         return len(self.vertices) + sum(length.values())
 
-    @cached_property
-    def _paths_from(self):
-        grouped = {v: [] for v in self.vertices}
-        for p in self.path_basis:
-            grouped[p.source].append(p)
-        return {v: tuple(paths) for v, paths in grouped.items()}
-
-    def basis_paths_from(self, v):
-        """Basis paths starting at v, shortest first."""
-        return self._paths_from.get(v, ())
-
-    @cached_property
-    def _count_to(self):
-        return Counter(p.target for p in self.path_basis)
-
-    def count_paths_to(self, v):
-        """Number of basis paths ending at v."""
-        return self._count_to[v]
-
-    def left_multiply(self, arrow_name, path: Path):
-        """Compose ``path`` then ``arrow``; None encodes zero in the algebra."""
-        a = self.arrow_map[arrow_name]
-        if a.source != path.target:
-            return None
-        if path.arrows and (arrow_name, path.arrows[-1]) in self.relations:
-            return None
-        return Path(path.arrows + (arrow_name,), path.source, a.target)
+    def check_basis_size(self):
+        """Raise BasisTooLargeError when the path basis would exceed
+        MAX_BASIS_PATHS paths; counts them without building anything."""
+        if self.dimension() > MAX_BASIS_PATHS:
+            raise BasisTooLargeError(
+                f"path basis exceeds {MAX_BASIS_PATHS} paths; "
+                "the algebra is too large for this library")
 
 
 def validate_gentle(p: QuiverPresentation) -> GentleAlgebra:
@@ -232,10 +221,6 @@ def _enumerate_basis_paths(p: QuiverPresentation):
                     nxt.append(Path(path.arrows + (a.name,),
                                     path.source, a.target))
         frontier = nxt
-        if len(basis) > MAX_BASIS_PATHS:
-            raise BasisTooLargeError(
-                f"path basis exceeds {MAX_BASIS_PATHS} paths; "
-                "the algebra is too large for this library")
     basis.sort(key=lambda q: (len(q.arrows), q.source, q.arrows))
     return basis
 

@@ -10,7 +10,7 @@ from functools import cached_property, lru_cache
 
 from .gentle import GentleAlgebra, radical_summand_word
 from .linalg import Matrix, QQ, _combine, echelon, kernel_vectors
-from .quiver import InputError, PresentationError
+from .quiver import InputError
 
 
 class InternalError(AssertionError):
@@ -116,45 +116,13 @@ def direct_sum(reps):
 
 
 @lru_cache(maxsize=None)
-def _projective_data(a: GentleAlgebra, v: str):
-    """Basis paths of the projective at v, with per-vertex slot indices."""
-    if v not in a.vertices:
-        raise PresentationError(f"unknown vertex {v!r}")
-    paths = a.basis_paths_from(v)
-    slot = {}
-    counts = {w: 0 for w in a.vertices}
-    for p in paths:
-        slot[p] = counts[p.target]
-        counts[p.target] += 1
-    return tuple(paths), slot, counts
-
-
-@lru_cache(maxsize=None)
 def projective_rep(a: GentleAlgebra, v: str, fld=QQ) -> Representation:
-    """The indecomposable projective at v: basis paths starting at v,
-    arrows acting by composition."""
-    paths, slot, counts = _projective_data(a, v)
-    mats = {arr.name: Matrix.zeros(fld, counts[arr.target], counts[arr.source])
-            for arr in a.arrows}
-    for p in paths:
-        for arr in a.presentation.arrows_out(p.target):
-            q = a.left_multiply(arr.name, p)
-            if q is not None:
-                mats[arr.name].rows[slot[q]][slot[p]] = fld.one
-    return Representation(a, fld, {w: counts[w] for w in a.vertices}, mats,
-                          check=False)
+    """The indecomposable projective at v, as the string module of its
+    word (gentle projectives are string modules)."""
+    from .strings import projective_word, string_module
 
-
-def regular_rep_mats(a: GentleAlgebra, fld=QQ):
-    """The left regular module as the direct sum of the indecomposable
-    projectives; returns (dims, mats)."""
-    regular, _ = direct_sum([projective_rep(a, v, fld) for v in a.vertices])
-    return regular.dims, regular.mats
-
-
-def regular_dim_at(a: GentleAlgebra, v: str) -> int:
-    """dim Hom(P_v, A): the number of basis paths ending at v."""
-    return a.count_paths_to(v)
+    a.check_basis_size()
+    return string_module(a, projective_word(a, v)[0], fld)
 
 
 def _hom_system(m: Representation, n: Representation):
@@ -320,10 +288,13 @@ class Cover:
     projective: Representation
     summands: tuple  # vertex per indecomposable summand
     pi: ModuleMap
+    tops: tuple  # per summand, the column of its top at its vertex
 
 
 def projective_cover(m: Representation) -> Cover:
     """Minimal projective cover built on a basis of the top."""
+    from .strings import projective_word, walk_slots
+
     a = m.algebra
     fld = m.field
     gens, rad = top_generators(m)
@@ -331,46 +302,49 @@ def projective_cover(m: Representation) -> Cover:
         p = zero_representation(a, fld)
         pi = ModuleMap(p, m, {v: Matrix.zeros(fld, m.dims[v], 0)
                               for v in a.vertices})
-        return Cover(p, (), pi)
+        return Cover(p, (), pi, ())
     summand_reps = [projective_rep(a, v, fld) for v, _ in gens]
     p, offsets = direct_sum(summand_reps)
     blocks = {v: Matrix.zeros(fld, m.dims[v], p.dims[v]) for v in a.vertices}
     # an arrow maps the sparse vector x to the combination of its columns
     columns = {name: mat.transpose().rows for name, mat in m.mats.items()}
+    tops = []
     for (v, x), off in zip(gens, offsets):
-        paths, slot, _ = _projective_data(a, v)
-        # paths come shortest first, so every prefix has its image already
-        images = {(): {i: c for i, c in enumerate(x) if c}}
-        for q in paths:
-            if q.arrows:
-                images[q.arrows] = _combine(images[q.arrows[:-1]],
-                                            columns[q.arrows[-1]], fld.p)
-            w = q.target
-            col = off[w] + slot[q]
-            for i, entry in images[q.arrows].items():
+        word, top = projective_word(a, v)
+        _, slots = walk_slots(a, word)
+        # the generator sits on the top; every letter points away from it
+        images = [None] * len(slots)
+        images[top] = {i: c for i, c in enumerate(x) if c}
+        for i in range(top - 1, -1, -1):
+            images[i] = _combine(images[i + 1],
+                                 columns[word.letters[i].arrow], fld.p)
+        for i in range(top, len(word)):
+            images[i + 1] = _combine(images[i],
+                                     columns[word.letters[i].arrow], fld.p)
+        for w, slot, image in zip(word.vertices, slots, images):
+            col = off[w] + slot
+            for i, entry in image.items():
                 blocks[w].rows[i][col] = entry
+        tops.append(off[v] + slots[top])
     pi = ModuleMap(p, m, blocks)
     # surjectivity: generators were a basis of the top
     for v in a.vertices:
         if blocks[v].rank() != m.dims[v]:
             raise InternalError("projective cover not surjective")
-    return Cover(p, tuple(v for v, _ in gens), pi)
+    return Cover(p, tuple(v for v, _ in gens), pi, tuple(tops))
 
 
 def syzygy(m: Representation, cover: Cover | None = None) -> Representation:
     """Kernel of the minimal projective cover; zero for projectives."""
     if cover is None:
         cover = projective_cover(m)
-    a = m.algebra
-    fld = m.field
-    kernels = {v: cover.pi.blocks[v].kernel_basis() for v in a.vertices}
-    sub, incl = _subrepresentation(cover.projective, kernels)
-    # minimality: the kernel must sit inside the radical of the cover
-    rad = radical_bases(cover.projective)
-    for v in a.vertices:
-        if rad[v].solve(kernels[v]) is None:
+    kernels = {v: cover.pi.blocks[v].kernel_basis() for v in m.algebra.vertices}
+    # minimality: the kernel lies in the radical of the cover, spanned by
+    # every basis vector of the summands' words but their tops
+    for v, col in zip(cover.summands, cover.tops):
+        if kernels[v].rows[col]:
             raise InternalError("cover kernel escapes the radical")
-    return sub
+    return _subrepresentation(cover.projective, kernels)[0]
 
 
 def is_projective(m: Representation) -> bool:
@@ -478,10 +452,16 @@ def ext_profile(m: Representation, bound: int) -> ExtProfile:
     x = m
     period = None
     status = "checked-to-bound"
+    # v -> dim Hom(P_v, Lambda), the sum over u of dim (P_u)_v
+    regular = {}
     for i in range(1, bound + 1):
         cover = projective_cover(x)
         omega = syzygy(x, cover)
-        hp = sum(regular_dim_at(a, v) for v in cover.summands)
+        for v in cover.summands:
+            if v not in regular:
+                regular[v] = sum(projective_rep(a, u, m.field).dims[v]
+                                 for u in a.vertices)
+        hp = sum(regular[v] for v in cover.summands)
         sig = module_signature(omega)
         homega = sum(sig.hom_profile)
         dims.append(homega - hp + hx)
@@ -551,9 +531,9 @@ def injective_dimension(a: GentleAlgebra, fld=QQ, cap: int = 64) -> int:
     from .quiver import opposite
 
     aop = validate_gentle(opposite(a.presentation))
-    counts, mats = regular_rep_mats(a, fld)
-    dual_mats = {name: m.transpose() for name, m in mats.items()}
-    dual = Representation(aop, fld, counts, dual_mats)
+    regular, _ = direct_sum([projective_rep(a, v, fld) for v in a.vertices])
+    dual_mats = {name: m.transpose() for name, m in regular.mats.items()}
+    dual = Representation(aop, fld, regular.dims, dual_mats)
     if dual.is_zero():
         return 0
     x = dual

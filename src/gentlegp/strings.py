@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gentle import GentleAlgebra
+from .gentle import GentleAlgebra, radical_summand_word
 from .linalg import Matrix, QQ
 from .quiver import InputError, PresentationError
 from .reps import Representation
@@ -149,23 +149,44 @@ def contains_peak(w: StringWord) -> bool:
     return False
 
 
+def walk_slots(a: GentleAlgebra, w: StringWord):
+    """The dimension vector of the string module of w, and the slot of
+    each walk vertex within the space at its vertex."""
+    dims = {v: 0 for v in a.vertices}
+    slots = []
+    for v in w.vertices:
+        slots.append(dims[v])
+        dims[v] += 1
+    return dims, slots
+
+
 def string_module(a: GentleAlgebra, w: StringWord, field=QQ) -> Representation:
     """The representation with one basis vector per walk vertex."""
-    n = len(w.vertices)
-    dims = {v: 0 for v in a.vertices}
-    index = []  # (vertex, slot within that vertex)
-    for v in w.vertices:
-        index.append((v, dims[v]))
-        dims[v] += 1
+    dims, slots = walk_slots(a, w)
     mats = {arr.name: Matrix.zeros(field, dims[arr.target], dims[arr.source])
             for arr in a.arrows}
     for i, l in enumerate(w.letters):
-        if l.direct:
-            src, dst = index[i], index[i + 1]
-        else:
-            src, dst = index[i + 1], index[i]
-        mats[l.arrow].rows[dst[1]][src[1]] = field.one
+        src, dst = (i, i + 1) if l.direct else (i + 1, i)
+        mats[l.arrow].rows[slots[dst]][slots[src]] = field.one
     return Representation(a, field, dims, mats)
+
+
+def projective_word(a: GentleAlgebra, v: str):
+    """The word of the indecomposable projective P_v, and the position of
+    its top.  rad P_v is the sum of the radical summands of the (at most
+    two) arrows c out of v, so the word runs back down the first chain
+    (c,) + radical_summand_word(a, c) to v, then down the second."""
+    chains = [(c.name,) + radical_summand_word(a, c.name)
+              for c in a.presentation.arrows_out(v)]
+    if not chains:
+        return lazy_word(a, v), 0
+    first, second = chains[0], (chains[1] if len(chains) > 1 else ())
+    amap = a.arrow_map
+    letters = tuple(Letter(name, False) for name in reversed(first))
+    letters += tuple(Letter(name, True) for name in second)
+    verts = ([amap[name].target for name in reversed(first)] + [v]
+             + [amap[name].target for name in second])
+    return StringWord(letters, tuple(verts)), len(first)
 
 
 @dataclass(frozen=True)
@@ -258,34 +279,21 @@ def band_module(a: GentleAlgebra, b: BandWord, lam, size: int,
 def enumerate_strings(a: GentleAlgebra, max_letters: int):
     """All valid string words with at most max_letters letters, one
     representative per {w, w^-1} pair, lazy words included."""
+    pres = a.presentation
+    # the letters that leave each vertex, with the vertex they reach
+    steps = {v: [(Letter(b.name, True), b.target) for b in pres.arrows_out(v)]
+             + [(Letter(b.name, False), b.source) for b in pres.arrows_in(v)]
+             for v in a.vertices}
     out = [lazy_word(a, v) for v in a.vertices]
-    frontier = []
-    for arr in a.arrows:
-        w = StringWord((Letter(arr.name, True),), (arr.source, arr.target))
-        frontier.append(w)
-        wi = StringWord((Letter(arr.name, False),), (arr.target, arr.source))
-        frontier.append(wi)
+    frontier = [StringWord((l,), (v, u)) for v in a.vertices
+                for l, u in steps[v]]
     for length in range(1, max_letters + 1):
         out.extend(frontier)
         if length == max_letters:
             break
-        nxt = []
-        for w in frontier:
-            end = w.vertices[-1]
-            last = w.letters[-1]
-            for arr in a.arrows:
-                for direct in (True, False):
-                    start = arr.source if direct else arr.target
-                    if start != end:
-                        continue
-                    cand = Letter(arr.name, direct)
-                    ok, _ = check_string(a, (last, cand))
-                    if not ok:
-                        continue
-                    nxt.append(StringWord(
-                        w.letters + (cand,),
-                        w.vertices + (arr.target if direct else arr.source,)))
-        frontier = nxt
+        frontier = [StringWord(w.letters + (l,), w.vertices + (u,))
+                    for w in frontier for l, u in steps[w.vertices[-1]]
+                    if is_valid_string(a, (w.letters[-1], l))]
     # dedupe words equal to their own canonical form may still collide
     seen = set()
     unique = []

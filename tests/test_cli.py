@@ -45,8 +45,8 @@ def test_missing_file(capsys):
 @pytest.mark.parametrize("p", [linear_quiver(460), projective_line_chain(1000)],
                          ids=["A460", "lambda1000"])
 def test_dim_too_large_is_input_error(p, tmp_path, capsys):
-    # gentle, but the path basis dim needs exceeds the library's cap: bad
-    # input, not an internal error or a traceback
+    # gentle, but its dimension exceeds the library's cap on basis paths:
+    # bad input, not an internal error or a traceback
     f = tmp_path / "big.gentle"
     f.write_text(serialize_presentation(p))
     code, out = invoke(capsys, "dim", str(f))
@@ -66,6 +66,19 @@ def test_basis_reading_commands_refuse_an_oversized_basis(argv, tmp_path,
     assert out["status"] == "error" and "path basis" in out["reason"]
 
 
+@pytest.mark.parametrize("argv", [["dim"], ["oracle"], ["stable"],
+                                  ["ext", "--word", "1"]], ids=" ".join)
+def test_homological_commands_refuse_a_large_algebra_without_cycles(
+        argv, tmp_path, capsys):
+    # A_460 has no critical cycle, so stable would build no module
+    f = tmp_path / "big.gentle"
+    f.write_text(serialize_presentation(linear_quiver(460)))
+    code, out = invoke(capsys, argv[0], str(f), *argv[1:])
+    assert code == 2
+    assert out["reason"] == ("path basis exceeds 100000 paths; "
+                             "the algebra is too large for this library")
+
+
 @pytest.mark.parametrize("p, dimension",
                          [(linear_quiver(460), 106030),
                           (projective_line_chain(1000), 1002001)],
@@ -83,9 +96,12 @@ def test_validate_counts_the_dimension_of_a_large_algebra(
 COMBINATORIAL = [["validate", EX22], ["cycles", EX22], ["gp", EX22],
                  ["dsg", EX22], ["compare", L3, L4], ["surface", HEXAGON],
                  ["validate", NOTGENTLE]]
+# the homological commands build projectives as string modules
+HOMOLOGICAL = [["dim", EX22], ["oracle", EX22, "--max-letters", "2"],
+               ["stable", EX22], ["ext", EX22, "--word", "j"]]
 
 
-@pytest.mark.parametrize("argv", COMBINATORIAL, ids=" ".join)
+@pytest.mark.parametrize("argv", COMBINATORIAL + HOMOLOGICAL, ids=" ".join)
 def test_combinatorial_commands_build_no_path_basis(argv, capsys,
                                                     monkeypatch):
     from gentlegp import gentle
@@ -101,10 +117,9 @@ def test_combinatorial_commands_build_no_path_basis(argv, capsys,
     run(argv)
     capsys.readouterr()
     assert calls == []
-    # the counter sees the bases that dim reads: the algebra's and its
-    # opposite's
-    assert run(["dim", EX22]) == 0
-    assert len(calls) == 2
+    # the counter sees a basis that is read
+    gentle.validate_gentle(linear_quiver(3)).path_basis
+    assert len(calls) == 1
 
 
 def test_syntax_error_reported(tmp_path, capsys):

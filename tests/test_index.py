@@ -1,14 +1,17 @@
-"""The per-presentation adjacency index and the per-algebra path grouping
-against linear scans kept here as the reference."""
+"""The per-presentation adjacency index and the projectives against
+linear scans of the path basis, kept here as the reference."""
+
+from collections import Counter
 
 import pytest
 
-from gentlegp import (GentleAlgebra, parse_presentation, regular_dim_at,
+from gentlegp import (GentleAlgebra, parse_presentation, projective_rep,
                       validate_gentle)
 from gentlegp.families import (cyclic_nakayama, kronecker, linear_quiver,
                                projective_line_chain)
 
 from conftest import data_path
+from test_gentle import _basis_zoo
 
 
 def _family_algebras():
@@ -39,19 +42,15 @@ def test_adjacency_matches_linear_scan(zoo):
                                             if a.target == v]
 
 
-def test_basis_paths_from_matches_linear_scan(zoo):
-    for a in zoo.values():
+def test_projective_dims_count_basis_paths(zoo):
+    # P_v is built as a string module; its dimension at w is the number of
+    # basis paths from v to w
+    algebras = list(zoo.values()) + [validate_gentle(p) for p in _basis_zoo()]
+    for a in algebras:
+        ends = Counter((q.source, q.target) for q in a.path_basis)
         for v in a.vertices:
-            assert list(a.basis_paths_from(v)) == [
-                q for q in a.path_basis if q.source == v]
-
-
-def test_regular_dim_at_matches_linear_scan(zoo):
-    for a in zoo.values():
-        for v in a.vertices:
-            assert regular_dim_at(a, v) == sum(
-                1 for q in a.path_basis if q.target == v)
-        assert regular_dim_at(a, "nowhere") == 0
+            assert projective_rep(a, v).dims == {
+                w: ends[v, w] for w in a.vertices}
 
 
 def test_index_is_built_once_and_read_only(eightv):
@@ -59,9 +58,7 @@ def test_index_is_built_once_and_read_only(eightv):
     assert p.arrow_map is p.arrow_map
     assert p.arrows_out("2") is p.arrows_out("2")
     assert p.arrows_in("2") is p.arrows_in("2")
-    assert eightv.basis_paths_from("7") is eightv.basis_paths_from("7")
-    for seq in (p.arrows_out("2"), p.arrows_in("2"),
-                eightv.basis_paths_from("7")):
+    for seq in (p.arrows_out("2"), p.arrows_in("2")):
         assert isinstance(seq, tuple)
     with pytest.raises(TypeError):
         p.arrow_map["z"] = p.arrows[0]
@@ -71,7 +68,6 @@ def test_unknown_vertex_yields_empty(eightv):
     p = eightv.presentation
     assert p.arrows_out("nowhere") == ()
     assert p.arrows_in("nowhere") == ()
-    assert eightv.basis_paths_from("nowhere") == ()
 
 
 def test_algebras_compare_by_identity(eightv):

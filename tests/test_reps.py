@@ -8,13 +8,14 @@ from gentlegp import (Letter, Matrix, PrimeField, QQ, Representation,
                       ext_profile, hom_basis, hom_dim, injective_dimension,
                       is_projective, lazy_word, make_string, module_signature,
                       parse_field, projective_cover, projective_rep,
-                      radical_summand_rep, regular_dim_at, stable_hom_dim,
+                      radical_summand_rep, stable_hom_dim,
                       string_module, syzygy, top_and_radical,
                       validate_gentle, zero_representation)
 from gentlegp.families import (cyclic_nakayama, eight_vertex_example,
                                kronecker, projective_line_chain)
-from gentlegp.reps import (InternalError, _subrepresentation,
-                          radical_bases, top_generators)
+from gentlegp.reps import (Cover, InternalError, ModuleMap,
+                          _subrepresentation, radical_bases, top_generators)
+from gentlegp.strings import projective_word, walk_slots
 
 
 def simple(a, v, fld=QQ):
@@ -28,7 +29,7 @@ def test_projective_dimension_vectors(eightv):
         "3": 0, "4": 0, "5": 0, "6": 0}
     total = sum(projective_rep(eightv, v).total_dim for v in eightv.vertices)
     assert total == eightv.dimension() == 64
-    assert regular_dim_at(eightv, "7") == sum(
+    assert sum(q.target == "7" for q in eightv.path_basis) == sum(
         projective_rep(eightv, v).dims["7"] for v in eightv.vertices)
 
 
@@ -41,11 +42,18 @@ def test_representation_rejects_relation_violation(a2):
                        {"a1": Matrix.zeros(QQ, 2, 1)})
 
 
-def test_hom_from_projective_counts_fiber_dimension(eightv):
+def test_hom_from_projective_counts_fiber_dimension(eightv, kron, i3):
     # Hom(P_v, N) has dimension dim N_v
-    n = radical_summand_rep(eightv, "j")
-    for v in eightv.vertices:
-        assert hom_dim(projective_rep(eightv, v), n) == n.dims[v]
+    lam3 = validate_gentle(projective_line_chain(3))
+    modules = [radical_summand_rep(eightv, "j"), simple(eightv, "2"),
+               string_module(kron, make_string(
+                   kron, [Letter("alpha", True), Letter("beta", False)])),
+               radical_summand_rep(i3, "a1"), simple(lam3, "1")]
+    modules += [projective_rep(a, v) for a in (eightv, kron, i3, lam3)
+                for v in a.vertices]
+    for n in modules:
+        for v in n.algebra.vertices:
+            assert hom_dim(projective_rep(n.algebra, v), n) == n.dims[v]
 
 
 def test_hom_basis_maps_commute(eightv):
@@ -153,6 +161,25 @@ def test_subspace_not_closed_is_an_internal_error(eightv):
         _subrepresentation(p1, bases)
     assert issubclass(InternalError, AssertionError)
     assert not issubclass(InternalError, ValueError)
+
+
+def test_non_minimal_cover_is_an_internal_error(eightv):
+    # P_5 + P_5 -> S_5 sending both tops to the generator is onto, but
+    # the difference of the tops lies in the kernel and not in the radical
+    p5 = projective_rep(eightv, "5")
+    s5 = simple(eightv, "5")
+    p, offsets = direct_sum([p5, p5])
+    word, top = projective_word(eightv, "5")
+    slot = walk_slots(eightv, word)[1][top]
+    tops = tuple(off["5"] + slot for off in offsets)
+    blocks = {v: Matrix.zeros(QQ, s5.dims[v], p.dims[v])
+              for v in eightv.vertices}
+    for col in tops:
+        blocks["5"].rows[0][col] = QQ.one
+    pi = ModuleMap(p, s5, blocks)
+    pi.check()
+    with pytest.raises(InternalError, match="cover kernel escapes the radical"):
+        syzygy(s5, Cover(p, ("5", "5"), pi, tops))
 
 
 def test_zero_representation(eightv):

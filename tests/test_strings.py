@@ -5,7 +5,12 @@ import pytest
 from gentlegp import (Letter, band_module, check_string, contains_peak,
                       directed_word, enumerate_strings, is_valid_string,
                       lazy_word, make_band, make_string, parse_letters,
-                      radical_summand_word, string_module)
+                      parse_presentation, radical_summand_word,
+                      string_module, validate_gentle)
+from gentlegp.strings import projective_word
+from gentlegp.families import projective_line_chain
+
+from conftest import data_path
 
 
 def L(name):
@@ -122,19 +127,39 @@ def test_enumerate_a2(a2):
     assert len(words) == 3  # e_1, e_2, the arrow
 
 
-def test_enumerate_eight_vertex_max2_against_generate_and_filter(eightv):
+def test_enumerate_eight_vertex_max2_against_generate_and_filter(eightv, kron):
     # independent oracle: try every letter combination, halve the valid
-    # non-lazy count for the w ~ w^{-1} quotient (no short word here is
-    # its own inverse)
-    alphabet = [Letter(a.name, d) for a in eightv.arrows for d in (True, False)]
-    raw = 0
-    for length in (1, 2):
-        for combo in product(alphabet, repeat=length):
-            if check_string(eightv, combo)[0]:
-                raw += 1
+    # non-lazy count for the w ~ w^{-1} quotient (no word is its own
+    # inverse: its middle letter, or pair of letters, would undo itself)
+    def generate_and_filter(a, max_letters):
+        alphabet = [Letter(arr.name, d) for arr in a.arrows
+                    for d in (True, False)]
+        return sum(check_string(a, combo)[0]
+                   for length in range(1, max_letters + 1)
+                   for combo in product(alphabet, repeat=length))
+
+    raw = generate_and_filter(eightv, 2)
     assert raw == 52
     words = enumerate_strings(eightv, 2)
     assert len(words) == 8 + raw // 2 == 34
+    twocycles = parse_presentation(data_path("twocycles.gentle").read_text())
+    for a in (kron, validate_gentle(projective_line_chain(3)),
+              validate_gentle(twocycles)):
+        assert len(enumerate_strings(a, 3)) == (
+            len(a.vertices) + generate_and_filter(a, 3) // 2)
+
+
+def test_projective_word_points_away_from_its_top(eightv, kron):
+    word, top = projective_word(eightv, "1")
+    assert (word.display(), top) == ("k^-1,f^-1,a^-1", 3)
+    for a in (eightv, kron):
+        for v in a.vertices:
+            word, top = projective_word(a, v)
+            assert word.vertices[top] == v
+            assert is_valid_string(a, word.letters)
+            assert [l.direct for l in word.letters] == (
+                [False] * top + [True] * (len(word) - top))
+    assert projective_word(kron, "2") == (lazy_word(kron, "2"), 0)
 
 
 def test_band_requires_mixed_directions(kron):
