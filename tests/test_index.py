@@ -42,15 +42,28 @@ def test_adjacency_matches_linear_scan(zoo):
                                             if a.target == v]
 
 
-def test_projective_dims_count_basis_paths(zoo):
+def _zoo_and_basis_zoo(zoo):
+    return list(zoo.values()) + [validate_gentle(p) for p in _basis_zoo()]
+
+
+def test_basis_paths_from_matches_linear_scan(zoo):
     # P_v is built as a string module; its dimension at w is the number of
     # basis paths from v to w
-    algebras = list(zoo.values()) + [validate_gentle(p) for p in _basis_zoo()]
-    for a in algebras:
+    for a in _zoo_and_basis_zoo(zoo):
         ends = Counter((q.source, q.target) for q in a.path_basis)
         for v in a.vertices:
             assert projective_rep(a, v).dims == {
                 w: ends[v, w] for w in a.vertices}
+
+
+def test_regular_dim_at_matches_linear_scan(zoo):
+    # ext_profile reads dim Hom(P_v, Lambda) as the sum over u of
+    # dim (P_u)_v, which is the number of basis paths ending at v
+    for a in _zoo_and_basis_zoo(zoo):
+        into = Counter(q.target for q in a.path_basis)
+        for v in a.vertices:
+            assert sum(projective_rep(a, u).dims[v]
+                       for u in a.vertices) == into[v]
 
 
 def test_index_is_built_once_and_read_only(eightv):
