@@ -15,7 +15,7 @@ from .strings import (Letter, StringWord, BandWord, parse_letters,
                       directed_word, contains_peak, string_module, make_band,
                       band_module, enumerate_strings)
 from .reps import (Representation, ModuleMap, ExtProfile, hom_basis, hom_dim,
-                   top_and_radical, projective_cover, projective_rep,
+                   projective_cover, projective_rep,
                    radical_summand_rep, syzygy, is_projective, ext_profile,
                    embedding_obstruction, stable_hom_dim, module_signature,
                    ModuleSignature, InternalError, injective_dimension,

@@ -135,13 +135,6 @@ class GentleAlgebra:
 
     presentation: QuiverPresentation
 
-    @staticmethod
-    def from_presentation(p: QuiverPresentation) -> "GentleAlgebra":
-        violations = gentle_violations(p)
-        if violations:
-            raise NotGentleError(violations)
-        return GentleAlgebra(p)
-
     @cached_property
     def path_basis(self) -> tuple[Path, ...]:
         """Built on first use; raises BasisTooLargeError past the cap."""
@@ -203,7 +196,10 @@ class GentleAlgebra:
 
 def validate_gentle(p: QuiverPresentation) -> GentleAlgebra:
     """Validate the gentle axioms; raises NotGentleError with all violations."""
-    return GentleAlgebra.from_presentation(p)
+    violations = gentle_violations(p)
+    if violations:
+        raise NotGentleError(violations)
+    return GentleAlgebra(p)
 
 
 def _enumerate_basis_paths(p: QuiverPresentation):

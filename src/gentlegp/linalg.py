@@ -200,7 +200,8 @@ class Matrix:
 
     def kernel_basis(self):
         """Matrix whose columns form a basis of the null space."""
-        vectors = kernel_vectors(self.field, self.rows, self.ncols)
+        vectors = list(kernel_vectors(self.field, self.rows,
+                                      self.ncols).values())
         return Matrix(self.field, len(vectors), self.ncols, vectors).transpose()
 
     def solve(self, b):
@@ -325,8 +326,9 @@ def _clear(r, s, c, p):
 
 
 def kernel_vectors(field, rows, ncols):
-    """A basis of the null space of sparse rows, as dicts from column to
-    nonzero entry: one per free column, in order, with 1 there."""
+    """A basis of the null space of sparse rows, as a dict from each free
+    column, in order, to a sparse vector (column -> nonzero entry) that is
+    1 there and 0 at every other free column."""
     prows, pivots, _ = echelon(field, rows, ncols)
     pivot_set = set(pivots)
     vectors = {c: {c: field.one} for c in range(ncols) if c not in pivot_set}
@@ -334,7 +336,7 @@ def kernel_vectors(field, rows, ncols):
         for j, v in prow.items():
             if j != pc:
                 vectors[j][pc] = field.neg(v)
-    return list(vectors.values())
+    return vectors
 
 
 def intersect_subspaces(bases) -> Matrix:

@@ -1,6 +1,6 @@
 """Representations of a gentle algebra and the homological toolbox:
-hom spaces, tops and radicals, projective covers, syzygies, Ext against
-the regular module, stable homs, and the submodule-of-projective
+hom spaces, top generators, projective covers, syzygies, Ext against the
+regular module, stable homs, and the submodule-of-projective
 obstruction."""
 
 from __future__ import annotations
@@ -130,6 +130,9 @@ def _hom_system(m: Representation, n: Representation):
     coefficient per equation: (rows, offsets, number of unknowns).  The
     unknowns are the entries of the blocks B_v (N_v x M_v) where M and N
     are both nonzero, flattened row-major, vertices in algebra order."""
+    if m.algebra is not n.algebra and \
+            m.algebra.presentation != n.algebra.presentation:
+        raise ValueError("modules over different algebras")
     offsets = {}
     total = 0
     for v in m.support:
@@ -179,9 +182,6 @@ def _hom_system(m: Representation, n: Representation):
 
 
 def hom_dim(m: Representation, n: Representation) -> int:
-    if m.algebra is not n.algebra and \
-            m.algebra.presentation != n.algebra.presentation:
-        raise ValueError("modules over different algebras")
     rows, _, total = _hom_system(m, n)
     if total == 0:
         return 0
@@ -191,15 +191,12 @@ def hom_dim(m: Representation, n: Representation) -> int:
 def _hom_vectors(m: Representation, n: Representation):
     """A basis of Hom(M, N) as sparse kernel vectors of its system, and
     the (vertex, row, column) block cell of every unknown."""
-    if m.algebra is not n.algebra and \
-            m.algebra.presentation != n.algebra.presentation:
-        raise ValueError("modules over different algebras")
     rows, offsets, total = _hom_system(m, n)
     if total == 0:
         return [], []
     cells = [(v, i, k) for v in offsets
              for i in range(n.dims[v]) for k in range(m.dims[v])]
-    return kernel_vectors(m.field, rows, total), cells
+    return list(kernel_vectors(m.field, rows, total).values()), cells
 
 
 def hom_basis(m: Representation, n: Representation):
@@ -215,72 +212,47 @@ def hom_basis(m: Representation, n: Representation):
     return maps
 
 
-def radical_bases(m: Representation):
-    """Per-vertex basis of the radical: the sum of all arrow images."""
-    a = m.algebra
-    fld = m.field
-    out = {}
-    for v in a.vertices:
-        images = [m.mats[arr.name] for arr in a.presentation.arrows_in(v)]
-        if images:
-            out[v] = Matrix.hstack(fld, images).column_space_basis()
-        else:
-            out[v] = Matrix.zeros(fld, m.dims[v], 0)
-    return out
-
-
 def top_generators(m: Representation):
     """Standard basis vectors completing the radical to all of M, as
-    (vertex, vector) pairs; they generate M and present its top."""
+    (vertex, index) pairs; they generate M and present its top."""
     a = m.algebra
     fld = m.field
-    rad = radical_bases(m)
     gens = []
     for v in a.vertices:
-        # the radical basis is independent, so the pivot columns past it
-        # are the standard vectors a greedy completion would pick
-        basis = Matrix.hstack(fld, [rad[v], Matrix.identity(fld, m.dims[v])])
-        basis = basis.column_space_basis()
-        gens.extend((v, basis.column_vector(j))
-                    for j in range(rad[v].ncols, basis.ncols))
-    return gens, rad
-
-
-def top_and_radical(m: Representation):
-    """(top representation, radical subrepresentation, radical inclusion).
-
-    The top is semisimple, so its arrow actions are all zero."""
-    a = m.algebra
-    fld = m.field
-    gens, rad = top_generators(m)
-    top_dims = {v: 0 for v in a.vertices}
-    for v, _ in gens:
-        top_dims[v] += 1
-    top = Representation(
-        a, fld, top_dims,
-        {arr.name: Matrix.zeros(fld, top_dims[arr.target],
-                                top_dims[arr.source])
-         for arr in a.arrows}, check=False)
-    rad_rep, incl = _subrepresentation(m, rad)
-    return top, rad_rep, incl
+        images = [m.mats[arr.name] for arr in a.presentation.arrows_in(v)]
+        r = sum(x.ncols for x in images)
+        # the pivot columns of [arrow images | I] past the images are the
+        # standard vectors a greedy completion of the radical would pick
+        rows = Matrix.hstack(fld, images + [Matrix.identity(fld, m.dims[v])])
+        pivots = echelon(fld, rows.rows, r + m.dims[v], False)[1]
+        gens.extend((v, c - r) for c in pivots if c >= r)
+    return gens
 
 
 def _subrepresentation(m: Representation, bases):
     """Subrepresentation spanned by per-vertex bases closed under the
-    arrow actions; returns (rep, inclusion map)."""
+    arrow actions.  A basis is a pair (vectors, positions) of sparse
+    vectors and columns: vector r is 1 at positions[r] and 0 at every
+    other listed position, so a vector of the span has its coordinates
+    at those positions."""
     a = m.algebra
     fld = m.field
-    dims = {v: bases[v].ncols for v in a.vertices}
+    dims = {v: len(bases[v][0]) for v in a.vertices}
     mats = {}
     for arr in a.arrows:
-        mapped = m.mats[arr.name].mul(bases[arr.source])
-        block = bases[arr.target].solve(mapped)
-        if block is None:
-            raise InternalError("subspace not closed under arrow action")
+        columns = m.mats[arr.name].transpose().rows
+        targets, positions = bases[arr.target]
+        block = Matrix.zeros(fld, dims[arr.target], dims[arr.source])
+        for j, x in enumerate(bases[arr.source][0]):
+            image = _combine(x, columns, fld.p)
+            coords = {r: image[c] for r, c in enumerate(positions)
+                      if c in image}
+            if _combine(coords, targets, fld.p) != image:
+                raise InternalError("subspace not closed under arrow action")
+            for r, c in coords.items():
+                block.rows[r][j] = c
         mats[arr.name] = block
-    sub = Representation(a, fld, dims, mats, check=False)
-    incl = ModuleMap(sub, m, {v: bases[v] for v in a.vertices})
-    return sub, incl
+    return Representation(a, fld, dims, mats, check=False)
 
 
 @dataclass
@@ -297,7 +269,7 @@ def projective_cover(m: Representation) -> Cover:
 
     a = m.algebra
     fld = m.field
-    gens, rad = top_generators(m)
+    gens = top_generators(m)
     if not gens:
         p = zero_representation(a, fld)
         pi = ModuleMap(p, m, {v: Matrix.zeros(fld, m.dims[v], 0)
@@ -309,12 +281,12 @@ def projective_cover(m: Representation) -> Cover:
     # an arrow maps the sparse vector x to the combination of its columns
     columns = {name: mat.transpose().rows for name, mat in m.mats.items()}
     tops = []
-    for (v, x), off in zip(gens, offsets):
+    for (v, k), off in zip(gens, offsets):
         word, top = projective_word(a, v)
         _, slots = walk_slots(a, word)
         # the generator sits on the top; every letter points away from it
         images = [None] * len(slots)
-        images[top] = {i: c for i, c in enumerate(x) if c}
+        images[top] = {k: fld.one}
         for i in range(top - 1, -1, -1):
             images[i] = _combine(images[i + 1],
                                  columns[word.letters[i].arrow], fld.p)
@@ -338,13 +310,16 @@ def syzygy(m: Representation, cover: Cover | None = None) -> Representation:
     """Kernel of the minimal projective cover; zero for projectives."""
     if cover is None:
         cover = projective_cover(m)
-    kernels = {v: cover.pi.blocks[v].kernel_basis() for v in m.algebra.vertices}
+    p = cover.projective
+    kernels = {v: kernel_vectors(m.field, cover.pi.blocks[v].rows, p.dims[v])
+               for v in m.algebra.vertices}
     # minimality: the kernel lies in the radical of the cover, spanned by
     # every basis vector of the summands' words but their tops
     for v, col in zip(cover.summands, cover.tops):
-        if kernels[v].rows[col]:
+        if any(col in x for x in kernels[v].values()):
             raise InternalError("cover kernel escapes the radical")
-    return _subrepresentation(cover.projective, kernels)[0]
+    return _subrepresentation(p, {v: (list(k.values()), list(k))
+                                  for v, k in kernels.items()})
 
 
 def is_projective(m: Representation) -> bool:
@@ -508,18 +483,18 @@ def embedding_obstruction(m: Representation) -> int:
 def stable_hom_dim(m: Representation, n: Representation) -> int:
     """dim of Hom(M, N) modulo maps factoring through a projective; a map
     factors through some projective iff it lifts along the cover of N."""
-    homs = hom_basis(m, n)
+    homs = hom_dim(m, n)
     if not homs:
         return 0
     cover = projective_cover(n)
     through = hom_basis(m, cover.projective)
     if not through:
-        return len(homs)
+        return homs
     composed = [ModuleMap(m, n, {v: cover.pi.blocks[v].mul(g.blocks[v])
                                  for v in m.algebra.vertices}).flatten()
                 for g in through]
     size = sum(n.dims[v] * m.dims[v] for v in m.algebra.vertices)
-    return len(homs) - len(echelon(m.field, composed, size, False)[1])
+    return homs - len(echelon(m.field, composed, size, False)[1])
 
 
 def injective_dimension(a: GentleAlgebra, fld=QQ, cap: int = 64) -> int:

@@ -279,6 +279,8 @@ def band_module(a: GentleAlgebra, b: BandWord, lam, size: int,
 def enumerate_strings(a: GentleAlgebra, max_letters: int):
     """All valid string words with at most max_letters letters, one
     representative per {w, w^-1} pair, lazy words included."""
+    if max_letters < 0:
+        raise InputError("max_letters must be nonnegative")
     pres = a.presentation
     # the letters that leave each vertex, with the vertex they reach
     steps = {v: [(Letter(b.name, True), b.target) for b in pres.arrows_out(v)]

@@ -192,17 +192,17 @@ def test_oracle_disagreement_exits_1(bound, capsys, monkeypatch):
 
 
 def test_internal_invariant_failure_exits_1(capsys, monkeypatch):
-    from gentlegp import Matrix, reps
+    from gentlegp import reps
 
     real = reps._subrepresentation
 
     def drop_an_arrow_target(m, bases):
         # a subspace the first nonzero arrow maps out of
-        bases = {v: Matrix.identity(m.field, m.dims[v])
-                 for v in m.algebra.vertices}
+        bases = {v: ([{i: m.field.one} for i in range(m.dims[v])],
+                     list(range(m.dims[v]))) for v in m.algebra.vertices}
         arr = next(x for x in m.algebra.arrows
                    if not m.mats[x.name].is_zero())
-        bases[arr.target] = Matrix.zeros(m.field, m.dims[arr.target], 0)
+        bases[arr.target] = ([], [])
         return real(m, bases)
 
     monkeypatch.setattr(reps, "_subrepresentation", drop_an_arrow_target)
@@ -305,6 +305,7 @@ def test_bad_field(capsys):
      "bound must be positive"),
     (("ext", EX22, "--word", "a,b"),
      "invalid string word: direct letters a,b form a relation"),
+    (("oracle", A2, "--max-letters", "-2"), "max_letters must be nonnegative"),
 ])
 def test_input_errors_exit_2(argv, reason, capsys):
     code = run(list(argv))

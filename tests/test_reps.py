@@ -9,12 +9,12 @@ from gentlegp import (Letter, Matrix, PrimeField, QQ, Representation,
                       is_projective, lazy_word, make_string, module_signature,
                       parse_field, projective_cover, projective_rep,
                       radical_summand_rep, stable_hom_dim,
-                      string_module, syzygy, top_and_radical,
-                      validate_gentle, zero_representation)
+                      string_module, syzygy, validate_gentle,
+                      zero_representation)
 from gentlegp.families import (cyclic_nakayama, eight_vertex_example,
                                kronecker, projective_line_chain)
 from gentlegp.reps import (Cover, InternalError, ModuleMap,
-                          _subrepresentation, radical_bases, top_generators)
+                          _subrepresentation, top_generators)
 from gentlegp.strings import projective_word, walk_slots
 
 
@@ -67,11 +67,10 @@ def test_hom_basis_maps_commute(eightv):
 
 def test_top_and_radical_of_p7(eightv):
     p7 = projective_rep(eightv, "7")
-    top, rad, incl = top_and_radical(p7)
-    assert top.dims["7"] == 1 and top.total_dim == 1
+    assert [v for v, _ in top_generators(p7)] == ["7"]
+    # rad P_7 = Omega(S_7) = R(j) + R(k)
+    rad = syzygy(simple(eightv, "7"))
     assert rad.total_dim == p7.total_dim - 1
-    incl.check()
-    # rad P_7 = R(j) + R(k)
     rj = radical_summand_rep(eightv, "j")
     rk = radical_summand_rep(eightv, "k")
     assert (module_signature(rad)
@@ -155,8 +154,9 @@ def test_subspace_not_closed_is_an_internal_error(eightv):
     # all of P_1 but its part at vertex 2: the arrow a: 1 -> 2 maps the
     # top of P_1 out of the span
     p1 = projective_rep(eightv, "1")
-    bases = {v: Matrix.identity(QQ, p1.dims[v]) for v in eightv.vertices}
-    bases["2"] = Matrix.zeros(QQ, p1.dims["2"], 0)
+    bases = {v: ([{i: QQ.one} for i in range(p1.dims[v])],
+                 list(range(p1.dims[v]))) for v in eightv.vertices}
+    bases["2"] = ([], [])
     with pytest.raises(InternalError, match="not closed"):
         _subrepresentation(p1, bases)
     assert issubclass(InternalError, AssertionError)
@@ -180,6 +180,43 @@ def test_non_minimal_cover_is_an_internal_error(eightv):
     pi.check()
     with pytest.raises(InternalError, match="cover kernel escapes the radical"):
         syzygy(s5, Cover(p, ("5", "5"), pi, tops))
+
+
+@pytest.mark.parametrize("family", [eight_vertex_example,
+                                    lambda: projective_line_chain(3)],
+                         ids=["eight_vertex", "lambda3"])
+def test_resolution_step_eliminates_per_vertex_and_solves_nothing(
+        family, monkeypatch):
+    from gentlegp import linalg, reps
+
+    a = validate_gentle(family())
+    count = {"echelon": 0, "solve": 0}
+    real_echelon, real_solve = linalg.echelon, Matrix.solve
+
+    def echelon(*args):
+        count["echelon"] += 1
+        return real_echelon(*args)
+
+    def solve(self, b):
+        count["solve"] += 1
+        return real_solve(self, b)
+
+    monkeypatch.setattr(linalg, "echelon", echelon)
+    monkeypatch.setattr(reps, "echelon", echelon)
+    monkeypatch.setattr(Matrix, "solve", solve)
+    modules = [string_module(a, w) for w in enumerate_strings(a, 3)]
+    modules += [projective_rep(a, v) for v in a.vertices]
+    modules.append(direct_sum(modules[:4])[0])
+    n = len(a.vertices)
+    for m in modules:
+        count["echelon"] = 0
+        top_generators(m)
+        assert count["echelon"] == n
+        count["echelon"] = 0
+        syzygy(m, projective_cover(m))
+        # the top, the cover's surjectivity check and its kernel
+        assert count["echelon"] == 3 * n
+    assert count["solve"] == 0
 
 
 def test_zero_representation(eightv):
@@ -232,16 +269,17 @@ def greedy_top_generators(m):
     """Reference: add a standard vector whenever it leaves the span of the
     radical and the vectors added so far, one solve per vector."""
     fld = m.field
-    rad = radical_bases(m)
     gens = []
     for v in m.algebra.vertices:
-        basis = rad[v]
+        # the radical at v is spanned by the images of the arrows into v
+        basis = Matrix.hstack(fld, [Matrix.zeros(fld, m.dims[v], 0)] + [
+            m.mats[arr.name] for arr in m.algebra.presentation.arrows_in(v)])
         for i in range(m.dims[v]):
             e = [fld.zero] * m.dims[v]
             e[i] = fld.one
             if basis.solve(e) is None:
                 basis = Matrix.hstack(fld, [basis, Matrix.column(fld, e)])
-                gens.append((v, e))
+                gens.append((v, i))
     return gens
 
 
@@ -272,7 +310,7 @@ def test_top_generators_match_greedy_reference(a, fld, data):
     mats = {arr.name: g[arr.target].mul(m.mats[arr.name]).mul(
                 g_inv[arr.source]) for arr in a.arrows}
     m = Representation(a, fld, m.dims, mats)
-    assert top_generators(m)[0] == greedy_top_generators(m)
+    assert top_generators(m) == greedy_top_generators(m)
 
 
 def _kronecker_band(kron, lam, size):
