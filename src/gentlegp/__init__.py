@@ -9,7 +9,7 @@ from .gentle import (GentleAlgebra, GentleViolation, NotGentleError,
                      BasisTooLargeError, CriticalCycle, validate_gentle,
                      gentle_violations, critical_cycles, cycle_of_arrow,
                      radical_summand_word, radical_summand_vertices)
-from .linalg import Matrix, QQ, PrimeField, parse_field, intersect_subspaces
+from .linalg import Matrix, QQ, PrimeField, parse_field
 from .strings import (Letter, StringWord, BandWord, parse_letters,
                       check_string, is_valid_string, make_string, lazy_word,
                       directed_word, contains_peak, string_module, make_band,

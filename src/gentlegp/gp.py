@@ -15,7 +15,7 @@ from .gentle import (CriticalCycle, GentleAlgebra, critical_cycles,
                      radical_summand_word)
 from .linalg import QQ
 from .reps import (Representation, ext_profile, embedding_obstruction,
-                   is_projective, module_signature, projective_rep,
+                   module_signature, projective_cover, projective_rep,
                    radical_summand_rep, stable_hom_dim, syzygy)
 
 
@@ -94,7 +94,8 @@ def gp_oracle(a: GentleAlgebra, m: Representation, bound: int | None = None,
                                  profile.period, profile.status, obstruction,
                                  f"Ext^{first} against the algebra is nonzero")
     if profile.status == "terminated":
-        if is_projective(m):
+        # the resolution's first syzygy vanishes exactly on projectives
+        if not any(profile.syzygy_dim_vectors[1]):
             return OracleCertificate(label, "GP", profile.dims, None,
                                      profile.status, obstruction, "projective")
         # finite projective dimension and not projective: not GP
@@ -158,20 +159,23 @@ def stable_category_table(a: GentleAlgebra, fld=QQ) -> StableCategoryTable:
         for arrow in c.arrows:
             objects.append((c.name, arrow))
 
+    # one cover per object, shared by its syzygy and the stable homs into it
+    reps = {arrow: radical_summand_rep(a, arrow, fld) for _, arrow in objects}
+    covers = {arrow: projective_cover(r) for arrow, r in reps.items()}
+
     # shift orbit: the syzygy of R(alpha_i) is R(alpha_{i+1}) along the cycle
     for c in cycles:
         n = c.length
         for i, arrow in enumerate(c.arrows):
             nxt = c.arrows[(i + 1) % n]
-            omega = syzygy(radical_summand_rep(a, arrow, fld))
-            expected = module_signature(radical_summand_rep(a, nxt, fld))
-            if module_signature(omega) != expected:
+            omega = syzygy(reps[arrow], covers[arrow])
+            if module_signature(omega) != module_signature(reps[nxt]):
                 raise ClassificationMismatchError(
                     f"syzygy of the radical summand at {arrow!r} does not "
                     f"match the next summand {nxt!r} on its cycle")
 
-    reps = [radical_summand_rep(a, arrow, fld) for _, arrow in objects]
-    matrix = [[stable_hom_dim(m, n) for n in reps] for m in reps]
+    matrix = [[stable_hom_dim(reps[x], reps[y], covers[y])
+               for _, y in objects] for _, x in objects]
     table = StableCategoryTable(objects, orbits, matrix)
     if objects and not table.is_identity:
         raise ClassificationMismatchError(

@@ -7,7 +7,7 @@ tolerances to tune.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from .quiver import InputError
 
@@ -48,6 +48,9 @@ class Rationals:
         return "QQ"
 
 
+_TOO_LARGE = "prime field characteristic must be below 2^31"
+
+
 class PrimeField:
     """F_p for a prime p; elements are ints in range(p)."""
 
@@ -55,7 +58,9 @@ class PrimeField:
     one = 1
 
     def __init__(self, p):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+        if p >= 2 ** 31:
+            raise InputError(_TOO_LARGE)
+        if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
             raise InputError(f"{p} is not prime")
         self.p = p
         self.name = f"F{p}"
@@ -96,8 +101,11 @@ def parse_field(spec: str):
     s = spec.strip().lower()
     if s in ("q", "qq", "rationals"):
         return QQ
-    if s.startswith("f") and s[1:].isdigit():
-        return PrimeField(int(s[1:]))
+    digits = s[1:]
+    if s.startswith("f") and digits.isascii() and digits.isdigit():
+        if len(digits.lstrip("0")) > 10:  # 2^31 has 10 digits
+            raise InputError(_TOO_LARGE)
+        return PrimeField(int(digits))
     raise InputError(f"unrecognized field spec {spec!r}")
 
 
@@ -180,17 +188,6 @@ class Matrix:
             offset += m.ncols
         return cls(field, nrows, offset, rows)
 
-    @classmethod
-    def vstack(cls, field, mats):
-        mats = list(mats)
-        if not mats:
-            return cls.zeros(field, 0, 0)
-        ncols = mats[0].ncols
-        if any(m.ncols != ncols for m in mats):
-            raise ValueError("vstack: column counts differ")
-        rows = [dict(row) for m in mats for row in m.rows]
-        return cls(field, len(rows), ncols, rows)
-
     def column_vector(self, j):
         z = self.field.zero
         return [row.get(j, z) for row in self.rows]
@@ -225,14 +222,6 @@ class Matrix:
             x[pc] = {j - n: v for j, v in prow.items() if j >= n}
         x = Matrix(F, n, rhs.ncols, x)
         return x.column_vector(0) if vector else x
-
-    def column_space_basis(self):
-        """Columns of self restricted to a maximal independent subset."""
-        pivots = echelon(self.field, self.rows, self.ncols, False)[1]
-        index = {c: k for k, c in enumerate(pivots)}
-        return Matrix(self.field, self.nrows, len(pivots),
-                      [{index[j]: x for j, x in row.items() if j in index}
-                       for row in self.rows])
 
 
 def _combine(coeffs, rows, p):
@@ -337,26 +326,3 @@ def kernel_vectors(field, rows, ncols):
             if j != pc:
                 vectors[j][pc] = field.neg(v)
     return vectors
-
-
-def intersect_subspaces(bases) -> Matrix:
-    """Basis of the intersection of column spans (equal ambient dimension)."""
-    bases = list(bases)
-    if not bases:
-        raise ValueError("need at least one subspace")
-    field = bases[0].field
-    n = bases[0].nrows
-    if any(b.nrows != n for b in bases):
-        raise ValueError("ambient dimensions differ")
-    cur = bases[0]
-    for nxt in bases[1:]:
-        if cur.ncols == 0 or nxt.ncols == 0:
-            return Matrix.zeros(field, n, 0)
-        # solve cur x = nxt y, i.e. [cur | -nxt] (x,y)^T = 0
-        neg = Matrix(field, n, nxt.ncols,
-                     [{j: field.neg(x) for j, x in row.items()}
-                      for row in nxt.rows])
-        ker = Matrix.hstack(field, [cur, neg]).kernel_basis()
-        xpart = Matrix(field, cur.ncols, ker.ncols, ker.rows[:cur.ncols])
-        cur = cur.mul(xpart).column_space_basis()
-    return cur

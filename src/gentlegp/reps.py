@@ -8,9 +8,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .gentle import GentleAlgebra, radical_summand_word
+from .gentle import GentleAlgebra, radical_summand_word, validate_gentle
 from .linalg import Matrix, QQ, _combine, echelon, kernel_vectors
-from .quiver import InputError
+from .quiver import InputError, opposite
 
 
 class InternalError(AssertionError):
@@ -71,18 +71,6 @@ class ModuleMap:
             rhs = self.blocks[arr.target].mul(self.source.mats[arr.name])
             if lhs != rhs:
                 raise ValueError(f"map does not commute with arrow {arr.name}")
-
-    def flatten(self):
-        """The nonzero entries as a sparse row, by position in a fixed
-        order, for rank computations on hom spaces."""
-        out, base = {}, 0
-        for v in self.source.algebra.vertices:
-            block = self.blocks[v]
-            for i, row in enumerate(block.rows):
-                out.update((base + i * block.ncols + j, x)
-                           for j, x in row.items())
-            base += block.nrows * block.ncols
-        return out
 
 
 def zero_representation(a: GentleAlgebra, fld=QQ) -> Representation:
@@ -480,21 +468,19 @@ def embedding_obstruction(m: Representation) -> int:
                if rows else m.dims[w] for w, rows in stacked.items())
 
 
-def stable_hom_dim(m: Representation, n: Representation) -> int:
-    """dim of Hom(M, N) modulo maps factoring through a projective; a map
-    factors through some projective iff it lifts along the cover of N."""
+def stable_hom_dim(m: Representation, n: Representation,
+                   cover: Cover | None = None) -> int:
+    """dim of Hom(M, N) modulo maps factoring through a projective.  Such
+    a map lifts along the cover P -> N of N, and Hom(M, -) is left exact
+    on 0 -> Omega N -> P -> N, so those maps span a space of dimension
+    dim Hom(M, P) - dim Hom(M, Omega N)."""
     homs = hom_dim(m, n)
     if not homs:
         return 0
-    cover = projective_cover(n)
-    through = hom_basis(m, cover.projective)
-    if not through:
-        return homs
-    composed = [ModuleMap(m, n, {v: cover.pi.blocks[v].mul(g.blocks[v])
-                                 for v in m.algebra.vertices}).flatten()
-                for g in through]
-    size = sum(n.dims[v] * m.dims[v] for v in m.algebra.vertices)
-    return homs - len(echelon(m.field, composed, size, False)[1])
+    if cover is None:
+        cover = projective_cover(n)
+    return (homs - hom_dim(m, cover.projective)
+            + hom_dim(m, syzygy(n, cover)))
 
 
 def injective_dimension(a: GentleAlgebra, fld=QQ, cap: int = 64) -> int:
@@ -502,9 +488,6 @@ def injective_dimension(a: GentleAlgebra, fld=QQ, cap: int = 64) -> int:
     projective dimension of the dual of the regular module over the
     opposite algebra.  Finite for gentle algebras; exceeding the cap is a
     bug, not a feature of the input."""
-    from .gentle import validate_gentle
-    from .quiver import opposite
-
     aop = validate_gentle(opposite(a.presentation))
     regular, _ = direct_sum([projective_rep(a, v, fld) for v in a.vertices])
     dual_mats = {name: m.transpose() for name, m in regular.mats.items()}

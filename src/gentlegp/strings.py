@@ -291,7 +291,7 @@ def enumerate_strings(a: GentleAlgebra, max_letters: int):
                 for l, u in steps[v]]
     for length in range(1, max_letters + 1):
         out.extend(frontier)
-        if length == max_letters:
+        if length == max_letters or not frontier:
             break
         frontier = [StringWord(w.letters + (l,), w.vertices + (u,))
                     for w in frontier for l, u in steps[w.vertices[-1]]

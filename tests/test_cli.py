@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -13,6 +14,7 @@ A2 = str(data_path("a2.gentle"))
 L3 = str(data_path("lambda3.gentle"))
 L4 = str(data_path("lambda4.gentle"))
 NOTGENTLE = str(data_path("notgentle.gentle"))
+TOO_LARGE = "prime field characteristic must be below 2^31"
 HEXAGON = str(data_path("hexagon.tri"))
 TWOCYCLES = str(data_path("twocycles.gentle"))
 
@@ -306,12 +308,30 @@ def test_bad_field(capsys):
     (("ext", EX22, "--word", "a,b"),
      "invalid string word: direct letters a,b form a relation"),
     (("oracle", A2, "--max-letters", "-2"), "max_letters must be nonnegative"),
+    # a digit that int() rejects, a p too large for a float square root, a
+    # p too long to convert, and a prime too large for trial division
+    (("--field", "f\u00b2", "dim", A2), "unrecognized field spec 'f\u00b2'"),
+    (("--field", "f1" + "0" * 401, "dim", A2), TOO_LARGE),
+    (("--field", "f" + "9" * 5000, "dim", A2), TOO_LARGE),
+    (("--field", "f2305843009213693951", "dim", A2), TOO_LARGE),
 ])
 def test_input_errors_exit_2(argv, reason, capsys):
+    start = time.perf_counter()
     code = run(list(argv))
+    assert time.perf_counter() - start < 1
     assert code == 2
     assert capsys.readouterr().out == json.dumps(
         {"reason": reason, "status": "error"}, separators=(",", ":")) + "\n"
+
+
+def test_huge_max_letters_stops_when_strings_run_out(capsys):
+    # A_2 has finitely many strings, so the sweep ends with the last one
+    start = time.perf_counter()
+    code, huge = invoke(capsys, "oracle", A2, "--max-letters", str(10 ** 12))
+    assert time.perf_counter() - start < 1
+    _, small = invoke(capsys, "oracle", A2, "--max-letters", "6")
+    assert code == 0
+    assert huge["certificates"] == small["certificates"]
 
 
 def test_undecodable_input_file_exits_2(tmp_path, capsys):

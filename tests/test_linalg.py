@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gentlegp import Matrix, PrimeField, QQ, intersect_subspaces, parse_field
+from gentlegp import Matrix, PrimeField, QQ, parse_field
 from gentlegp.linalg import Rationals, echelon
 
 
@@ -46,31 +46,6 @@ def test_solve_dimension_mismatch():
         Matrix.identity(QQ, 2).solve([1, 2, 3])
     with pytest.raises(ValueError):
         Matrix.identity(QQ, 2).solve(Matrix.identity(QQ, 3))
-
-
-def test_intersect_same_space():
-    b = Matrix.from_rows(QQ, [[1, 0], [0, 1], [0, 0]])
-    assert intersect_subspaces([b, b]).rank() == 2
-
-
-def test_intersect_complementary_lines():
-    e1 = Matrix.from_rows(QQ, [[1], [0]])
-    e2 = Matrix.from_rows(QQ, [[0], [1]])
-    assert intersect_subspaces([e1, e2]).ncols == 0
-
-
-def test_intersect_plane_with_line():
-    plane = Matrix.identity(QQ, 2)
-    line = Matrix.from_rows(QQ, [[1], [1]])
-    got = intersect_subspaces([plane, line])
-    assert got.ncols == 1
-    x, y = got.column_vector(0)
-    assert x == y != 0
-
-
-def test_intersect_mismatched_ambient():
-    with pytest.raises(ValueError):
-        intersect_subspaces([Matrix.identity(QQ, 2), Matrix.identity(QQ, 3)])
 
 
 def test_zero_by_n_matrices_are_legal():
@@ -261,8 +236,6 @@ def test_kernel_matches_dense_reference(fld, nrows, ncols, nrhs, data):
                         for r in rows[:len(pivots)]]
     assert a.rank() == len(pivots)
     assert a.kernel_basis() == reference_kernel(fld, a)
-    assert a.column_space_basis() == _matrix(
-        fld, nrows, len(pivots), [[r[j] for j in pivots] for r in _dense(a)])
     # right-hand sides in the image of a or drawn at random
     if data.draw(st.booleans()):
         b = a.mul(_draw_sparse(data, fld, ncols, nrhs))
@@ -318,12 +291,9 @@ def test_sparse_matrix_matches_dense_reference(fld, n, k, m, extra, data):
     h = Matrix.hstack(fld, [a, c, a])
     assert (h.nrows, h.ncols) == (n, 2 * k + extra)
     assert _dense(h) == [ra + rc + ra for ra, rc in zip(da, dc)]
-    v = Matrix.vstack(fld, [a, d])
-    assert (v.nrows, v.ncols) == (n + extra, k)
-    assert _dense(v) == da + dd
     for j in range(k):
         assert a.column_vector(j) == [row[j] for row in da]
-    for x in (a, b, prod, t, h, v):
+    for x in (a, b, prod, t, h):
         assert_no_stored_zero(x)
         assert x.is_zero() == all(y == fld.zero for row in _dense(x)
                                   for y in row)

@@ -7,15 +7,18 @@ from gentlegp import (Letter, Matrix, PrimeField, QQ, Representation,
                       direct_sum, embedding_obstruction, enumerate_strings,
                       ext_profile, hom_basis, hom_dim, injective_dimension,
                       is_projective, lazy_word, make_string, module_signature,
-                      parse_field, projective_cover, projective_rep,
-                      radical_summand_rep, stable_hom_dim,
+                      parse_field, parse_presentation, projective_cover,
+                      projective_rep, radical_summand_rep, stable_hom_dim,
                       string_module, syzygy, validate_gentle,
                       zero_representation)
 from gentlegp.families import (cyclic_nakayama, eight_vertex_example,
                                kronecker, projective_line_chain)
+from gentlegp.linalg import echelon
 from gentlegp.reps import (Cover, InternalError, ModuleMap,
                           _subrepresentation, top_generators)
 from gentlegp.strings import projective_word, walk_slots
+
+from conftest import data_path
 
 
 def simple(a, v, fld=QQ):
@@ -365,3 +368,86 @@ def test_disjoint_supports_build_one_system_and_eliminate_nothing(
     # a common support does eliminate
     assert hom_dim(s1, s1) == 1
     assert count == {"systems": 3, "echelon": 1}
+
+
+def reference_stable_hom_dim(m, n, cover):
+    """Hom(M, N) modulo the span of the composites pi g, for g in a basis
+    of Hom(M, P) and pi: P -> N the projective cover, each composite
+    flattened to one sparse row of its block entries."""
+    composites, size = [], 0
+    for g in hom_basis(m, cover.projective):
+        row, size = {}, 0
+        for v in m.algebra.vertices:
+            block = cover.pi.blocks[v].mul(g.blocks[v])
+            for i, entries in enumerate(block.rows):
+                row.update((size + i * block.ncols + j, x)
+                           for j, x in entries.items())
+            size += block.nrows * block.ncols
+        composites.append(row)
+    return hom_dim(m, n) - len(echelon(m.field, composites, size, False)[1])
+
+
+def _twocycles():
+    return parse_presentation(data_path("twocycles.gentle").read_text())
+
+
+STABLE_HOM_ALGEBRAS = {"eight_vertex": eight_vertex_example,
+                       "lambda3": lambda: projective_line_chain(3),
+                       "twocycles": _twocycles, "kronecker": kronecker}
+
+
+@pytest.mark.parametrize("fld", [QQ, PrimeField(101)], ids=repr)
+@pytest.mark.parametrize("family", STABLE_HOM_ALGEBRAS.values(),
+                         ids=STABLE_HOM_ALGEBRAS.keys())
+def test_stable_hom_dim_matches_composed_maps(family, fld):
+    a = validate_gentle(family())
+    modules = [string_module(a, w, fld) for w in enumerate_strings(a, 3)]
+    modules += [radical_summand_rep(a, arr.name, fld) for arr in a.arrows]
+    lifted = 0  # pairs with maps that factor through a projective
+    for n in modules:
+        cover = projective_cover(n)
+        for m in modules:
+            expected = reference_stable_hom_dim(m, n, cover)
+            assert stable_hom_dim(m, n, cover) == expected
+            lifted += expected < hom_dim(m, n)
+    assert lifted
+
+
+def _count_covers(monkeypatch):
+    from gentlegp import gp, reps
+
+    calls = []
+    real = reps.projective_cover
+
+    def projective_cover(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(reps, "projective_cover", projective_cover)
+    monkeypatch.setattr(gp, "projective_cover", projective_cover,
+                        raising=False)
+    return calls
+
+
+@pytest.mark.parametrize("family", [eight_vertex_example,
+                                    lambda: projective_line_chain(4),
+                                    _twocycles],
+                         ids=["eight_vertex", "lambda4", "twocycles"])
+def test_stable_table_covers_each_object_once(family, monkeypatch):
+    from gentlegp import stable_category_table
+
+    a = validate_gentle(family())
+    calls = _count_covers(monkeypatch)
+    table = stable_category_table(a)
+    assert len(table.objects) == 6
+    assert len(calls) == 6
+
+
+def test_oracle_resolves_a_projective_once(eightv, monkeypatch):
+    from gentlegp import gp_oracle
+
+    p = projective_rep(eightv, "1")
+    calls = _count_covers(monkeypatch)
+    cert = gp_oracle(eightv, p)
+    assert (cert.verdict, cert.reason) == ("GP", "projective")
+    assert len(calls) == 1 and calls[0] is p
