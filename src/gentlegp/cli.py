@@ -2,9 +2,7 @@
 
 Exit codes: 0 ok; 2 not gentle / invalid / too large input; 1 internal
 failure (classifier and oracle disagree, an invariant of the computation
-failed, or any other error that is not the input's fault: a bug);
-3 the oracle agrees wherever it reached a verdict, but some verdicts are
-inconclusive-to-bound.
+failed, or any other error that is not the input's fault: a bug).
 """
 
 from __future__ import annotations
@@ -86,33 +84,28 @@ def cmd_oracle(args):
     # algebra before enumerating strings
     a.check_basis_size()
     fld = parse_field(args.field)
-    bound = args.bound if args.bound else gp.default_ext_bound(a)
+    d = reps.gorenstein_dimension(a, fld)
     certificates = []
-    inconclusive = disagreement = False
+    disagreement = False
     for w in strings.enumerate_strings(a, args.max_letters):
         m = strings.string_module(a, w, fld)
-        cert = gp.gp_oracle(a, m, bound, label=w.display())
+        cert = gp.gp_oracle(a, m, d, label=w.display())
         claimed = gp.classifier_membership(a, m)
-        if cert.verdict == "inconclusive-to-bound":
-            inconclusive = True
-        elif (cert.verdict == "GP") != claimed:
-            disagreement = True
+        disagreement |= (cert.verdict == "GP") != claimed
         certificates.append({
             "module": cert.module_label,
             "verdict": cert.verdict,
             "classifier": "GP" if claimed else "not-GP",
-            "period": cert.period,
+            "period": None,
             "status": cert.status,
             "obstruction": cert.obstruction,
             "reason": cert.reason,
         })
     certificates.sort(key=lambda c: c["module"])
-    _emit({"agreement": not (inconclusive or disagreement), "bound": bound,
+    _emit({"agreement": not disagreement, "bound": max(d, 1),
            "max_letters": args.max_letters,
            "certificates": certificates}, args.pretty)
-    if disagreement:
-        return 1
-    return 3 if inconclusive else 0
+    return 1 if disagreement else 0
 
 
 def cmd_stable(args):
@@ -140,12 +133,12 @@ def cmd_ext(args):
     else:
         w = strings.make_string(a, letters)
     m = strings.string_module(a, w, fld)
-    bound = args.bound if args.bound else gp.default_ext_bound(a)
-    profile = reps.ext_profile(m, bound)
+    d = reps.gorenstein_dimension(a, fld)
+    profile = reps.ext_profile(m, args.bound or max(d, 1), d)
     _emit({"word": w.display(),
            "ext_dims": profile.dims,
            "syzygy_dim_vectors": [list(dv) for dv in profile.syzygy_dim_vectors],
-           "period": profile.period,
+           "period": None,
            "status": profile.status,
            "certified": profile.certified}, args.pretty)
     return 0
@@ -193,7 +186,6 @@ def _subcommands():
     """Name -> (handler, help, arguments as (flags, options)), in the
     order --help lists them."""
     file = (("file",), {})
-    bound = (("--bound",), {"type": int, "default": 0})
     word_help = ("comma-separated letters, a or a^-1; a bare vertex id "
                  "denotes the lazy word")
     return {
@@ -203,13 +195,12 @@ def _subcommands():
         "gp": (cmd_gp, "indecomposable Gorenstein-projectives", [file]),
         "dsg": (cmd_dsg, "singularity-category descriptor", [file]),
         "oracle": (cmd_oracle, "homological oracle sweep vs the classifier",
-                   [file, (("--max-letters",), {"type": int, "default": 6}),
-                    bound]),
+                   [file, (("--max-letters",), {"type": int, "default": 6})]),
         "stable": (cmd_stable, "stable category objects, orbits, hom matrix",
                    [file]),
         "ext": (cmd_ext, "Ext profile of a string module",
                 [file, (("--word",), {"required": True, "help": word_help}),
-                 bound]),
+                 (("--bound",), {"type": int, "default": 0})]),
         "compare": (cmd_compare, "derived-invariant comparison of two algebras",
                     [(("file_a",), {}), (("file_b",), {})]),
         "surface": (cmd_surface, "inner-triangle report for a triangulation",

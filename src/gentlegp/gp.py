@@ -14,9 +14,10 @@ from types import MappingProxyType
 from .gentle import (CriticalCycle, GentleAlgebra, critical_cycles,
                      radical_summand_word)
 from .linalg import QQ
-from .reps import (Representation, ext_profile, embedding_obstruction,
-                   module_signature, projective_cover, projective_rep,
-                   radical_summand_rep, stable_hom_dim, syzygy)
+from .reps import (InternalError, Representation, ext_profile,
+                   embedding_obstruction, module_signature, projective_cover,
+                   projective_rep, radical_summand_rep, stable_hom_dim,
+                   syzygy)
 
 
 class ClassificationMismatchError(AssertionError):
@@ -64,52 +65,41 @@ def singularity_descriptor(a: GentleAlgebra) -> SingularityDescriptor:
 @dataclass
 class OracleCertificate:
     module_label: str
-    verdict: str  # GP | not-GP | inconclusive-to-bound
+    verdict: str  # GP | not-GP
     ext_dims: list
-    period: int | None
-    status: str
+    status: str   # embedding | terminated | gorenstein
     obstruction: int
     reason: str
 
 
-def default_ext_bound(a: GentleAlgebra) -> int:
-    return 2 * len(a.arrows) + 4
-
-
-def gp_oracle(a: GentleAlgebra, m: Representation, bound: int | None = None,
+def gp_oracle(a: GentleAlgebra, m: Representation, d: int,
               label: str = "") -> OracleCertificate:
-    """Brute-force Gorenstein-projectivity check: Ext vanishing against
-    the regular module plus the submodule-of-projective test."""
-    if bound is None:
-        bound = default_ext_bound(a)
+    """Brute-force Gorenstein-projectivity check over an algebra of
+    Gorenstein dimension d: a GP module embeds into a projective, and
+    M is GP iff Ext^i(M, Lambda) = 0 for 1 <= i <= d (Auslander-Reiten)."""
     obstruction = embedding_obstruction(m)
     if obstruction > 0:
-        return OracleCertificate(label, "not-GP", [], None, "embedding",
+        return OracleCertificate(label, "not-GP", [], "embedding",
                                  obstruction,
                                  "does not embed into a projective module")
-    profile = ext_profile(m, bound)
+    bound = max(d, 1)
+    profile = ext_profile(m, bound, d)
     if not profile.all_zero:
-        first = next(i + 1 for i, d in enumerate(profile.dims) if d)
+        first = next(i + 1 for i, x in enumerate(profile.dims) if x)
         return OracleCertificate(label, "not-GP", profile.dims,
-                                 profile.period, profile.status, obstruction,
+                                 profile.status, obstruction,
                                  f"Ext^{first} against the algebra is nonzero")
+    # the resolution's first syzygy vanishes exactly on projectives
+    if not any(profile.syzygy_dim_vectors[1]):
+        return OracleCertificate(label, "GP", profile.dims, profile.status,
+                                 obstruction, "projective")
+    vanishing = f"Ext^i against the algebra is zero for 1 <= i <= {bound}"
     if profile.status == "terminated":
-        # the resolution's first syzygy vanishes exactly on projectives
-        if not any(profile.syzygy_dim_vectors[1]):
-            return OracleCertificate(label, "GP", profile.dims, None,
-                                     profile.status, obstruction, "projective")
-        # finite projective dimension and not projective: not GP
-        return OracleCertificate(label, "not-GP", profile.dims, None,
-                                 profile.status, obstruction,
-                                 "finite projective dimension, not projective")
-    if profile.status == "periodic":
-        return OracleCertificate(label, "GP", profile.dims, profile.period,
-                                 profile.status, obstruction,
-                                 "Ext vanishing certified by syzygy periodicity")
-    return OracleCertificate(label, "inconclusive-to-bound", profile.dims,
-                             None, profile.status, obstruction,
-                             f"all Ext dims zero up to bound {bound}, "
-                             "no periodicity certificate")
+        # Ext^n(M, Lambda) is nonzero at n = pd M, here at most the bound
+        raise InternalError(f"{label or 'module'} is not projective, has "
+                            f"finite projective dimension, and {vanishing}")
+    return OracleCertificate(label, "GP", profile.dims, profile.status,
+                             obstruction, vanishing)
 
 
 @lru_cache(maxsize=None)
@@ -159,22 +149,23 @@ def stable_category_table(a: GentleAlgebra, fld=QQ) -> StableCategoryTable:
         for arrow in c.arrows:
             objects.append((c.name, arrow))
 
-    # one cover per object, shared by its syzygy and the stable homs into it
+    # one cover and one syzygy per object, shared by the orbit check and
+    # the stable homs into it
     reps = {arrow: radical_summand_rep(a, arrow, fld) for _, arrow in objects}
     covers = {arrow: projective_cover(r) for arrow, r in reps.items()}
+    omegas = {arrow: syzygy(r, covers[arrow]) for arrow, r in reps.items()}
 
     # shift orbit: the syzygy of R(alpha_i) is R(alpha_{i+1}) along the cycle
     for c in cycles:
         n = c.length
         for i, arrow in enumerate(c.arrows):
             nxt = c.arrows[(i + 1) % n]
-            omega = syzygy(reps[arrow], covers[arrow])
-            if module_signature(omega) != module_signature(reps[nxt]):
+            if module_signature(omegas[arrow]) != module_signature(reps[nxt]):
                 raise ClassificationMismatchError(
                     f"syzygy of the radical summand at {arrow!r} does not "
                     f"match the next summand {nxt!r} on its cycle")
 
-    matrix = [[stable_hom_dim(reps[x], reps[y], covers[y])
+    matrix = [[stable_hom_dim(reps[x], reps[y], covers[y], omegas[y])
                for _, y in objects] for _, x in objects]
     table = StableCategoryTable(objects, orbits, matrix)
     if objects and not table.is_identity:

@@ -383,8 +383,7 @@ def module_signature(m: Representation) -> ModuleSignature:
 class ExtProfile:
     dims: list          # dims[i-1] = dim Ext^i(M, regular module)
     syzygy_dim_vectors: list
-    period: int | None
-    status: str         # terminated | periodic | checked-to-bound
+    status: str         # terminated | gorenstein | checked-to-bound
 
     @property
     def all_zero(self):
@@ -392,57 +391,48 @@ class ExtProfile:
 
     @property
     def certified(self):
-        return self.status in ("terminated", "periodic")
+        """Every nonzero Ext^i(M, Lambda) is among the dims."""
+        return self.status != "checked-to-bound"
 
 
-def ext_profile(m: Representation, bound: int) -> ExtProfile:
+def ext_profile(m: Representation, bound: int, d: int) -> ExtProfile:
     """dim Ext^i(M, Lambda) for i = 1..bound via dimension shifting along
     the minimal resolution: from 0 -> Omega X -> P -> X -> 0,
 
         dim Ext^1(X, Lambda) = h(Omega X) - h(P) + h(X),
 
     with h = dim Hom(-, Lambda), and Ext^i(M, -) = Ext^1(Omega^{i-1} M, -).
-    Stops early when a syzygy vanishes (finite projective dimension) or a
-    syzygy signature repeats (periodicity certificate)."""
+    Stops early only when a syzygy vanishes (status terminated).  Given
+    the Gorenstein dimension d of the algebra, Ext^i(M, Lambda) = 0 for
+    every i > d, so a profile reaching d is complete (status gorenstein)."""
     if bound < 1:
         raise InputError("bound must be positive")
     a = m.algebra
     sig = module_signature(m)
     dims = []
     dimvecs = [sig.dim_vector]
-    seen = {sig: 0}
     hx = sum(sig.hom_profile)
     x = m
-    period = None
-    status = "checked-to-bound"
+    status = "gorenstein" if bound >= d else "checked-to-bound"
     # v -> dim Hom(P_v, Lambda), the sum over u of dim (P_u)_v
     regular = {}
     for i in range(1, bound + 1):
         cover = projective_cover(x)
-        omega = syzygy(x, cover)
+        x = syzygy(x, cover)
         for v in cover.summands:
             if v not in regular:
                 regular[v] = sum(projective_rep(a, u, m.field).dims[v]
                                  for u in a.vertices)
         hp = sum(regular[v] for v in cover.summands)
-        sig = module_signature(omega)
-        homega = sum(sig.hom_profile)
-        dims.append(homega - hp + hx)
+        sig = module_signature(x)
+        hx, hprev = sum(sig.hom_profile), hx
+        dims.append(hx - hp + hprev)
         dimvecs.append(sig.dim_vector)
-        if omega.is_zero():
+        if x.is_zero():
             dims.extend([0] * (bound - i))
             status = "terminated"
             break
-        if sig in seen:
-            period = i - seen[sig]
-            status = "periodic"
-            while len(dims) < bound:
-                dims.append(dims[len(dims) - period])
-            break
-        seen[sig] = i
-        x = omega
-        hx = homega
-    return ExtProfile(dims, dimvecs, period, status)
+    return ExtProfile(dims, dimvecs, status)
 
 
 def embedding_obstruction(m: Representation) -> int:
@@ -469,38 +459,65 @@ def embedding_obstruction(m: Representation) -> int:
 
 
 def stable_hom_dim(m: Representation, n: Representation,
-                   cover: Cover | None = None) -> int:
+                   cover: Cover | None = None,
+                   omega: Representation | None = None) -> int:
     """dim of Hom(M, N) modulo maps factoring through a projective.  Such
     a map lifts along the cover P -> N of N, and Hom(M, -) is left exact
     on 0 -> Omega N -> P -> N, so those maps span a space of dimension
-    dim Hom(M, P) - dim Hom(M, Omega N)."""
+    dim Hom(M, P) - dim Hom(M, Omega N).  A caller holding the cover and
+    Omega N of N passes them in."""
     homs = hom_dim(m, n)
     if not homs:
         return 0
     if cover is None:
         cover = projective_cover(n)
-    return (homs - hom_dim(m, cover.projective)
-            + hom_dim(m, syzygy(n, cover)))
+    if omega is None:
+        omega = syzygy(n, cover)
+    return homs - hom_dim(m, cover.projective) + hom_dim(m, omega)
 
 
-def injective_dimension(a: GentleAlgebra, fld=QQ, cap: int = 64) -> int:
+# a resolution of the dual regular module longer than this contradicts the
+# finiteness of the injective dimension of a gentle algebra
+RESOLUTION_CAP = 64
+
+
+def injective_dimension(a: GentleAlgebra, fld=QQ,
+                        aop: GentleAlgebra | None = None) -> int:
     """Injective dimension of the algebra over itself, computed as the
     projective dimension of the dual of the regular module over the
-    opposite algebra.  Finite for gentle algebras; exceeding the cap is a
-    bug, not a feature of the input."""
-    aop = validate_gentle(opposite(a.presentation))
+    opposite algebra aop (validated here unless passed in).  Finite for
+    gentle algebras; exceeding the cap is a bug, not a feature of the
+    input."""
+    if aop is None:
+        aop = validate_gentle(opposite(a.presentation))
     regular, _ = direct_sum([projective_rep(a, v, fld) for v in a.vertices])
     dual_mats = {name: m.transpose() for name, m in regular.mats.items()}
-    dual = Representation(aop, fld, regular.dims, dual_mats)
-    if dual.is_zero():
-        return 0
-    x = dual
+    # never zero: every projective is nonzero at its vertex
+    x = Representation(aop, fld, regular.dims, dual_mats)
     steps = 0
     while not x.is_zero():
         x = syzygy(x)
         steps += 1
-        if steps > cap:
+        if steps > RESOLUTION_CAP:
             raise InternalError(
-                f"resolution of the dual regular module exceeded {cap} steps; "
-                "this contradicts finiteness of the injective dimension")
+                "resolution of the dual regular module exceeded "
+                f"{RESOLUTION_CAP} steps; this contradicts finiteness of "
+                "the injective dimension")
     return steps - 1
+
+
+def gorenstein_dimension(a: GentleAlgebra, fld=QQ) -> int:
+    """The common injective dimension d of the algebra over itself on
+    either side: gentle algebras are Iwanaga-Gorenstein (Geiss-Reiten),
+    and two finite values agree (Zaks).  Over such an algebra M is
+    Gorenstein-projective iff Ext^i(M, Lambda) = 0 for 1 <= i <= d."""
+    # one opposite algebra for both sides, so each side's projectives are
+    # built once
+    aop = validate_gentle(opposite(a.presentation))
+    left = injective_dimension(a, fld, aop)
+    right = injective_dimension(aop, fld, a)
+    if left != right:
+        raise InternalError(
+            f"injective dimensions {left} and {right} of the algebra and "
+            "its opposite differ")
+    return left

@@ -6,8 +6,9 @@ they happen; under plain ``pytest`` the lines show up for failures.
 
 from gentlegp import (Letter, classifier_membership, classify_gp,
                       compare_derived_invariant, critical_cycles,
-                      contains_peak, default_ext_bound, embedding_obstruction,
-                      enumerate_strings, gp_oracle, injective_dimension,
+                      contains_peak, embedding_obstruction,
+                      enumerate_strings, gorenstein_dimension, gp_oracle,
+                      injective_dimension,
                       is_isomorphic, make_band, make_string, band_module,
                       module_signature, parse_presentation,
                       parse_triangulation, radical_summand_rep,
@@ -56,17 +57,14 @@ def test_criterion_02_radical_summand_dimension_vectors(eightv):
 
 def test_criterion_03_oracle_classifier_agreement(all_fixture_algebras):
     mismatches = []
-    inconclusive = []
     for label, a in sorted(all_fixture_algebras.items()):
-        bound = default_ext_bound(a)
+        d = gorenstein_dimension(a)
         for w in enumerate_strings(a, 6):
             m = string_module(a, w)
-            cert = gp_oracle(a, m, bound, label=f"{label}:{w.display()}")
-            if cert.verdict == "inconclusive-to-bound":
-                inconclusive.append(cert.module_label)
-            elif (cert.verdict == "GP") != classifier_membership(a, m):
+            cert = gp_oracle(a, m, d, label=f"{label}:{w.display()}")
+            if (cert.verdict == "GP") != classifier_membership(a, m):
                 mismatches.append(cert.module_label)
-    ok = not mismatches and not inconclusive
+    ok = not mismatches
     report(3, "oracle agrees with classifier on every fixture sweep", ok)
 
 
@@ -115,7 +113,7 @@ def test_criterion_07_embedding_obstruction(eightv, kron):
     # a band module is obstructed and rejected by the oracle
     b = make_band(kron, [Letter("alpha", False), Letter("beta", True)])
     bm = band_module(kron, b, 1, 1)
-    cert = gp_oracle(kron, bm, label="band")
+    cert = gp_oracle(kron, bm, gorenstein_dimension(kron), label="band")
     if embedding_obstruction(bm) == 0 or cert.verdict != "not-GP":
         ok = False
     report(7, "peaks and bands obstruct embedding into projectives", ok)

@@ -3,7 +3,8 @@ import time
 
 import pytest
 
-from gentlegp import serialize_presentation
+from gentlegp import (parse_presentation, serialize_presentation,
+                      validate_gentle)
 from gentlegp.cli import run
 from gentlegp.families import linear_quiver, projective_line_chain
 
@@ -17,6 +18,10 @@ NOTGENTLE = str(data_path("notgentle.gentle"))
 TOO_LARGE = "prime field characteristic must be below 2^31"
 HEXAGON = str(data_path("hexagon.tri"))
 TWOCYCLES = str(data_path("twocycles.gentle"))
+DATA = data_path(".")
+ALGEBRA_FILES = sorted(p for p in DATA.glob("**/*.gentle")
+                       if p.name != "notgentle.gentle")
+TRI_FILES = sorted(DATA.glob("**/*.tri"))
 
 
 def invoke(capsys, *argv):
@@ -170,27 +175,60 @@ def test_oracle_eight_vertex_short(capsys):
     assert code == 0 and out["agreement"] is True
 
 
-def test_oracle_inconclusive_only_exits_3(capsys):
-    code, out = invoke(capsys, "oracle", EX22, "--max-letters", "4",
-                       "--bound", "1")
-    assert code == 3 and out["agreement"] is False
-    verdicts = [c["verdict"] for c in out["certificates"]]
-    assert verdicts.count("inconclusive-to-bound") == 3
-    assert all(c["verdict"] == c["classifier"] for c in out["certificates"]
-               if c["verdict"] != "inconclusive-to-bound")
-
-
-@pytest.mark.parametrize("bound", ["1", "0"], ids=["with-inconclusive",
-                                                   "default-bound"])
-def test_oracle_disagreement_exits_1(bound, capsys, monkeypatch):
+def test_oracle_disagreement_exits_1(capsys, monkeypatch):
     from gentlegp import gp
 
     # a classifier that claims nothing is GP disagrees with every GP verdict
     monkeypatch.setattr(gp, "classifier_membership", lambda a, m: False)
-    code, out = invoke(capsys, "oracle", EX22, "--max-letters", "4",
-                       "--bound", bound)
+    code, out = invoke(capsys, "oracle", EX22, "--max-letters", "4")
     assert code == 1 and out["agreement"] is False
     assert any(c["verdict"] == "GP" for c in out["certificates"])
+
+
+def test_oracle_takes_no_bound(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["oracle", EX22, "--bound", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --bound 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["q", "f101"])
+def test_gorenstein_dimension_is_two_sided_and_bounds_the_oracle(
+        field, tmp_path, capsys):
+    from gentlegp import (gorenstein_dimension, injective_dimension,
+                          opposite, parse_field)
+
+    files = ALGEBRA_FILES[:]
+    for tri in TRI_FILES:
+        emitted = tmp_path / f"{tri.stem}.gentle"
+        code, _ = invoke(capsys, "surface", str(tri),
+                         "--emit-algebra", str(emitted))
+        assert code == 0
+        files.append(emitted)
+    fld = parse_field(field)
+    for f in files:
+        a = validate_gentle(parse_presentation(f.read_text()))
+        d = gorenstein_dimension(a, fld)
+        assert d == injective_dimension(a, fld) == injective_dimension(
+            validate_gentle(opposite(a.presentation)), fld)
+        code, out = invoke(capsys, "--field", field, "dim", str(f))
+        assert code == 0 and out["injective_dimension"] == d
+        code, out = invoke(capsys, "--field", field, "oracle", str(f),
+                           "--max-letters", "1")
+        assert code == 0 and out["bound"] == max(d, 1)
+
+
+def test_unequal_one_sided_injective_dimensions_exit_1(capsys, monkeypatch):
+    from gentlegp import reps
+
+    sides = iter([2, 1])
+    monkeypatch.setattr(reps, "injective_dimension",
+                        lambda a, fld, aop: next(sides))
+    code, out = invoke(capsys, "oracle", EX22, "--max-letters", "1")
+    assert code == 1
+    assert out == {"status": "internal-error",
+                   "reason": "injective dimensions 2 and 1 of the algebra "
+                             "and its opposite differ"}
 
 
 def test_internal_invariant_failure_exits_1(capsys, monkeypatch):
@@ -243,8 +281,17 @@ def test_ext_word(capsys):
                        "--bound", "9")
     assert code == 0
     assert out["ext_dims"] == [0] * 9
-    assert out["status"] == "periodic" and out["period"] == 3
+    assert len(out["syzygy_dim_vectors"]) == 10
+    assert out["status"] == "gorenstein" and out["period"] is None
     assert out["certified"] is True
+
+
+def test_ext_bound_defaults_to_the_gorenstein_dimension(capsys):
+    code, out = invoke(capsys, "ext", EX22, "--word", "i,d,a,f,k")
+    assert code == 0 and out["ext_dims"] == [0, 0]
+    code, out = invoke(capsys, "ext", EX22, "--word", "i,d,a,f,k",
+                       "--bound", "1")
+    assert out["status"] == "checked-to-bound" and out["certified"] is False
 
 
 def test_ext_lazy_word(capsys):
@@ -279,10 +326,21 @@ def test_surface(capsys, tmp_path):
     assert out["inner_count"] == 1 and out["count_matches"] is True
     assert out["descriptor"] == [3]
     # emitted DSL parses back into a gentle algebra
-    from gentlegp import parse_presentation, validate_gentle
-
     a = validate_gentle(parse_presentation(dest.read_text()))
     assert len(a.vertices) == 3
+
+
+def test_surface_with_a_twisted_gluing_is_not_gentle(capsys, tmp_path):
+    # the annulus with the inner triangle's sides in the other orientation:
+    # the two arrows between x and y compose both ways with no relation
+    twisted = tmp_path / "twisted.tri"
+    twisted.write_text("arcs: x, y;\nboundary: o, i;\n"
+                       "triangles: (o,x,y); (i,y,x)\n")
+    code, out = invoke(capsys, "surface", str(twisted))
+    assert code == 2
+    assert out == {"status": "not-gentle",
+                   "violations": [{"axiom": "infinite-dimensional",
+                                   "witness": ["x_y", "y_x"]}]}
 
 
 def test_dim(capsys):

@@ -7,6 +7,9 @@ A refactor that changes any byte of the JSON fails here.
 To re-record the corpus (only when an output change is intended):
 
     PYTHONPATH=src python tests/test_cli_golden.py --record
+
+Before it writes, the recorder prints every command whose output changed,
+with the fields that changed in it, and a count per field.
 """
 
 import io
@@ -98,6 +101,51 @@ def test_corpus_covers_every_command():
     assert set(_golden()) == {_key(argv) for argv in COMMANDS}
 
 
+def _changed_fields(old, new, path=""):
+    """The paths at which two decoded JSON values differ, list indices
+    written as [] so the cells of one column share a path."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        return {p for k in sorted(old.keys() | new.keys())
+                for p in _changed_fields(old.get(k), new.get(k),
+                                         f"{path}.{k}" if path else k)}
+    if isinstance(old, list) and isinstance(new, list) \
+            and len(old) == len(new):
+        return {p for x, y in zip(old, new)
+                for p in _changed_fields(x, y, f"{path}[]")}
+    return set() if old == new else {path}
+
+
+def _decoded(entry):
+    """An entry with each JSON output parsed, other text kept as is."""
+    out = {}
+    for key, value in entry.items():
+        try:
+            out[key] = json.loads(value) if isinstance(value, str) else value
+        except json.JSONDecodeError:
+            out[key] = value
+    return out
+
+
+def report_changes(path, corpus):
+    """Print each key whose entry differs from the corpus recorded at
+    path, with the fields that changed, then a count of keys per field."""
+    old = json.loads(path.read_text(encoding="utf-8")) if path.exists() \
+        else {}
+    counts = {}
+    for key in sorted(old.keys() | corpus.keys()):
+        if key not in old or key not in corpus:
+            print(f"{key}: {'added' if key in corpus else 'removed'}")
+            continue
+        fields = sorted(_changed_fields(_decoded(old[key]),
+                                        _decoded(corpus[key])))
+        if fields:
+            print(f"{key}: {', '.join(fields)}")
+            for f in fields:
+                counts[f] = counts.get(f, 0) + 1
+    for f, n in sorted(counts.items()):
+        print(f"  {f}: changed in {n} entries")
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit("usage: python tests/test_cli_golden.py --record")
@@ -105,6 +153,7 @@ if __name__ == "__main__":
     for argv in COMMANDS:
         code, out = _invoke(argv)
         corpus[_key(argv)] = {"exit": code, "stdout": out}
+    report_changes(GOLDEN, corpus)
     GOLDEN.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n",
                       encoding="utf-8")
     print(f"recorded {len(corpus)} commands to {GOLDEN}")

@@ -7,6 +7,8 @@ stored in ``data/cli_parser_golden.json``.
 To re-record (only when a change of the help text is intended):
 
     PYTHONPATH=src python tests/test_cli_parser.py --record
+
+Like the CLI golden recorder, it first prints what changed.
 """
 
 import contextlib
@@ -90,6 +92,9 @@ if __name__ == "__main__":
         sys.exit("usage: python tests/test_cli_parser.py --record")
     os.environ["COLUMNS"] = "80"
     corpus = {" ".join(argv): _invoke(argv) for argv in COMMANDS}
+    from test_cli_golden import report_changes
+
+    report_changes(GOLDEN, corpus)
     GOLDEN.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n",
                       encoding="utf-8")
     print(f"recorded {len(corpus)} command lines to {GOLDEN}")

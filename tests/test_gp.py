@@ -1,8 +1,8 @@
 import pytest
 
 from gentlegp import (classifier_membership, classify_gp,
-                      compare_derived_invariant, default_ext_bound,
-                      enumerate_strings, gp_oracle, projective_rep,
+                      compare_derived_invariant, enumerate_strings,
+                      gorenstein_dimension, gp_oracle, projective_rep,
                       radical_summand_rep, singularity_descriptor,
                       stable_category_table, string_module, validate_gentle)
 from gentlegp.families import cyclic_nakayama, projective_line_chain
@@ -35,31 +35,33 @@ def test_descriptor_lambda_family():
 
 
 def test_oracle_on_radical_summand(eightv):
-    cert = gp_oracle(eightv, radical_summand_rep(eightv, "g"), label="R(g)")
+    cert = gp_oracle(eightv, radical_summand_rep(eightv, "g"), 2,
+                     label="R(g)")
     assert cert.verdict == "GP"
-    assert cert.status == "periodic" and cert.period == 3
+    assert cert.status == "gorenstein" and cert.ext_dims == [0, 0]
     assert cert.obstruction == 0
-    assert all(d == 0 for d in cert.ext_dims)
 
 
 def test_oracle_on_projective(eightv):
-    cert = gp_oracle(eightv, projective_rep(eightv, "1"))
+    cert = gp_oracle(eightv, projective_rep(eightv, "1"), 2)
     assert cert.verdict == "GP" and cert.reason == "projective"
+    assert cert.status == "terminated"
 
 
 def test_oracle_rejects_off_cycle_string(eightv):
     from gentlegp import Letter, make_string
 
     m = string_module(eightv, make_string(eightv, [Letter("b", True)]))
-    cert = gp_oracle(eightv, m, label="M(b)")
+    cert = gp_oracle(eightv, m, 2, label="M(b)")
     assert cert.verdict == "not-GP"
 
 
 def test_oracle_agrees_with_classifier_on_i3(i3):
     # small enough to sweep every string module exhaustively
+    d = gorenstein_dimension(i3)
     for w in enumerate_strings(i3, 2 * len(i3.arrows)):
         m = string_module(i3, w)
-        cert = gp_oracle(i3, m)
+        cert = gp_oracle(i3, m, d)
         assert cert.verdict in ("GP", "not-GP")
         assert (cert.verdict == "GP") == classifier_membership(i3, m)
 
@@ -67,13 +69,38 @@ def test_oracle_agrees_with_classifier_on_i3(i3):
 def test_oracle_sweep_eight_vertex_short_words(eightv):
     for w in enumerate_strings(eightv, 3):
         m = string_module(eightv, w)
-        cert = gp_oracle(eightv, m)
+        cert = gp_oracle(eightv, m, 2)
         assert cert.verdict in ("GP", "not-GP")
         assert (cert.verdict == "GP") == classifier_membership(eightv, m)
 
 
-def test_default_bound(eightv):
-    assert default_ext_bound(eightv) == 2 * 11 + 4
+def test_oracle_bound_is_the_gorenstein_dimension(eightv, i3, a2):
+    # Ext is taken up to max(d, 1): Ext^1 on a self-injective algebra
+    for a, d in ((eightv, 2), (i3, 0), (a2, 1)):
+        assert gorenstein_dimension(a) == d
+        gp = projective_rep(a, a.vertices[0])
+        assert len(gp_oracle(a, gp, d).ext_dims) == max(d, 1)
+
+
+def test_oracle_refuses_finite_projective_dimension_with_ext_zero(
+        eightv, monkeypatch):
+    from gentlegp import InternalError, Letter, gp, make_string
+
+    # Ext^n(M, Lambda) is nonzero at n = pd M, so a profile that hides it
+    # is a bug, not a verdict
+    real = gp.ext_profile
+
+    def hollow(m, bound, d):
+        profile = real(m, bound, d)
+        profile.dims = [0] * bound
+        return profile
+
+    monkeypatch.setattr(gp, "ext_profile", hollow)
+    # M(f,k) embeds into a projective and has projective dimension 1
+    m = string_module(eightv, make_string(eightv, [Letter("f", True),
+                                                   Letter("k", True)]))
+    with pytest.raises(InternalError, match="finite projective dimension"):
+        gp_oracle(eightv, m, 2, label="M(f,k)")
 
 
 def test_stable_table_eight_vertex(eightv):
@@ -121,5 +148,5 @@ def test_nakayama_whole_cycle_is_gp():
     cls = classify_gp(i4)
     assert len(cls.nonprojective) == 4
     for _, arrow in cls.nonprojective:
-        cert = gp_oracle(i4, radical_summand_rep(i4, arrow))
-        assert cert.verdict == "GP" and cert.period == 4
+        cert = gp_oracle(i4, radical_summand_rep(i4, arrow), 0)
+        assert cert.verdict == "GP" and cert.ext_dims == [0]

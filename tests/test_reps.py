@@ -110,19 +110,28 @@ def test_syzygy_orbit_of_radical_summands(eightv):
 
 
 def test_ext_profile_periodic_radical_summand(eightv):
-    prof = ext_profile(radical_summand_rep(eightv, "j"), 9)
+    # the resolution runs to the bound: every Ext is computed, none guessed
+    prof = ext_profile(radical_summand_rep(eightv, "j"), 9, 2)
     assert prof.dims == [0] * 9
-    assert prof.status == "periodic" and prof.period == 3
-    assert prof.all_zero and prof.certified
+    assert prof.status == "gorenstein" and prof.certified
+    assert len(prof.syzygy_dim_vectors) == 10
+    assert prof.syzygy_dim_vectors[::3] == [prof.syzygy_dim_vectors[0]] * 4
+
+
+def test_ext_profile_below_the_gorenstein_dimension_is_uncertified(eightv):
+    prof = ext_profile(radical_summand_rep(eightv, "j"), 1, 2)
+    assert prof.dims == [0]
+    assert prof.status == "checked-to-bound" and not prof.certified
 
 
 def test_ext_profile_projective_terminates(eightv):
-    prof = ext_profile(projective_rep(eightv, "3"), 5)
+    prof = ext_profile(projective_rep(eightv, "3"), 5, 2)
     assert prof.status == "terminated" and prof.all_zero
+    assert prof.certified and prof.dims == [0] * 5
 
 
 def test_ext_profile_nonvanishing_simple(eightv):
-    prof = ext_profile(simple(eightv, "2"), 6)
+    prof = ext_profile(simple(eightv, "2"), 6, 2)
     assert any(d > 0 for d in prof.dims)
 
 
@@ -258,8 +267,8 @@ def test_hom_rejects_modules_over_different_presentations(eightv, a2):
 def test_everything_works_over_prime_field(eightv):
     f5 = parse_field("f5")
     rj = radical_summand_rep(eightv, "j", f5)
-    prof = ext_profile(rj, 6)
-    assert prof.all_zero and prof.period == 3
+    prof = ext_profile(rj, 6, 2)
+    assert prof.dims == [0] * 6 and prof.status == "gorenstein"
     assert embedding_obstruction(rj) == 0
 
 
@@ -406,9 +415,11 @@ def test_stable_hom_dim_matches_composed_maps(family, fld):
     lifted = 0  # pairs with maps that factor through a projective
     for n in modules:
         cover = projective_cover(n)
+        omega = syzygy(n, cover)
         for m in modules:
             expected = reference_stable_hom_dim(m, n, cover)
             assert stable_hom_dim(m, n, cover) == expected
+            assert stable_hom_dim(m, n, cover, omega) == expected
             lifted += expected < hom_dim(m, n)
     assert lifted
 
@@ -443,11 +454,34 @@ def test_stable_table_covers_each_object_once(family, monkeypatch):
     assert len(calls) == 6
 
 
+@pytest.mark.parametrize("family", [eight_vertex_example,
+                                    lambda: projective_line_chain(4),
+                                    _twocycles],
+                         ids=["eight_vertex", "lambda4", "twocycles"])
+def test_stable_table_takes_one_syzygy_per_object(family, monkeypatch):
+    from gentlegp import gp, reps, stable_category_table
+
+    a = validate_gentle(family())
+    calls = []
+    real = reps.syzygy
+
+    def counting_syzygy(m, cover=None):
+        calls.append(m)
+        return real(m, cover)
+
+    monkeypatch.setattr(reps, "syzygy", counting_syzygy)
+    monkeypatch.setattr(gp, "syzygy", counting_syzygy)
+    table = stable_category_table(a)
+    assert table.is_identity
+    assert sorted(map(id, calls)) == sorted(
+        id(radical_summand_rep(a, arrow, QQ)) for _, arrow in table.objects)
+
+
 def test_oracle_resolves_a_projective_once(eightv, monkeypatch):
     from gentlegp import gp_oracle
 
     p = projective_rep(eightv, "1")
     calls = _count_covers(monkeypatch)
-    cert = gp_oracle(eightv, p)
+    cert = gp_oracle(eightv, p, 2)
     assert (cert.verdict, cert.reason) == ("GP", "projective")
     assert len(calls) == 1 and calls[0] is p

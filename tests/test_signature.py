@@ -90,7 +90,7 @@ def test_each_hom_to_a_projective_is_built_once(count_hom_systems):
     # dimension vector matches a classified GP, so membership needs its
     # hom profile too
     m = string_module(a, make_string(a, parse_letters("i,d,a,f,k")))
-    cert = gp_oracle(a, m)
+    cert = gp_oracle(a, m, 2)
     assert cert.verdict == "GP"
     assert classifier_membership(a, m) is True
     for v in a.vertices:
