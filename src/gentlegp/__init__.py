@@ -3,20 +3,19 @@ descriptors for finite dimensional gentle algebras."""
 
 from .quiver import (Arrow, Path, QuiverPresentation, QuiverError, InputError,
                      DSLSyntaxError, PresentationError, parse_presentation,
-                     serialize_presentation, opposite, is_isomorphic,
-                     canonical_key)
+                     serialize_presentation, opposite)
 from .gentle import (GentleAlgebra, GentleViolation, NotGentleError,
                      BasisTooLargeError, CriticalCycle, validate_gentle,
-                     gentle_violations, critical_cycles, cycle_of_arrow,
+                     gentle_violations, critical_cycles,
                      radical_summand_word, radical_summand_vertices)
 from .linalg import Matrix, QQ, PrimeField, parse_field
 from .strings import (Letter, StringWord, BandWord, parse_letters,
                       check_string, is_valid_string, make_string, lazy_word,
-                      directed_word, contains_peak, string_module, make_band,
+                      directed_word, string_module, make_band,
                       band_module, enumerate_strings)
 from .reps import (Representation, ModuleMap, ExtProfile, hom_basis, hom_dim,
                    projective_cover, projective_rep, gorenstein_dimension,
-                   radical_summand_rep, syzygy, is_projective, ext_profile,
+                   radical_summand_rep, syzygy, ext_profile,
                    embedding_obstruction, stable_hom_dim, module_signature,
                    ModuleSignature, InternalError, injective_dimension,
                    zero_representation, direct_sum, hom_profile)

@@ -255,14 +255,6 @@ def critical_cycles(a: GentleAlgebra) -> list[CriticalCycle]:
     return cycles
 
 
-def cycle_of_arrow(a: GentleAlgebra, arrow_name: str):
-    """The critical cycle containing the arrow, or None."""
-    for c in critical_cycles(a):
-        if arrow_name in c.arrows:
-            return c
-    return None
-
-
 def radical_summand_word(a: GentleAlgebra, arrow_name: str):
     """Arrows of the maximal directed string carried by the left ideal
     generated by ``arrow_name``, in traversal order (the generating arrow

@@ -30,9 +30,6 @@ class GPClassification:
     projectives: tuple[str, ...]  # vertex ids
     nonprojective: tuple  # (cycle, arrow name) pairs, cycle order
 
-    def nonprojective_arrows(self):
-        return [arrow for _, arrow in self.nonprojective]
-
 
 def classify_gp(a: GentleAlgebra) -> GPClassification:
     """Indecomposable GPs: all projectives plus one radical summand per
@@ -103,7 +100,7 @@ def gp_oracle(a: GentleAlgebra, m: Representation, d: int,
 
 
 @lru_cache(maxsize=None)
-def gp_signatures(a: GentleAlgebra, fld=QQ):
+def gp_signatures(a: GentleAlgebra, fld, /):
     """Signatures of every classified indecomposable GP module, grouped by
     dimension vector; their hom profiles are computed only when a module
     with the same dimension vector is compared with them."""

@@ -142,11 +142,6 @@ class Matrix:
         return cls(field, len(rows), ncols,
                    [{j: x for j, x in enumerate(r) if x} for r in rows])
 
-    @classmethod
-    def column(cls, field, entries):
-        entries = [field.of(x) for x in entries]
-        return cls(field, len(entries), 1, [{0: x} if x else {} for x in entries])
-
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
                 and self.nrows == other.nrows and self.ncols == other.ncols
@@ -188,40 +183,8 @@ class Matrix:
             offset += m.ncols
         return cls(field, nrows, offset, rows)
 
-    def column_vector(self, j):
-        z = self.field.zero
-        return [row.get(j, z) for row in self.rows]
-
     def rank(self):
         return len(echelon(self.field, self.rows, self.ncols, False)[1])
-
-    def kernel_basis(self):
-        """Matrix whose columns form a basis of the null space."""
-        vectors = list(kernel_vectors(self.field, self.rows,
-                                      self.ncols).values())
-        return Matrix(self.field, len(vectors), self.ncols, vectors).transpose()
-
-    def solve(self, b):
-        """Solve self @ X = b, where b is a column vector given as a list or
-        a Matrix of right-hand sides; X has the same kind as b.  None if
-        some column has no solution."""
-        F = self.field
-        vector = not isinstance(b, Matrix)
-        rhs = Matrix.column(F, b) if vector else b
-        if rhs.nrows != self.nrows:
-            raise ValueError("dimension mismatch in solve")
-        n = self.ncols
-        # the rows of [self | rhs]; echelon leaves them unchanged
-        rows = [{**r, **{n + j: x for j, x in s.items()}} if s else r
-                for r, s in zip(self.rows, rhs.rows)]
-        prows, pivots, rest = echelon(F, rows, n)
-        if rest:
-            return None
-        x = [{} for _ in range(n)]
-        for prow, pc in zip(prows, pivots):
-            x[pc] = {j - n: v for j, v in prow.items() if j >= n}
-        x = Matrix(F, n, rhs.ncols, x)
-        return x.column_vector(0) if vector else x
 
 
 def _combine(coeffs, rows, p):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice, permutations
+from itertools import islice
 from types import MappingProxyType
 
 
@@ -225,58 +225,3 @@ def serialize_presentation(p: QuiverPresentation) -> str:
     lines.append("relations: " + ", ".join(f"{b}*{a}" for b, a in rels))
     return "\n".join(lines) + "\n"
 
-
-def _vertex_invariant(p, v):
-    return (len(p.arrows_out(v)), len(p.arrows_in(v)))
-
-
-def canonical_key(p: QuiverPresentation):
-    """A key invariant under renaming of vertices and arrows.
-
-    Brute-force over vertex bijections compatible with degree invariants;
-    fine at the sizes this library targets.
-    """
-    by_inv = {}
-    for v in p.vertices:
-        by_inv.setdefault(_vertex_invariant(p, v), []).append(v)
-    groups = sorted(by_inv.items())
-    best = None
-    for perm_parts in _group_permutations([vs for _, vs in groups]):
-        order = [v for part in perm_parts for v in part]
-        vidx = {v: i for i, v in enumerate(order)}
-        edges = sorted((vidx[a.source], vidx[a.target]) for a in p.arrows)
-        # parallel arrows are interchangeable a priori; minimize over their
-        # orderings so relations involving them canonicalize too
-        by_edge = {}
-        for a in sorted(p.arrows, key=lambda a: (vidx[a.source], vidx[a.target])):
-            by_edge.setdefault((vidx[a.source], vidx[a.target]), []).append(a.name)
-        edge_groups = [names for _, names in sorted(by_edge.items())]
-        for parts in _group_permutations(edge_groups):
-            aidx = {}
-            for part in parts:
-                for name in part:
-                    aidx[name] = len(aidx)
-            rels = sorted((aidx[b], aidx[a]) for b, a in p.relations)
-            key = (len(p.vertices), tuple(edges), tuple(rels))
-            if best is None or key < best:
-                best = key
-    return best
-
-
-def _group_permutations(groups):
-    if not groups:
-        yield []
-        return
-    head, rest = groups[0], groups[1:]
-    for perm in permutations(head):
-        for tail in _group_permutations(rest):
-            yield [list(perm)] + tail
-
-
-def is_isomorphic(p: QuiverPresentation, q: QuiverPresentation) -> bool:
-    """Presentation isomorphism up to relabeling of vertices and arrows."""
-    if len(p.vertices) != len(q.vertices) or len(p.arrows) != len(q.arrows):
-        return False
-    if len(p.relations) != len(q.relations):
-        return False
-    return canonical_key(p) == canonical_key(q)

@@ -23,15 +23,15 @@ class Representation:
 
     _signature = None  # set once, by module_signature
 
-    def __init__(self, algebra: GentleAlgebra, fld, dims, mats, check=True):
+    def __init__(self, algebra: GentleAlgebra, fld, dims, mats):
         self.algebra = algebra
         self.field = fld
         self.dims = dict(dims)
         self.mats = dict(mats)
-        if check:
-            self._check()
 
-    def _check(self):
+    def check(self):
+        """Raise ValueError unless every arrow's matrix has the shape of
+        its ends and every relation acts by zero."""
         amap = self.algebra.arrow_map
         for name, m in self.mats.items():
             a = amap[name]
@@ -76,7 +76,7 @@ class ModuleMap:
 def zero_representation(a: GentleAlgebra, fld=QQ) -> Representation:
     dims = {v: 0 for v in a.vertices}
     mats = {arr.name: Matrix.zeros(fld, 0, 0) for arr in a.arrows}
-    return Representation(a, fld, dims, mats, check=False)
+    return Representation(a, fld, dims, mats)
 
 
 def direct_sum(reps):
@@ -100,11 +100,11 @@ def direct_sum(reps):
             for i, row in enumerate(r.mats[arr.name].rows):
                 m.rows[r0 + i] = {c0 + j: x for j, x in row.items()}
         mats[arr.name] = m
-    return Representation(a, fld, dims, mats, check=False), offsets
+    return Representation(a, fld, dims, mats), offsets
 
 
 @lru_cache(maxsize=None)
-def projective_rep(a: GentleAlgebra, v: str, fld=QQ) -> Representation:
+def projective_rep(a: GentleAlgebra, v: str, fld, /) -> Representation:
     """The indecomposable projective at v, as the string module of its
     word (gentle projectives are string modules)."""
     from .strings import projective_word, string_module
@@ -230,17 +230,17 @@ def _subrepresentation(m: Representation, bases):
     for arr in a.arrows:
         columns = m.mats[arr.name].transpose().rows
         targets, positions = bases[arr.target]
+        index = {c: r for r, c in enumerate(positions)}
         block = Matrix.zeros(fld, dims[arr.target], dims[arr.source])
         for j, x in enumerate(bases[arr.source][0]):
             image = _combine(x, columns, fld.p)
-            coords = {r: image[c] for r, c in enumerate(positions)
-                      if c in image}
+            coords = {index[c]: y for c, y in image.items() if c in index}
             if _combine(coords, targets, fld.p) != image:
                 raise InternalError("subspace not closed under arrow action")
             for r, c in coords.items():
                 block.rows[r][j] = c
         mats[arr.name] = block
-    return Representation(a, fld, dims, mats, check=False)
+    return Representation(a, fld, dims, mats)
 
 
 @dataclass
@@ -310,10 +310,6 @@ def syzygy(m: Representation, cover: Cover | None = None) -> Representation:
                                   for v, k in kernels.items()})
 
 
-def is_projective(m: Representation) -> bool:
-    return syzygy(m).is_zero()
-
-
 def hom_profile(m: Representation):
     """dim Hom(M, P_v) for every vertex v, in algebra order."""
     a = m.algebra
@@ -322,7 +318,7 @@ def hom_profile(m: Representation):
 
 
 @lru_cache(maxsize=None)
-def radical_summand_rep(a: GentleAlgebra, arrow_name: str, fld=QQ):
+def radical_summand_rep(a: GentleAlgebra, arrow_name: str, fld, /):
     """The left ideal generated by an arrow, as a string representation."""
     from .strings import directed_word, string_module
 

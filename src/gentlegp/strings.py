@@ -140,15 +140,6 @@ def directed_word(a: GentleAlgebra, start_vertex, arrow_names) -> StringWord:
     return make_string(a, [Letter(n, True) for n in names])
 
 
-def contains_peak(w: StringWord) -> bool:
-    """True iff two distinct arrows of the walk point into a common
-    vertex: a direct letter immediately followed by an inverse one."""
-    for p, l in zip(w.letters, w.letters[1:]):
-        if p.direct and not l.direct:
-            return True
-    return False
-
-
 def walk_slots(a: GentleAlgebra, w: StringWord):
     """The dimension vector of the string module of w, and the slot of
     each walk vertex within the space at its vertex."""

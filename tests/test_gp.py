@@ -1,6 +1,6 @@
 import pytest
 
-from gentlegp import (classifier_membership, classify_gp,
+from gentlegp import (QQ, classifier_membership, classify_gp,
                       compare_derived_invariant, enumerate_strings,
                       gorenstein_dimension, gp_oracle, projective_rep,
                       radical_summand_rep, singularity_descriptor,
@@ -11,7 +11,8 @@ from gentlegp.families import cyclic_nakayama, projective_line_chain
 def test_classify_eight_vertex(eightv):
     cls = classify_gp(eightv)
     assert cls.projectives == tuple("12345678")
-    assert cls.nonprojective_arrows() == ["e", "f", "j", "g", "k", "h"]
+    assert [arrow for _, arrow in cls.nonprojective] == [
+        "e", "f", "j", "g", "k", "h"]
     cycles = {c.name for c, _ in cls.nonprojective}
     assert cycles == {"jfe", "hkg"}
 
@@ -35,7 +36,7 @@ def test_descriptor_lambda_family():
 
 
 def test_oracle_on_radical_summand(eightv):
-    cert = gp_oracle(eightv, radical_summand_rep(eightv, "g"), 2,
+    cert = gp_oracle(eightv, radical_summand_rep(eightv, "g", QQ), 2,
                      label="R(g)")
     assert cert.verdict == "GP"
     assert cert.status == "gorenstein" and cert.ext_dims == [0, 0]
@@ -43,7 +44,7 @@ def test_oracle_on_radical_summand(eightv):
 
 
 def test_oracle_on_projective(eightv):
-    cert = gp_oracle(eightv, projective_rep(eightv, "1"), 2)
+    cert = gp_oracle(eightv, projective_rep(eightv, "1", QQ), 2)
     assert cert.verdict == "GP" and cert.reason == "projective"
     assert cert.status == "terminated"
 
@@ -78,7 +79,7 @@ def test_oracle_bound_is_the_gorenstein_dimension(eightv, i3, a2):
     # Ext is taken up to max(d, 1): Ext^1 on a self-injective algebra
     for a, d in ((eightv, 2), (i3, 0), (a2, 1)):
         assert gorenstein_dimension(a) == d
-        gp = projective_rep(a, a.vertices[0])
+        gp = projective_rep(a, a.vertices[0], QQ)
         assert len(gp_oracle(a, gp, d).ext_dims) == max(d, 1)
 
 
@@ -148,5 +149,5 @@ def test_nakayama_whole_cycle_is_gp():
     cls = classify_gp(i4)
     assert len(cls.nonprojective) == 4
     for _, arrow in cls.nonprojective:
-        cert = gp_oracle(i4, radical_summand_rep(i4, arrow), 0)
+        cert = gp_oracle(i4, radical_summand_rep(i4, arrow, QQ), 0)
         assert cert.verdict == "GP" and cert.ext_dims == [0]

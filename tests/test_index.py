@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from gentlegp import (GentleAlgebra, parse_presentation, projective_rep,
+from gentlegp import (QQ, GentleAlgebra, parse_presentation, projective_rep,
                       validate_gentle)
 from gentlegp.families import (cyclic_nakayama, kronecker, linear_quiver,
                                projective_line_chain)
@@ -52,7 +52,7 @@ def test_basis_paths_from_matches_linear_scan(zoo):
     for a in _zoo_and_basis_zoo(zoo):
         ends = Counter((q.source, q.target) for q in a.path_basis)
         for v in a.vertices:
-            assert projective_rep(a, v).dims == {
+            assert projective_rep(a, v, QQ).dims == {
                 w: ends[v, w] for w in a.vertices}
 
 
@@ -62,7 +62,7 @@ def test_regular_dim_at_matches_linear_scan(zoo):
     for a in _zoo_and_basis_zoo(zoo):
         into = Counter(q.target for q in a.path_basis)
         for v in a.vertices:
-            assert sum(projective_rep(a, u).dims[v]
+            assert sum(projective_rep(a, u, QQ).dims[v]
                        for u in a.vertices) == into[v]
 
 

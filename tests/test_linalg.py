@@ -4,56 +4,69 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gentlegp import Matrix, PrimeField, QQ, parse_field
-from gentlegp.linalg import Rationals, echelon
+from gentlegp.linalg import Rationals, echelon, kernel_vectors
+
+from reference import column, solve
+
+
+def _kernel(m):
+    """The matrix whose columns are the kernel vectors of m."""
+    vectors = list(kernel_vectors(m.field, m.rows, m.ncols).values())
+    return Matrix(m.field, len(vectors), m.ncols, vectors).transpose()
+
+
+def _column(m, j):
+    """Column j of m as a list of entries."""
+    return [row.get(j, m.field.zero) for row in m.rows]
 
 
 def test_kernel_of_identity_is_trivial():
-    assert Matrix.identity(QQ, 3).kernel_basis().ncols == 0
+    assert _kernel(Matrix.identity(QQ, 3)).ncols == 0
 
 
 def test_kernel_of_zero_map_is_everything():
-    k = Matrix.zeros(QQ, 2, 3).kernel_basis()
+    k = _kernel(Matrix.zeros(QQ, 2, 3))
     assert k.ncols == 3
     assert k.rank() == 3
 
 
 def test_kernel_rank_one():
     m = Matrix.from_rows(QQ, [[1, 1], [1, 1]])
-    k = m.kernel_basis()
+    k = _kernel(m)
     assert k.ncols == 1
-    x, y = k.column_vector(0)
+    x, y = _column(k, 0)
     assert x == -y != 0
     assert m.mul(k).is_zero()
 
 
 def test_solve_identity():
     m = Matrix.identity(QQ, 3)
-    assert m.solve([1, 2, 3]) == [Fraction(1), Fraction(2), Fraction(3)]
+    assert solve(m, [1, 2, 3]) == [Fraction(1), Fraction(2), Fraction(3)]
 
 
 def test_solve_inconsistent():
-    assert Matrix.zeros(QQ, 2, 2).solve([1, 0]) is None
+    assert solve(Matrix.zeros(QQ, 2, 2), [1, 0]) is None
 
 
 def test_solve_underdetermined_verified_by_residual():
     m = Matrix.from_rows(QQ, [[1, 1]])
-    x = m.solve([2])
+    x = solve(m, [2])
     assert x is not None and x[0] + x[1] == 2
 
 
 def test_solve_dimension_mismatch():
     with pytest.raises(ValueError):
-        Matrix.identity(QQ, 2).solve([1, 2, 3])
+        solve(Matrix.identity(QQ, 2), [1, 2, 3])
     with pytest.raises(ValueError):
-        Matrix.identity(QQ, 2).solve(Matrix.identity(QQ, 3))
+        solve(Matrix.identity(QQ, 2), Matrix.identity(QQ, 3))
 
 
 def test_zero_by_n_matrices_are_legal():
     m = Matrix.zeros(QQ, 0, 3)
     assert m.rank() == 0
-    assert m.kernel_basis().ncols == 3
+    assert _kernel(m).ncols == 3
     n = Matrix.zeros(QQ, 3, 0)
-    assert n.kernel_basis().ncols == 0
+    assert _kernel(n).ncols == 0
 
 
 small_entries = st.integers(min_value=-4, max_value=4)
@@ -75,8 +88,8 @@ def test_rank_nullity(nrows, ncols, data):
     rows = [[data.draw(small_entries) for _ in range(ncols)]
             for _ in range(nrows)]
     m = Matrix.from_rows(QQ, rows)
-    assert m.rank() + m.kernel_basis().ncols == ncols
-    assert m.mul(m.kernel_basis()).is_zero()
+    assert m.rank() + _kernel(m).ncols == ncols
+    assert m.mul(_kernel(m)).is_zero()
 
 
 @given(st.integers(1, 4), st.integers(1, 4), st.data())
@@ -107,16 +120,16 @@ def test_solve_matrix_rhs(fld, nrows, ncols, consistent, data):
                 [[i if keep else r
                   for i, r, keep in zip(irow, rrow, consistent)]
                  for irow, rrow in zip(_dense(image), _dense(noise))])
-    x = a.solve(b)
-    by_column = [a.solve(b.column_vector(j)) for j in range(nrhs)]
-    unsolvable = [a.rank() != Matrix.hstack(fld, [a, Matrix.column(
-        fld, b.column_vector(j))]).rank() for j in range(nrhs)]
+    x = solve(a, b)
+    by_column = [solve(a, _column(b, j)) for j in range(nrhs)]
+    unsolvable = [a.rank() != Matrix.hstack(fld, [a, column(
+        fld, _column(b, j))]).rank() for j in range(nrhs)]
     assert (x is None) == any(unsolvable)
     assert [c is None for c in by_column] == unsolvable
     if x is not None:
         assert (x.nrows, x.ncols) == (ncols, nrhs)
         assert a.mul(x) == b
-        assert [x.column_vector(j) for j in range(nrhs)] == by_column
+        assert [_column(x, j) for j in range(nrhs)] == by_column
 
 
 def test_prime_field_arithmetic():
@@ -144,9 +157,9 @@ def test_from_rows_rejects_ragged_rows():
 def test_solve_rejects_short_right_hand_side():
     a = Matrix.identity(QQ, 3)
     with pytest.raises(ValueError, match="dimension mismatch"):
-        a.solve([1, 2])
+        solve(a, [1, 2])
     with pytest.raises(ValueError, match="dimension mismatch"):
-        a.solve(Matrix.zeros(QQ, 2, 4))
+        solve(a, Matrix.zeros(QQ, 2, 4))
 
 
 def test_field_constants_are_shared():
@@ -235,17 +248,17 @@ def test_kernel_matches_dense_reference(fld, nrows, ncols, nrhs, data):
     assert got_rows == [{j: x for j, x in enumerate(r) if x}
                         for r in rows[:len(pivots)]]
     assert a.rank() == len(pivots)
-    assert a.kernel_basis() == reference_kernel(fld, a)
+    assert _kernel(a) == reference_kernel(fld, a)
     # right-hand sides in the image of a or drawn at random
     if data.draw(st.booleans()):
         b = a.mul(_draw_sparse(data, fld, ncols, nrhs))
     else:
         b = _draw_sparse(data, fld, nrows, nrhs)
-    assert a.solve(b) == reference_solve(fld, a, b)
+    assert solve(a, b) == reference_solve(fld, a, b)
     for j in range(nrhs):
-        x = reference_solve(fld, a, Matrix.column(fld, b.column_vector(j)))
-        assert a.solve(b.column_vector(j)) == (
-            None if x is None else x.column_vector(0))
+        x = reference_solve(fld, a, column(fld, _column(b, j)))
+        assert solve(a, _column(b, j)) == (
+            None if x is None else _column(x, 0))
 
 
 # ------------------------------------------- sparse Matrix vs dense reference
@@ -284,7 +297,7 @@ def test_sparse_matrix_matches_dense_reference(fld, n, k, m, extra, data):
     assert (prod.nrows, prod.ncols) == (n, m)
     assert _dense(prod) == reference_mul(fld, da, db, m)
     # a times its kernel basis: every entry's terms cancel
-    assert a.mul(a.kernel_basis()).rows == [{}] * n
+    assert a.mul(_kernel(a)).rows == [{}] * n
     t = a.transpose()
     assert (t.nrows, t.ncols) == (k, n)
     assert _dense(t) == [[row[j] for row in da] for j in range(k)]
@@ -292,7 +305,7 @@ def test_sparse_matrix_matches_dense_reference(fld, n, k, m, extra, data):
     assert (h.nrows, h.ncols) == (n, 2 * k + extra)
     assert _dense(h) == [ra + rc + ra for ra, rc in zip(da, dc)]
     for j in range(k):
-        assert a.column_vector(j) == [row[j] for row in da]
+        assert t.rows[j] == {i: row[j] for i, row in enumerate(da) if row[j]}
     for x in (a, b, prod, t, h):
         assert_no_stored_zero(x)
         assert x.is_zero() == all(y == fld.zero for row in _dense(x)

@@ -6,19 +6,21 @@ from hypothesis import given, settings, strategies as st
 from gentlegp import (Letter, Matrix, PrimeField, QQ, Representation,
                       direct_sum, embedding_obstruction, enumerate_strings,
                       ext_profile, hom_basis, hom_dim, injective_dimension,
-                      is_projective, lazy_word, make_string, module_signature,
+                      lazy_word, make_string, module_signature,
                       parse_field, parse_presentation, projective_cover,
                       projective_rep, radical_summand_rep, stable_hom_dim,
                       string_module, syzygy, validate_gentle,
                       zero_representation)
 from gentlegp.families import (cyclic_nakayama, eight_vertex_example,
                                kronecker, projective_line_chain)
+from gentlegp.gp import gp_signatures
 from gentlegp.linalg import echelon
 from gentlegp.reps import (Cover, InternalError, ModuleMap,
                           _subrepresentation, top_generators)
 from gentlegp.strings import projective_word, walk_slots
 
 from conftest import data_path
+from reference import column, solve
 
 
 def simple(a, v, fld=QQ):
@@ -26,14 +28,15 @@ def simple(a, v, fld=QQ):
 
 
 def test_projective_dimension_vectors(eightv):
-    p1 = projective_rep(eightv, "1")
+    p1 = projective_rep(eightv, "1", QQ)
     assert dict(zip(eightv.vertices, p1.dim_vector())) == {
         "1": 1, "2": 1, "7": 1, "8": 1,
         "3": 0, "4": 0, "5": 0, "6": 0}
-    total = sum(projective_rep(eightv, v).total_dim for v in eightv.vertices)
+    total = sum(projective_rep(eightv, v, QQ).total_dim
+                for v in eightv.vertices)
     assert total == eightv.dimension() == 64
     assert sum(q.target == "7" for q in eightv.path_basis) == sum(
-        projective_rep(eightv, v).dims["7"] for v in eightv.vertices)
+        projective_rep(eightv, v, QQ).dims["7"] for v in eightv.vertices)
 
 
 def test_representation_rejects_relation_violation(a2):
@@ -42,26 +45,26 @@ def test_representation_rejects_relation_violation(a2):
 
     with pytest.raises(ValueError, match="shape"):
         Representation(a2, QQ, {"1": 1, "2": 1},
-                       {"a1": Matrix.zeros(QQ, 2, 1)})
+                       {"a1": Matrix.zeros(QQ, 2, 1)}).check()
 
 
 def test_hom_from_projective_counts_fiber_dimension(eightv, kron, i3):
     # Hom(P_v, N) has dimension dim N_v
     lam3 = validate_gentle(projective_line_chain(3))
-    modules = [radical_summand_rep(eightv, "j"), simple(eightv, "2"),
+    modules = [radical_summand_rep(eightv, "j", QQ), simple(eightv, "2"),
                string_module(kron, make_string(
                    kron, [Letter("alpha", True), Letter("beta", False)])),
-               radical_summand_rep(i3, "a1"), simple(lam3, "1")]
-    modules += [projective_rep(a, v) for a in (eightv, kron, i3, lam3)
+               radical_summand_rep(i3, "a1", QQ), simple(lam3, "1")]
+    modules += [projective_rep(a, v, QQ) for a in (eightv, kron, i3, lam3)
                 for v in a.vertices]
     for n in modules:
         for v in n.algebra.vertices:
-            assert hom_dim(projective_rep(n.algebra, v), n) == n.dims[v]
+            assert hom_dim(projective_rep(n.algebra, v, QQ), n) == n.dims[v]
 
 
 def test_hom_basis_maps_commute(eightv):
-    m = radical_summand_rep(eightv, "k")
-    n = radical_summand_rep(eightv, "j")
+    m = radical_summand_rep(eightv, "k", QQ)
+    n = radical_summand_rep(eightv, "j", QQ)
     maps = hom_basis(m, n)
     assert len(maps) == hom_dim(m, n) == 1
     for f in maps:
@@ -69,19 +72,19 @@ def test_hom_basis_maps_commute(eightv):
 
 
 def test_top_and_radical_of_p7(eightv):
-    p7 = projective_rep(eightv, "7")
+    p7 = projective_rep(eightv, "7", QQ)
     assert [v for v, _ in top_generators(p7)] == ["7"]
     # rad P_7 = Omega(S_7) = R(j) + R(k)
     rad = syzygy(simple(eightv, "7"))
     assert rad.total_dim == p7.total_dim - 1
-    rj = radical_summand_rep(eightv, "j")
-    rk = radical_summand_rep(eightv, "k")
+    rj = radical_summand_rep(eightv, "j", QQ)
+    rk = radical_summand_rep(eightv, "k", QQ)
     assert (module_signature(rad)
             == module_signature(direct_sum([rj, rk])[0]))
 
 
 def test_projective_cover_of_radical_summand(eightv):
-    re_ = radical_summand_rep(eightv, "e")
+    re_ = radical_summand_rep(eightv, "e", QQ)
     cover = projective_cover(re_)
     assert cover.summands == ("2",)
     cover.pi.check()
@@ -89,8 +92,8 @@ def test_projective_cover_of_radical_summand(eightv):
 
 def test_projectives_are_projective(eightv):
     for v in eightv.vertices:
-        assert is_projective(projective_rep(eightv, v))
-    assert not is_projective(simple(eightv, "1"))
+        assert syzygy(projective_rep(eightv, v, QQ)).is_zero()
+    assert not syzygy(simple(eightv, "1")).is_zero()
 
 
 def test_syzygy_dimension_count(eightv):
@@ -102,16 +105,16 @@ def test_syzygy_dimension_count(eightv):
 
 def test_syzygy_orbit_of_radical_summands(eightv):
     # the syzygy rotates R(e) -> R(f) -> R(j) -> R(e)
-    cur = radical_summand_rep(eightv, "e")
+    cur = radical_summand_rep(eightv, "e", QQ)
     for nxt in ("f", "j", "e"):
         cur = syzygy(cur)
         assert (module_signature(cur)
-                == module_signature(radical_summand_rep(eightv, nxt)))
+                == module_signature(radical_summand_rep(eightv, nxt, QQ)))
 
 
 def test_ext_profile_periodic_radical_summand(eightv):
     # the resolution runs to the bound: every Ext is computed, none guessed
-    prof = ext_profile(radical_summand_rep(eightv, "j"), 9, 2)
+    prof = ext_profile(radical_summand_rep(eightv, "j", QQ), 9, 2)
     assert prof.dims == [0] * 9
     assert prof.status == "gorenstein" and prof.certified
     assert len(prof.syzygy_dim_vectors) == 10
@@ -119,13 +122,13 @@ def test_ext_profile_periodic_radical_summand(eightv):
 
 
 def test_ext_profile_below_the_gorenstein_dimension_is_uncertified(eightv):
-    prof = ext_profile(radical_summand_rep(eightv, "j"), 1, 2)
+    prof = ext_profile(radical_summand_rep(eightv, "j", QQ), 1, 2)
     assert prof.dims == [0]
     assert prof.status == "checked-to-bound" and not prof.certified
 
 
 def test_ext_profile_projective_terminates(eightv):
-    prof = ext_profile(projective_rep(eightv, "3"), 5, 2)
+    prof = ext_profile(projective_rep(eightv, "3", QQ), 5, 2)
     assert prof.status == "terminated" and prof.all_zero
     assert prof.certified and prof.dims == [0] * 5
 
@@ -137,7 +140,7 @@ def test_ext_profile_nonvanishing_simple(eightv):
 
 def test_embedding_obstruction_zero_on_radical_summands(eightv):
     for arr in ("e", "f", "j", "g", "h", "k"):
-        assert embedding_obstruction(radical_summand_rep(eightv, arr)) == 0
+        assert embedding_obstruction(radical_summand_rep(eightv, arr, QQ)) == 0
 
 
 def test_embedding_obstruction_positive_on_peak(kron):
@@ -146,26 +149,26 @@ def test_embedding_obstruction_positive_on_peak(kron):
 
 
 def test_stable_hom_values(eightv):
-    rj = radical_summand_rep(eightv, "j")
-    rk = radical_summand_rep(eightv, "k")
+    rj = radical_summand_rep(eightv, "j", QQ)
+    rk = radical_summand_rep(eightv, "k", QQ)
     assert hom_dim(rk, rj) == 1
     assert stable_hom_dim(rk, rj) == 0
     assert stable_hom_dim(rj, rj) == 1
-    assert stable_hom_dim(projective_rep(eightv, "1"), rj) == 0
+    assert stable_hom_dim(projective_rep(eightv, "1", QQ), rj) == 0
 
 
 def test_hom_additivity_over_direct_sum(eightv):
-    rj = radical_summand_rep(eightv, "j")
-    rk = radical_summand_rep(eightv, "k")
+    rj = radical_summand_rep(eightv, "j", QQ)
+    rk = radical_summand_rep(eightv, "k", QQ)
     s, _ = direct_sum([rj, rk])
-    tgt = projective_rep(eightv, "7")
+    tgt = projective_rep(eightv, "7", QQ)
     assert hom_dim(s, tgt) == hom_dim(rj, tgt) + hom_dim(rk, tgt)
 
 
 def test_subspace_not_closed_is_an_internal_error(eightv):
     # all of P_1 but its part at vertex 2: the arrow a: 1 -> 2 maps the
     # top of P_1 out of the span
-    p1 = projective_rep(eightv, "1")
+    p1 = projective_rep(eightv, "1", QQ)
     bases = {v: ([{i: QQ.one} for i in range(p1.dims[v])],
                  list(range(p1.dims[v]))) for v in eightv.vertices}
     bases["2"] = ([], [])
@@ -178,7 +181,7 @@ def test_subspace_not_closed_is_an_internal_error(eightv):
 def test_non_minimal_cover_is_an_internal_error(eightv):
     # P_5 + P_5 -> S_5 sending both tops to the generator is onto, but
     # the difference of the tops lies in the kernel and not in the radical
-    p5 = projective_rep(eightv, "5")
+    p5 = projective_rep(eightv, "5", QQ)
     s5 = simple(eightv, "5")
     p, offsets = direct_sum([p5, p5])
     word, top = projective_word(eightv, "5")
@@ -199,25 +202,26 @@ def test_non_minimal_cover_is_an_internal_error(eightv):
                          ids=["eight_vertex", "lambda3"])
 def test_resolution_step_eliminates_per_vertex_and_solves_nothing(
         family, monkeypatch):
+    import reference
     from gentlegp import linalg, reps
 
     a = validate_gentle(family())
     count = {"echelon": 0, "solve": 0}
-    real_echelon, real_solve = linalg.echelon, Matrix.solve
+    real_echelon, real_solve = linalg.echelon, reference.solve
 
     def echelon(*args):
         count["echelon"] += 1
         return real_echelon(*args)
 
-    def solve(self, b):
+    def solve(m, b):
         count["solve"] += 1
-        return real_solve(self, b)
+        return real_solve(m, b)
 
     monkeypatch.setattr(linalg, "echelon", echelon)
     monkeypatch.setattr(reps, "echelon", echelon)
-    monkeypatch.setattr(Matrix, "solve", solve)
+    monkeypatch.setattr(reference, "solve", solve)
     modules = [string_module(a, w) for w in enumerate_strings(a, 3)]
-    modules += [projective_rep(a, v) for v in a.vertices]
+    modules += [projective_rep(a, v, QQ) for v in a.vertices]
     modules.append(direct_sum(modules[:4])[0])
     n = len(a.vertices)
     for m in modules:
@@ -233,7 +237,7 @@ def test_resolution_step_eliminates_per_vertex_and_solves_nothing(
 
 def test_zero_representation(eightv):
     z = zero_representation(eightv)
-    assert z.is_zero() and is_projective(z)
+    assert z.is_zero() and syzygy(z).is_zero()
 
 
 def test_injective_dimension_values(eightv, a2, i3):
@@ -246,18 +250,18 @@ def test_injective_dimension_values(eightv, a2, i3):
 def test_hom_across_validations_of_one_presentation(eightv):
     twin = validate_gentle(eightv.presentation)
     assert twin != eightv
-    m = radical_summand_rep(eightv, "k")
+    m = radical_summand_rep(eightv, "k", QQ)
     for arrow in ("j", "e", "k"):
-        n_twin = radical_summand_rep(twin, arrow)
-        n_same = radical_summand_rep(eightv, arrow)
+        n_twin = radical_summand_rep(twin, arrow, QQ)
+        n_same = radical_summand_rep(eightv, arrow, QQ)
         assert hom_dim(m, n_twin) == hom_dim(m, n_same)
         assert len(hom_basis(m, n_twin)) == hom_dim(m, n_same)
-    assert hom_dim(projective_rep(twin, "7"), m) == m.dims["7"]
+    assert hom_dim(projective_rep(twin, "7", QQ), m) == m.dims["7"]
 
 
 def test_hom_rejects_modules_over_different_presentations(eightv, a2):
-    m = projective_rep(eightv, "1")
-    n = projective_rep(a2, "1")
+    m = projective_rep(eightv, "1", QQ)
+    n = projective_rep(a2, "1", QQ)
     with pytest.raises(ValueError, match="different algebras"):
         hom_dim(m, n)
     with pytest.raises(ValueError, match="different algebras"):
@@ -289,8 +293,8 @@ def greedy_top_generators(m):
         for i in range(m.dims[v]):
             e = [fld.zero] * m.dims[v]
             e[i] = fld.one
-            if basis.solve(e) is None:
-                basis = Matrix.hstack(fld, [basis, Matrix.column(fld, e)])
+            if solve(basis, e) is None:
+                basis = Matrix.hstack(fld, [basis, column(fld, e)])
                 gens.append((v, i))
     return gens
 
@@ -317,11 +321,12 @@ def test_top_generators_match_greedy_reference(a, fld, data):
     g = {v: _unitriangular(data, fld, m.dims[v], True).mul(
              _unitriangular(data, fld, m.dims[v], False))
          for v in a.vertices}
-    g_inv = {v: g[v].solve(Matrix.identity(fld, m.dims[v]))
+    g_inv = {v: solve(g[v], Matrix.identity(fld, m.dims[v]))
              for v in a.vertices}
     mats = {arr.name: g[arr.target].mul(m.mats[arr.name]).mul(
                 g_inv[arr.source]) for arr in a.arrows}
     m = Representation(a, fld, m.dims, mats)
+    m.check()
     assert top_generators(m) == greedy_top_generators(m)
 
 
@@ -349,6 +354,60 @@ def test_hom_basis_of_fractional_jordan_band_commutes(kron):
     assert len(maps) == hom_dim(m, m) == 2
     for f in maps:
         f.check()
+
+
+def _fixture_and_family_algebras():
+    from gentlegp import algebra_from_triangulation, parse_triangulation
+    from test_cli import ALGEBRA_FILES, TRI_FILES
+
+    algebras = [validate_gentle(parse_presentation(f.read_text()))
+                for f in ALGEBRA_FILES]
+    algebras += [algebra_from_triangulation(parse_triangulation(
+        f.read_text())) for f in TRI_FILES]
+    return algebras
+
+
+@pytest.mark.parametrize("fld", [QQ, PrimeField(101)], ids=repr)
+def test_constructed_modules_satisfy_their_relations(kron, fld):
+    # the program builds these without checking them
+    from gentlegp import band_module, make_band, opposite
+
+    modules = []
+    for a in _fixture_and_family_algebras():
+        modules += [string_module(a, w, fld) for w in enumerate_strings(a, 4)]
+        modules += [projective_rep(a, v, fld) for v in a.vertices]
+        modules += [radical_summand_rep(a, arr.name, fld)
+                    for arr in a.arrows]
+        # the dual of the regular module, whose resolution over the
+        # opposite algebra gives the injective dimension
+        aop = validate_gentle(opposite(a.presentation))
+        regular, _ = direct_sum([projective_rep(a, v, fld)
+                                 for v in a.vertices])
+        modules.append(Representation(
+            aop, fld, regular.dims,
+            {name: m.transpose() for name, m in regular.mats.items()}))
+    b = make_band(kron, [Letter("alpha", False), Letter("beta", True)])
+    for lam in BAND_PARAMETERS:
+        lam = fld.div(fld.of(lam.numerator), fld.of(lam.denominator))
+        modules += [band_module(kron, b, lam, size, fld) for size in (1, 2)]
+    for m in modules:
+        m.check()
+
+
+@pytest.mark.parametrize("build, args", [
+    (projective_rep, ("1",)), (radical_summand_rep, ("j",)),
+    (gp_signatures, ())], ids=["projective", "radical_summand", "gp"])
+def test_cached_builders_keep_one_entry_per_module(build, args):
+    a = validate_gentle(eight_vertex_example())  # a key no test has used
+    before = build.cache_info().currsize
+    first = build(a, *args, QQ)
+    assert build(a, *args, QQ) is first
+    assert build.cache_info().currsize == before + 1
+    with pytest.raises(TypeError):
+        build(a, *args, fld=QQ)
+    with pytest.raises(TypeError):
+        build(a, *args)
+    assert build.cache_info().currsize == before + 1
 
 
 def test_disjoint_supports_build_one_system_and_eliminate_nothing(
@@ -480,7 +539,7 @@ def test_stable_table_takes_one_syzygy_per_object(family, monkeypatch):
 def test_oracle_resolves_a_projective_once(eightv, monkeypatch):
     from gentlegp import gp_oracle
 
-    p = projective_rep(eightv, "1")
+    p = projective_rep(eightv, "1", QQ)
     calls = _count_covers(monkeypatch)
     cert = gp_oracle(eightv, p, 2)
     assert (cert.verdict, cert.reason) == ("GP", "projective")

@@ -4,13 +4,14 @@ import pytest
 
 from gentlegp import (TriangulationError, algebra_from_triangulation,
                       algebra_presentation, gentle_violations,
-                      inner_triangles, is_isomorphic, make_triangulation,
+                      inner_triangles, make_triangulation,
                       parse_triangulation, serialize_triangulation,
                       singularity_descriptor, verify_inner_triangle_count)
 from gentlegp import parse_presentation
 from gentlegp.families import cyclic_nakayama, kronecker
 
 from conftest import data_path
+from reference import is_isomorphic
 
 
 def load(name):

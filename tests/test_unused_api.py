@@ -1,0 +1,71 @@
+"""The package holds what the program runs: every public function or
+method is named somewhere in src/gentlegp outside its own definition and
+the package's export list, unless it is allowed below for a stated
+reason.  Routines only the tests need live in tests/reference.py.
+
+The scan matches names, not bindings, so a name used for two things
+counts as used for both."""
+
+import ast
+from pathlib import Path
+
+import gentlegp
+
+SRC = Path(gentlegp.__file__).parent
+
+# name -> why it stays although no code under src/ refers to it
+ALLOWED = {
+    "linear_quiver": "a families builder: bench/ generates inputs with it",
+    "cyclic_nakayama": "a families builder: bench/ generates inputs with it",
+    "projective_line_chain": "a families builder: bench/ generates inputs "
+                             "with it",
+    "kronecker": "a families builder: bench/ generates inputs with it",
+    "eight_vertex_example": "a families builder: bench/ generates inputs "
+                            "with it",
+    "serialize_triangulation": "bench/ writes its .tri inputs with it",
+    "path_basis": "bench/ counts the basis paths of what it runs",
+    "from_rows": "the dense test references build matrices with it",
+    "div": "field division, which the dense test references use",
+    "check": "the validity checks of modules and module maps, which the "
+             "tests run on what the program builds",
+    "make_band": "band modules, for the band sweep planned in ROADMAP.md",
+    "band_module": "band modules, for the band sweep planned in ROADMAP.md",
+    "hom_basis": "explicit maps, for the isomorphism witnesses planned in "
+                 "ROADMAP.md",
+}
+
+
+def _names(tree):
+    """Every (name, node) of a Name or an Attribute in the tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node
+
+
+def unused_public_defs():
+    """(file, name) of each public def nothing under src/ refers to."""
+    trees = {p.name: ast.parse(p.read_text())
+             for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"}
+    used = {}  # name -> ids of the nodes that name it
+    for tree in trees.values():
+        for name, node in _names(tree):
+            used.setdefault(name, set()).add(id(node))
+    unused = []
+    for fname, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    or node.name.startswith("_"):
+                continue
+            inside = {id(n) for _, n in _names(node)}
+            if not used.get(node.name, set()) - inside:
+                unused.append((fname, node.name))
+    return unused
+
+
+def test_every_public_function_is_used_by_the_program():
+    unused = unused_public_defs()
+    assert [(f, name) for f, name in unused if name not in ALLOWED] == []
+    # a name the program has started to use leaves the allowlist
+    assert {name for _, name in unused} == set(ALLOWED)
