@@ -16,14 +16,14 @@ from .strings import (Letter, StringWord, BandWord, parse_letters,
 from .reps import (Representation, ModuleMap, ExtProfile, hom_basis, hom_dim,
                    projective_cover, projective_rep, gorenstein_dimension,
                    radical_summand_rep, syzygy, ext_profile,
-                   embedding_obstruction, stable_hom_dim, module_signature,
-                   ModuleSignature, InternalError, injective_dimension,
-                   zero_representation, direct_sum, hom_profile)
+                   embedding_obstruction, stable_hom_dim, InternalError,
+                   injective_dimension, zero_representation, direct_sum,
+                   hom_profile)
 from .gp import (GPClassification, SingularityDescriptor, OracleCertificate,
                  StableCategoryTable, ComparisonReport, ClassificationMismatchError,
                  classify_gp, gp_oracle, singularity_descriptor,
                  stable_category_table, compare_derived_invariant,
-                 classifier_membership)
+                 classified_words)
 from .surface import (Triangulation, TriangulationError, InnerTriangleReport,
                       InnerCountReport, parse_triangulation,
                       serialize_triangulation, make_triangulation,

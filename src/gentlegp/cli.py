@@ -85,12 +85,13 @@ def cmd_oracle(args):
     a.check_basis_size()
     fld = parse_field(args.field)
     d = reps.gorenstein_dimension(a, fld)
+    words = gp.classified_words(a)
     certificates = []
     disagreement = False
     for w in strings.enumerate_strings(a, args.max_letters):
         m = strings.string_module(a, w, fld)
         cert = gp.gp_oracle(a, m, d, label=w.display())
-        claimed = gp.classifier_membership(a, m)
+        claimed = w.canonical() in words
         disagreement |= (cert.verdict == "GP") != claimed
         certificates.append({
             "module": cert.module_label,

@@ -8,16 +8,14 @@ agreement between the two routes is the point of the library.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from types import MappingProxyType
 
-from .gentle import (CriticalCycle, GentleAlgebra, critical_cycles,
-                     radical_summand_word)
-from .linalg import QQ
-from .reps import (InternalError, Representation, ext_profile,
-                   embedding_obstruction, module_signature, projective_cover,
-                   projective_rep, radical_summand_rep, stable_hom_dim,
-                   syzygy)
+from .gentle import GentleAlgebra, critical_cycles
+from .linalg import QQ, Matrix
+# bench/test_bench.py::BindingProbe reads gp.projective_rep (unused here)
+from .reps import (InternalError, ModuleMap, Representation, ext_profile,
+                   embedding_obstruction, projective_cover, projective_rep,
+                   radical_summand_rep, stable_hom_dim)
+from .strings import projective_word, radical_summand_string, walk_slots
 
 
 class ClassificationMismatchError(AssertionError):
@@ -74,13 +72,13 @@ def gp_oracle(a: GentleAlgebra, m: Representation, d: int,
     """Brute-force Gorenstein-projectivity check over an algebra of
     Gorenstein dimension d: a GP module embeds into a projective, and
     M is GP iff Ext^i(M, Lambda) = 0 for 1 <= i <= d (Auslander-Reiten)."""
-    obstruction = embedding_obstruction(m)
+    obstruction, hom_m = embedding_obstruction(m)
     if obstruction > 0:
         return OracleCertificate(label, "not-GP", [], "embedding",
                                  obstruction,
                                  "does not embed into a projective module")
     bound = max(d, 1)
-    profile = ext_profile(m, bound, d)
+    profile = ext_profile(m, bound, d, hom_m)
     if not profile.all_zero:
         first = next(i + 1 for i, x in enumerate(profile.dims) if x)
         return OracleCertificate(label, "not-GP", profile.dims,
@@ -99,26 +97,39 @@ def gp_oracle(a: GentleAlgebra, m: Representation, d: int,
                              obstruction, vanishing)
 
 
-@lru_cache(maxsize=None)
-def gp_signatures(a: GentleAlgebra, fld, /):
-    """Signatures of every classified indecomposable GP module, grouped by
-    dimension vector; their hom profiles are computed only when a module
-    with the same dimension vector is compared with them."""
+def classified_words(a: GentleAlgebra) -> frozenset:
+    """The canonical words of the classified GPs, all string modules.
+    String modules are isomorphic iff their words agree up to inversion
+    (Butler-Ringel), so this set decides membership by canonical word."""
     cls = classify_gp(a)
-    modules = [projective_rep(a, v, fld) for v in cls.projectives]
-    modules += [radical_summand_rep(a, arrow, fld)
-                for _, arrow in cls.nonprojective]
-    grouped = {}
-    for g in modules:
-        sig = module_signature(g)
-        grouped.setdefault(sig.dim_vector, []).append(sig)
-    return MappingProxyType({dv: tuple(sigs) for dv, sigs in grouped.items()})
+    words = [projective_word(a, v)[0] for v in cls.projectives]
+    words += [radical_summand_string(a, x) for _, x in cls.nonprojective]
+    return frozenset(w.canonical() for w in words)
 
 
-def classifier_membership(a: GentleAlgebra, m: Representation) -> bool:
-    """Does M match (by signature) a module on the classified GP list?"""
-    sig = module_signature(m)
-    return sig in gp_signatures(a, m.field).get(sig.dim_vector, ())
+def _kernel_inclusion(a: GentleAlgebra, cover, v, nxt, omega) -> bool:
+    """Is omega = R(nxt) the kernel of the cover P_v -> R?  The coordinate
+    inclusion along the nxt chain of P_v's word is injective, so it is if
+    the inclusion is a module map that the cover kills, and
+    dim R(nxt) + dim R = dim P_v."""
+    word, top = projective_word(a, v)
+    sub = radical_summand_string(a, nxt)
+    after = top < len(word) and word.letters[top].arrow == nxt
+    walk = range(top + 1, len(word) + 1) if after else range(top - 1, -1, -1)
+    if cover.summands != (v,) or \
+            [word.vertices[i] for i in walk] != list(sub.vertices):
+        return False
+    p, pi, fld = cover.projective, cover.pi, omega.field
+    slots = walk_slots(a, word)[1]
+    iota = {u: Matrix.zeros(fld, p.dims[u], omega.dims[u]) for u in a.vertices}
+    for i, u, slot in zip(walk, sub.vertices, walk_slots(a, sub)[1]):
+        iota[u].rows[slots[i]][slot] = fld.one
+    try:
+        ModuleMap(omega, p, iota).check()
+    except ValueError:
+        return False
+    return (all(pi.blocks[u].mul(iota[u]).is_zero() for u in a.vertices)
+            and omega.total_dim + pi.target.total_dim == p.total_dim)
 
 
 @dataclass
@@ -146,21 +157,21 @@ def stable_category_table(a: GentleAlgebra, fld=QQ) -> StableCategoryTable:
         for arrow in c.arrows:
             objects.append((c.name, arrow))
 
-    # one cover and one syzygy per object, shared by the orbit check and
-    # the stable homs into it
+    # one cover per object, for the orbit check and the stable homs into it
     reps = {arrow: radical_summand_rep(a, arrow, fld) for _, arrow in objects}
     covers = {arrow: projective_cover(r) for arrow, r in reps.items()}
-    omegas = {arrow: syzygy(r, covers[arrow]) for arrow, r in reps.items()}
 
     # shift orbit: the syzygy of R(alpha_i) is R(alpha_{i+1}) along the cycle
+    omegas = {}
     for c in cycles:
-        n = c.length
         for i, arrow in enumerate(c.arrows):
-            nxt = c.arrows[(i + 1) % n]
-            if module_signature(omegas[arrow]) != module_signature(reps[nxt]):
+            nxt = c.arrows[(i + 1) % c.length]
+            v = a.arrow_map[arrow].target
+            if not _kernel_inclusion(a, covers[arrow], v, nxt, reps[nxt]):
                 raise ClassificationMismatchError(
                     f"syzygy of the radical summand at {arrow!r} does not "
                     f"match the next summand {nxt!r} on its cycle")
+            omegas[arrow] = reps[nxt]
 
     matrix = [[stable_hom_dim(reps[x], reps[y], covers[y], omegas[y])
                for _, y in objects] for _, x in objects]

@@ -66,7 +66,11 @@ class PrimeField:
         self.name = f"F{p}"
 
     def of(self, x):
-        return int(x) % self.p
+        """The image of a rational a/b: a times the inverse of b mod p."""
+        x = Fraction(x)
+        if x.denominator % self.p == 0:
+            raise InputError(f"{x} has no image in F_{self.p}")
+        return x.numerator * pow(x.denominator, -1, self.p) % self.p
 
     def add(self, a, b):
         return (a + b) % self.p

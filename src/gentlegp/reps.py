@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .gentle import GentleAlgebra, radical_summand_word, validate_gentle
+from .gentle import GentleAlgebra, validate_gentle
 from .linalg import Matrix, QQ, _combine, echelon, kernel_vectors
 from .quiver import InputError, opposite
 
@@ -20,8 +20,6 @@ class InternalError(AssertionError):
 
 class Representation:
     """Finite dimensional left module: a matrix per arrow."""
-
-    _signature = None  # set once, by module_signature
 
     def __init__(self, algebra: GentleAlgebra, fld, dims, mats):
         self.algebra = algebra
@@ -320,59 +318,9 @@ def hom_profile(m: Representation):
 @lru_cache(maxsize=None)
 def radical_summand_rep(a: GentleAlgebra, arrow_name: str, fld, /):
     """The left ideal generated by an arrow, as a string representation."""
-    from .strings import directed_word, string_module
+    from .strings import radical_summand_string, string_module
 
-    arr = a.arrow_map[arrow_name]
-    word = directed_word(a, arr.target, radical_summand_word(a, arrow_name))
-    return string_module(a, word, fld)
-
-
-def rad_profile(m: Representation):
-    """dim Hom(M, R_a) for every arrow a, in algebra order, where R_a is
-    the radical summand generated by a."""
-    a = m.algebra
-    return tuple(hom_dim(m, radical_summand_rep(a, arr.name, m.field))
-                 for arr in a.arrows)
-
-
-class ModuleSignature:
-    """Iso-class fingerprint: dimension vector, then hom dimensions against
-    every indecomposable projective, then against every radical summand.
-    Separates the finitely many modules this library names.
-
-    The hom profiles are computed on first need, and equality stops at the
-    first component that differs, so signatures with different dimension
-    vectors are told apart without a hom system.  The hash is that of the
-    dimension vector."""
-
-    def __init__(self, m: Representation):
-        self.module = m
-        self.dim_vector = m.dim_vector()
-
-    @cached_property
-    def hom_profile(self):
-        return hom_profile(self.module)
-
-    @cached_property
-    def rad_profile(self):
-        return rad_profile(self.module)
-
-    def __eq__(self, other):
-        if not isinstance(other, ModuleSignature):
-            return NotImplemented
-        return (self.dim_vector == other.dim_vector
-                and self.hom_profile == other.hom_profile
-                and self.rad_profile == other.rad_profile)
-
-    def __hash__(self):
-        return hash(self.dim_vector)
-
-
-def module_signature(m: Representation) -> ModuleSignature:
-    """The signature of M, built once per module."""
-    if m._signature is None:
-        m._signature = ModuleSignature(m)
-    return m._signature
+    return string_module(a, radical_summand_string(a, arrow_name), fld)
 
 
 @dataclass
@@ -391,7 +339,8 @@ class ExtProfile:
         return self.status != "checked-to-bound"
 
 
-def ext_profile(m: Representation, bound: int, d: int) -> ExtProfile:
+def ext_profile(m: Representation, bound: int, d: int,
+                hom_m: int | None = None) -> ExtProfile:
     """dim Ext^i(M, Lambda) for i = 1..bound via dimension shifting along
     the minimal resolution: from 0 -> Omega X -> P -> X -> 0,
 
@@ -400,14 +349,14 @@ def ext_profile(m: Representation, bound: int, d: int) -> ExtProfile:
     with h = dim Hom(-, Lambda), and Ext^i(M, -) = Ext^1(Omega^{i-1} M, -).
     Stops early only when a syzygy vanishes (status terminated).  Given
     the Gorenstein dimension d of the algebra, Ext^i(M, Lambda) = 0 for
-    every i > d, so a profile reaching d is complete (status gorenstein)."""
+    every i > d, so a profile reaching d is complete (status gorenstein).
+    A caller that knows dim Hom(M, Lambda) passes it as hom_m."""
     if bound < 1:
         raise InputError("bound must be positive")
     a = m.algebra
-    sig = module_signature(m)
     dims = []
-    dimvecs = [sig.dim_vector]
-    hx = sum(sig.hom_profile)
+    dimvecs = [m.dim_vector()]
+    hx = sum(hom_profile(m)) if hom_m is None else hom_m
     x = m
     status = "gorenstein" if bound >= d else "checked-to-bound"
     # v -> dim Hom(P_v, Lambda), the sum over u of dim (P_u)_v
@@ -420,10 +369,9 @@ def ext_profile(m: Representation, bound: int, d: int) -> ExtProfile:
                 regular[v] = sum(projective_rep(a, u, m.field).dims[v]
                                  for u in a.vertices)
         hp = sum(regular[v] for v in cover.summands)
-        sig = module_signature(x)
-        hx, hprev = sum(sig.hom_profile), hx
+        hx, hprev = sum(hom_profile(x)), hx
         dims.append(hx - hp + hprev)
-        dimvecs.append(sig.dim_vector)
+        dimvecs.append(x.dim_vector())
         if x.is_zero():
             dims.extend([0] * (bound - i))
             status = "terminated"
@@ -431,17 +379,17 @@ def ext_profile(m: Representation, bound: int, d: int) -> ExtProfile:
     return ExtProfile(dims, dimvecs, status)
 
 
-def embedding_obstruction(m: Representation) -> int:
-    """Dimension of the common kernel of all maps to indecomposable
-    projectives; zero exactly when M embeds into a projective module.
-    Records the sizes of the hom bases as M's hom profile."""
+def embedding_obstruction(m: Representation):
+    """The dimension of the common kernel of all maps to indecomposable
+    projectives, zero exactly when M embeds into a projective module, and
+    dim Hom(M, Lambda), the total size of their hom bases."""
     a = m.algebra
     fld = m.field
     stacked = {w: [] for w in a.vertices}  # block rows of all maps, per vertex
-    profile = []
+    homs = 0
     for v in a.vertices:
         vectors, cells = _hom_vectors(m, projective_rep(a, v, fld))
-        profile.append(len(vectors))
+        homs += len(vectors)
         for vec in vectors:
             rows = {}
             for idx, x in vec.items():
@@ -449,9 +397,8 @@ def embedding_obstruction(m: Representation) -> int:
                 rows.setdefault((w, i), {})[k] = x
             for (w, _), row in rows.items():
                 stacked[w].append(row)
-    module_signature(m).hom_profile = tuple(profile)
     return sum(m.dims[w] - len(echelon(fld, rows, m.dims[w], False)[1])
-               if rows else m.dims[w] for w, rows in stacked.items())
+               if rows else m.dims[w] for w, rows in stacked.items()), homs
 
 
 def stable_hom_dim(m: Representation, n: Representation,
@@ -460,8 +407,8 @@ def stable_hom_dim(m: Representation, n: Representation,
     """dim of Hom(M, N) modulo maps factoring through a projective.  Such
     a map lifts along the cover P -> N of N, and Hom(M, -) is left exact
     on 0 -> Omega N -> P -> N, so those maps span a space of dimension
-    dim Hom(M, P) - dim Hom(M, Omega N).  A caller holding the cover and
-    Omega N of N passes them in."""
+    dim Hom(M, P) - dim Hom(M, Omega N).  A caller holding the cover of N,
+    or a module isomorphic to Omega N, passes it in."""
     homs = hom_dim(m, n)
     if not homs:
         return 0

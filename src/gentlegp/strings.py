@@ -162,6 +162,12 @@ def string_module(a: GentleAlgebra, w: StringWord, field=QQ) -> Representation:
     return Representation(a, field, dims, mats)
 
 
+def radical_summand_string(a: GentleAlgebra, arrow: str) -> StringWord:
+    """The word of the radical summand R(arrow), from the end of arrow."""
+    return directed_word(a, a.arrow_map[arrow].target,
+                         radical_summand_word(a, arrow))
+
+
 def projective_word(a: GentleAlgebra, v: str):
     """The word of the indecomposable projective P_v, and the position of
     its top.  rad P_v is the sum of the radical summands of the (at most

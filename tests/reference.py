@@ -1,12 +1,14 @@
 """Reference routines the tests compare the program against.
 
 The program needs none of them: a brute-force presentation isomorphism,
-a dense-style linear solve, and the peak test on string words.
+a dense-style linear solve, the peak test on string words, and a module
+signature that tells apart the modules the tests compare.
 """
 
 from itertools import permutations
 
 from gentlegp.linalg import Matrix, echelon
+from gentlegp.reps import hom_dim, hom_profile, radical_summand_rep
 
 
 # ------------------------------------------------ presentation isomorphism
@@ -108,3 +110,16 @@ def contains_peak(w):
         if p.direct and not l.direct:
             return True
     return False
+
+
+# -------------------------------------------------------------- modules
+
+def signature(m):
+    """An isomorphism invariant of M: its dimension vector, dim Hom(M, P_v)
+    for every vertex v and dim Hom(M, R(a)) for every arrow a, where R(a)
+    is the radical summand generated by a.  It separates the finitely many
+    modules the tests compare with it."""
+    a = m.algebra
+    rad = tuple(hom_dim(m, radical_summand_rep(a, arr.name, m.field))
+                for arr in a.arrows)
+    return m.dim_vector(), hom_profile(m), rad

@@ -4,13 +4,13 @@ Run with ``pytest -v -s tests/test_acceptance.py`` to see the lines as
 they happen; under plain ``pytest`` the lines show up for failures.
 """
 
-from gentlegp import (QQ, Letter, classifier_membership, classify_gp,
+from gentlegp import (QQ, Letter, PrimeField, classified_words, classify_gp,
                       compare_derived_invariant, critical_cycles,
                       embedding_obstruction,
                       enumerate_strings, gorenstein_dimension, gp_oracle,
                       injective_dimension,
                       make_band, make_string, band_module,
-                      module_signature, parse_presentation,
+                      parse_presentation,
                       parse_triangulation, radical_summand_rep,
                       radical_summand_vertices, singularity_descriptor,
                       string_module, syzygy, stable_hom_dim, hom_dim,
@@ -19,7 +19,7 @@ from gentlegp import (QQ, Letter, classifier_membership, classify_gp,
 from gentlegp.families import cyclic_nakayama, projective_line_chain
 
 from conftest import ACCEPTANCE_LINES, data_path
-from reference import contains_peak, is_isomorphic
+from reference import contains_peak, is_isomorphic, signature
 
 
 def report(number, name, ok):
@@ -59,13 +59,16 @@ def test_criterion_02_radical_summand_dimension_vectors(eightv):
 
 def test_criterion_03_oracle_classifier_agreement(all_fixture_algebras):
     mismatches = []
-    for label, a in sorted(all_fixture_algebras.items()):
-        d = gorenstein_dimension(a)
-        for w in enumerate_strings(a, 6):
-            m = string_module(a, w)
-            cert = gp_oracle(a, m, d, label=f"{label}:{w.display()}")
-            if (cert.verdict == "GP") != classifier_membership(a, m):
-                mismatches.append(cert.module_label)
+    # the rationals up to six letters, F_101 up to four
+    for fld, letters in ((QQ, 6), (PrimeField(101), 4)):
+        for label, a in sorted(all_fixture_algebras.items()):
+            d = gorenstein_dimension(a, fld)
+            words = classified_words(a)
+            for w in enumerate_strings(a, letters):
+                m = string_module(a, w, fld)
+                cert = gp_oracle(a, m, d, label=f"{label}:{w.display()}")
+                if (cert.verdict == "GP") != (w.canonical() in words):
+                    mismatches.append(f"{fld}:{cert.module_label}")
     ok = not mismatches
     report(3, "oracle agrees with classifier on every fixture sweep", ok)
 
@@ -77,8 +80,8 @@ def test_criterion_04_syzygy_orbits_close(all_fixture_algebras):
             for i, arrow in enumerate(c.arrows):
                 nxt = c.arrows[(i + 1) % c.length]
                 om = syzygy(radical_summand_rep(a, arrow, QQ))
-                if (module_signature(om)
-                        != module_signature(radical_summand_rep(a, nxt, QQ))):
+                if (signature(om)
+                        != signature(radical_summand_rep(a, nxt, QQ))):
                     ok = False
     report(4, "syzygy orbits close with period = cycle length", ok)
 
@@ -106,17 +109,18 @@ def test_criterion_07_embedding_obstruction(eightv, kron):
     # every string word with a peak fails to embed into a projective
     for w in enumerate_strings(eightv, 4):
         m = string_module(eightv, w)
-        if contains_peak(w) and embedding_obstruction(m) == 0:
+        if contains_peak(w) and embedding_obstruction(m)[0] == 0:
             ok = False
     # the classified radical summands all embed
     for arrow in "efjghk":
-        if embedding_obstruction(radical_summand_rep(eightv, arrow, QQ)) != 0:
+        if embedding_obstruction(
+                radical_summand_rep(eightv, arrow, QQ))[0] != 0:
             ok = False
     # a band module is obstructed and rejected by the oracle
     b = make_band(kron, [Letter("alpha", False), Letter("beta", True)])
     bm = band_module(kron, b, 1, 1)
     cert = gp_oracle(kron, bm, gorenstein_dimension(kron), label="band")
-    if embedding_obstruction(bm) == 0 or cert.verdict != "not-GP":
+    if embedding_obstruction(bm)[0] == 0 or cert.verdict != "not-GP":
         ok = False
     report(7, "peaks and bands obstruct embedding into projectives", ok)
 

@@ -179,7 +179,7 @@ def test_oracle_disagreement_exits_1(capsys, monkeypatch):
     from gentlegp import gp
 
     # a classifier that claims nothing is GP disagrees with every GP verdict
-    monkeypatch.setattr(gp, "classifier_membership", lambda a, m: False)
+    monkeypatch.setattr(gp, "classified_words", lambda a: frozenset())
     code, out = invoke(capsys, "oracle", EX22, "--max-letters", "4")
     assert code == 1 and out["agreement"] is False
     assert any(c["verdict"] == "GP" for c in out["certificates"])

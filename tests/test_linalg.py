@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gentlegp import Matrix, PrimeField, QQ, parse_field
+from gentlegp import InputError, Matrix, PrimeField, QQ, parse_field
 from gentlegp.linalg import Rationals, echelon, kernel_vectors
 
 from reference import column, solve
@@ -137,6 +137,15 @@ def test_prime_field_arithmetic():
     assert f5.div(f5.of(3), f5.of(4)) == (3 * pow(4, -1, 5)) % 5
     with pytest.raises(ValueError):
         PrimeField(6)
+
+
+def test_prime_field_of_inverts_denominators():
+    f101 = PrimeField(101)
+    assert f101.of(Fraction(1, 2)) == 51
+    assert f101.of(Fraction(3, 2)) == 52
+    assert f101.of(-1) == 100
+    with pytest.raises(InputError, match="no image in F_101"):
+        f101.of(Fraction(1, 101))
 
 
 def test_parse_field():

@@ -6,21 +6,19 @@ from hypothesis import given, settings, strategies as st
 from gentlegp import (Letter, Matrix, PrimeField, QQ, Representation,
                       direct_sum, embedding_obstruction, enumerate_strings,
                       ext_profile, hom_basis, hom_dim, injective_dimension,
-                      lazy_word, make_string, module_signature,
-                      parse_field, parse_presentation, projective_cover,
+                      lazy_word, make_string, parse_field, parse_presentation, projective_cover,
                       projective_rep, radical_summand_rep, stable_hom_dim,
                       string_module, syzygy, validate_gentle,
                       zero_representation)
 from gentlegp.families import (cyclic_nakayama, eight_vertex_example,
                                kronecker, projective_line_chain)
-from gentlegp.gp import gp_signatures
 from gentlegp.linalg import echelon
 from gentlegp.reps import (Cover, InternalError, ModuleMap,
                           _subrepresentation, top_generators)
 from gentlegp.strings import projective_word, walk_slots
 
 from conftest import data_path
-from reference import column, solve
+from reference import column, signature, solve
 
 
 def simple(a, v, fld=QQ):
@@ -79,8 +77,7 @@ def test_top_and_radical_of_p7(eightv):
     assert rad.total_dim == p7.total_dim - 1
     rj = radical_summand_rep(eightv, "j", QQ)
     rk = radical_summand_rep(eightv, "k", QQ)
-    assert (module_signature(rad)
-            == module_signature(direct_sum([rj, rk])[0]))
+    assert signature(rad) == signature(direct_sum([rj, rk])[0])
 
 
 def test_projective_cover_of_radical_summand(eightv):
@@ -108,8 +105,8 @@ def test_syzygy_orbit_of_radical_summands(eightv):
     cur = radical_summand_rep(eightv, "e", QQ)
     for nxt in ("f", "j", "e"):
         cur = syzygy(cur)
-        assert (module_signature(cur)
-                == module_signature(radical_summand_rep(eightv, nxt, QQ)))
+        assert (signature(cur)
+                == signature(radical_summand_rep(eightv, nxt, QQ)))
 
 
 def test_ext_profile_periodic_radical_summand(eightv):
@@ -140,12 +137,13 @@ def test_ext_profile_nonvanishing_simple(eightv):
 
 def test_embedding_obstruction_zero_on_radical_summands(eightv):
     for arr in ("e", "f", "j", "g", "h", "k"):
-        assert embedding_obstruction(radical_summand_rep(eightv, arr, QQ)) == 0
+        assert embedding_obstruction(
+            radical_summand_rep(eightv, arr, QQ))[0] == 0
 
 
 def test_embedding_obstruction_positive_on_peak(kron):
     w = make_string(kron, [Letter("alpha", True), Letter("beta", False)])
-    assert embedding_obstruction(string_module(kron, w)) > 0
+    assert embedding_obstruction(string_module(kron, w))[0] > 0
 
 
 def test_stable_hom_values(eightv):
@@ -273,7 +271,7 @@ def test_everything_works_over_prime_field(eightv):
     rj = radical_summand_rep(eightv, "j", f5)
     prof = ext_profile(rj, 6, 2)
     assert prof.dims == [0] * 6 and prof.status == "gorenstein"
-    assert embedding_obstruction(rj) == 0
+    assert embedding_obstruction(rj)[0] == 0
 
 
 SMALL_ALGEBRAS = [validate_gentle(p) for p in (
@@ -388,15 +386,14 @@ def test_constructed_modules_satisfy_their_relations(kron, fld):
             {name: m.transpose() for name, m in regular.mats.items()}))
     b = make_band(kron, [Letter("alpha", False), Letter("beta", True)])
     for lam in BAND_PARAMETERS:
-        lam = fld.div(fld.of(lam.numerator), fld.of(lam.denominator))
         modules += [band_module(kron, b, lam, size, fld) for size in (1, 2)]
     for m in modules:
         m.check()
 
 
 @pytest.mark.parametrize("build, args", [
-    (projective_rep, ("1",)), (radical_summand_rep, ("j",)),
-    (gp_signatures, ())], ids=["projective", "radical_summand", "gp"])
+    (projective_rep, ("1",)), (radical_summand_rep, ("j",))],
+    ids=["projective", "radical_summand"])
 def test_cached_builders_keep_one_entry_per_module(build, args):
     a = validate_gentle(eight_vertex_example())  # a key no test has used
     before = build.cache_info().currsize
@@ -517,7 +514,7 @@ def test_stable_table_covers_each_object_once(family, monkeypatch):
                                     lambda: projective_line_chain(4),
                                     _twocycles],
                          ids=["eight_vertex", "lambda4", "twocycles"])
-def test_stable_table_takes_one_syzygy_per_object(family, monkeypatch):
+def test_stable_table_takes_no_syzygy(family, monkeypatch):
     from gentlegp import gp, reps, stable_category_table
 
     a = validate_gentle(family())
@@ -529,11 +526,10 @@ def test_stable_table_takes_one_syzygy_per_object(family, monkeypatch):
         return real(m, cover)
 
     monkeypatch.setattr(reps, "syzygy", counting_syzygy)
-    monkeypatch.setattr(gp, "syzygy", counting_syzygy)
+    monkeypatch.setattr(gp, "syzygy", counting_syzygy, raising=False)
     table = stable_category_table(a)
-    assert table.is_identity
-    assert sorted(map(id, calls)) == sorted(
-        id(radical_summand_rep(a, arrow, QQ)) for _, arrow in table.objects)
+    assert table.is_identity and len(table.objects) == 6
+    assert calls == []
 
 
 def test_oracle_resolves_a_projective_once(eightv, monkeypatch):

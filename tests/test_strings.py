@@ -1,8 +1,9 @@
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from gentlegp import (Letter, band_module, check_string, directed_word,
+from gentlegp import (Letter, PrimeField, band_module, check_string, directed_word,
                       enumerate_strings, is_valid_string, lazy_word,
                       make_band, make_string, parse_letters,
                       parse_presentation, radical_summand_word,
@@ -110,11 +111,11 @@ def test_string_modules_satisfy_relations_for_all_small_words(eightv):
 
 
 def test_string_module_isomorphic_to_inverse(eightv):
-    from gentlegp import module_signature
+    from reference import signature
 
     w = make_string(eightv, [L("d"), L("a"), Li("e")])
-    assert (module_signature(string_module(eightv, w))
-            == module_signature(string_module(eightv, w.inverse())))
+    assert (signature(string_module(eightv, w))
+            == signature(string_module(eightv, w.inverse())))
 
 
 def test_enumerate_lazy_only(eightv):
@@ -185,6 +186,15 @@ def test_kronecker_band_n1(kron):
     # one arrow acts by 1, the other by the parameter
     vals = sorted(str(m.mats[a].rows[0][0]) for a in ("alpha", "beta"))
     assert vals == ["1", "1"]
+
+
+def test_band_parameter_over_a_prime_field_is_a_quotient(kron):
+    f101 = PrimeField(101)
+    b = make_band(kron, [Li("alpha"), L("beta")])
+    m = band_module(kron, b, Fraction(3, 2), 1, f101)
+    # beta is the designated direct letter and acts by 3/2 = 3 * 51 mod 101
+    assert m.mats["beta"].rows == [{0: 52}]
+    assert m.mats != band_module(kron, b, 1, 1, f101).mats
 
 
 def test_kronecker_band_jordan_block(kron):

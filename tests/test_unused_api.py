@@ -1,7 +1,8 @@
 """The package holds what the program runs: every public function or
 method is named somewhere in src/gentlegp outside its own definition and
-the package's export list, unless it is allowed below for a stated
-reason.  Routines only the tests need live in tests/reference.py.
+the package's export list, and every name a module imports is used in
+that module, unless it is allowed below for a stated reason.  Routines
+only the tests need live in tests/reference.py.
 
 The scan matches names, not bindings, so a name used for two things
 counts as used for both."""
@@ -26,12 +27,16 @@ ALLOWED = {
     "path_basis": "bench/ counts the basis paths of what it runs",
     "from_rows": "the dense test references build matrices with it",
     "div": "field division, which the dense test references use",
-    "check": "the validity checks of modules and module maps, which the "
-             "tests run on what the program builds",
     "make_band": "band modules, for the band sweep planned in ROADMAP.md",
     "band_module": "band modules, for the band sweep planned in ROADMAP.md",
     "hom_basis": "explicit maps, for the isomorphism witnesses planned in "
                  "ROADMAP.md",
+}
+
+# (file, name) -> why the module imports a name it never uses
+ALLOWED_IMPORTS = {
+    ("gp.py", "projective_rep"): "bench/test_bench.py::BindingProbe reads "
+                                 "gp.projective_rep",
 }
 
 
@@ -69,3 +74,30 @@ def test_every_public_function_is_used_by_the_program():
     assert [(f, name) for f, name in unused if name not in ALLOWED] == []
     # a name the program has started to use leaves the allowlist
     assert {name for _, name in unused} == set(ALLOWED)
+
+
+def unused_imports():
+    """(file, name) of each name a module imports and never reads."""
+    unused = []
+    for p in sorted(SRC.glob("*.py")):
+        if p.name == "__init__.py":
+            continue
+        tree = ast.parse(p.read_text())
+        read = {name for name, node in _names(tree)
+                if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or \
+                    getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    unused.append((p.name, name))
+    return unused
+
+
+def test_every_import_is_used_by_its_module():
+    unused = unused_imports()
+    assert [x for x in unused if x not in ALLOWED_IMPORTS] == []
+    # an import the module has started to use leaves the allowlist
+    assert set(unused) == set(ALLOWED_IMPORTS)
