@@ -18,7 +18,7 @@ from .reps import (Representation, ModuleMap, ExtProfile, hom_basis, hom_dim,
                    radical_summand_rep, syzygy, ext_profile,
                    embedding_obstruction, stable_hom_dim, InternalError,
                    injective_dimension, zero_representation, direct_sum,
-                   hom_profile)
+                   regular_rep)
 from .gp import (GPClassification, SingularityDescriptor, OracleCertificate,
                  StableCategoryTable, ComparisonReport, ClassificationMismatchError,
                  classify_gp, gp_oracle, singularity_descriptor,

@@ -90,7 +90,7 @@ def cmd_oracle(args):
     disagreement = False
     for w in strings.enumerate_strings(a, args.max_letters):
         m = strings.string_module(a, w, fld)
-        cert = gp.gp_oracle(a, m, d, label=w.display())
+        cert = gp.gp_oracle(m, d, label=w.display())
         claimed = w.canonical() in words
         disagreement |= (cert.verdict == "GP") != claimed
         certificates.append({

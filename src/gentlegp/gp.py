@@ -67,7 +67,7 @@ class OracleCertificate:
     reason: str
 
 
-def gp_oracle(a: GentleAlgebra, m: Representation, d: int,
+def gp_oracle(m: Representation, d: int,
               label: str = "") -> OracleCertificate:
     """Brute-force Gorenstein-projectivity check over an algebra of
     Gorenstein dimension d: a GP module embeds into a projective, and

@@ -222,11 +222,12 @@ def echelon(field, rows, npiv, reduced=True):
             r = dict(r) if p else _integral(r)
             by_lead.setdefault(min(r), []).append(r)
     prows, pivots = [], []
-    while by_lead:
-        c = min(by_lead)
-        if c >= npiv:
-            break
-        group = by_lead.pop(c)
+    for c in range(npiv):
+        group = by_lead.pop(c, None)
+        if group is None:
+            if not by_lead:
+                break
+            continue
         prow = group.pop()
         if p and prow[c] != 1:
             inv = pow(prow[c], -1, p)
@@ -240,11 +241,13 @@ def echelon(field, rows, npiv, reduced=True):
         pivots.append(c)
     rest = [r for group in by_lead.values() for r in group] if by_lead else []
     if reduced:
-        for k in range(len(pivots) - 1, 0, -1):
-            c = pivots[k]
-            for r in prows[:k]:
-                if c in r:
-                    _clear(r, prows[k], c, p)
+        # bottom up: the rows below are reduced, so clearing one pivot
+        # column of a row with them leaves its other pivot columns alone
+        below = {}  # pivot column -> its reduced row
+        for r, c in zip(reversed(prows), reversed(pivots)):
+            for j in [j for j in r if j in below]:
+                _clear(r, below[j], j, p)
+            below[c] = r
         if not p:
             prows = [{j: Fraction(v, r[c]) for j, v in r.items()}
                      for r, c in zip(prows, pivots)]

@@ -111,6 +111,13 @@ def projective_rep(a: GentleAlgebra, v: str, fld, /) -> Representation:
     return string_module(a, projective_word(a, v)[0], fld)
 
 
+@lru_cache(maxsize=None)
+def regular_rep(a: GentleAlgebra, fld, /) -> Representation:
+    """The regular module, the direct sum of the indecomposable
+    projectives in algebra order: the one target of Hom(-, Lambda)."""
+    return direct_sum([projective_rep(a, v, fld) for v in a.vertices])[0]
+
+
 def _hom_system(m: Representation, n: Representation):
     """Sparse commutation system for Hom(M, N), a dict from unknown to
     coefficient per equation: (rows, offsets, number of unknowns).  The
@@ -308,14 +315,6 @@ def syzygy(m: Representation, cover: Cover | None = None) -> Representation:
                                   for v, k in kernels.items()})
 
 
-def hom_profile(m: Representation):
-    """dim Hom(M, P_v) for every vertex v, in algebra order."""
-    a = m.algebra
-    return tuple(hom_dim(m, projective_rep(a, v, m.field))
-                 for v in a.vertices)
-
-
-@lru_cache(maxsize=None)
 def radical_summand_rep(a: GentleAlgebra, arrow_name: str, fld, /):
     """The left ideal generated by an arrow, as a string representation."""
     from .strings import radical_summand_string, string_module
@@ -353,23 +352,18 @@ def ext_profile(m: Representation, bound: int, d: int,
     A caller that knows dim Hom(M, Lambda) passes it as hom_m."""
     if bound < 1:
         raise InputError("bound must be positive")
-    a = m.algebra
+    regular = regular_rep(m.algebra, m.field)
     dims = []
     dimvecs = [m.dim_vector()]
-    hx = sum(hom_profile(m)) if hom_m is None else hom_m
+    hx = hom_dim(m, regular) if hom_m is None else hom_m
     x = m
     status = "gorenstein" if bound >= d else "checked-to-bound"
-    # v -> dim Hom(P_v, Lambda), the sum over u of dim (P_u)_v
-    regular = {}
     for i in range(1, bound + 1):
         cover = projective_cover(x)
         x = syzygy(x, cover)
-        for v in cover.summands:
-            if v not in regular:
-                regular[v] = sum(projective_rep(a, u, m.field).dims[v]
-                                 for u in a.vertices)
-        hp = sum(regular[v] for v in cover.summands)
-        hx, hprev = sum(hom_profile(x)), hx
+        # dim Hom(P_v, Lambda) = dim of Lambda at v
+        hp = sum(regular.dims[v] for v in cover.summands)
+        hx, hprev = hom_dim(x, regular), hx
         dims.append(hx - hp + hprev)
         dimvecs.append(x.dim_vector())
         if x.is_zero():
@@ -380,25 +374,23 @@ def ext_profile(m: Representation, bound: int, d: int,
 
 
 def embedding_obstruction(m: Representation):
-    """The dimension of the common kernel of all maps to indecomposable
-    projectives, zero exactly when M embeds into a projective module, and
-    dim Hom(M, Lambda), the total size of their hom bases."""
-    a = m.algebra
+    """The dimension of the common kernel of all maps M -> Lambda, zero
+    exactly when M embeds into a projective module, and dim Hom(M, Lambda).
+    Lambda is the sum of the indecomposable projectives, so the kernel is
+    the common one of all maps to them."""
     fld = m.field
-    stacked = {w: [] for w in a.vertices}  # block rows of all maps, per vertex
-    homs = 0
-    for v in a.vertices:
-        vectors, cells = _hom_vectors(m, projective_rep(a, v, fld))
-        homs += len(vectors)
-        for vec in vectors:
-            rows = {}
-            for idx, x in vec.items():
-                w, i, k = cells[idx]
-                rows.setdefault((w, i), {})[k] = x
-            for (w, _), row in rows.items():
-                stacked[w].append(row)
-    return sum(m.dims[w] - len(echelon(fld, rows, m.dims[w], False)[1])
-               if rows else m.dims[w] for w, rows in stacked.items()), homs
+    vectors, cells = _hom_vectors(m, regular_rep(m.algebra, fld))
+    stacked = {w: [] for w in m.algebra.vertices}  # block rows, per vertex
+    for vec in vectors:
+        rows = {}
+        for idx, x in vec.items():
+            w, i, k = cells[idx]
+            rows.setdefault((w, i), {})[k] = x
+        for (w, _), row in rows.items():
+            stacked[w].append(row)
+    kernel = sum(m.dims[w] - len(echelon(fld, rows, m.dims[w], False)[1])
+                 if rows else m.dims[w] for w, rows in stacked.items())
+    return kernel, len(vectors)
 
 
 def stable_hom_dim(m: Representation, n: Representation,
@@ -433,7 +425,7 @@ def injective_dimension(a: GentleAlgebra, fld=QQ,
     input."""
     if aop is None:
         aop = validate_gentle(opposite(a.presentation))
-    regular, _ = direct_sum([projective_rep(a, v, fld) for v in a.vertices])
+    regular = regular_rep(a, fld)
     dual_mats = {name: m.transpose() for name, m in regular.mats.items()}
     # never zero: every projective is nonzero at its vertex
     x = Representation(aop, fld, regular.dims, dual_mats)

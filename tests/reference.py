@@ -1,14 +1,16 @@
 """Reference routines the tests compare the program against.
 
 The program needs none of them: a brute-force presentation isomorphism,
-a dense-style linear solve, the peak test on string words, and a module
-signature that tells apart the modules the tests compare.
+a dense-style linear solve, the peak test on string words, a module
+signature that tells apart the modules the tests compare, and the
+embedding obstruction computed one indecomposable projective at a time.
 """
 
 from itertools import permutations
 
 from gentlegp.linalg import Matrix, echelon
-from gentlegp.reps import hom_dim, hom_profile, radical_summand_rep
+from gentlegp.reps import (_hom_vectors, hom_dim, projective_rep,
+                           radical_summand_rep)
 
 
 # ------------------------------------------------ presentation isomorphism
@@ -120,6 +122,30 @@ def signature(m):
     is the radical summand generated by a.  It separates the finitely many
     modules the tests compare with it."""
     a = m.algebra
+    homs = tuple(hom_dim(m, projective_rep(a, v, m.field))
+                 for v in a.vertices)
     rad = tuple(hom_dim(m, radical_summand_rep(a, arr.name, m.field))
                 for arr in a.arrows)
-    return m.dim_vector(), hom_profile(m), rad
+    return m.dim_vector(), homs, rad
+
+
+def embedding_obstruction(m):
+    """The dimension of the common kernel of all maps to indecomposable
+    projectives, one hom system per projective P_v, and dim Hom(M, Lambda),
+    the total size of their hom bases."""
+    a = m.algebra
+    fld = m.field
+    stacked = {w: [] for w in a.vertices}  # block rows of all maps, per vertex
+    homs = 0
+    for v in a.vertices:
+        vectors, cells = _hom_vectors(m, projective_rep(a, v, fld))
+        homs += len(vectors)
+        for vec in vectors:
+            rows = {}
+            for idx, x in vec.items():
+                w, i, k = cells[idx]
+                rows.setdefault((w, i), {})[k] = x
+            for (w, _), row in rows.items():
+                stacked[w].append(row)
+    return sum(m.dims[w] - len(echelon(fld, rows, m.dims[w], False)[1])
+               if rows else m.dims[w] for w, rows in stacked.items()), homs

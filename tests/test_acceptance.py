@@ -66,7 +66,7 @@ def test_criterion_03_oracle_classifier_agreement(all_fixture_algebras):
             words = classified_words(a)
             for w in enumerate_strings(a, letters):
                 m = string_module(a, w, fld)
-                cert = gp_oracle(a, m, d, label=f"{label}:{w.display()}")
+                cert = gp_oracle(m, d, label=f"{label}:{w.display()}")
                 if (cert.verdict == "GP") != (w.canonical() in words):
                     mismatches.append(f"{fld}:{cert.module_label}")
     ok = not mismatches
@@ -119,7 +119,7 @@ def test_criterion_07_embedding_obstruction(eightv, kron):
     # a band module is obstructed and rejected by the oracle
     b = make_band(kron, [Letter("alpha", False), Letter("beta", True)])
     bm = band_module(kron, b, 1, 1)
-    cert = gp_oracle(kron, bm, gorenstein_dimension(kron), label="band")
+    cert = gp_oracle(bm, gorenstein_dimension(kron), label="band")
     if embedding_obstruction(bm)[0] == 0 or cert.verdict != "not-GP":
         ok = False
     report(7, "peaks and bands obstruct embedding into projectives", ok)

@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 from gentlegp import (QQ, GentleAlgebra, parse_presentation, projective_rep,
-                      validate_gentle)
+                      regular_rep, validate_gentle)
 from gentlegp.families import (cyclic_nakayama, kronecker, linear_quiver,
                                projective_line_chain)
 
@@ -57,13 +57,11 @@ def test_basis_paths_from_matches_linear_scan(zoo):
 
 
 def test_regular_dim_at_matches_linear_scan(zoo):
-    # ext_profile reads dim Hom(P_v, Lambda) as the sum over u of
-    # dim (P_u)_v, which is the number of basis paths ending at v
+    # ext_profile reads dim Hom(P_v, Lambda) as the dimension of the
+    # regular module at v, which is the number of basis paths ending at v
     for a in _zoo_and_basis_zoo(zoo):
-        into = Counter(q.target for q in a.path_basis)
-        for v in a.vertices:
-            assert sum(projective_rep(a, u, QQ).dims[v]
-                       for u in a.vertices) == into[v]
+        assert regular_rep(a, QQ).dims == Counter(
+            q.target for q in a.path_basis)
 
 
 def test_index_is_built_once_and_read_only(eightv):

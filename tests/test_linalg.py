@@ -334,3 +334,37 @@ def test_products_that_cancel_store_no_zero(fld):
         Matrix.from_rows(fld, [[1, 2], [-1, 3]]))
     assert prod.rows == [{} if fld.p == 5 else {1: fld.of(5)}]
     assert_no_stored_zero(prod)
+
+
+# --------------------------------------- block-diagonal systems split by block
+
+def _shift(row, by):
+    return {j + by: x for j, x in row.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(KERNEL_FIELDS),
+       st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                min_size=1, max_size=4), st.data())
+def test_block_diagonal_stack_splits_into_its_blocks(fld, shapes, data):
+    # Hom(M, Lambda) is one system whose unknowns and equations split by
+    # the projective summands of Lambda, its rows interleaved
+    blocks = [_draw_sparse(data, fld, n, k) for n, k in shapes]
+    offsets = [sum(k for _, k in shapes[:i]) for i in range(len(shapes))]
+    width = sum(k for _, k in shapes)
+    stacked = [_shift(r, off) for b, off in zip(blocks, offsets)
+               for r in b.rows]
+    stacked = data.draw(st.permutations(stacked))
+    prows, pivots, want_vectors = [], [], {}
+    for b, off in zip(blocks, offsets):
+        rows, cols, rest = echelon(fld, b.rows, b.ncols)
+        assert rest == []
+        prows += [_shift(r, off) for r in rows]
+        pivots += [c + off for c in cols]
+        want_vectors.update(
+            (c + off, _shift(v, off))
+            for c, v in kernel_vectors(fld, b.rows, b.ncols).items())
+    assert echelon(fld, stacked, width) == (prows, pivots, [])
+    assert echelon(fld, stacked, width, False)[1] == pivots
+    got = kernel_vectors(fld, stacked, width)
+    assert list(got) == list(want_vectors) and got == want_vectors

@@ -1,6 +1,9 @@
 """The exact isomorphism claims: classifier membership by canonical string
 word, and the shift orbit of the stable category by an explicit inclusion
-of each radical summand as the kernel of the next cover."""
+of each radical summand as the kernel of the next cover.  Also the oracle's
+one Hom(-, Lambda) system per module and resolution step."""
+
+import json
 
 from collections import Counter
 from dataclasses import replace
@@ -10,11 +13,13 @@ import pytest
 from gentlegp import (QQ, ClassificationMismatchError, PrimeField,
                       algebra_from_triangulation, classified_words,
                       classify_gp, critical_cycles, enumerate_strings,
-                      gp_oracle, make_string, parse_letters,
-                      parse_presentation, parse_triangulation, projective_rep,
-                      radical_summand_rep, stable_category_table,
+                      gorenstein_dimension, gp_oracle, make_string,
+                      parse_letters, parse_presentation, parse_triangulation,
+                      projective_rep, radical_summand_rep, regular_rep,
+                      serialize_presentation, stable_category_table,
                       string_module, validate_gentle)
 from gentlegp import gp, reps
+from gentlegp.cli import run
 from gentlegp.families import cyclic_nakayama, projective_line_chain
 
 from conftest import DATA, data_path
@@ -95,18 +100,55 @@ def test_membership_builds_no_hom_system(count_hom_systems):
     assert sum(count_hom_systems.values()) == 0
 
 
-def test_each_hom_to_a_projective_is_built_once(count_hom_systems):
+def test_one_hom_system_against_the_regular_module_per_step(
+        count_hom_systems):
     a = _algebra("eight_vertex")
     # the radical summand at j as a string module of its own: GP, so the
-    # oracle resolves it and Ext needs dim Hom(M, Lambda)
+    # oracle resolves it and Ext needs dim Hom(M, Lambda) at every step
     w = make_string(a, parse_letters("i,d,a,f,k"))
     m = string_module(a, w)
-    cert = gp_oracle(a, m, 2)
-    assert cert.verdict == "GP"
+    cert = gp_oracle(m, 2)
+    assert (cert.verdict, cert.status) == ("GP", "gorenstein")
     assert w.canonical() in classified_words(a)
-    for v in a.vertices:
-        assert count_hom_systems[id(m), id(reps.projective_rep(a, v, QQ))] \
-            == 1
+    regular = id(regular_rep(a, QQ))
+    assert count_hom_systems[id(m), regular] == 1
+    assert {target for _, target in count_hom_systems} == {regular}
+    assert sum(count_hom_systems.values()) == 1 + len(cert.ext_dims)
+    projectives = {id(projective_rep(a, v, QQ)) for v in a.vertices}
+    assert not projectives & {target for _, target in count_hom_systems}
+
+
+def _systems_per_module(n, tmp_path, capsys, monkeypatch):
+    """The set of hom system counts of the modules of one oracle sweep of
+    lambda_n, up to 3 letters."""
+    f = tmp_path / f"lambda{n}.gentle"
+    f.write_text(serialize_presentation(projective_line_chain(n)))
+    built = []
+    real_system, real_oracle = reps._hom_system, gp.gp_oracle
+
+    def system(m, t):
+        built[-1] += 1
+        return real_system(m, t)
+
+    def oracle(*args, **kwargs):
+        built.append(0)
+        return real_oracle(*args, **kwargs)
+
+    monkeypatch.setattr(reps, "_hom_system", system)
+    monkeypatch.setattr(gp, "gp_oracle", oracle)
+    assert run(["oracle", str(f), "--max-letters", "3"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["certificates"]) \
+        == len(built)
+    return set(built)
+
+
+def test_hom_systems_per_module_do_not_grow_with_the_quiver(
+        tmp_path, capsys, monkeypatch):
+    small = _systems_per_module(6, tmp_path, capsys, monkeypatch)
+    assert small == _systems_per_module(24, tmp_path, capsys, monkeypatch)
+    # the embedding test, then one system per resolution step
+    d = gorenstein_dimension(validate_gentle(projective_line_chain(6)))
+    assert min(small) == 1 and max(small) == 1 + max(d, 1)
 
 
 @pytest.mark.parametrize("fld", FIELDS, ids=str)

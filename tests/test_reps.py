@@ -7,8 +7,8 @@ from gentlegp import (Letter, Matrix, PrimeField, QQ, Representation,
                       direct_sum, embedding_obstruction, enumerate_strings,
                       ext_profile, hom_basis, hom_dim, injective_dimension,
                       lazy_word, make_string, parse_field, parse_presentation, projective_cover,
-                      projective_rep, radical_summand_rep, stable_hom_dim,
-                      string_module, syzygy, validate_gentle,
+                      projective_rep, radical_summand_rep, regular_rep,
+                      stable_hom_dim, string_module, syzygy, validate_gentle,
                       zero_representation)
 from gentlegp.families import (cyclic_nakayama, eight_vertex_example,
                                kronecker, projective_line_chain)
@@ -17,6 +17,7 @@ from gentlegp.reps import (Cover, InternalError, ModuleMap,
                           _subrepresentation, top_generators)
 from gentlegp.strings import projective_word, walk_slots
 
+import reference
 from conftest import data_path
 from reference import column, signature, solve
 
@@ -144,6 +145,16 @@ def test_embedding_obstruction_zero_on_radical_summands(eightv):
 def test_embedding_obstruction_positive_on_peak(kron):
     w = make_string(kron, [Letter("alpha", True), Letter("beta", False)])
     assert embedding_obstruction(string_module(kron, w))[0] > 0
+
+
+@pytest.mark.parametrize("fld", [QQ, PrimeField(101)], ids=repr)
+def test_embedding_obstruction_matches_one_projective_at_a_time(fld):
+    # one system against Lambda, against one per indecomposable projective
+    for a in _fixture_and_family_algebras():
+        for w in enumerate_strings(a, 4):
+            m = string_module(a, w, fld)
+            assert embedding_obstruction(m) == \
+                reference.embedding_obstruction(m), (a.vertices, w.display())
 
 
 def test_stable_hom_values(eightv):
@@ -379,11 +390,10 @@ def test_constructed_modules_satisfy_their_relations(kron, fld):
         # the dual of the regular module, whose resolution over the
         # opposite algebra gives the injective dimension
         aop = validate_gentle(opposite(a.presentation))
-        regular, _ = direct_sum([projective_rep(a, v, fld)
-                                 for v in a.vertices])
-        modules.append(Representation(
+        regular = regular_rep(a, fld)
+        modules += [regular, Representation(
             aop, fld, regular.dims,
-            {name: m.transpose() for name, m in regular.mats.items()}))
+            {name: m.transpose() for name, m in regular.mats.items()})]
     b = make_band(kron, [Letter("alpha", False), Letter("beta", True)])
     for lam in BAND_PARAMETERS:
         modules += [band_module(kron, b, lam, size, fld) for size in (1, 2)]
@@ -392,8 +402,8 @@ def test_constructed_modules_satisfy_their_relations(kron, fld):
 
 
 @pytest.mark.parametrize("build, args", [
-    (projective_rep, ("1",)), (radical_summand_rep, ("j",))],
-    ids=["projective", "radical_summand"])
+    (projective_rep, ("1",)), (regular_rep, ())],
+    ids=["projective", "regular"])
 def test_cached_builders_keep_one_entry_per_module(build, args):
     a = validate_gentle(eight_vertex_example())  # a key no test has used
     before = build.cache_info().currsize
@@ -537,6 +547,6 @@ def test_oracle_resolves_a_projective_once(eightv, monkeypatch):
 
     p = projective_rep(eightv, "1", QQ)
     calls = _count_covers(monkeypatch)
-    cert = gp_oracle(eightv, p, 2)
+    cert = gp_oracle(p, 2)
     assert (cert.verdict, cert.reason) == ("GP", "projective")
     assert len(calls) == 1 and calls[0] is p
