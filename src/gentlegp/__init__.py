@@ -7,18 +7,17 @@ from .quiver import (Arrow, Path, QuiverPresentation, QuiverError, InputError,
 from .gentle import (GentleAlgebra, GentleViolation, NotGentleError,
                      BasisTooLargeError, CriticalCycle, validate_gentle,
                      gentle_violations, critical_cycles,
-                     radical_summand_word, radical_summand_vertices)
+                     radical_summand_word)
 from .linalg import Matrix, QQ, PrimeField, parse_field
 from .strings import (Letter, StringWord, BandWord, parse_letters,
                       check_string, is_valid_string, make_string, lazy_word,
-                      directed_word, string_module, make_band,
-                      band_module, enumerate_strings)
+                      string_module, make_band, band_module,
+                      enumerate_strings)
 from .reps import (Representation, ModuleMap, ExtProfile, hom_basis, hom_dim,
                    projective_cover, projective_rep, gorenstein_dimension,
-                   radical_summand_rep, syzygy, ext_profile,
+                   radical_summand_rep, syzygy, resolution, ext_profile,
                    embedding_obstruction, stable_hom_dim, InternalError,
-                   injective_dimension, zero_representation, direct_sum,
-                   regular_rep)
+                   injective_dimension, direct_sum, regular_rep)
 from .gp import (GPClassification, SingularityDescriptor, OracleCertificate,
                  StableCategoryTable, ComparisonReport, ClassificationMismatchError,
                  classify_gp, gp_oracle, singularity_descriptor,

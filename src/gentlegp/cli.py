@@ -55,13 +55,13 @@ def cmd_gp(args):
     cls = gp.classify_gp(a)
     nonproj = []
     for cycle, arrow in cls.nonprojective:
-        verts = gentle.radical_summand_vertices(a, arrow)
+        w = strings.radical_summand_string(a, arrow)
         nonproj.append({
             "arrow": arrow,
             "cycle": cycle.name,
-            "word": list(gentle.radical_summand_word(a, arrow)),
-            "vertices": verts,
-            "dimension": len(verts),
+            "word": [l.arrow for l in w.letters],
+            "vertices": list(w.vertices),
+            "dimension": len(w.vertices),
         })
     _emit({"projectives": sorted(cls.projectives),
            "nonprojective": sorted(nonproj, key=lambda d: d["arrow"])},

@@ -268,12 +268,3 @@ def radical_summand_word(a: GentleAlgebra, arrow_name: str):
         word.append(cur)
         cur = nxt[cur]
     return tuple(word)
-
-
-def radical_summand_vertices(a: GentleAlgebra, arrow_name: str):
-    """Vertices visited by the radical-summand string, start first."""
-    arr = a.arrow_map[arrow_name]
-    verts = [arr.target]
-    for name in radical_summand_word(a, arrow_name):
-        verts.append(a.arrow_map[name].target)
-    return verts

@@ -173,7 +173,7 @@ def stable_category_table(a: GentleAlgebra, fld=QQ) -> StableCategoryTable:
                     f"match the next summand {nxt!r} on its cycle")
             omegas[arrow] = reps[nxt]
 
-    matrix = [[stable_hom_dim(reps[x], reps[y], covers[y], omegas[y])
+    matrix = [[stable_hom_dim(reps[x], covers[y], omegas[y])
                for _, y in objects] for _, x in objects]
     table = StableCategoryTable(objects, orbits, matrix)
     if objects and not table.is_identity:

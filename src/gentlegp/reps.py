@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import islice
 
 from .gentle import GentleAlgebra, validate_gentle
 from .linalg import Matrix, QQ, _combine, echelon, kernel_vectors
@@ -71,18 +72,9 @@ class ModuleMap:
                 raise ValueError(f"map does not commute with arrow {arr.name}")
 
 
-def zero_representation(a: GentleAlgebra, fld=QQ) -> Representation:
-    dims = {v: 0 for v in a.vertices}
-    mats = {arr.name: Matrix.zeros(fld, 0, 0) for arr in a.arrows}
-    return Representation(a, fld, dims, mats)
-
-
-def direct_sum(reps):
-    """Block-diagonal direct sum; returns (rep, per-summand offsets)."""
-    if not reps:
-        raise ValueError("empty direct sum needs an algebra; use zero_representation")
-    a = reps[0].algebra
-    fld = reps[0].field
+def direct_sum(a: GentleAlgebra, fld, reps):
+    """Block-diagonal direct sum of modules over a and fld; returns (rep,
+    per-summand offsets).  The empty sum is the zero module."""
     dims = {v: sum(r.dims[v] for r in reps) for v in a.vertices}
     offsets = []
     running = {v: 0 for v in a.vertices}
@@ -115,7 +107,8 @@ def projective_rep(a: GentleAlgebra, v: str, fld, /) -> Representation:
 def regular_rep(a: GentleAlgebra, fld, /) -> Representation:
     """The regular module, the direct sum of the indecomposable
     projectives in algebra order: the one target of Hom(-, Lambda)."""
-    return direct_sum([projective_rep(a, v, fld) for v in a.vertices])[0]
+    projectives = [projective_rep(a, v, fld) for v in a.vertices]
+    return direct_sum(a, fld, projectives)[0]
 
 
 def _hom_system(m: Representation, n: Representation):
@@ -263,13 +256,8 @@ def projective_cover(m: Representation) -> Cover:
     a = m.algebra
     fld = m.field
     gens = top_generators(m)
-    if not gens:
-        p = zero_representation(a, fld)
-        pi = ModuleMap(p, m, {v: Matrix.zeros(fld, m.dims[v], 0)
-                              for v in a.vertices})
-        return Cover(p, (), pi, ())
-    summand_reps = [projective_rep(a, v, fld) for v, _ in gens]
-    p, offsets = direct_sum(summand_reps)
+    p, offsets = direct_sum(a, fld,
+                            [projective_rep(a, v, fld) for v, _ in gens])
     blocks = {v: Matrix.zeros(fld, m.dims[v], p.dims[v]) for v in a.vertices}
     # an arrow maps the sparse vector x to the combination of its columns
     columns = {name: mat.transpose().rows for name, mat in m.mats.items()}
@@ -299,13 +287,11 @@ def projective_cover(m: Representation) -> Cover:
     return Cover(p, tuple(v for v, _ in gens), pi, tuple(tops))
 
 
-def syzygy(m: Representation, cover: Cover | None = None) -> Representation:
+def syzygy(cover: Cover) -> Representation:
     """Kernel of the minimal projective cover; zero for projectives."""
-    if cover is None:
-        cover = projective_cover(m)
     p = cover.projective
-    kernels = {v: kernel_vectors(m.field, cover.pi.blocks[v].rows, p.dims[v])
-               for v in m.algebra.vertices}
+    kernels = {v: kernel_vectors(p.field, cover.pi.blocks[v].rows, p.dims[v])
+               for v in p.algebra.vertices}
     # minimality: the kernel lies in the radical of the cover, spanned by
     # every basis vector of the summands' words but their tops
     for v, col in zip(cover.summands, cover.tops):
@@ -313,6 +299,18 @@ def syzygy(m: Representation, cover: Cover | None = None) -> Representation:
             raise InternalError("cover kernel escapes the radical")
     return _subrepresentation(p, {v: (list(k.values()), list(k))
                                   for v, k in kernels.items()})
+
+
+def resolution(m: Representation):
+    """The minimal projective resolution of M, one (cover, syzygy) pair
+    per step, stopping right after the first zero syzygy: the zero module
+    has one step, its cover the empty sum."""
+    while True:
+        cover = projective_cover(m)
+        m = syzygy(cover)
+        yield cover, m
+        if m.is_zero():
+            return
 
 
 def radical_summand_rep(a: GentleAlgebra, arrow_name: str, fld, /):
@@ -356,20 +354,17 @@ def ext_profile(m: Representation, bound: int, d: int,
     dims = []
     dimvecs = [m.dim_vector()]
     hx = hom_dim(m, regular) if hom_m is None else hom_m
-    x = m
-    status = "gorenstein" if bound >= d else "checked-to-bound"
-    for i in range(1, bound + 1):
-        cover = projective_cover(x)
-        x = syzygy(x, cover)
+    for cover, x in islice(resolution(m), bound):
         # dim Hom(P_v, Lambda) = dim of Lambda at v
         hp = sum(regular.dims[v] for v in cover.summands)
         hx, hprev = hom_dim(x, regular), hx
         dims.append(hx - hp + hprev)
         dimvecs.append(x.dim_vector())
-        if x.is_zero():
-            dims.extend([0] * (bound - i))
-            status = "terminated"
-            break
+    if x.is_zero():
+        dims.extend([0] * (bound - len(dims)))
+        status = "terminated"
+    else:
+        status = "gorenstein" if bound >= d else "checked-to-bound"
     return ExtProfile(dims, dimvecs, status)
 
 
@@ -393,21 +388,16 @@ def embedding_obstruction(m: Representation):
     return kernel, len(vectors)
 
 
-def stable_hom_dim(m: Representation, n: Representation,
-                   cover: Cover | None = None,
-                   omega: Representation | None = None) -> int:
-    """dim of Hom(M, N) modulo maps factoring through a projective.  Such
-    a map lifts along the cover P -> N of N, and Hom(M, -) is left exact
-    on 0 -> Omega N -> P -> N, so those maps span a space of dimension
-    dim Hom(M, P) - dim Hom(M, Omega N).  A caller holding the cover of N,
-    or a module isomorphic to Omega N, passes it in."""
-    homs = hom_dim(m, n)
+def stable_hom_dim(m: Representation, cover: Cover,
+                   omega: Representation) -> int:
+    """dim of Hom(M, N) modulo maps factoring through a projective, for N
+    the target of the cover P -> N and omega a module isomorphic to
+    Omega N.  Such a map lifts along the cover, and Hom(M, -) is left
+    exact on 0 -> Omega N -> P -> N, so those maps span a space of
+    dimension dim Hom(M, P) - dim Hom(M, Omega N)."""
+    homs = hom_dim(m, cover.pi.target)
     if not homs:
         return 0
-    if cover is None:
-        cover = projective_cover(n)
-    if omega is None:
-        omega = syzygy(n, cover)
     return homs - hom_dim(m, cover.projective) + hom_dim(m, omega)
 
 
@@ -427,17 +417,13 @@ def injective_dimension(a: GentleAlgebra, fld=QQ,
         aop = validate_gentle(opposite(a.presentation))
     regular = regular_rep(a, fld)
     dual_mats = {name: m.transpose() for name, m in regular.mats.items()}
-    # never zero: every projective is nonzero at its vertex
     x = Representation(aop, fld, regular.dims, dual_mats)
-    steps = 0
-    while not x.is_zero():
-        x = syzygy(x)
-        steps += 1
-        if steps > RESOLUTION_CAP:
-            raise InternalError(
-                "resolution of the dual regular module exceeded "
-                f"{RESOLUTION_CAP} steps; this contradicts finiteness of "
-                "the injective dimension")
+    steps = sum(1 for _ in islice(resolution(x), RESOLUTION_CAP + 1))
+    if steps > RESOLUTION_CAP:
+        raise InternalError(
+            "resolution of the dual regular module exceeded "
+            f"{RESOLUTION_CAP} steps; this contradicts finiteness of "
+            "the injective dimension")
     return steps - 1
 
 

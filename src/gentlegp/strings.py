@@ -133,13 +133,6 @@ def make_string(a: GentleAlgebra, letters) -> StringWord:
     return StringWord(letters, tuple(verts))
 
 
-def directed_word(a: GentleAlgebra, start_vertex, arrow_names) -> StringWord:
-    names = tuple(arrow_names)
-    if not names:
-        return lazy_word(a, start_vertex)
-    return make_string(a, [Letter(n, True) for n in names])
-
-
 def walk_slots(a: GentleAlgebra, w: StringWord):
     """The dimension vector of the string module of w, and the slot of
     each walk vertex within the space at its vertex."""
@@ -163,9 +156,12 @@ def string_module(a: GentleAlgebra, w: StringWord, field=QQ) -> Representation:
 
 
 def radical_summand_string(a: GentleAlgebra, arrow: str) -> StringWord:
-    """The word of the radical summand R(arrow), from the end of arrow."""
-    return directed_word(a, a.arrow_map[arrow].target,
-                         radical_summand_word(a, arrow))
+    """The word of the radical summand R(arrow), from the end of arrow: a
+    chain of allowed continuations, so a valid string as it is built."""
+    names = radical_summand_word(a, arrow)
+    amap = a.arrow_map
+    return StringWord(tuple(Letter(n, True) for n in names),
+                      tuple(amap[n].target for n in (arrow,) + names))
 
 
 def projective_word(a: GentleAlgebra, v: str):
@@ -293,14 +289,7 @@ def enumerate_strings(a: GentleAlgebra, max_letters: int):
         frontier = [StringWord(w.letters + (l,), w.vertices + (u,))
                     for w in frontier for l, u in steps[w.vertices[-1]]
                     if is_valid_string(a, (w.letters[-1], l))]
-    # dedupe words equal to their own canonical form may still collide
-    seen = set()
-    unique = []
-    for w in out:
-        c = w.canonical()
-        key = (c.sort_key(), c.vertices)
-        if key not in seen:
-            seen.add(key)
-            unique.append(c)
-    unique.sort(key=lambda w: (len(w.letters), w.sort_key(), w.vertices))
-    return unique
+    # a word and its inverse share one canonical form
+    unique = {w.canonical() for w in out}
+    return sorted(unique,
+                  key=lambda w: (len(w.letters), w.sort_key(), w.vertices))

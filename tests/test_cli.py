@@ -354,6 +354,40 @@ def test_dim_prime_field(capsys):
     assert code == 0 and out["injective_dimension"] == 2
 
 
+# the algebra of a single triangle: no vertices, no arrows, dimension 0
+ZERO_ALGEBRA = "vertices: \narrows: \nrelations: \n"
+
+
+@pytest.mark.parametrize("field", ["q", "f101"])
+def test_dim_of_the_zero_algebra(field, tmp_path, capsys):
+    f = tmp_path / "zero.gentle"
+    f.write_text(ZERO_ALGEBRA)
+    code, out = invoke(capsys, "--field", field, "dim", str(f))
+    assert code == 0
+    assert out == {"dimension": 0, "injective_dimension": 0}
+
+
+@pytest.mark.parametrize("field", ["q", "f101"])
+def test_oracle_on_the_zero_algebra(field, tmp_path, capsys):
+    f = tmp_path / "zero.gentle"
+    f.write_text(ZERO_ALGEBRA)
+    code, out = invoke(capsys, "--field", field, "oracle", str(f))
+    assert code == 0
+    assert out["agreement"] is True and out["bound"] == 1
+    assert out["certificates"] == []
+
+
+def test_dim_of_the_algebra_a_single_triangle_emits(tmp_path, capsys):
+    tri, emitted = tmp_path / "triangle.tri", tmp_path / "triangle.gentle"
+    tri.write_text("arcs: ; boundary: a, b, c; triangles: (a,b,c)\n")
+    code, _ = invoke(capsys, "surface", str(tri),
+                     "--emit-algebra", str(emitted))
+    assert code == 0 and emitted.read_text() == ZERO_ALGEBRA
+    code, out = invoke(capsys, "dim", str(emitted))
+    assert code == 0
+    assert out == {"dimension": 0, "injective_dimension": 0}
+
+
 def test_bad_field(capsys):
     code, out = invoke(capsys, "--field", "r64", "dim", EX22)
     assert code == 2 and out["status"] == "error"

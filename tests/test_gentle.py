@@ -5,10 +5,10 @@ from gentlegp import (Arrow, BasisTooLargeError, NotGentleError,
                       QuiverError, QuiverPresentation, algebra_presentation,
                       critical_cycles, gentle_violations,
                       parse_presentation, parse_triangulation,
-                      radical_summand_vertices, radical_summand_word,
-                      validate_gentle)
+                      radical_summand_word, validate_gentle)
 from gentlegp.families import (cyclic_nakayama, linear_quiver,
                                projective_line_chain)
+from gentlegp.strings import radical_summand_string
 
 from conftest import DATA
 
@@ -139,11 +139,14 @@ def test_cycles_invariant_under_relabeling(eightv):
 
 
 def test_radical_summand_words_eight_vertex(eightv):
-    assert radical_summand_vertices(eightv, "k") == ["8"]
-    assert radical_summand_vertices(eightv, "h") == ["4"]
+    def vertices(arrow):
+        return list(radical_summand_string(eightv, arrow).vertices)
+
+    assert vertices("k") == ["8"]
+    assert vertices("h") == ["4"]
     assert radical_summand_word(eightv, "j") == ("i", "d", "a", "f", "k")
-    assert radical_summand_vertices(eightv, "j") == ["6", "5", "1", "2", "7", "8"]
-    assert radical_summand_vertices(eightv, "e") == [
+    assert vertices("j") == ["6", "5", "1", "2", "7", "8"]
+    assert vertices("e") == [
         "2", "3", "4", "7", "6", "5", "1", "2", "7", "8"]
 
 

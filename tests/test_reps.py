@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,8 +9,8 @@ from gentlegp import (Letter, Matrix, PrimeField, QQ, Representation,
                       ext_profile, hom_basis, hom_dim, injective_dimension,
                       lazy_word, make_string, parse_field, parse_presentation, projective_cover,
                       projective_rep, radical_summand_rep, regular_rep,
-                      stable_hom_dim, string_module, syzygy, validate_gentle,
-                      zero_representation)
+                      resolution, stable_hom_dim, string_module, syzygy,
+                      validate_gentle)
 from gentlegp.families import (cyclic_nakayama, eight_vertex_example,
                                kronecker, projective_line_chain)
 from gentlegp.linalg import echelon
@@ -74,11 +75,11 @@ def test_top_and_radical_of_p7(eightv):
     p7 = projective_rep(eightv, "7", QQ)
     assert [v for v, _ in top_generators(p7)] == ["7"]
     # rad P_7 = Omega(S_7) = R(j) + R(k)
-    rad = syzygy(simple(eightv, "7"))
+    rad = syzygy(projective_cover(simple(eightv, "7")))
     assert rad.total_dim == p7.total_dim - 1
     rj = radical_summand_rep(eightv, "j", QQ)
     rk = radical_summand_rep(eightv, "k", QQ)
-    assert signature(rad) == signature(direct_sum([rj, rk])[0])
+    assert signature(rad) == signature(direct_sum(eightv, QQ, [rj, rk])[0])
 
 
 def test_projective_cover_of_radical_summand(eightv):
@@ -90,14 +91,15 @@ def test_projective_cover_of_radical_summand(eightv):
 
 def test_projectives_are_projective(eightv):
     for v in eightv.vertices:
-        assert syzygy(projective_rep(eightv, v, QQ)).is_zero()
-    assert not syzygy(simple(eightv, "1")).is_zero()
+        p = projective_rep(eightv, v, QQ)
+        assert syzygy(projective_cover(p)).is_zero()
+    assert not syzygy(projective_cover(simple(eightv, "1"))).is_zero()
 
 
 def test_syzygy_dimension_count(eightv):
     m = simple(eightv, "2")
     cover = projective_cover(m)
-    om = syzygy(m, cover)
+    om = syzygy(cover)
     assert om.total_dim == cover.projective.total_dim - m.total_dim
 
 
@@ -105,7 +107,7 @@ def test_syzygy_orbit_of_radical_summands(eightv):
     # the syzygy rotates R(e) -> R(f) -> R(j) -> R(e)
     cur = radical_summand_rep(eightv, "e", QQ)
     for nxt in ("f", "j", "e"):
-        cur = syzygy(cur)
+        cur = syzygy(projective_cover(cur))
         assert (signature(cur)
                 == signature(radical_summand_rep(eightv, nxt, QQ)))
 
@@ -160,16 +162,18 @@ def test_embedding_obstruction_matches_one_projective_at_a_time(fld):
 def test_stable_hom_values(eightv):
     rj = radical_summand_rep(eightv, "j", QQ)
     rk = radical_summand_rep(eightv, "k", QQ)
+    cover = projective_cover(rj)
+    omega = syzygy(cover)
     assert hom_dim(rk, rj) == 1
-    assert stable_hom_dim(rk, rj) == 0
-    assert stable_hom_dim(rj, rj) == 1
-    assert stable_hom_dim(projective_rep(eightv, "1", QQ), rj) == 0
+    assert stable_hom_dim(rk, cover, omega) == 0
+    assert stable_hom_dim(rj, cover, omega) == 1
+    assert stable_hom_dim(projective_rep(eightv, "1", QQ), cover, omega) == 0
 
 
 def test_hom_additivity_over_direct_sum(eightv):
     rj = radical_summand_rep(eightv, "j", QQ)
     rk = radical_summand_rep(eightv, "k", QQ)
-    s, _ = direct_sum([rj, rk])
+    s, _ = direct_sum(eightv, QQ, [rj, rk])
     tgt = projective_rep(eightv, "7", QQ)
     assert hom_dim(s, tgt) == hom_dim(rj, tgt) + hom_dim(rk, tgt)
 
@@ -192,7 +196,7 @@ def test_non_minimal_cover_is_an_internal_error(eightv):
     # the difference of the tops lies in the kernel and not in the radical
     p5 = projective_rep(eightv, "5", QQ)
     s5 = simple(eightv, "5")
-    p, offsets = direct_sum([p5, p5])
+    p, offsets = direct_sum(eightv, QQ, [p5, p5])
     word, top = projective_word(eightv, "5")
     slot = walk_slots(eightv, word)[1][top]
     tops = tuple(off["5"] + slot for off in offsets)
@@ -203,7 +207,7 @@ def test_non_minimal_cover_is_an_internal_error(eightv):
     pi = ModuleMap(p, s5, blocks)
     pi.check()
     with pytest.raises(InternalError, match="cover kernel escapes the radical"):
-        syzygy(s5, Cover(p, ("5", "5"), pi, tops))
+        syzygy(Cover(p, ("5", "5"), pi, tops))
 
 
 @pytest.mark.parametrize("family", [eight_vertex_example,
@@ -231,22 +235,23 @@ def test_resolution_step_eliminates_per_vertex_and_solves_nothing(
     monkeypatch.setattr(reference, "solve", solve)
     modules = [string_module(a, w) for w in enumerate_strings(a, 3)]
     modules += [projective_rep(a, v, QQ) for v in a.vertices]
-    modules.append(direct_sum(modules[:4])[0])
+    modules.append(direct_sum(a, QQ, modules[:4])[0])
     n = len(a.vertices)
     for m in modules:
         count["echelon"] = 0
         top_generators(m)
         assert count["echelon"] == n
         count["echelon"] = 0
-        syzygy(m, projective_cover(m))
+        syzygy(projective_cover(m))
         # the top, the cover's surjectivity check and its kernel
         assert count["echelon"] == 3 * n
     assert count["solve"] == 0
 
 
 def test_zero_representation(eightv):
-    z = zero_representation(eightv)
-    assert z.is_zero() and syzygy(z).is_zero()
+    z, offsets = direct_sum(eightv, QQ, [])
+    assert z.is_zero() and offsets == []
+    assert syzygy(projective_cover(z)).is_zero()
 
 
 def test_injective_dimension_values(eightv, a2, i3):
@@ -254,6 +259,41 @@ def test_injective_dimension_values(eightv, a2, i3):
     assert injective_dimension(a2) == 1
     assert injective_dimension(i3) == 0
     assert injective_dimension(validate_gentle(cyclic_nakayama(4))) == 0
+
+
+@pytest.mark.parametrize("cap", [1, 2])
+def test_injective_dimension_past_the_cap_is_an_internal_error(
+        eightv, cap, monkeypatch):
+    from gentlegp import reps
+
+    # the dual regular module of eight_vertex resolves in 3 steps
+    monkeypatch.setattr(reps, "RESOLUTION_CAP", cap)
+    with pytest.raises(InternalError, match=f"exceeded {cap} steps"):
+        injective_dimension(eightv)
+    monkeypatch.setattr(reps, "RESOLUTION_CAP", 3)
+    assert injective_dimension(eightv) == 2
+
+
+def test_resolution_yields_the_ext_profile_syzygies(all_fixture_algebras):
+    bound = 4
+    for a in all_fixture_algebras.values():
+        for w in enumerate_strings(a, 3):
+            m = string_module(a, w)
+            steps = list(islice(resolution(m), bound))
+            assert [x.dim_vector() for _, x in steps] == \
+                ext_profile(m, bound, bound).syzygy_dim_vectors[1:]
+            # each step covers the syzygy before it, and only the last
+            # may be zero
+            targets = [m] + [x for _, x in steps[:-1]]
+            assert [c.pi.target for c, _ in steps] == targets
+            assert not any(x.is_zero() for x in targets)
+
+
+def test_resolution_of_the_zero_module_is_one_empty_step(eightv):
+    z = direct_sum(eightv, QQ, [])[0]
+    [(cover, omega)] = resolution(z)
+    assert cover.summands == () and cover.projective.is_zero()
+    assert cover.pi.target is z and omega.is_zero()
 
 
 def test_hom_across_validations_of_one_presentation(eightv):
@@ -325,7 +365,7 @@ def test_top_generators_match_greedy_reference(a, fld, data):
     words = list(enumerate_strings(a, 3))
     summands = data.draw(st.lists(st.sampled_from(words), min_size=1,
                                   max_size=3))
-    m, _ = direct_sum([string_module(a, w, fld) for w in summands])
+    m, _ = direct_sum(a, fld, [string_module(a, w, fld) for w in summands])
     # an invertible change of basis at every vertex hides the string basis
     g = {v: _unitriangular(data, fld, m.dims[v], True).mul(
              _unitriangular(data, fld, m.dims[v], False))
@@ -481,11 +521,10 @@ def test_stable_hom_dim_matches_composed_maps(family, fld):
     lifted = 0  # pairs with maps that factor through a projective
     for n in modules:
         cover = projective_cover(n)
-        omega = syzygy(n, cover)
+        omega = syzygy(cover)
         for m in modules:
             expected = reference_stable_hom_dim(m, n, cover)
-            assert stable_hom_dim(m, n, cover) == expected
-            assert stable_hom_dim(m, n, cover, omega) == expected
+            assert stable_hom_dim(m, cover, omega) == expected
             lifted += expected < hom_dim(m, n)
     assert lifted
 
@@ -531,9 +570,9 @@ def test_stable_table_takes_no_syzygy(family, monkeypatch):
     calls = []
     real = reps.syzygy
 
-    def counting_syzygy(m, cover=None):
-        calls.append(m)
-        return real(m, cover)
+    def counting_syzygy(cover):
+        calls.append(cover)
+        return real(cover)
 
     monkeypatch.setattr(reps, "syzygy", counting_syzygy)
     monkeypatch.setattr(gp, "syzygy", counting_syzygy, raising=False)

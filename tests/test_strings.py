@@ -3,12 +3,12 @@ from itertools import product
 
 import pytest
 
-from gentlegp import (Letter, PrimeField, band_module, check_string, directed_word,
+from gentlegp import (Letter, PrimeField, band_module, check_string,
                       enumerate_strings, is_valid_string, lazy_word,
                       make_band, make_string, parse_letters,
                       parse_presentation, radical_summand_word,
                       string_module, validate_gentle)
-from gentlegp.strings import projective_word
+from gentlegp.strings import projective_word, radical_summand_string
 from gentlegp.families import projective_line_chain
 
 from conftest import data_path
@@ -78,8 +78,9 @@ def test_lazy_word_gives_simple_module(eightv):
 
 
 def test_radical_e_module_dimension_vector(eightv):
-    word = radical_summand_word(eightv, "e")
-    w = directed_word(eightv, "2", word)
+    w = radical_summand_string(eightv, "e")
+    assert w.letters == tuple(Letter(n, True)
+                              for n in radical_summand_word(eightv, "e"))
     m = string_module(eightv, w)
     assert m.total_dim == 10
     assert m.dims["2"] == 2 and m.dims["7"] == 2
@@ -95,7 +96,7 @@ def test_peak_word_on_kronecker(kron):
 
 
 def test_directed_words_have_no_peak(eightv):
-    w = directed_word(eightv, "2", radical_summand_word(eightv, "e"))
+    w = radical_summand_string(eightv, "e")
     assert not contains_peak(w)
     assert not contains_peak(w.inverse())
 
