@@ -1,7 +1,7 @@
 """Gorenstein-projective classification and singularity-category
 descriptors for finite dimensional gentle algebras."""
 
-from .quiver import (Arrow, Path, QuiverPresentation, QuiverError, InputError,
+from .quiver import (Arrow, QuiverPresentation, QuiverError, InputError,
                      DSLSyntaxError, PresentationError, parse_presentation,
                      serialize_presentation, opposite)
 from .gentle import (GentleAlgebra, GentleViolation, NotGentleError,
@@ -9,11 +9,10 @@ from .gentle import (GentleAlgebra, GentleViolation, NotGentleError,
                      gentle_violations, critical_cycles,
                      radical_summand_word)
 from .linalg import Matrix, QQ, PrimeField, parse_field
-from .strings import (Letter, StringWord, BandWord, parse_letters,
+from .strings import (Letter, StringWord, parse_letters,
                       check_string, is_valid_string, make_string, lazy_word,
-                      string_module, make_band, band_module,
-                      enumerate_strings)
-from .reps import (Representation, ModuleMap, ExtProfile, hom_basis, hom_dim,
+                      string_module, enumerate_strings)
+from .reps import (Representation, ModuleMap, ExtProfile, hom_dim,
                    projective_cover, projective_rep, gorenstein_dimension,
                    radical_summand_rep, syzygy, resolution, ext_profile,
                    embedding_obstruction, stable_hom_dim, InternalError,

@@ -97,7 +97,6 @@ def cmd_oracle(args):
             "module": cert.module_label,
             "verdict": cert.verdict,
             "classifier": "GP" if claimed else "not-GP",
-            "period": None,
             "status": cert.status,
             "obstruction": cert.obstruction,
             "reason": cert.reason,
@@ -135,11 +134,11 @@ def cmd_ext(args):
         w = strings.make_string(a, letters)
     m = strings.string_module(a, w, fld)
     d = reps.gorenstein_dimension(a, fld)
-    profile = reps.ext_profile(m, args.bound or max(d, 1), d)
+    bound = max(d, 1) if args.bound is None else args.bound
+    profile = reps.ext_profile(m, bound, d)
     _emit({"word": w.display(),
            "ext_dims": profile.dims,
            "syzygy_dim_vectors": [list(dv) for dv in profile.syzygy_dim_vectors],
-           "period": None,
            "status": profile.status,
            "certified": profile.certified}, args.pretty)
     return 0
@@ -201,7 +200,7 @@ def _subcommands():
                    [file]),
         "ext": (cmd_ext, "Ext profile of a string module",
                 [file, (("--word",), {"required": True, "help": word_help}),
-                 (("--bound",), {"type": int, "default": 0})]),
+                 (("--bound",), {"type": int, "default": None})]),
         "compare": (cmd_compare, "derived-invariant comparison of two algebras",
                     [(("file_a",), {}), (("file_b",), {})]),
         "surface": (cmd_surface, "inner-triangle report for a triangulation",

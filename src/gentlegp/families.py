@@ -42,14 +42,6 @@ def projective_line_chain(n: int) -> QuiverPresentation:
     return QuiverPresentation(vertices, tuple(arrows), frozenset(relations))
 
 
-def kronecker() -> QuiverPresentation:
-    """Two parallel arrows 1 => 2, no relations."""
-    return QuiverPresentation(
-        ("1", "2"),
-        (Arrow("alpha", "1", "2"), Arrow("beta", "1", "2")),
-        frozenset())
-
-
 EXAMPLE_EIGHT_VERTEX_DSL = """\
 # eight-vertex running example: two critical 3-cycles
 vertices: 1, 2, 3, 4, 5, 6, 7, 8

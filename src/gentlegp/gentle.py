@@ -2,11 +2,10 @@
 
 The validated algebra is purely combinatorial: the allowed continuation
 of each arrow (unique by G4), from which its dimension and radical
-summand words are read.  The path basis of relation-free paths is built
-only when first read, as the reference the tests compare against; the
-library itself counts paths but never lists them.  Everything homological
-lives in :mod:`gentlegp.reps`, which builds each projective as the string
-module of :func:`gentlegp.strings.projective_word`.
+summand words are read.  The library counts the relation-free paths but
+never lists them.  Everything homological lives in :mod:`gentlegp.reps`,
+which builds each projective as the string module of
+:func:`gentlegp.strings.projective_word`.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
-from .quiver import Path, PresentationError, QuiverError, QuiverPresentation
+from .quiver import PresentationError, QuiverError, QuiverPresentation
 
 # the largest dimension (number of basis paths) the library works with
 MAX_BASIS_PATHS = 100000
@@ -136,12 +135,6 @@ class GentleAlgebra:
     presentation: QuiverPresentation
 
     @cached_property
-    def path_basis(self) -> tuple[Path, ...]:
-        """Built on first use; raises BasisTooLargeError past the cap."""
-        self.check_basis_size()
-        return tuple(_enumerate_basis_paths(self.presentation))
-
-    @cached_property
     def _next_arrow(self):
         """Arrow name -> its allowed continuation (unique by G4), or None."""
         out = self.presentation.arrows_out
@@ -200,25 +193,6 @@ def validate_gentle(p: QuiverPresentation) -> GentleAlgebra:
     if violations:
         raise NotGentleError(violations)
     return GentleAlgebra(p)
-
-
-def _enumerate_basis_paths(p: QuiverPresentation):
-    """All relation-free paths, lazy paths included, by breadth-first
-    extension.  Finite because validation rejected relation-free cycles."""
-    basis = [p.lazy_path(v) for v in p.vertices]
-    frontier = [Path((a.name,), a.source, a.target) for a in p.arrows]
-    while frontier:
-        basis.extend(frontier)
-        nxt = []
-        for path in frontier:
-            last = path.arrows[-1]
-            for a in p.arrows_out(path.target):
-                if (a.name, last) not in p.relations:
-                    nxt.append(Path(path.arrows + (a.name,),
-                                    path.source, a.target))
-        frontier = nxt
-    basis.sort(key=lambda q: (len(q.arrows), q.source, q.arrows))
-    return basis
 
 
 def critical_cycles(a: GentleAlgebra) -> list[CriticalCycle]:

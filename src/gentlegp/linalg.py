@@ -15,25 +15,12 @@ from .quiver import InputError
 class Rationals:
     """The field of rational numbers, backed by fractions.Fraction."""
 
-    name = "Q"
     p = 0  # the characteristic; a prime field keeps its own as p
     zero = Fraction(0)
     one = Fraction(1)
 
-    def of(self, x):
-        return Fraction(x)
-
     def add(self, a, b):
         return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def div(self, a, b):
-        return a / b
 
     def neg(self, a):
         return -a
@@ -63,26 +50,9 @@ class PrimeField:
         if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
             raise InputError(f"{p} is not prime")
         self.p = p
-        self.name = f"F{p}"
-
-    def of(self, x):
-        """The image of a rational a/b: a times the inverse of b mod p."""
-        x = Fraction(x)
-        if x.denominator % self.p == 0:
-            raise InputError(f"{x} has no image in F_{self.p}")
-        return x.numerator * pow(x.denominator, -1, self.p) % self.p
 
     def add(self, a, b):
         return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def div(self, a, b):
-        return (a * pow(b, -1, self.p)) % self.p
 
     def neg(self, a):
         return (-a) % self.p
@@ -135,16 +105,6 @@ class Matrix:
     @classmethod
     def identity(cls, field, n):
         return cls(field, n, n, [{i: field.one} for i in range(n)])
-
-    @classmethod
-    def from_rows(cls, field, rows):
-        """The matrix of dense rows, lists of entries."""
-        rows = [[field.of(x) for x in r] for r in rows]
-        ncols = len(rows[0]) if rows else 0
-        if any(len(r) != ncols for r in rows):
-            raise ValueError("rows of unequal length")
-        return cls(field, len(rows), ncols,
-                   [{j: x for j, x in enumerate(r) if x} for r in rows])
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field

@@ -15,7 +15,7 @@ from types import MappingProxyType
 
 
 class InputError(ValueError):
-    """Input rejected: a field spec, word, band or bound that is invalid."""
+    """Input rejected: a field spec, word or bound that is invalid."""
 
 
 class QuiverError(ValueError):
@@ -38,25 +38,6 @@ class Arrow:
     name: str
     source: str
     target: str
-
-
-@dataclass(frozen=True)
-class Path:
-    """A path in the quiver; arrows listed in traversal order.
-
-    An empty arrow tuple with source == target encodes the lazy path e_v.
-    """
-
-    arrows: tuple[str, ...]
-    source: str
-    target: str
-
-    def __len__(self):
-        return len(self.arrows)
-
-    @property
-    def is_lazy(self):
-        return not self.arrows
 
 
 @dataclass(frozen=True)
@@ -113,11 +94,6 @@ class QuiverPresentation:
 
     def arrows_in(self, v):
         return self._adjacency[1].get(v, ())
-
-    def lazy_path(self, v):
-        if v not in self.vertices:
-            raise PresentationError(f"unknown vertex {v!r}")
-        return Path((), v, v)
 
 
 def opposite(p: QuiverPresentation) -> QuiverPresentation:

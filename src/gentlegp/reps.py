@@ -28,20 +28,6 @@ class Representation:
         self.dims = dict(dims)
         self.mats = dict(mats)
 
-    def check(self):
-        """Raise ValueError unless every arrow's matrix has the shape of
-        its ends and every relation acts by zero."""
-        amap = self.algebra.arrow_map
-        for name, m in self.mats.items():
-            a = amap[name]
-            if (m.nrows, m.ncols) != (self.dims[a.target], self.dims[a.source]):
-                raise ValueError(f"arrow {name}: matrix shape mismatch")
-        for later, earlier in self.algebra.relations:
-            prod = self.mats[later].mul(self.mats[earlier])
-            if not prod.is_zero():
-                raise ValueError(
-                    f"relation {later}*{earlier} not satisfied")
-
     @property
     def total_dim(self):
         return sum(self.dims.values())
@@ -183,19 +169,6 @@ def _hom_vectors(m: Representation, n: Representation):
     cells = [(v, i, k) for v in offsets
              for i in range(n.dims[v]) for k in range(m.dims[v])]
     return list(kernel_vectors(m.field, rows, total).values()), cells
-
-
-def hom_basis(m: Representation, n: Representation):
-    vectors, cells = _hom_vectors(m, n)
-    maps = []
-    for vec in vectors:
-        blocks = {v: Matrix.zeros(m.field, n.dims[v], m.dims[v])
-                  for v in m.algebra.vertices}
-        for idx, x in vec.items():
-            v, i, k = cells[idx]
-            blocks[v].rows[i][k] = x
-        maps.append(ModuleMap(m, n, blocks))
-    return maps
 
 
 def top_generators(m: Representation):

@@ -1,4 +1,4 @@
-"""Words over {arrow, inverse arrow}; string and band modules.
+"""Words over {arrow, inverse arrow}; string modules.
 
 A word is read left to right: letter i connects walk vertex v_{i-1} to
 v_i, forwards for a direct letter and backwards for an inverse one.
@@ -7,6 +7,7 @@ v_i, forwards for a direct letter and backwards for an inverse one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .gentle import GentleAlgebra, radical_summand_word
 from .linalg import Matrix, QQ
@@ -14,8 +15,7 @@ from .quiver import InputError, PresentationError
 from .reps import Representation
 
 
-@dataclass(frozen=True)
-class Letter:
+class Letter(NamedTuple):
     arrow: str
     direct: bool
 
@@ -180,93 +180,6 @@ def projective_word(a: GentleAlgebra, v: str):
     verts = ([amap[name].target for name in reversed(first)] + [v]
              + [amap[name].target for name in second])
     return StringWord(letters, tuple(verts)), len(first)
-
-
-@dataclass(frozen=True)
-class BandWord:
-    """A cyclic word: letter i connects vertex i-1 to vertex i, indices
-    mod the length; every rotation is a valid string, both letter
-    directions occur, and the word is not a proper power."""
-
-    letters: tuple[Letter, ...]
-    vertices: tuple[str, ...]  # one per letter; vertex i = end of letter i
-
-
-def make_band(a: GentleAlgebra, letters) -> BandWord:
-    letters = tuple(letters)
-    if len(letters) < 2:
-        raise InputError("a band needs at least two letters")
-    if all(l.direct for l in letters) or not any(l.direct for l in letters):
-        raise InputError("a band must mix direct and inverse letters")
-    n = len(letters)
-    for d in range(1, n):
-        if n % d == 0 and letters[d:] + letters[:d] == letters:
-            raise InputError("a band must not be a proper power")
-    for r in range(n):
-        rot = letters[r:] + letters[:r]
-        ok, reason = check_string(a, rot)
-        if not ok:
-            raise InputError(f"rotation {r} is not a string: {reason}")
-        # cyclic closure: last letter must compose with the first
-        ok, reason = check_string(a, (rot[-1], rot[0]))
-        if not ok:
-            raise InputError(f"cyclic closure fails: {reason}")
-    start = _letter_endpoints(a, letters[0])[0]
-    verts = []
-    for l in letters:
-        verts.append(_letter_endpoints(a, l)[1])
-    if verts[-1] != start:
-        raise InputError("band walk does not close up")
-    return BandWord(letters, tuple(verts))
-
-
-def band_module(a: GentleAlgebra, b: BandWord, lam, size: int,
-                field=QQ) -> Representation:
-    """Band representation: every letter acts by the identity between
-    adjacent blocks except a designated direct letter, which acts by the
-    size x size Jordan block with eigenvalue lam.
-
-    The designated letter is the lexicographically least direct letter of
-    the word (ties broken by position)."""
-    lam = field.of(lam)
-    if lam == field.zero:
-        raise InputError("band parameter must be nonzero")
-    if size < 1:
-        raise InputError("band size must be positive")
-    n = len(b.letters)
-    special = min((i for i in range(n) if b.letters[i].direct),
-                  key=lambda i: b.letters[i].arrow)
-
-    dims = {v: 0 for v in a.vertices}
-    block_base = []  # base offset of block i inside its vertex
-    for i in range(n):
-        v = b.vertices[i]
-        block_base.append(dims[v] * size)
-        dims[v] += 1
-    dims = {v: d * size for v, d in dims.items()}
-
-    jordan = Matrix.zeros(field, size, size)
-    for i in range(size):
-        jordan.rows[i][i] = lam
-        if i + 1 < size:
-            jordan.rows[i][i + 1] = field.one
-
-    mats = {arr.name: Matrix.zeros(field, dims[arr.target], dims[arr.source])
-            for arr in a.arrows}
-    for i, l in enumerate(b.letters):
-        prev_block = (i - 1) % n
-        if l.direct:
-            src_block, dst_block = prev_block, i
-        else:
-            src_block, dst_block = i, prev_block
-        block = jordan if i == special else Matrix.identity(field, size)
-        m = mats[l.arrow]
-        r0 = block_base[dst_block]
-        c0 = block_base[src_block]
-        # the blocks of distinct letters never overlap
-        for r, row in enumerate(block.rows):
-            m.rows[r0 + r].update((c0 + c, x) for c, x in row.items())
-    return Representation(a, field, dims, mats)
 
 
 def enumerate_strings(a: GentleAlgebra, max_letters: int):

@@ -2,10 +2,10 @@ from pathlib import Path
 
 import pytest
 
-from gentlegp import parse_presentation, parse_triangulation, validate_gentle
+from gentlegp import (Arrow, QuiverPresentation, parse_presentation,
+                      parse_triangulation, validate_gentle)
 from gentlegp.families import (cyclic_nakayama, eight_vertex_example,
-                               kronecker, linear_quiver,
-                               projective_line_chain)
+                               linear_quiver, projective_line_chain)
 
 DATA = Path(__file__).parent / "data"
 
@@ -23,6 +23,14 @@ def pytest_terminal_summary(terminalreporter):
 
 def data_path(name):
     return DATA / name
+
+
+def kronecker():
+    """Two parallel arrows 1 => 2, no relations."""
+    return QuiverPresentation(
+        ("1", "2"),
+        (Arrow("alpha", "1", "2"), Arrow("beta", "1", "2")),
+        frozenset())
 
 
 @pytest.fixture(scope="session")

@@ -1,16 +1,22 @@
 """Reference routines the tests compare the program against.
 
 The program needs none of them: a brute-force presentation isomorphism,
-a dense-style linear solve, the peak test on string words, a module
+field arithmetic and dense rows for the dense references, a dense-style
+linear solve, the path basis of an algebra, the peak test on string
+words, band modules, the module axioms, explicit hom bases, a module
 signature that tells apart the modules the tests compare, and the
 embedding obstruction computed one indecomposable projective at a time.
 """
 
+from dataclasses import dataclass
+from fractions import Fraction
 from itertools import permutations
 
-from gentlegp.linalg import Matrix, echelon
-from gentlegp.reps import (_hom_vectors, hom_dim, projective_rep,
-                           radical_summand_rep)
+from gentlegp.linalg import Matrix, QQ, echelon
+from gentlegp.quiver import InputError
+from gentlegp.reps import (ModuleMap, Representation, _hom_vectors, hom_dim,
+                           projective_rep, radical_summand_rep)
+from gentlegp.strings import check_string, make_string
 
 
 # ------------------------------------------------ presentation isomorphism
@@ -71,11 +77,46 @@ def is_isomorphic(p, q):
     return canonical_key(p) == canonical_key(q)
 
 
+# ----------------------------------------------------- fields and matrices
+
+def of(field, x):
+    """The image of a rational in the field: over F_p, a/b goes to a
+    times the inverse of b mod p."""
+    x = Fraction(x)
+    if not field.p:
+        return x
+    if x.denominator % field.p == 0:
+        raise InputError(f"{x} has no image in F_{field.p}")
+    return x.numerator * pow(x.denominator, -1, field.p) % field.p
+
+
+def sub(field, a, b):
+    return (a - b) % field.p if field.p else a - b
+
+
+def mul(field, a, b):
+    return a * b % field.p if field.p else a * b
+
+
+def div(field, a, b):
+    return a * pow(b, -1, field.p) % field.p if field.p else a / b
+
+
+def from_rows(field, rows):
+    """The Matrix of dense rows, lists of entries."""
+    rows = [[of(field, x) for x in r] for r in rows]
+    ncols = len(rows[0]) if rows else 0
+    if any(len(r) != ncols for r in rows):
+        raise ValueError("rows of unequal length")
+    return Matrix(field, len(rows), ncols,
+                  [{j: x for j, x in enumerate(r) if x} for r in rows])
+
+
 # ------------------------------------------------------------ linear solve
 
 def column(field, entries):
     """The one-column Matrix of a list of entries."""
-    entries = [field.of(x) for x in entries]
+    entries = [of(field, x) for x in entries]
     return Matrix(field, len(entries), 1,
                   [{0: x} if x else {} for x in entries])
 
@@ -103,6 +144,42 @@ def solve(a, b):
     return [row.get(0, F.zero) for row in x.rows] if vector else x
 
 
+# ------------------------------------------------------------- path basis
+
+@dataclass(frozen=True)
+class Path:
+    """A path in the quiver; arrows listed in traversal order.  An empty
+    arrow tuple with source == target is the lazy path e_v."""
+
+    arrows: tuple[str, ...]
+    source: str
+    target: str
+
+    def __len__(self):
+        return len(self.arrows)
+
+
+def path_basis(a):
+    """All relation-free paths of the algebra, lazy paths included, by
+    breadth-first extension.  Finite because validation rejected
+    relation-free cycles."""
+    p = a.presentation
+    basis = [Path((), v, v) for v in p.vertices]
+    frontier = [Path((arr.name,), arr.source, arr.target) for arr in p.arrows]
+    while frontier:
+        basis.extend(frontier)
+        nxt = []
+        for path in frontier:
+            last = path.arrows[-1]
+            for arr in p.arrows_out(path.target):
+                if (arr.name, last) not in p.relations:
+                    nxt.append(Path(path.arrows + (arr.name,),
+                                    path.source, arr.target))
+        frontier = nxt
+    basis.sort(key=lambda q: (len(q.arrows), q.source, q.arrows))
+    return tuple(basis)
+
+
 # ------------------------------------------------------------------ words
 
 def contains_peak(w):
@@ -114,7 +191,119 @@ def contains_peak(w):
     return False
 
 
+# ------------------------------------------------------------------ bands
+
+@dataclass(frozen=True)
+class BandWord:
+    """A cyclic word: letter i connects vertex i-1 to vertex i, indices
+    mod the length; every rotation is a valid string, both letter
+    directions occur, and the word is not a proper power."""
+
+    letters: tuple
+    vertices: tuple[str, ...]  # one per letter; vertex i = end of letter i
+
+
+def make_band(a, letters):
+    letters = tuple(letters)
+    if len(letters) < 2:
+        raise InputError("a band needs at least two letters")
+    if all(l.direct for l in letters) or not any(l.direct for l in letters):
+        raise InputError("a band must mix direct and inverse letters")
+    n = len(letters)
+    for d in range(1, n):
+        if n % d == 0 and letters[d:] + letters[:d] == letters:
+            raise InputError("a band must not be a proper power")
+    for r in range(n):
+        rot = letters[r:] + letters[:r]
+        ok, reason = check_string(a, rot)
+        if not ok:
+            raise InputError(f"rotation {r} is not a string: {reason}")
+        # cyclic closure: last letter must compose with the first
+        ok, reason = check_string(a, (rot[-1], rot[0]))
+        if not ok:
+            raise InputError(f"cyclic closure fails: {reason}")
+    walk = make_string(a, letters).vertices
+    if walk[-1] != walk[0]:
+        raise InputError("band walk does not close up")
+    return BandWord(letters, walk[1:])
+
+
+def band_module(a, b, lam, size, field=QQ):
+    """Band representation: every letter acts by the identity between
+    adjacent blocks except a designated direct letter, which acts by the
+    size x size Jordan block with eigenvalue lam.
+
+    The designated letter is the lexicographically least direct letter of
+    the word (ties broken by position)."""
+    lam = of(field, lam)
+    if lam == field.zero:
+        raise InputError("band parameter must be nonzero")
+    if size < 1:
+        raise InputError("band size must be positive")
+    n = len(b.letters)
+    special = min((i for i in range(n) if b.letters[i].direct),
+                  key=lambda i: b.letters[i].arrow)
+
+    dims = {v: 0 for v in a.vertices}
+    block_base = []  # base offset of block i inside its vertex
+    for i in range(n):
+        v = b.vertices[i]
+        block_base.append(dims[v] * size)
+        dims[v] += 1
+    dims = {v: d * size for v, d in dims.items()}
+
+    jordan = Matrix.zeros(field, size, size)
+    for i in range(size):
+        jordan.rows[i][i] = lam
+        if i + 1 < size:
+            jordan.rows[i][i + 1] = field.one
+
+    mats = {arr.name: Matrix.zeros(field, dims[arr.target], dims[arr.source])
+            for arr in a.arrows}
+    for i, l in enumerate(b.letters):
+        prev_block = (i - 1) % n
+        if l.direct:
+            src_block, dst_block = prev_block, i
+        else:
+            src_block, dst_block = i, prev_block
+        block = jordan if i == special else Matrix.identity(field, size)
+        m = mats[l.arrow]
+        r0 = block_base[dst_block]
+        c0 = block_base[src_block]
+        # the blocks of distinct letters never overlap
+        for r, row in enumerate(block.rows):
+            m.rows[r0 + r].update((c0 + c, x) for c, x in row.items())
+    return Representation(a, field, dims, mats)
+
+
 # -------------------------------------------------------------- modules
+
+def check_module(m):
+    """Raise ValueError unless every arrow's matrix has the shape of its
+    ends and every relation acts by zero."""
+    amap = m.algebra.arrow_map
+    for name, x in m.mats.items():
+        arr = amap[name]
+        if (x.nrows, x.ncols) != (m.dims[arr.target], m.dims[arr.source]):
+            raise ValueError(f"arrow {name}: matrix shape mismatch")
+    for later, earlier in m.algebra.relations:
+        if not m.mats[later].mul(m.mats[earlier]).is_zero():
+            raise ValueError(f"relation {later}*{earlier} not satisfied")
+
+
+def hom_basis(m, n):
+    """A basis of Hom(M, N), as module maps."""
+    vectors, cells = _hom_vectors(m, n)
+    maps = []
+    for vec in vectors:
+        blocks = {v: Matrix.zeros(m.field, n.dims[v], m.dims[v])
+                  for v in m.algebra.vertices}
+        for idx, x in vec.items():
+            v, i, k = cells[idx]
+            blocks[v].rows[i][k] = x
+        maps.append(ModuleMap(m, n, blocks))
+    return maps
+
 
 def signature(m):
     """An isomorphism invariant of M: its dimension vector, dim Hom(M, P_v)

@@ -9,7 +9,7 @@ from gentlegp import (QQ, Letter, PrimeField, classified_words, classify_gp,
                       embedding_obstruction,
                       enumerate_strings, gorenstein_dimension, gp_oracle,
                       injective_dimension,
-                      make_band, make_string, band_module,
+                      make_string,
                       parse_presentation,
                       parse_triangulation, radical_summand_rep,
                       singularity_descriptor,
@@ -21,7 +21,8 @@ from gentlegp.families import cyclic_nakayama, projective_line_chain
 from gentlegp.strings import radical_summand_string
 
 from conftest import ACCEPTANCE_LINES, data_path
-from reference import contains_peak, is_isomorphic, signature
+from reference import (band_module, contains_peak, is_isomorphic,
+                       make_band, signature)
 
 
 def report(number, name, ok):

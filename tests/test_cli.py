@@ -100,35 +100,6 @@ def test_validate_counts_the_dimension_of_a_large_algebra(
     assert out == {"status": "ok", "gentle": True, "dimension": dimension}
 
 
-COMBINATORIAL = [["validate", EX22], ["cycles", EX22], ["gp", EX22],
-                 ["dsg", EX22], ["compare", L3, L4], ["surface", HEXAGON],
-                 ["validate", NOTGENTLE]]
-# the homological commands build projectives as string modules
-HOMOLOGICAL = [["dim", EX22], ["oracle", EX22, "--max-letters", "2"],
-               ["stable", EX22], ["ext", EX22, "--word", "j"]]
-
-
-@pytest.mark.parametrize("argv", COMBINATORIAL + HOMOLOGICAL, ids=" ".join)
-def test_combinatorial_commands_build_no_path_basis(argv, capsys,
-                                                    monkeypatch):
-    from gentlegp import gentle
-
-    calls = []
-    real = gentle._enumerate_basis_paths
-
-    def counting(p):
-        calls.append(p)
-        return real(p)
-
-    monkeypatch.setattr(gentle, "_enumerate_basis_paths", counting)
-    run(argv)
-    capsys.readouterr()
-    assert calls == []
-    # the counter sees a basis that is read
-    gentle.validate_gentle(linear_quiver(3)).path_basis
-    assert len(calls) == 1
-
-
 def test_syntax_error_reported(tmp_path, capsys):
     bad = tmp_path / "bad.gentle"
     bad.write_text("vertices 1\narrows:\nrelations:")
@@ -282,7 +253,7 @@ def test_ext_word(capsys):
     assert code == 0
     assert out["ext_dims"] == [0] * 9
     assert len(out["syzygy_dim_vectors"]) == 10
-    assert out["status"] == "gorenstein" and out["period"] is None
+    assert out["status"] == "gorenstein" and "period" not in out
     assert out["certified"] is True
 
 
@@ -406,6 +377,9 @@ def test_bad_field(capsys):
     (("--field", "f1" + "0" * 401, "dim", A2), TOO_LARGE),
     (("--field", "f" + "9" * 5000, "dim", A2), TOO_LARGE),
     (("--field", "f2305843009213693951", "dim", A2), TOO_LARGE),
+    # a bound of 0 is given, not left to the default
+    (("ext", EX22, "--word", "i,d,a,f,k", "--bound", "0"),
+     "bound must be positive"),
 ])
 def test_input_errors_exit_2(argv, reason, capsys):
     start = time.perf_counter()

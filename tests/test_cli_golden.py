@@ -101,12 +101,17 @@ def test_corpus_covers_every_command():
     assert set(_golden()) == {_key(argv) for argv in COMMANDS}
 
 
+# the value of a key one side lacks, unequal to every JSON value (null too)
+_ABSENT = object()
+
+
 def _changed_fields(old, new, path=""):
     """The paths at which two decoded JSON values differ, list indices
     written as [] so the cells of one column share a path."""
     if isinstance(old, dict) and isinstance(new, dict):
         return {p for k in sorted(old.keys() | new.keys())
-                for p in _changed_fields(old.get(k), new.get(k),
+                for p in _changed_fields(old.get(k, _ABSENT),
+                                         new.get(k, _ABSENT),
                                          f"{path}.{k}" if path else k)}
     if isinstance(old, list) and isinstance(new, list) \
             and len(old) == len(new):

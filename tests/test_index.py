@@ -7,10 +7,11 @@ import pytest
 
 from gentlegp import (QQ, GentleAlgebra, parse_presentation, projective_rep,
                       regular_rep, validate_gentle)
-from gentlegp.families import (cyclic_nakayama, kronecker, linear_quiver,
+from gentlegp.families import (cyclic_nakayama, linear_quiver,
                                projective_line_chain)
 
-from conftest import data_path
+from conftest import data_path, kronecker
+from reference import path_basis
 from test_gentle import _basis_zoo
 
 
@@ -50,7 +51,7 @@ def test_basis_paths_from_matches_linear_scan(zoo):
     # P_v is built as a string module; its dimension at w is the number of
     # basis paths from v to w
     for a in _zoo_and_basis_zoo(zoo):
-        ends = Counter((q.source, q.target) for q in a.path_basis)
+        ends = Counter((q.source, q.target) for q in path_basis(a))
         for v in a.vertices:
             assert projective_rep(a, v, QQ).dims == {
                 w: ends[v, w] for w in a.vertices}
@@ -61,7 +62,7 @@ def test_regular_dim_at_matches_linear_scan(zoo):
     # regular module at v, which is the number of basis paths ending at v
     for a in _zoo_and_basis_zoo(zoo):
         assert regular_rep(a, QQ).dims == Counter(
-            q.target for q in a.path_basis)
+            q.target for q in path_basis(a))
 
 
 def test_index_is_built_once_and_read_only(eightv):

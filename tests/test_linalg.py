@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from gentlegp import InputError, Matrix, PrimeField, QQ, parse_field
 from gentlegp.linalg import Rationals, echelon, kernel_vectors
 
-from reference import column, solve
+from reference import column, div, from_rows, mul, of, solve, sub
 
 
 def _kernel(m):
@@ -31,7 +31,7 @@ def test_kernel_of_zero_map_is_everything():
 
 
 def test_kernel_rank_one():
-    m = Matrix.from_rows(QQ, [[1, 1], [1, 1]])
+    m = from_rows(QQ, [[1, 1], [1, 1]])
     k = _kernel(m)
     assert k.ncols == 1
     x, y = _column(k, 0)
@@ -49,7 +49,7 @@ def test_solve_inconsistent():
 
 
 def test_solve_underdetermined_verified_by_residual():
-    m = Matrix.from_rows(QQ, [[1, 1]])
+    m = from_rows(QQ, [[1, 1]])
     x = solve(m, [2])
     assert x is not None and x[0] + x[1] == 2
 
@@ -74,7 +74,7 @@ small_entries = st.integers(min_value=-4, max_value=4)
 
 def _matrix(fld, nrows, ncols, rows):
     """The Matrix of dense rows, also for 0 x ncols."""
-    return Matrix.from_rows(fld, rows) if rows else Matrix.zeros(fld, 0, ncols)
+    return from_rows(fld, rows) if rows else Matrix.zeros(fld, 0, ncols)
 
 
 def _dense(m):
@@ -87,7 +87,7 @@ def _dense(m):
 def test_rank_nullity(nrows, ncols, data):
     rows = [[data.draw(small_entries) for _ in range(ncols)]
             for _ in range(nrows)]
-    m = Matrix.from_rows(QQ, rows)
+    m = from_rows(QQ, rows)
     assert m.rank() + _kernel(m).ncols == ncols
     assert m.mul(_kernel(m)).is_zero()
 
@@ -97,14 +97,14 @@ def test_rank_agrees_with_large_prime_field(nrows, ncols, data):
     # dimension counts over Q and over F_p agree for p past the pivots
     rows = [[data.draw(st.integers(0, 1)) for _ in range(ncols)]
             for _ in range(nrows)]
-    mq = Matrix.from_rows(QQ, rows)
-    mp = Matrix.from_rows(PrimeField(10007), rows)
+    mq = from_rows(QQ, rows)
+    mp = from_rows(PrimeField(10007), rows)
     assert mq.rank() == mp.rank()
 
 
 def _draw_matrix(data, fld, nrows, ncols):
     return _matrix(fld, nrows, ncols,
-                   [[fld.of(data.draw(small_entries)) for _ in range(ncols)]
+                   [[of(fld, data.draw(small_entries)) for _ in range(ncols)]
                     for _ in range(nrows)])
 
 
@@ -134,18 +134,18 @@ def test_solve_matrix_rhs(fld, nrows, ncols, consistent, data):
 
 def test_prime_field_arithmetic():
     f5 = PrimeField(5)
-    assert f5.div(f5.of(3), f5.of(4)) == (3 * pow(4, -1, 5)) % 5
+    assert div(f5, of(f5, 3), of(f5, 4)) == (3 * pow(4, -1, 5)) % 5
     with pytest.raises(ValueError):
         PrimeField(6)
 
 
 def test_prime_field_of_inverts_denominators():
     f101 = PrimeField(101)
-    assert f101.of(Fraction(1, 2)) == 51
-    assert f101.of(Fraction(3, 2)) == 52
-    assert f101.of(-1) == 100
+    assert of(f101, Fraction(1, 2)) == 51
+    assert of(f101, Fraction(3, 2)) == 52
+    assert of(f101, -1) == 100
     with pytest.raises(InputError, match="no image in F_101"):
-        f101.of(Fraction(1, 101))
+        of(f101, Fraction(1, 101))
 
 
 def test_parse_field():
@@ -158,9 +158,9 @@ def test_parse_field():
 
 def test_from_rows_rejects_ragged_rows():
     with pytest.raises(ValueError, match="unequal"):
-        Matrix.from_rows(QQ, [[1, 2], [3]])
+        from_rows(QQ, [[1, 2], [3]])
     with pytest.raises(ValueError, match="unequal"):
-        Matrix.from_rows(PrimeField(5), [[1], [2, 3]])
+        from_rows(PrimeField(5), [[1], [2, 3]])
 
 
 def test_solve_rejects_short_right_hand_side():
@@ -191,12 +191,12 @@ def reference_rref(fld, rows, npiv):
         if i is None:
             continue
         rows[r], rows[i] = rows[i], rows[r]
-        inv = fld.div(fld.one, rows[r][c])
-        rows[r] = [fld.mul(inv, x) for x in rows[r]]
+        inv = div(fld, fld.one, rows[r][c])
+        rows[r] = [mul(fld, inv, x) for x in rows[r]]
         for k in range(len(rows)):
             f = rows[k][c]
             if k != r and f != fld.zero:
-                rows[k] = [fld.sub(x, fld.mul(f, y))
+                rows[k] = [sub(fld, x, mul(fld, f, y))
                            for x, y in zip(rows[k], rows[r])]
         pivots.append(c)
     return rows, pivots
@@ -238,7 +238,7 @@ def _draw_sparse(data, fld, nrows, ncols):
         entry = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
     else:
         entry = st.integers(0, fld.p - 1)
-    rows = [[fld.of(data.draw(entry))
+    rows = [[of(fld, data.draw(entry))
              if i not in zero_rows and j not in zero_cols
              and data.draw(st.integers(0, 2)) == 0 else fld.zero
              for j in range(ncols)] for i in range(nrows)]
@@ -279,7 +279,7 @@ def reference_mul(fld, a, b, ncols):
         acc = [fld.zero] * ncols
         for k, x in enumerate(row):
             for j in range(ncols):
-                acc[j] = fld.add(acc[j], fld.mul(x, b[k][j]))
+                acc[j] = fld.add(acc[j], mul(fld, x, b[k][j]))
         out.append(acc)
     return out
 
@@ -324,15 +324,15 @@ def test_sparse_matrix_matches_dense_reference(fld, n, k, m, extra, data):
     assert (a == d) == ((n, da) == (extra, dd))
     assert (prod == c) == ((m, _dense(prod)) == (extra, dc))
     if n:
-        assert _dense(Matrix.from_rows(fld, da)) == da
+        assert _dense(from_rows(fld, da)) == da
 
 
 @pytest.mark.parametrize("fld", KERNEL_FIELDS, ids=repr)
 def test_products_that_cancel_store_no_zero(fld):
     # [1 1] times [[1, 2], [-1, 3]] is [0, 5], and 5 vanishes in F_5
-    prod = Matrix.from_rows(fld, [[1, 1]]).mul(
-        Matrix.from_rows(fld, [[1, 2], [-1, 3]]))
-    assert prod.rows == [{} if fld.p == 5 else {1: fld.of(5)}]
+    prod = from_rows(fld, [[1, 1]]).mul(
+        from_rows(fld, [[1, 2], [-1, 3]]))
+    assert prod.rows == [{} if fld.p == 5 else {1: of(fld, 5)}]
     assert_no_stored_zero(prod)
 
 

@@ -6,21 +6,22 @@ from hypothesis import given, settings, strategies as st
 
 from gentlegp import (Letter, Matrix, PrimeField, QQ, Representation,
                       direct_sum, embedding_obstruction, enumerate_strings,
-                      ext_profile, hom_basis, hom_dim, injective_dimension,
+                      ext_profile, hom_dim, injective_dimension,
                       lazy_word, make_string, parse_field, parse_presentation, projective_cover,
                       projective_rep, radical_summand_rep, regular_rep,
                       resolution, stable_hom_dim, string_module, syzygy,
                       validate_gentle)
 from gentlegp.families import (cyclic_nakayama, eight_vertex_example,
-                               kronecker, projective_line_chain)
+                               projective_line_chain)
 from gentlegp.linalg import echelon
 from gentlegp.reps import (Cover, InternalError, ModuleMap,
                           _subrepresentation, top_generators)
 from gentlegp.strings import projective_word, walk_slots
 
 import reference
-from conftest import data_path
-from reference import column, signature, solve
+from conftest import data_path, kronecker
+from reference import (band_module, check_module, column, from_rows,
+                       hom_basis, make_band, of, path_basis, signature, solve)
 
 
 def simple(a, v, fld=QQ):
@@ -35,7 +36,7 @@ def test_projective_dimension_vectors(eightv):
     total = sum(projective_rep(eightv, v, QQ).total_dim
                 for v in eightv.vertices)
     assert total == eightv.dimension() == 64
-    assert sum(q.target == "7" for q in eightv.path_basis) == sum(
+    assert sum(q.target == "7" for q in path_basis(eightv)) == sum(
         projective_rep(eightv, v, QQ).dims["7"] for v in eightv.vertices)
 
 
@@ -44,8 +45,8 @@ def test_representation_rejects_relation_violation(a2):
     from gentlegp import Matrix, Representation
 
     with pytest.raises(ValueError, match="shape"):
-        Representation(a2, QQ, {"1": 1, "2": 1},
-                       {"a1": Matrix.zeros(QQ, 2, 1)}).check()
+        check_module(Representation(a2, QQ, {"1": 1, "2": 1},
+                                    {"a1": Matrix.zeros(QQ, 2, 1)}))
 
 
 def test_hom_from_projective_counts_fiber_dimension(eightv, kron, i3):
@@ -354,8 +355,8 @@ def _unitriangular(data, fld, n, lower):
     for i in range(n):
         for j in range(i):
             r, c = (i, j) if lower else (j, i)
-            m[r][c] = fld.of(data.draw(st.integers(-2, 2)))
-    return Matrix.from_rows(fld, m)
+            m[r][c] = of(fld, data.draw(st.integers(-2, 2)))
+    return from_rows(fld, m)
 
 
 @settings(max_examples=40, deadline=None)
@@ -375,13 +376,11 @@ def test_top_generators_match_greedy_reference(a, fld, data):
     mats = {arr.name: g[arr.target].mul(m.mats[arr.name]).mul(
                 g_inv[arr.source]) for arr in a.arrows}
     m = Representation(a, fld, m.dims, mats)
-    m.check()
+    check_module(m)
     assert top_generators(m) == greedy_top_generators(m)
 
 
 def _kronecker_band(kron, lam, size):
-    from gentlegp import band_module, make_band
-
     b = make_band(kron, [Letter("alpha", False), Letter("beta", True)])
     return band_module(kron, b, lam, size)
 
@@ -419,7 +418,7 @@ def _fixture_and_family_algebras():
 @pytest.mark.parametrize("fld", [QQ, PrimeField(101)], ids=repr)
 def test_constructed_modules_satisfy_their_relations(kron, fld):
     # the program builds these without checking them
-    from gentlegp import band_module, make_band, opposite
+    from gentlegp import opposite
 
     modules = []
     for a in _fixture_and_family_algebras():
@@ -438,7 +437,7 @@ def test_constructed_modules_satisfy_their_relations(kron, fld):
     for lam in BAND_PARAMETERS:
         modules += [band_module(kron, b, lam, size, fld) for size in (1, 2)]
     for m in modules:
-        m.check()
+        check_module(m)
 
 
 @pytest.mark.parametrize("build, args", [

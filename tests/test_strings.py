@@ -3,16 +3,16 @@ from itertools import product
 
 import pytest
 
-from gentlegp import (Letter, PrimeField, band_module, check_string,
+from gentlegp import (Letter, PrimeField, check_string,
                       enumerate_strings, is_valid_string, lazy_word,
-                      make_band, make_string, parse_letters,
+                      make_string, parse_letters,
                       parse_presentation, radical_summand_word,
                       string_module, validate_gentle)
 from gentlegp.strings import projective_word, radical_summand_string
 from gentlegp.families import projective_line_chain
 
 from conftest import data_path
-from reference import contains_peak
+from reference import band_module, check_module, contains_peak, make_band
 
 
 def L(name):
@@ -108,7 +108,7 @@ def test_peak_detection_symmetric_under_inverse(kron):
 
 def test_string_modules_satisfy_relations_for_all_small_words(eightv):
     for w in enumerate_strings(eightv, 4):
-        string_module(eightv, w).check()
+        check_module(string_module(eightv, w))
 
 
 def test_string_module_isomorphic_to_inverse(eightv):

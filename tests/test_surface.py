@@ -8,9 +8,9 @@ from gentlegp import (TriangulationError, algebra_from_triangulation,
                       parse_triangulation, serialize_triangulation,
                       singularity_descriptor, verify_inner_triangle_count)
 from gentlegp import parse_presentation
-from gentlegp.families import cyclic_nakayama, kronecker
+from gentlegp.families import cyclic_nakayama
 
-from conftest import data_path
+from conftest import data_path, kronecker
 from reference import is_isomorphic
 
 

@@ -1,8 +1,9 @@
 """The package holds what the program runs: every public function or
 method is named somewhere in src/gentlegp outside its own definition and
 the package's export list, and every name a module imports is used in
-that module, unless it is allowed below for a stated reason.  Routines
-only the tests need live in tests/reference.py.
+that module, unless it is allowed below because bench/ reads it, which
+a scan of bench/ checks.  Routines only the tests need live in
+tests/reference.py.
 
 The scan matches names, not bindings, so a name used for two things
 counts as used for both."""
@@ -13,6 +14,7 @@ from pathlib import Path
 import gentlegp
 
 SRC = Path(gentlegp.__file__).parent
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 # name -> why it stays although no code under src/ refers to it
 ALLOWED = {
@@ -20,17 +22,9 @@ ALLOWED = {
     "cyclic_nakayama": "a families builder: bench/ generates inputs with it",
     "projective_line_chain": "a families builder: bench/ generates inputs "
                              "with it",
-    "kronecker": "a families builder: bench/ generates inputs with it",
     "eight_vertex_example": "a families builder: bench/ generates inputs "
                             "with it",
     "serialize_triangulation": "bench/ writes its .tri inputs with it",
-    "path_basis": "bench/ counts the basis paths of what it runs",
-    "from_rows": "the dense test references build matrices with it",
-    "div": "field division, which the dense test references use",
-    "make_band": "band modules, for the band sweep planned in ROADMAP.md",
-    "band_module": "band modules, for the band sweep planned in ROADMAP.md",
-    "hom_basis": "explicit maps, for the isomorphism witnesses planned in "
-                 "ROADMAP.md",
 }
 
 # (file, name) -> why the module imports a name it never uses
@@ -101,3 +95,16 @@ def test_every_import_is_used_by_its_module():
     assert [x for x in unused if x not in ALLOWED_IMPORTS] == []
     # an import the module has started to use leaves the allowlist
     assert set(unused) == set(ALLOWED_IMPORTS)
+
+
+def bench_names():
+    """Every name of a Name or an Attribute in bench/*.py, read from the
+    files' syntax trees without importing them."""
+    return {name for p in sorted(BENCH.glob("*.py"))
+            for name, _ in _names(ast.parse(p.read_text()))}
+
+
+def test_every_allowed_name_is_named_in_bench():
+    named = bench_names()
+    assert sorted(name for name in ALLOWED if name not in named) == []
+    assert sorted(x for x in ALLOWED_IMPORTS if x[1] not in named) == []
