@@ -16,7 +16,8 @@ from .reps import (Representation, ModuleMap, ExtProfile, hom_dim,
                    projective_cover, projective_rep, gorenstein_dimension,
                    radical_summand_rep, syzygy, resolution, ext_profile,
                    embedding_obstruction, stable_hom_dim, InternalError,
-                   injective_dimension, direct_sum, regular_rep)
+                   injective_dimension, direct_sum, regular_rep,
+                   Coresolution, injective_coresolution, receiving_sum)
 from .gp import (GPClassification, SingularityDescriptor, OracleCertificate,
                  StableCategoryTable, ComparisonReport, ClassificationMismatchError,
                  classify_gp, gp_oracle, singularity_descriptor,

@@ -84,13 +84,13 @@ def cmd_oracle(args):
     # algebra before enumerating strings
     a.check_basis_size()
     fld = parse_field(args.field)
-    d = reps.gorenstein_dimension(a, fld)
+    coresolution = reps.gorenstein_dimension(a, fld)
     words = gp.classified_words(a)
     certificates = []
     disagreement = False
     for w in strings.enumerate_strings(a, args.max_letters):
         m = strings.string_module(a, w, fld)
-        cert = gp.gp_oracle(m, d, label=w.display())
+        cert = gp.gp_oracle(m, coresolution, label=w.display())
         claimed = w.canonical() in words
         disagreement |= (cert.verdict == "GP") != claimed
         certificates.append({
@@ -102,7 +102,8 @@ def cmd_oracle(args):
             "reason": cert.reason,
         })
     certificates.sort(key=lambda c: c["module"])
-    _emit({"agreement": not disagreement, "bound": max(d, 1),
+    _emit({"agreement": not disagreement,
+           "bound": max(coresolution.length, 1),
            "max_letters": args.max_letters,
            "certificates": certificates}, args.pretty)
     return 1 if disagreement else 0
@@ -133,9 +134,9 @@ def cmd_ext(args):
     else:
         w = strings.make_string(a, letters)
     m = strings.string_module(a, w, fld)
-    d = reps.gorenstein_dimension(a, fld)
-    bound = max(d, 1) if args.bound is None else args.bound
-    profile = reps.ext_profile(m, bound, d)
+    coresolution = reps.gorenstein_dimension(a, fld)
+    bound = max(coresolution.length, 1) if args.bound is None else args.bound
+    profile = reps.ext_profile(m, bound, coresolution)
     _emit({"word": w.display(),
            "ext_dims": profile.dims,
            "syzygy_dim_vectors": [list(dv) for dv in profile.syzygy_dim_vectors],

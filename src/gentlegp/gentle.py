@@ -142,6 +142,31 @@ class GentleAlgebra:
                               if (b.name, a.name) not in self.relations), None)
                 for a in self.arrows}
 
+    @cached_property
+    def socle_index(self):
+        """Vertex w -> the vertices u, in algebra order, with w in the
+        socle of P_u.  That socle is the end of each maximal chain of
+        allowed continuations out of u, or u itself when u is a sink."""
+        nxt = self._next_arrow
+        index = {v: [] for v in self.vertices}
+        for u in self.vertices:
+            ends = []
+            for arr in self.presentation.arrows_out(u):
+                name = arr.name
+                while nxt[name] is not None:
+                    name = nxt[name]
+                ends.append(self.arrow_map[name].target)
+            for w in dict.fromkeys(ends or [u]):
+                index[w].append(u)
+        return {w: tuple(us) for w, us in index.items()}
+
+    @cached_property
+    def memo(self):
+        """The modules :mod:`gentlegp.reps` derives from the algebra, by
+        field and what they are built from; owned by the algebra, so
+        they go when it goes."""
+        return {}
+
     @property
     def vertices(self):
         return self.presentation.vertices

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from .gentle import GentleAlgebra, critical_cycles
 from .linalg import QQ, Matrix
 # bench/test_bench.py::BindingProbe reads gp.projective_rep (unused here)
-from .reps import (InternalError, ModuleMap, Representation, ext_profile,
-                   embedding_obstruction, projective_cover, projective_rep,
-                   radical_summand_rep, stable_hom_dim)
+from .reps import (Coresolution, InternalError, ModuleMap, Representation,
+                   ext_profile, embedding_obstruction, projective_cover,
+                   projective_rep, radical_summand_rep, stable_hom_dim)
 from .strings import projective_word, radical_summand_string, walk_slots
 
 
@@ -67,18 +67,19 @@ class OracleCertificate:
     reason: str
 
 
-def gp_oracle(m: Representation, d: int,
+def gp_oracle(m: Representation, coresolution: Coresolution,
               label: str = "") -> OracleCertificate:
-    """Brute-force Gorenstein-projectivity check over an algebra of
-    Gorenstein dimension d: a GP module embeds into a projective, and
-    M is GP iff Ext^i(M, Lambda) = 0 for 1 <= i <= d (Auslander-Reiten)."""
+    """Brute-force Gorenstein-projectivity check over an algebra whose
+    injective coresolution, from gorenstein_dimension, has length d: a GP
+    module embeds into a projective, and M is GP iff Ext^i(M, Lambda) = 0
+    for 1 <= i <= d (Auslander-Reiten)."""
     obstruction, hom_m = embedding_obstruction(m)
     if obstruction > 0:
         return OracleCertificate(label, "not-GP", [], "embedding",
                                  obstruction,
                                  "does not embed into a projective module")
-    bound = max(d, 1)
-    profile = ext_profile(m, bound, d, hom_m)
+    bound = max(coresolution.length, 1)
+    profile = ext_profile(m, bound, coresolution, hom_m)
     if not profile.all_zero:
         first = next(i + 1 for i, x in enumerate(profile.dims) if x)
         return OracleCertificate(label, "not-GP", profile.dims,

@@ -92,9 +92,27 @@ def projective_rep(a: GentleAlgebra, v: str, fld, /) -> Representation:
 @lru_cache(maxsize=None)
 def regular_rep(a: GentleAlgebra, fld, /) -> Representation:
     """The regular module, the direct sum of the indecomposable
-    projectives in algebra order: the one target of Hom(-, Lambda)."""
+    projectives in algebra order."""
     projectives = [projective_rep(a, v, fld) for v in a.vertices]
     return direct_sum(a, fld, projectives)[0]
+
+
+def receiving_sum(m: Representation) -> Representation:
+    """The direct sum, in algebra order, of the indecomposable projectives
+    P_u whose socle meets the support of M: the target of Hom(M, Lambda).
+    A nonzero map M -> P_u has a submodule of P_u as image, which meets
+    soc P_u, so the other summands of Lambda receive no map.  Built once
+    per algebra, field and set of summands."""
+    a, fld = m.algebra, m.field
+    index = a.socle_index
+    summands = frozenset(u for w in m.support for u in index[w])
+    key = (fld, summands)
+    target = a.memo.get(key)
+    if target is None:
+        target = a.memo[key] = direct_sum(
+            a, fld, [projective_rep(a, u, fld)
+                     for u in a.vertices if u in summands])[0]
+    return target
 
 
 def _hom_system(m: Representation, n: Representation):
@@ -309,7 +327,7 @@ class ExtProfile:
         return self.status != "checked-to-bound"
 
 
-def ext_profile(m: Representation, bound: int, d: int,
+def ext_profile(m: Representation, bound: int, coresolution: Coresolution,
                 hom_m: int | None = None) -> ExtProfile:
     """dim Ext^i(M, Lambda) for i = 1..bound via dimension shifting along
     the minimal resolution: from 0 -> Omega X -> P -> X -> 0,
@@ -317,37 +335,62 @@ def ext_profile(m: Representation, bound: int, d: int,
         dim Ext^1(X, Lambda) = h(Omega X) - h(P) + h(X),
 
     with h = dim Hom(-, Lambda), and Ext^i(M, -) = Ext^1(Omega^{i-1} M, -).
-    Stops early only when a syzygy vanishes (status terminated).  Given
-    the Gorenstein dimension d of the algebra, Ext^i(M, Lambda) = 0 for
-    every i > d, so a profile reaching d is complete (status gorenstein).
-    A caller that knows dim Hom(M, Lambda) passes it as hom_m."""
+    Stops early only when a syzygy vanishes (status terminated).  The
+    coresolution is gorenstein_dimension's, of length d: Ext^i(M, Lambda)
+    = 0 for every i > d, so a profile reaching d is complete (status
+    gorenstein).  Then X = Omega^{bound-1} M has Ext^{>=2}(X, Lambda) = 0,
+    and the last step is h(X) - <dim X, euler> with no cover, kernel or
+    hom system; Omega X has the dimension vector of the cover of X's top
+    less that of X.  A caller that knows dim Hom(M, Lambda) passes it as
+    hom_m."""
     if bound < 1:
         raise InputError("bound must be positive")
-    regular = regular_rep(m.algebra, m.field)
+    a = m.algebra
+    regular = regular_rep(a, m.field)
     dims = []
     dimvecs = [m.dim_vector()]
-    hx = hom_dim(m, regular) if hom_m is None else hom_m
-    for cover, x in islice(resolution(m), bound):
+    hx = _hom_lambda(m) if hom_m is None else hom_m
+    full = bound - 1 if bound >= coresolution.length else bound
+    x, ended = m, False
+    for cover, x in islice(resolution(m), full):
         # dim Hom(P_v, Lambda) = dim of Lambda at v
         hp = sum(regular.dims[v] for v in cover.summands)
-        hx, hprev = hom_dim(x, regular), hx
+        hx, hprev = _hom_lambda(x), hx
         dims.append(hx - hp + hprev)
         dimvecs.append(x.dim_vector())
-    if x.is_zero():
+        ended = x.is_zero()
+    if not ended and len(dims) < bound:
+        dims.append(hx - _pairing(x.dim_vector(), coresolution.euler))
+        tops = [projective_rep(a, v, m.field) for v, _ in top_generators(x)]
+        omega = tuple(sum(p.dims[u] for p in tops) - x.dims[u]
+                      for u in a.vertices)
+        dimvecs.append(omega)
+        ended = not any(omega)
+    if ended:
         dims.extend([0] * (bound - len(dims)))
         status = "terminated"
     else:
-        status = "gorenstein" if bound >= d else "checked-to-bound"
+        status = "gorenstein" if bound >= coresolution.length \
+            else "checked-to-bound"
     return ExtProfile(dims, dimvecs, status)
+
+
+def _hom_lambda(m: Representation) -> int:
+    """dim Hom(M, Lambda)."""
+    return hom_dim(m, receiving_sum(m))
+
+
+def _pairing(dim_vector, euler) -> int:
+    return sum(n * c for n, c in zip(dim_vector, euler))
 
 
 def embedding_obstruction(m: Representation):
     """The dimension of the common kernel of all maps M -> Lambda, zero
     exactly when M embeds into a projective module, and dim Hom(M, Lambda).
-    Lambda is the sum of the indecomposable projectives, so the kernel is
-    the common one of all maps to them."""
+    Every such map lands in the receiving sum of indecomposable
+    projectives, so the kernel is the common one of all maps to it."""
     fld = m.field
-    vectors, cells = _hom_vectors(m, regular_rep(m.algebra, fld))
+    vectors, cells = _hom_vectors(m, receiving_sum(m))
     stacked = {w: [] for w in m.algebra.vertices}  # block rows, per vertex
     for vec in vectors:
         rows = {}
@@ -379,11 +422,25 @@ def stable_hom_dim(m: Representation, cover: Cover,
 RESOLUTION_CAP = 64
 
 
-def injective_dimension(a: GentleAlgebra, fld=QQ,
-                        aop: GentleAlgebra | None = None) -> int:
-    """Injective dimension of the algebra over itself, computed as the
-    projective dimension of the dual of the regular module over the
-    opposite algebra aop (validated here unless passed in).  Finite for
+@dataclass(frozen=True)
+class Coresolution:
+    """The minimal injective coresolution 0 -> Lambda -> I^0 -> ... -> I^n
+    -> 0 of the algebra over itself, by its length n, the injective
+    dimension, and its Euler characteristic: euler[v] is the alternating
+    sum over i of the multiplicity of I_v in I^i, in algebra order.  As
+    dim Hom(X, I_v) = dim X_v, every module X has
+
+        sum_i (-1)^i dim Ext^i(X, Lambda) = <dim X, euler>."""
+    length: int
+    euler: tuple
+
+
+def injective_coresolution(a: GentleAlgebra, fld=QQ,
+                           aop: GentleAlgebra | None = None) -> Coresolution:
+    """The algebra's injective coresolution over itself, read off the
+    minimal projective resolution of the dual of the regular module over
+    the opposite algebra aop (validated here unless passed in): the dual
+    of the projective at v over aop is the injective I_v.  Finite for
     gentle algebras; exceeding the cap is a bug, not a feature of the
     input."""
     if aop is None:
@@ -391,27 +448,48 @@ def injective_dimension(a: GentleAlgebra, fld=QQ,
     regular = regular_rep(a, fld)
     dual_mats = {name: m.transpose() for name, m in regular.mats.items()}
     x = Representation(aop, fld, regular.dims, dual_mats)
-    steps = sum(1 for _ in islice(resolution(x), RESOLUTION_CAP + 1))
+    euler = dict.fromkeys(a.vertices, 0)
+    steps = 0
+    for cover, _ in islice(resolution(x), RESOLUTION_CAP + 1):
+        sign = -1 if steps % 2 else 1
+        for v in cover.summands:
+            euler[v] += sign
+        steps += 1
     if steps > RESOLUTION_CAP:
         raise InternalError(
             "resolution of the dual regular module exceeded "
             f"{RESOLUTION_CAP} steps; this contradicts finiteness of "
             "the injective dimension")
-    return steps - 1
+    return Coresolution(steps - 1, tuple(euler.values()))
 
 
-def gorenstein_dimension(a: GentleAlgebra, fld=QQ) -> int:
-    """The common injective dimension d of the algebra over itself on
-    either side: gentle algebras are Iwanaga-Gorenstein (Geiss-Reiten),
-    and two finite values agree (Zaks).  Over such an algebra M is
-    Gorenstein-projective iff Ext^i(M, Lambda) = 0 for 1 <= i <= d."""
+def injective_dimension(a: GentleAlgebra, fld=QQ) -> int:
+    """Injective dimension of the algebra over itself."""
+    return injective_coresolution(a, fld).length
+
+
+def gorenstein_dimension(a: GentleAlgebra, fld=QQ) -> Coresolution:
+    """The algebra's injective coresolution over itself, whose length is
+    the common injective dimension d on either side: gentle algebras are
+    Iwanaga-Gorenstein (Geiss-Reiten), and two finite values agree (Zaks).
+    Over such an algebra M is Gorenstein-projective iff Ext^i(M, Lambda)
+    = 0 for 1 <= i <= d.  Ext^{>=1}(P_v, Lambda) = 0, so the Euler
+    characteristic must give dim Hom(P_v, Lambda), the dimension of
+    Lambda at v, for every v."""
     # one opposite algebra for both sides, so each side's projectives are
     # built once
     aop = validate_gentle(opposite(a.presentation))
-    left = injective_dimension(a, fld, aop)
-    right = injective_dimension(aop, fld, a)
-    if left != right:
+    left = injective_coresolution(a, fld, aop)
+    right = injective_coresolution(aop, fld, a).length
+    if left.length != right:
         raise InternalError(
-            f"injective dimensions {left} and {right} of the algebra and "
-            "its opposite differ")
+            f"injective dimensions {left.length} and {right} of the "
+            "algebra and its opposite differ")
+    regular = regular_rep(a, fld)
+    for v in a.vertices:
+        if _pairing(projective_rep(a, v, fld).dim_vector(),
+                    left.euler) != regular.dims[v]:
+            raise InternalError(
+                "the Euler characteristic of the injective coresolution "
+                f"gives the wrong dim Hom(P_{v}, Lambda)")
     return left

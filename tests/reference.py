@@ -4,18 +4,20 @@ The program needs none of them: a brute-force presentation isomorphism,
 field arithmetic and dense rows for the dense references, a dense-style
 linear solve, the path basis of an algebra, the peak test on string
 words, band modules, the module axioms, explicit hom bases, a module
-signature that tells apart the modules the tests compare, and the
-embedding obstruction computed one indecomposable projective at a time.
+signature that tells apart the modules the tests compare, the
+embedding obstruction computed one indecomposable projective at a time,
+and an Ext profile that resolves every step, with no Euler characteristic.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import islice, permutations
 
 from gentlegp.linalg import Matrix, QQ, echelon
 from gentlegp.quiver import InputError
-from gentlegp.reps import (ModuleMap, Representation, _hom_vectors, hom_dim,
-                           projective_rep, radical_summand_rep)
+from gentlegp.reps import (ExtProfile, ModuleMap, Representation,
+                           _hom_vectors, hom_dim, projective_rep,
+                           radical_summand_rep, regular_rep, resolution)
 from gentlegp.strings import check_string, make_string
 
 
@@ -338,3 +340,27 @@ def embedding_obstruction(m):
                 stacked[w].append(row)
     return sum(m.dims[w] - len(echelon(fld, rows, m.dims[w], False)[1])
                if rows else m.dims[w] for w, rows in stacked.items()), homs
+
+
+def ext_profile(m, bound, d):
+    """dim Ext^i(M, Lambda) for i = 1..bound, by dimension shifting along
+    bound steps of the minimal resolution, each with a hom system against
+    the whole regular module: from 0 -> Omega X -> P -> X -> 0,
+    dim Ext^1(X, Lambda) = h(Omega X) - h(P) + h(X) with h = dim Hom(-,
+    Lambda).  d is the Gorenstein dimension; the status is that of
+    reps.ext_profile."""
+    regular = regular_rep(m.algebra, m.field)
+    dims = []
+    dimvecs = [m.dim_vector()]
+    hx = hom_dim(m, regular)
+    for cover, x in islice(resolution(m), bound):
+        hp = sum(regular.dims[v] for v in cover.summands)
+        hx, hprev = hom_dim(x, regular), hx
+        dims.append(hx - hp + hprev)
+        dimvecs.append(x.dim_vector())
+    if x.is_zero():
+        dims.extend([0] * (bound - len(dims)))
+        status = "terminated"
+    else:
+        status = "gorenstein" if bound >= d else "checked-to-bound"
+    return ExtProfile(dims, dimvecs, status)

@@ -179,7 +179,7 @@ def test_gorenstein_dimension_is_two_sided_and_bounds_the_oracle(
     fld = parse_field(field)
     for f in files:
         a = validate_gentle(parse_presentation(f.read_text()))
-        d = gorenstein_dimension(a, fld)
+        d = gorenstein_dimension(a, fld).length
         assert d == injective_dimension(a, fld) == injective_dimension(
             validate_gentle(opposite(a.presentation)), fld)
         code, out = invoke(capsys, "--field", field, "dim", str(f))
@@ -193,8 +193,8 @@ def test_unequal_one_sided_injective_dimensions_exit_1(capsys, monkeypatch):
     from gentlegp import reps
 
     sides = iter([2, 1])
-    monkeypatch.setattr(reps, "injective_dimension",
-                        lambda a, fld, aop: next(sides))
+    monkeypatch.setattr(reps, "injective_coresolution",
+                        lambda a, fld, aop: reps.Coresolution(next(sides), ()))
     code, out = invoke(capsys, "oracle", EX22, "--max-letters", "1")
     assert code == 1
     assert out == {"status": "internal-error",

@@ -36,15 +36,16 @@ def test_descriptor_lambda_family():
 
 
 def test_oracle_on_radical_summand(eightv):
-    cert = gp_oracle(radical_summand_rep(eightv, "g", QQ), 2,
-                     label="R(g)")
+    cert = gp_oracle(radical_summand_rep(eightv, "g", QQ),
+                     gorenstein_dimension(eightv), label="R(g)")
     assert cert.verdict == "GP"
     assert cert.status == "gorenstein" and cert.ext_dims == [0, 0]
     assert cert.obstruction == 0
 
 
 def test_oracle_on_projective(eightv):
-    cert = gp_oracle(projective_rep(eightv, "1", QQ), 2)
+    cert = gp_oracle(projective_rep(eightv, "1", QQ),
+                     gorenstein_dimension(eightv))
     assert cert.verdict == "GP" and cert.reason == "projective"
     assert cert.status == "terminated"
 
@@ -53,7 +54,7 @@ def test_oracle_rejects_off_cycle_string(eightv):
     from gentlegp import Letter, make_string
 
     m = string_module(eightv, make_string(eightv, [Letter("b", True)]))
-    cert = gp_oracle(m, 2, label="M(b)")
+    cert = gp_oracle(m, gorenstein_dimension(eightv), label="M(b)")
     assert cert.verdict == "not-GP"
 
 
@@ -70,9 +71,10 @@ def test_oracle_agrees_with_classifier_on_i3(i3):
 
 def test_oracle_sweep_eight_vertex_short_words(eightv):
     words = classified_words(eightv)
+    d = gorenstein_dimension(eightv)
     for w in enumerate_strings(eightv, 3):
         m = string_module(eightv, w)
-        cert = gp_oracle(m, 2)
+        cert = gp_oracle(m, d)
         assert cert.verdict in ("GP", "not-GP")
         assert (cert.verdict == "GP") == (w.canonical() in words)
 
@@ -80,9 +82,10 @@ def test_oracle_sweep_eight_vertex_short_words(eightv):
 def test_oracle_bound_is_the_gorenstein_dimension(eightv, i3, a2):
     # Ext is taken up to max(d, 1): Ext^1 on a self-injective algebra
     for a, d in ((eightv, 2), (i3, 0), (a2, 1)):
-        assert gorenstein_dimension(a) == d
+        coresolution = gorenstein_dimension(a)
+        assert coresolution.length == d
         gp = projective_rep(a, a.vertices[0], QQ)
-        assert len(gp_oracle(gp, d).ext_dims) == max(d, 1)
+        assert len(gp_oracle(gp, coresolution).ext_dims) == max(d, 1)
 
 
 def test_oracle_refuses_finite_projective_dimension_with_ext_zero(
@@ -103,7 +106,7 @@ def test_oracle_refuses_finite_projective_dimension_with_ext_zero(
     m = string_module(eightv, make_string(eightv, [Letter("f", True),
                                                    Letter("k", True)]))
     with pytest.raises(InternalError, match="finite projective dimension"):
-        gp_oracle(m, 2, label="M(f,k)")
+        gp_oracle(m, gorenstein_dimension(eightv), label="M(f,k)")
 
 
 def test_stable_table_eight_vertex(eightv):
@@ -150,6 +153,8 @@ def test_nakayama_whole_cycle_is_gp():
     i4 = validate_gentle(cyclic_nakayama(4))
     cls = classify_gp(i4)
     assert len(cls.nonprojective) == 4
+    d = gorenstein_dimension(i4)
+    assert d.length == 0
     for _, arrow in cls.nonprojective:
-        cert = gp_oracle(radical_summand_rep(i4, arrow, QQ), 0)
+        cert = gp_oracle(radical_summand_rep(i4, arrow, QQ), d)
         assert cert.verdict == "GP" and cert.ext_dims == [0]

@@ -1,11 +1,11 @@
 """The exact isomorphism claims: classifier membership by canonical string
 word, and the shift orbit of the stable category by an explicit inclusion
 of each radical summand as the kernel of the next cover.  Also the oracle's
-one Hom(-, Lambda) system per module and resolution step."""
+one Hom(-, Lambda) system per module and per resolution step but the
+last."""
 
 import json
 
-from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -15,7 +15,7 @@ from gentlegp import (QQ, ClassificationMismatchError, PrimeField,
                       classify_gp, critical_cycles, enumerate_strings,
                       gorenstein_dimension, gp_oracle, make_string,
                       parse_letters, parse_presentation, parse_triangulation,
-                      projective_rep, radical_summand_rep, regular_rep,
+                      projective_rep, radical_summand_rep, receiving_sum,
                       serialize_presentation, stable_category_table,
                       string_module, validate_gentle)
 from gentlegp import gp, reps
@@ -56,16 +56,16 @@ CORPUS = _corpus()
 
 
 @pytest.fixture
-def count_hom_systems(monkeypatch):
-    """Counts the hom systems built, per (source, target) module pair."""
-    built = Counter()
+def hom_systems(monkeypatch):
+    """The (source, target) module pair of every hom system built."""
+    built = []
     real = reps._hom_system
 
-    def counting(m, n):
-        built[id(m), id(n)] += 1
+    def recording(m, n):
+        built.append((m, n))
         return real(m, n)
 
-    monkeypatch.setattr(reps, "_hom_system", counting)
+    monkeypatch.setattr(reps, "_hom_system", recording)
     return built
 
 
@@ -92,30 +92,32 @@ def test_word_membership_matches_the_signature(name, fld):
         assert (w.canonical() in words) == (signature(m) in signatures)
 
 
-def test_membership_builds_no_hom_system(count_hom_systems):
+def test_membership_builds_no_hom_system(hom_systems):
     a = _algebra("eight_vertex")
     words = classified_words(a)
     claimed = [w for w in enumerate_strings(a, 4) if w.canonical() in words]
     assert set(claimed) == {w for w in words if len(w) <= 4}
-    assert sum(count_hom_systems.values()) == 0
+    assert hom_systems == []
 
 
-def test_one_hom_system_against_the_regular_module_per_step(
-        count_hom_systems):
+def test_one_hom_system_against_the_regular_module_per_step(hom_systems):
     a = _algebra("eight_vertex")
     # the radical summand at j as a string module of its own: GP, so the
-    # oracle resolves it and Ext needs dim Hom(M, Lambda) at every step
+    # oracle resolves it to the Gorenstein dimension 2
     w = make_string(a, parse_letters("i,d,a,f,k"))
     m = string_module(a, w)
-    cert = gp_oracle(m, 2)
+    coresolution = gorenstein_dimension(a)
+    assert hom_systems == [] and coresolution.length == 2
+    cert = gp_oracle(m, coresolution)
     assert (cert.verdict, cert.status) == ("GP", "gorenstein")
     assert w.canonical() in classified_words(a)
-    regular = id(regular_rep(a, QQ))
-    assert count_hom_systems[id(m), regular] == 1
-    assert {target for _, target in count_hom_systems} == {regular}
-    assert sum(count_hom_systems.values()) == 1 + len(cert.ext_dims)
-    projectives = {id(projective_rep(a, v, QQ)) for v in a.vertices}
-    assert not projectives & {target for _, target in count_hom_systems}
+    # the embedding test, then one system per resolution step but the
+    # last, which the Euler characteristic takes
+    assert len(hom_systems) == len(cert.ext_dims)
+    assert hom_systems[0][0] is m
+    # each against the projectives whose socle meets the source's support
+    assert all(target is receiving_sum(source)
+               for source, target in hom_systems)
 
 
 def _systems_per_module(n, tmp_path, capsys, monkeypatch):
@@ -146,9 +148,10 @@ def test_hom_systems_per_module_do_not_grow_with_the_quiver(
         tmp_path, capsys, monkeypatch):
     small = _systems_per_module(6, tmp_path, capsys, monkeypatch)
     assert small == _systems_per_module(24, tmp_path, capsys, monkeypatch)
-    # the embedding test, then one system per resolution step
-    d = gorenstein_dimension(validate_gentle(projective_line_chain(6)))
-    assert min(small) == 1 and max(small) == 1 + max(d, 1)
+    # the embedding test, then one system per resolution step but the
+    # last: d = 1 leaves the embedding test alone
+    d = gorenstein_dimension(validate_gentle(projective_line_chain(6))).length
+    assert max(small) == max(d, 1) and small == {1}
 
 
 @pytest.mark.parametrize("fld", FIELDS, ids=str)

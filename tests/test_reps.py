@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from gentlegp import (Letter, Matrix, PrimeField, QQ, Representation,
                       direct_sum, embedding_obstruction, enumerate_strings,
-                      ext_profile, hom_dim, injective_dimension,
+                      ext_profile, gorenstein_dimension, hom_dim,
+                      injective_dimension,
                       lazy_word, make_string, parse_field, parse_presentation, projective_cover,
                       projective_rep, radical_summand_rep, regular_rep,
                       resolution, stable_hom_dim, string_module, syzygy,
@@ -115,7 +116,8 @@ def test_syzygy_orbit_of_radical_summands(eightv):
 
 def test_ext_profile_periodic_radical_summand(eightv):
     # the resolution runs to the bound: every Ext is computed, none guessed
-    prof = ext_profile(radical_summand_rep(eightv, "j", QQ), 9, 2)
+    prof = ext_profile(radical_summand_rep(eightv, "j", QQ), 9,
+                       gorenstein_dimension(eightv))
     assert prof.dims == [0] * 9
     assert prof.status == "gorenstein" and prof.certified
     assert len(prof.syzygy_dim_vectors) == 10
@@ -123,19 +125,21 @@ def test_ext_profile_periodic_radical_summand(eightv):
 
 
 def test_ext_profile_below_the_gorenstein_dimension_is_uncertified(eightv):
-    prof = ext_profile(radical_summand_rep(eightv, "j", QQ), 1, 2)
+    prof = ext_profile(radical_summand_rep(eightv, "j", QQ), 1,
+                       gorenstein_dimension(eightv))
     assert prof.dims == [0]
     assert prof.status == "checked-to-bound" and not prof.certified
 
 
 def test_ext_profile_projective_terminates(eightv):
-    prof = ext_profile(projective_rep(eightv, "3", QQ), 5, 2)
+    prof = ext_profile(projective_rep(eightv, "3", QQ), 5,
+                       gorenstein_dimension(eightv))
     assert prof.status == "terminated" and prof.all_zero
     assert prof.certified and prof.dims == [0] * 5
 
 
 def test_ext_profile_nonvanishing_simple(eightv):
-    prof = ext_profile(simple(eightv, "2"), 6, 2)
+    prof = ext_profile(simple(eightv, "2"), 6, gorenstein_dimension(eightv))
     assert any(d > 0 for d in prof.dims)
 
 
@@ -278,11 +282,12 @@ def test_injective_dimension_past_the_cap_is_an_internal_error(
 def test_resolution_yields_the_ext_profile_syzygies(all_fixture_algebras):
     bound = 4
     for a in all_fixture_algebras.values():
+        coresolution = gorenstein_dimension(a)
         for w in enumerate_strings(a, 3):
             m = string_module(a, w)
             steps = list(islice(resolution(m), bound))
-            assert [x.dim_vector() for _, x in steps] == \
-                ext_profile(m, bound, bound).syzygy_dim_vectors[1:]
+            assert [x.dim_vector() for _, x in steps] == ext_profile(
+                m, bound, coresolution).syzygy_dim_vectors[1:]
             # each step covers the syzygy before it, and only the last
             # may be zero
             targets = [m] + [x for _, x in steps[:-1]]
@@ -321,7 +326,7 @@ def test_hom_rejects_modules_over_different_presentations(eightv, a2):
 def test_everything_works_over_prime_field(eightv):
     f5 = parse_field("f5")
     rj = radical_summand_rep(eightv, "j", f5)
-    prof = ext_profile(rj, 6, 2)
+    prof = ext_profile(rj, 6, gorenstein_dimension(eightv, f5))
     assert prof.dims == [0] * 6 and prof.status == "gorenstein"
     assert embedding_obstruction(rj)[0] == 0
 
@@ -584,7 +589,8 @@ def test_oracle_resolves_a_projective_once(eightv, monkeypatch):
     from gentlegp import gp_oracle
 
     p = projective_rep(eightv, "1", QQ)
+    d = gorenstein_dimension(eightv)
     calls = _count_covers(monkeypatch)
-    cert = gp_oracle(p, 2)
+    cert = gp_oracle(p, d)
     assert (cert.verdict, cert.reason) == ("GP", "projective")
     assert len(calls) == 1 and calls[0] is p
