@@ -7,27 +7,25 @@ import pytest
 
 from gentlegp import (QQ, InternalError, PrimeField, algebra_from_triangulation,
                       enumerate_strings, ext_profile, gorenstein_dimension,
-                      parse_presentation, parse_triangulation, projective_rep,
-                      receiving_sum, string_module, validate_gentle)
+                      opposite, parse_presentation, parse_triangulation,
+                      projective_rep, receiving_sum, string_module,
+                      validate_gentle)
 from gentlegp import reps
-from gentlegp.linalg import echelon
 from gentlegp.families import projective_line_chain
+from gentlegp.linalg import echelon
 
 import reference
-from conftest import DATA
+from test_cli import ALGEBRA_FILES, TRI_FILES
 
 FIELDS = [QQ, PrimeField(101), PrimeField(5)]
 
 
 def _zoo():
     """Every fixture, family file and triangulation, by file name."""
-    out = {}
-    for p in sorted(DATA.glob("*.gentle")) + sorted(DATA.glob("families/*")):
-        if p.stem != "notgentle":
-            out[p.name] = validate_gentle(parse_presentation(p.read_text()))
-    for p in sorted(DATA.glob("*.tri")) + sorted(DATA.glob("surfaces/*")):
-        out[p.name] = algebra_from_triangulation(
-            parse_triangulation(p.read_text()))
+    out = {p.name: validate_gentle(parse_presentation(p.read_text()))
+           for p in ALGEBRA_FILES}
+    out.update({p.name: algebra_from_triangulation(
+        parse_triangulation(p.read_text())) for p in TRI_FILES})
     return out
 
 
@@ -82,7 +80,7 @@ def test_the_opposite_sides_euler_characteristic_is_an_internal_error(
     a = validate_gentle(projective_line_chain(3))
     real = reps.injective_coresolution
     left = real(a, QQ)
-    right = real(validate_gentle(reps.opposite(a.presentation)), QQ)
+    right = real(validate_gentle(opposite(a.presentation)), QQ)
     assert left.length == right.length and left.euler != right.euler
     assert gorenstein_dimension(a).euler == left.euler
     # each side answers with the other side's walk: equal lengths, so only
