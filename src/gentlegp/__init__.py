@@ -11,13 +11,14 @@ from .gentle import (GentleAlgebra, GentleViolation, NotGentleError,
 from .linalg import Matrix, QQ, PrimeField, parse_field
 from .strings import (Letter, StringWord, parse_letters,
                       check_string, is_valid_string, make_string, lazy_word,
-                      string_module, enumerate_strings)
+                      enumerate_strings)
 from .reps import (Representation, ModuleMap, ExtProfile, hom_dim,
-                   projective_cover, projective_rep, gorenstein_dimension,
-                   radical_summand_rep, syzygy, resolution, ext_profile,
-                   embedding_obstruction, stable_hom_dim, InternalError,
-                   injective_dimension, direct_sum, regular_rep,
-                   Coresolution, injective_coresolution, receiving_sum)
+                   string_module, projective_cover, projective_rep,
+                   gorenstein_dimension, radical_summand_rep, syzygy,
+                   resolution, ext_profile, embedding_obstruction,
+                   stable_hom_dim, InternalError, injective_dimension,
+                   direct_sum, regular_rep, Coresolution,
+                   injective_coresolution, receiving_sum)
 from .gp import (GPClassification, SingularityDescriptor, OracleCertificate,
                  StableCategoryTable, ComparisonReport, ClassificationMismatchError,
                  classify_gp, gp_oracle, singularity_descriptor,

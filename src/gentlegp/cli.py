@@ -80,16 +80,17 @@ def cmd_dsg(args):
 
 def cmd_oracle(args):
     a = _load_algebra(args.file)
-    # every module of the sweep builds projectives: refuse an oversized
-    # algebra before enumerating strings
+    # refuse an oversized algebra and any bad input before the
+    # coresolution and the sweep build projectives
     a.check_basis_size()
     fld = parse_field(args.field)
+    sweep = strings.enumerate_strings(a, args.max_letters)
     coresolution = reps.gorenstein_dimension(a, fld)
     words = gp.classified_words(a)
     certificates = []
     disagreement = False
-    for w in strings.enumerate_strings(a, args.max_letters):
-        m = strings.string_module(a, w, fld)
+    for w in sweep:
+        m = reps.string_module(a, w, fld)
         cert = gp.gp_oracle(m, coresolution, label=w.display())
         claimed = w.canonical() in words
         disagreement |= (cert.verdict == "GP") != claimed
@@ -133,7 +134,9 @@ def cmd_ext(args):
         w = strings.lazy_word(a, letters[0].arrow)
     else:
         w = strings.make_string(a, letters)
-    m = strings.string_module(a, w, fld)
+    if args.bound is not None:
+        reps.check_bound(args.bound)
+    m = reps.string_module(a, w, fld)
     coresolution = reps.gorenstein_dimension(a, fld)
     bound = max(coresolution.length, 1) if args.bound is None else args.bound
     profile = reps.ext_profile(m, bound, coresolution)
@@ -162,13 +165,12 @@ def cmd_surface(args):
     with open(args.file, encoding="utf-8") as fh:
         t = surface.parse_triangulation(fh.read())
     report = surface.verify_inner_triangle_count(t)
-    inner = surface.inner_triangles(t)
     if args.emit_algebra:
         with open(args.emit_algebra, "w", encoding="utf-8") as fh:
             fh.write(quiver.serialize_presentation(
                 surface.algebra_presentation(t)))
-    _emit({"inner_triangles": [list(tri) for tri in inner.triangles],
-           "inner_count": inner.count,
+    _emit({"inner_triangles": [list(tri) for tri in report.triangles],
+           "inner_count": report.inner_count,
            "descriptor": list(report.descriptor),
            "count_matches": report.holds}, args.pretty)
     return 0

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .quiver import Arrow, QuiverPresentation
+from .quiver import Arrow, QuiverPresentation, parse_presentation
 
 
 def linear_quiver(n: int) -> QuiverPresentation:
@@ -54,6 +54,4 @@ relations: b*a, f*e, j*f, e*j, k*g, h*k, g*h
 
 
 def eight_vertex_example() -> QuiverPresentation:
-    from .quiver import parse_presentation
-
     return parse_presentation(EXAMPLE_EIGHT_VERTEX_DSL)

@@ -10,12 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .gentle import GentleAlgebra, critical_cycles
-from .linalg import QQ, Matrix
+from .linalg import QQ
 # bench/test_bench.py::BindingProbe reads gp.projective_rep (unused here)
-from .reps import (Coresolution, InternalError, ModuleMap, Representation,
-                   ext_profile, embedding_obstruction, projective_cover,
-                   projective_rep, radical_summand_rep, stable_hom_dim)
-from .strings import projective_word, radical_summand_string, walk_slots
+from .reps import (Coresolution, InternalError, Representation, ext_profile,
+                   embedding_obstruction, projective_cover, projective_rep,
+                   radical_summand_rep, stable_hom_dim, string_inclusion)
+from .strings import projective_word, radical_summand_string
 
 
 class ClassificationMismatchError(AssertionError):
@@ -120,17 +120,15 @@ def _kernel_inclusion(a: GentleAlgebra, cover, v, nxt, omega) -> bool:
     if cover.summands != (v,) or \
             [word.vertices[i] for i in walk] != list(sub.vertices):
         return False
-    p, pi, fld = cover.projective, cover.pi, omega.field
-    slots = walk_slots(a, word)[1]
-    iota = {u: Matrix.zeros(fld, p.dims[u], omega.dims[u]) for u in a.vertices}
-    for i, u, slot in zip(walk, sub.vertices, walk_slots(a, sub)[1]):
-        iota[u].rows[slots[i]][slot] = fld.one
+    iota = string_inclusion(omega, cover.projective, sub, word, walk)
     try:
-        ModuleMap(omega, p, iota).check()
+        iota.check()
     except ValueError:
         return False
-    return (all(pi.blocks[u].mul(iota[u]).is_zero() for u in a.vertices)
-            and omega.total_dim + pi.target.total_dim == p.total_dim)
+    pi = cover.pi
+    return (all(pi.blocks[u].mul(iota.blocks[u]).is_zero()
+                for u in a.vertices)
+            and omega.total_dim + pi.target.total_dim == pi.source.total_dim)
 
 
 @dataclass

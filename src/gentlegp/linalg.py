@@ -102,10 +102,6 @@ class Matrix:
     def zeros(cls, field, nrows, ncols):
         return cls(field, nrows, ncols, [{} for _ in range(nrows)])
 
-    @classmethod
-    def identity(cls, field, n):
-        return cls(field, n, n, [{i: field.one} for i in range(n)])
-
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
                 and self.nrows == other.nrows and self.ncols == other.ncols
@@ -130,22 +126,6 @@ class Matrix:
             for j, x in row.items():
                 cols[j][i] = x
         return Matrix(self.field, self.ncols, self.nrows, cols)
-
-    @classmethod
-    def hstack(cls, field, mats):
-        mats = list(mats)
-        if not mats:
-            return cls.zeros(field, 0, 0)
-        nrows = mats[0].nrows
-        if any(m.nrows != nrows for m in mats):
-            raise ValueError("hstack: row counts differ")
-        rows = [{} for _ in range(nrows)]
-        offset = 0
-        for m in mats:
-            for row, mrow in zip(rows, m.rows):
-                row.update((offset + j, x) for j, x in mrow.items())
-            offset += m.ncols
-        return cls(field, nrows, offset, rows)
 
     def rank(self):
         return len(echelon(self.field, self.rows, self.ncols, False)[1])

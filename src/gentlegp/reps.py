@@ -1,7 +1,8 @@
 """Representations of a gentle algebra and the homological toolbox:
-hom spaces, top generators, projective covers, syzygies, Ext against the
-regular module, stable homs, and the submodule-of-projective
-obstruction."""
+string modules, hom spaces, top generators, projective covers, syzygies,
+Ext against the regular module, stable homs, and the
+submodule-of-projective obstruction.  This is the one module that turns
+string words into matrices."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ from itertools import islice
 from .gentle import GentleAlgebra, validate_gentle
 from .linalg import Matrix, QQ, _combine, echelon, kernel_vectors
 from .quiver import InputError, opposite
+from .strings import StringWord, projective_word, radical_summand_string
 
 
 class InternalError(AssertionError):
@@ -79,33 +81,52 @@ def direct_sum(a: GentleAlgebra, fld, reps):
     return Representation(a, fld, dims, mats), offsets
 
 
+def walk_slots(a: GentleAlgebra, w: StringWord):
+    """The dimension vector of the string module of w, and the slot of
+    each walk vertex within the space at its vertex."""
+    dims = {v: 0 for v in a.vertices}
+    slots = []
+    for v in w.vertices:
+        slots.append(dims[v])
+        dims[v] += 1
+    return dims, slots
+
+
+def string_module(a: GentleAlgebra, w: StringWord, field=QQ) -> Representation:
+    """The representation with one basis vector per walk vertex."""
+    dims, slots = walk_slots(a, w)
+    mats = {arr.name: Matrix.zeros(field, dims[arr.target], dims[arr.source])
+            for arr in a.arrows}
+    for i, l in enumerate(w.letters):
+        src, dst = (i, i + 1) if l.direct else (i + 1, i)
+        mats[l.arrow].rows[slots[dst]][slots[src]] = field.one
+    return Representation(a, field, dims, mats)
+
+
+def string_inclusion(m: Representation, n: Representation, sub: StringWord,
+                     word: StringWord, walk) -> ModuleMap:
+    """The coordinate map from M, the string module of sub, to N, that of
+    word, sending the vector of sub's i-th walk vertex to that of word's
+    walk[i]-th; the caller checks that it is a module map."""
+    a, fld = m.algebra, m.field
+    slots = walk_slots(a, word)[1]
+    blocks = {u: Matrix.zeros(fld, n.dims[u], m.dims[u]) for u in a.vertices}
+    for i, u, slot in zip(walk, sub.vertices, walk_slots(a, sub)[1]):
+        blocks[u].rows[slots[i]][slot] = fld.one
+    return ModuleMap(m, n, blocks)
+
+
 @lru_cache(maxsize=None)
 def projective_rep(a: GentleAlgebra, v: str, fld, /) -> Representation:
     """The indecomposable projective at v, as the string module of its
     word (gentle projectives are string modules)."""
-    from .strings import projective_word, string_module
-
     a.check_basis_size()
     return string_module(a, projective_word(a, v)[0], fld)
 
 
-@lru_cache(maxsize=None)
-def regular_rep(a: GentleAlgebra, fld, /) -> Representation:
-    """The regular module, the direct sum of the indecomposable
-    projectives in algebra order."""
-    projectives = [projective_rep(a, v, fld) for v in a.vertices]
-    return direct_sum(a, fld, projectives)[0]
-
-
-def receiving_sum(m: Representation) -> Representation:
-    """The direct sum, in algebra order, of the indecomposable projectives
-    P_u whose socle meets the support of M: the target of Hom(M, Lambda).
-    A nonzero map M -> P_u has a submodule of P_u as image, which meets
-    soc P_u, so the other summands of Lambda receive no map.  Built once
-    per algebra, field and set of summands."""
-    a, fld = m.algebra, m.field
-    index = a.socle_index
-    summands = frozenset(u for w in m.support for u in index[w])
+def _projective_sum(a: GentleAlgebra, fld, summands: frozenset):
+    """The direct sum, in algebra order, of the projectives P_u for u in
+    summands, built once per field and summand set in the algebra's memo."""
     key = (fld, summands)
     target = a.memo.get(key)
     if target is None:
@@ -113,6 +134,21 @@ def receiving_sum(m: Representation) -> Representation:
             a, fld, [projective_rep(a, u, fld)
                      for u in a.vertices if u in summands])[0]
     return target
+
+
+def regular_rep(a: GentleAlgebra, fld, /) -> Representation:
+    """The regular module, the receiving sum of every vertex."""
+    return _projective_sum(a, fld, frozenset(a.vertices))
+
+
+def receiving_sum(m: Representation) -> Representation:
+    """The direct sum, in algebra order, of the indecomposable projectives
+    P_u whose socle meets the support of M: the target of Hom(M, Lambda).
+    A nonzero map M -> P_u has a submodule of P_u as image, which meets
+    soc P_u, so the other summands of Lambda receive no map."""
+    index = m.algebra.socle_index
+    return _projective_sum(m.algebra, m.field, frozenset(
+        u for w in m.support for u in index[w]))
 
 
 def _hom_system(m: Representation, n: Representation):
@@ -191,18 +227,20 @@ def _hom_vectors(m: Representation, n: Representation):
 
 def top_generators(m: Representation):
     """Standard basis vectors completing the radical to all of M, as
-    (vertex, index) pairs; they generate M and present its top."""
+    (vertex, index) pairs; they generate M and present its top.  A greedy
+    completion picks e_c unless it lies in rad M_v + <e_0, ..., e_{c-1}>,
+    that is, unless some radical vector has its last nonzero coordinate
+    at c: the pivots of the echelon form of the columns of the arrows into
+    v, which span the radical at v, with the coordinates reversed."""
     a = m.algebra
-    fld = m.field
     gens = []
     for v in a.vertices:
-        images = [m.mats[arr.name] for arr in a.presentation.arrows_in(v)]
-        r = sum(x.ncols for x in images)
-        # the pivot columns of [arrow images | I] past the images are the
-        # standard vectors a greedy completion of the radical would pick
-        rows = Matrix.hstack(fld, images + [Matrix.identity(fld, m.dims[v])])
-        pivots = echelon(fld, rows.rows, r + m.dims[v], False)[1]
-        gens.extend((v, c - r) for c in pivots if c >= r)
+        last = m.dims[v] - 1
+        rows = [{last - i: x for i, x in col.items()}
+                for arr in a.presentation.arrows_in(v)
+                for col in m.mats[arr.name].transpose().rows]
+        ends = {last - c for c in echelon(m.field, rows, last + 1, False)[1]}
+        gens.extend((v, c) for c in range(last + 1) if c not in ends)
     return gens
 
 
@@ -242,8 +280,6 @@ class Cover:
 
 def projective_cover(m: Representation) -> Cover:
     """Minimal projective cover built on a basis of the top."""
-    from .strings import projective_word, walk_slots
-
     a = m.algebra
     fld = m.field
     gens = top_generators(m)
@@ -306,8 +342,6 @@ def resolution(m: Representation):
 
 def radical_summand_rep(a: GentleAlgebra, arrow_name: str, fld, /):
     """The left ideal generated by an arrow, as a string representation."""
-    from .strings import radical_summand_string, string_module
-
     return string_module(a, radical_summand_string(a, arrow_name), fld)
 
 
@@ -343,8 +377,7 @@ def ext_profile(m: Representation, bound: int, coresolution: Coresolution,
     hom system; Omega X has the dimension vector of the cover of X's top
     less that of X.  A caller that knows dim Hom(M, Lambda) passes it as
     hom_m."""
-    if bound < 1:
-        raise InputError("bound must be positive")
+    check_bound(bound)
     a = m.algebra
     regular = regular_rep(a, m.field)
     dims = []
@@ -373,6 +406,12 @@ def ext_profile(m: Representation, bound: int, coresolution: Coresolution,
         status = "gorenstein" if bound >= coresolution.length \
             else "checked-to-bound"
     return ExtProfile(dims, dimvecs, status)
+
+
+def check_bound(bound: int):
+    """Refuse an Ext bound below 1."""
+    if bound < 1:
+        raise InputError("bound must be positive")
 
 
 def _hom_lambda(m: Representation) -> int:

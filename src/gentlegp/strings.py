@@ -1,4 +1,5 @@
-"""Words over {arrow, inverse arrow}; string modules.
+"""Words over {arrow, inverse arrow}: the words of string modules, which
+:mod:`gentlegp.reps` turns into matrices.
 
 A word is read left to right: letter i connects walk vertex v_{i-1} to
 v_i, forwards for a direct letter and backwards for an inverse one.
@@ -10,9 +11,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .gentle import GentleAlgebra, radical_summand_word
-from .linalg import Matrix, QQ
 from .quiver import InputError, PresentationError
-from .reps import Representation
 
 
 class Letter(NamedTuple):
@@ -131,28 +130,6 @@ def make_string(a: GentleAlgebra, letters) -> StringWord:
     for l in letters:
         verts.append(_letter_endpoints(a, l)[1])
     return StringWord(letters, tuple(verts))
-
-
-def walk_slots(a: GentleAlgebra, w: StringWord):
-    """The dimension vector of the string module of w, and the slot of
-    each walk vertex within the space at its vertex."""
-    dims = {v: 0 for v in a.vertices}
-    slots = []
-    for v in w.vertices:
-        slots.append(dims[v])
-        dims[v] += 1
-    return dims, slots
-
-
-def string_module(a: GentleAlgebra, w: StringWord, field=QQ) -> Representation:
-    """The representation with one basis vector per walk vertex."""
-    dims, slots = walk_slots(a, w)
-    mats = {arr.name: Matrix.zeros(field, dims[arr.target], dims[arr.source])
-            for arr in a.arrows}
-    for i, l in enumerate(w.letters):
-        src, dst = (i, i + 1) if l.direct else (i + 1, i)
-        mats[l.arrow].rows[slots[dst]][slots[src]] = field.one
-    return Representation(a, field, dims, mats)
 
 
 def radical_summand_string(a: GentleAlgebra, arrow: str) -> StringWord:

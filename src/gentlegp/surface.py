@@ -146,6 +146,7 @@ class InnerCountReport:
     holds: bool
     inner_count: int
     descriptor: tuple[int, ...]
+    triangles: tuple
 
 
 def verify_inner_triangle_count(t: Triangulation) -> InnerCountReport:
@@ -155,4 +156,4 @@ def verify_inner_triangle_count(t: Triangulation) -> InnerCountReport:
     desc = singularity_descriptor(a).cycle_lengths
     report = inner_triangles(t)
     holds = len(desc) == report.count and all(l == 3 for l in desc)
-    return InnerCountReport(holds, report.count, desc)
+    return InnerCountReport(holds, report.count, desc, report.triangles)

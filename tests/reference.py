@@ -1,9 +1,9 @@
 """Reference routines the tests compare the program against.
 
 The program needs none of them: a brute-force presentation isomorphism,
-field arithmetic and dense rows for the dense references, a dense-style
-linear solve, the path basis of an algebra, the peak test on string
-words, band modules, the module axioms, explicit hom bases, a module
+field arithmetic, dense rows, identity matrices and matrices side by
+side for the dense references, a dense-style linear solve, the path
+basis of an algebra, the peak test on string words, band modules, the module axioms, explicit hom bases, a module
 signature that tells apart the modules the tests compare, the
 embedding obstruction computed one indecomposable projective at a time,
 and an Ext profile that resolves every step, with no Euler characteristic.
@@ -112,6 +112,27 @@ def from_rows(field, rows):
         raise ValueError("rows of unequal length")
     return Matrix(field, len(rows), ncols,
                   [{j: x for j, x in enumerate(r) if x} for r in rows])
+
+
+def identity(field, n):
+    return Matrix(field, n, n, [{i: field.one} for i in range(n)])
+
+
+def hstack(field, mats):
+    """The Matrix of the given matrices side by side."""
+    mats = list(mats)
+    if not mats:
+        return Matrix.zeros(field, 0, 0)
+    nrows = mats[0].nrows
+    if any(m.nrows != nrows for m in mats):
+        raise ValueError("hstack: row counts differ")
+    rows = [{} for _ in range(nrows)]
+    offset = 0
+    for m in mats:
+        for row, mrow in zip(rows, m.rows):
+            row.update((offset + j, x) for j, x in mrow.items())
+        offset += m.ncols
+    return Matrix(field, nrows, offset, rows)
 
 
 # ------------------------------------------------------------ linear solve
@@ -268,7 +289,7 @@ def band_module(a, b, lam, size, field=QQ):
             src_block, dst_block = prev_block, i
         else:
             src_block, dst_block = i, prev_block
-        block = jordan if i == special else Matrix.identity(field, size)
+        block = jordan if i == special else identity(field, size)
         m = mats[l.arrow]
         r0 = block_base[dst_block]
         c0 = block_base[src_block]

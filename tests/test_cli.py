@@ -390,6 +390,24 @@ def test_input_errors_exit_2(argv, reason, capsys):
         {"reason": reason, "status": "error"}, separators=(",", ":")) + "\n"
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (("oracle", EX22, "--max-letters", "-1"), "max_letters must be nonnegative"),
+    (("ext", EX22, "--word", "i,d,a,f,k", "--bound", "0"),
+     "bound must be positive"),
+])
+def test_bad_input_exits_before_the_coresolution(argv, reason, capsys,
+                                                 monkeypatch):
+    from gentlegp import reps
+
+    def refuse(a, fld):
+        raise AssertionError("the coresolution was computed")
+
+    monkeypatch.setattr(reps, "gorenstein_dimension", refuse)
+    code, out = invoke(capsys, *argv)
+    assert code == 2
+    assert out == {"status": "error", "reason": reason}
+
+
 def test_huge_max_letters_stops_when_strings_run_out(capsys):
     # A_2 has finitely many strings, so the sweep ends with the last one
     start = time.perf_counter()

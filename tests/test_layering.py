@@ -1,0 +1,106 @@
+"""The layers of the package, read from the syntax trees of its files:
+only reps turns string words into matrices, so strings imports neither
+reps nor linalg and neither gp nor strings names Matrix or walk_slots;
+every import sits at module level; and the module-level caches are the
+ones allowed below."""
+
+import ast
+from pathlib import Path
+
+import gentlegp
+
+SRC = Path(gentlegp.__file__).parent
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+# (file, function) -> why it keeps a module-level cache
+CACHED = {
+    ("reps.py", "projective_rep"): "bench/test_bench.py reads "
+                                   "reps.projective_rep.cache_info()",
+}
+
+
+def _trees():
+    return {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+
+
+def _names(tree):
+    """Every name a Name, an Attribute or an imported alias carries."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.split(".")[-1]
+
+
+def _imported_modules(tree):
+    """The last component of every module an import statement names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[-1] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module is None:  # from . import x
+                yield from (alias.name for alias in node.names)
+            else:
+                yield node.module.split(".")[-1]
+
+
+def test_strings_imports_neither_reps_nor_linalg():
+    imported = set(_imported_modules(_trees()["strings.py"]))
+    assert imported & {"reps", "linalg"} == set()
+
+
+def test_no_function_body_holds_an_import():
+    inside = [(fname, node.name)
+              for fname, tree in _trees().items()
+              for node in ast.walk(tree)
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and any(isinstance(x, (ast.Import, ast.ImportFrom))
+                      for x in ast.walk(node))]
+    assert inside == []
+
+
+def test_gp_and_strings_build_no_matrix():
+    trees = _trees()
+    for fname in ("gp.py", "strings.py"):
+        assert {"Matrix", "walk_slots"} & set(_names(trees[fname])) == set()
+
+
+def _module_level_caches(fname, tree):
+    """(file, top-level name) of each statement that wraps something in
+    functools' lru_cache or cache."""
+    caches = {"lru_cache", "cache"} & {
+        alias.asname or alias.name for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "functools"
+        for alias in node.names}
+    found = []
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            continue
+        used = {node.id for node in ast.walk(stmt)
+                if isinstance(node, ast.Name)} & caches
+        used |= {node.attr for node in ast.walk(stmt)
+                 if isinstance(node, ast.Attribute)
+                 and isinstance(node.value, ast.Name)
+                 and node.value.id == "functools"
+                 and node.attr in ("lru_cache", "cache")}
+        if used:
+            name = getattr(stmt, "name", None) or ast.unparse(stmt)[:40]
+            found.append((fname, name))
+    return found
+
+
+def test_the_only_module_level_cache_is_allowed():
+    found = [x for fname, tree in _trees().items()
+             for x in _module_level_caches(fname, tree)]
+    assert sorted(found) == sorted(CACHED)
+    assert all(CACHED.values())
+
+
+def test_bench_reads_the_allowed_caches():
+    reads = {node.value.attr for p in sorted(BENCH.glob("*.py"))
+             for node in ast.walk(ast.parse(p.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr == "cache_info"
+             and isinstance(node.value, ast.Attribute)}
+    assert {name for _, name in CACHED} <= reads

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from gentlegp import InputError, Matrix, PrimeField, QQ, parse_field
 from gentlegp.linalg import Rationals, echelon, kernel_vectors
 
-from reference import column, div, from_rows, mul, of, solve, sub
+from reference import (column, div, from_rows, hstack, identity, mul, of,
+                       solve, sub)
 
 
 def _kernel(m):
@@ -21,7 +22,7 @@ def _column(m, j):
 
 
 def test_kernel_of_identity_is_trivial():
-    assert _kernel(Matrix.identity(QQ, 3)).ncols == 0
+    assert _kernel(identity(QQ, 3)).ncols == 0
 
 
 def test_kernel_of_zero_map_is_everything():
@@ -40,7 +41,7 @@ def test_kernel_rank_one():
 
 
 def test_solve_identity():
-    m = Matrix.identity(QQ, 3)
+    m = identity(QQ, 3)
     assert solve(m, [1, 2, 3]) == [Fraction(1), Fraction(2), Fraction(3)]
 
 
@@ -56,9 +57,9 @@ def test_solve_underdetermined_verified_by_residual():
 
 def test_solve_dimension_mismatch():
     with pytest.raises(ValueError):
-        solve(Matrix.identity(QQ, 2), [1, 2, 3])
+        solve(identity(QQ, 2), [1, 2, 3])
     with pytest.raises(ValueError):
-        solve(Matrix.identity(QQ, 2), Matrix.identity(QQ, 3))
+        solve(identity(QQ, 2), identity(QQ, 3))
 
 
 def test_zero_by_n_matrices_are_legal():
@@ -122,7 +123,7 @@ def test_solve_matrix_rhs(fld, nrows, ncols, consistent, data):
                  for irow, rrow in zip(_dense(image), _dense(noise))])
     x = solve(a, b)
     by_column = [solve(a, _column(b, j)) for j in range(nrhs)]
-    unsolvable = [a.rank() != Matrix.hstack(fld, [a, column(
+    unsolvable = [a.rank() != hstack(fld, [a, column(
         fld, _column(b, j))]).rank() for j in range(nrhs)]
     assert (x is None) == any(unsolvable)
     assert [c is None for c in by_column] == unsolvable
@@ -164,7 +165,7 @@ def test_from_rows_rejects_ragged_rows():
 
 
 def test_solve_rejects_short_right_hand_side():
-    a = Matrix.identity(QQ, 3)
+    a = identity(QQ, 3)
     with pytest.raises(ValueError, match="dimension mismatch"):
         solve(a, [1, 2])
     with pytest.raises(ValueError, match="dimension mismatch"):
@@ -310,7 +311,7 @@ def test_sparse_matrix_matches_dense_reference(fld, n, k, m, extra, data):
     t = a.transpose()
     assert (t.nrows, t.ncols) == (k, n)
     assert _dense(t) == [[row[j] for row in da] for j in range(k)]
-    h = Matrix.hstack(fld, [a, c, a])
+    h = hstack(fld, [a, c, a])
     assert (h.nrows, h.ncols) == (n, 2 * k + extra)
     assert _dense(h) == [ra + rc + ra for ra, rc in zip(da, dc)]
     for j in range(k):
