@@ -24,7 +24,7 @@ from .gp import (GPClassification, SingularityDescriptor, OracleCertificate,
                  classify_gp, gp_oracle, singularity_descriptor,
                  stable_category_table, compare_derived_invariant,
                  classified_words)
-from .surface import (Triangulation, TriangulationError, InnerTriangleReport,
+from .surface import (Triangulation, TriangulationError,
                       InnerCountReport, parse_triangulation,
                       serialize_triangulation, make_triangulation,
                       inner_triangles, algebra_presentation,

@@ -1,8 +1,10 @@
 """Command-line front end with machine-readable JSON output.
 
-Exit codes: 0 ok; 2 not gentle / invalid / too large input; 1 internal
-failure (classifier and oracle disagree, an invariant of the computation
-failed, or any other error that is not the input's fault: a bug).
+Each ``cmd_*`` handler returns (exit code, payload); ``run`` alone writes
+the payload and picks the exit code: 0 ok; 2 bad input (an ``InputError``:
+not gentle, invalid, unreadable or too large); 1 internal failure
+(classifier and oracle disagree, an invariant failed, any other error that
+is not the input's fault: a bug) or a result that could not be written.
 """
 
 from __future__ import annotations
@@ -15,39 +17,30 @@ from . import gentle, gp, quiver, reps, strings, surface
 from .linalg import parse_field
 
 
-def _emit(payload, pretty):
-    if pretty:
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+def _read(path):
+    """The text of an input file; one that cannot be read or decoded is
+    bad input."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise quiver.InputError(str(exc)) from None
 
 
 def _load_algebra(path):
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    return gentle.validate_gentle(quiver.parse_presentation(text))
-
-
-def _violation_payload(violations):
-    return [{"axiom": v.axiom, "witness": list(v.witness)} for v in violations]
-
-
-def _cycle_payload(c):
-    return {"arrows": list(c.arrows), "name": c.name, "length": c.length}
+    return gentle.validate_gentle(quiver.parse_presentation(_read(path)))
 
 
 def cmd_validate(args):
     a = _load_algebra(args.file)
-    _emit({"status": "ok", "gentle": True, "dimension": a.dimension()},
-          args.pretty)
-    return 0
+    return 0, {"status": "ok", "gentle": True, "dimension": a.dimension()}
 
 
 def cmd_cycles(args):
     a = _load_algebra(args.file)
-    cycles = gentle.critical_cycles(a)
-    _emit({"cycles": [_cycle_payload(c) for c in cycles]}, args.pretty)
-    return 0
+    return 0, {"cycles": [{"arrows": list(c.arrows), "name": c.name,
+                           "length": c.length}
+                          for c in gentle.critical_cycles(a)]}
 
 
 def cmd_gp(args):
@@ -63,19 +56,16 @@ def cmd_gp(args):
             "vertices": list(w.vertices),
             "dimension": len(w.vertices),
         })
-    _emit({"projectives": sorted(cls.projectives),
-           "nonprojective": sorted(nonproj, key=lambda d: d["arrow"])},
-          args.pretty)
-    return 0
+    return 0, {"projectives": sorted(cls.projectives),
+               "nonprojective": sorted(nonproj, key=lambda d: d["arrow"])}
 
 
 def cmd_dsg(args):
     a = _load_algebra(args.file)
     d = gp.singularity_descriptor(a)
-    _emit({"descriptor": list(d.cycle_lengths),
-           "factors": d.factor_labels(),
-           "indecomposable_objects": d.object_count}, args.pretty)
-    return 0
+    return 0, {"descriptor": list(d.cycle_lengths),
+               "factors": d.factor_labels(),
+               "indecomposable_objects": d.object_count}
 
 
 def cmd_oracle(args):
@@ -103,11 +93,11 @@ def cmd_oracle(args):
             "reason": cert.reason,
         })
     certificates.sort(key=lambda c: c["module"])
-    _emit({"agreement": not disagreement,
-           "bound": max(coresolution.length, 1),
-           "max_letters": args.max_letters,
-           "certificates": certificates}, args.pretty)
-    return 1 if disagreement else 0
+    return 1 if disagreement else 0, {
+        "agreement": not disagreement,
+        "bound": max(coresolution.length, 1),
+        "max_letters": args.max_letters,
+        "certificates": certificates}
 
 
 def cmd_stable(args):
@@ -116,12 +106,11 @@ def cmd_stable(args):
     # critical cycle leaves a module to build
     a.check_basis_size()
     table = gp.stable_category_table(a, parse_field(args.field))
-    _emit({"objects": [{"cycle": c, "arrow": arrow}
-                       for c, arrow in table.objects],
-           "orbits": table.orbits,
-           "stable_hom_matrix": table.matrix,
-           "identity": table.is_identity}, args.pretty)
-    return 0
+    return 0, {"objects": [{"cycle": c, "arrow": arrow}
+                           for c, arrow in table.objects],
+               "orbits": table.orbits,
+               "stable_hom_matrix": table.matrix,
+               "identity": table.is_identity}
 
 
 def cmd_ext(args):
@@ -140,12 +129,12 @@ def cmd_ext(args):
     coresolution = reps.gorenstein_dimension(a, fld)
     bound = max(coresolution.length, 1) if args.bound is None else args.bound
     profile = reps.ext_profile(m, bound, coresolution)
-    _emit({"word": w.display(),
-           "ext_dims": profile.dims,
-           "syzygy_dim_vectors": [list(dv) for dv in profile.syzygy_dim_vectors],
-           "status": profile.status,
-           "certified": profile.certified}, args.pretty)
-    return 0
+    return 0, {"word": w.display(),
+               "ext_dims": profile.dims,
+               "syzygy_dim_vectors": [list(dv)
+                                      for dv in profile.syzygy_dim_vectors],
+               "status": profile.status,
+               "certified": profile.certified}
 
 
 def cmd_compare(args):
@@ -157,32 +146,30 @@ def cmd_compare(args):
                "descriptor_b": list(report.right)}
     if not report.compatible:
         payload["witness_length"] = report.witness_length
-    _emit(payload, args.pretty)
-    return 0
+    return 0, payload
 
 
 def cmd_surface(args):
-    with open(args.file, encoding="utf-8") as fh:
-        t = surface.parse_triangulation(fh.read())
+    t = surface.parse_triangulation(_read(args.file))
     report = surface.verify_inner_triangle_count(t)
     if args.emit_algebra:
-        with open(args.emit_algebra, "w", encoding="utf-8") as fh:
-            fh.write(quiver.serialize_presentation(
-                surface.algebra_presentation(t)))
-    _emit({"inner_triangles": [list(tri) for tri in report.triangles],
-           "inner_count": report.inner_count,
-           "descriptor": list(report.descriptor),
-           "count_matches": report.holds}, args.pretty)
-    return 0
+        text = quiver.serialize_presentation(surface.algebra_presentation(t))
+        try:
+            with open(args.emit_algebra, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise quiver.InputError(str(exc)) from None
+    return 0, {"inner_triangles": [list(tri) for tri in report.triangles],
+               "inner_count": report.inner_count,
+               "descriptor": list(report.descriptor),
+               "count_matches": report.holds}
 
 
 def cmd_dim(args):
     a = _load_algebra(args.file)
     fld = parse_field(args.field)
-    _emit({"dimension": a.dimension(),
-           "injective_dimension": reps.injective_dimension(a, fld)},
-          args.pretty)
-    return 0
+    return 0, {"dimension": a.dimension(),
+               "injective_dimension": reps.injective_dimension(a, fld)}
 
 
 def _subcommands():
@@ -251,18 +238,28 @@ def run(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser(_command_named(argv)).parse_args(argv)
     try:
-        return args.fn(args)
+        code, payload = args.fn(args)
     except gentle.NotGentleError as exc:
-        _emit({"status": "not-gentle",
-               "violations": _violation_payload(exc.violations)}, args.pretty)
-        return 2
-    except (quiver.QuiverError, surface.TriangulationError, quiver.InputError,
-            OSError, UnicodeDecodeError) as exc:
-        _emit({"status": "error", "reason": str(exc)}, args.pretty)
-        return 2
+        code, payload = 2, {"status": "not-gentle", "violations": [
+            {"axiom": v.axiom, "witness": list(v.witness)}
+            for v in exc.violations]}
+    except quiver.InputError as exc:
+        code, payload = 2, {"status": "error", "reason": str(exc)}
     except (AssertionError, ValueError) as exc:
-        _emit({"status": "internal-error", "reason": str(exc)}, args.pretty)
+        code, payload = 1, {"status": "internal-error", "reason": str(exc)}
+    if args.pretty:
+        text = json.dumps(payload, sort_keys=True, indent=2)
+    else:
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    try:
+        sys.stdout.write(text + "\n")
+        sys.stdout.flush()
+    except OSError as exc:
+        # a full disk or a closed pipe: the result is lost, not the input
+        # at fault
+        sys.stderr.write(f"gentlegp: cannot write the result: {exc}\n")
         return 1
+    return code
 
 
 def main():

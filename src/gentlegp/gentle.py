@@ -14,7 +14,8 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
-from .quiver import PresentationError, QuiverError, QuiverPresentation
+from .quiver import (InputError, PresentationError, QuiverError,
+                     QuiverPresentation)
 
 # the largest dimension (number of basis paths) the library works with
 MAX_BASIS_PATHS = 100000
@@ -29,7 +30,7 @@ class GentleViolation:
         return f"{self.axiom}: witness {self.witness}"
 
 
-class NotGentleError(ValueError):
+class NotGentleError(InputError):
     def __init__(self, violations):
         self.violations = list(violations)
         msgs = "; ".join(v.describe() for v in self.violations)

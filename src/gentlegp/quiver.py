@@ -15,10 +15,11 @@ from types import MappingProxyType
 
 
 class InputError(ValueError):
-    """Input rejected: a field spec, word or bound that is invalid."""
+    """Bad input: the base of every error the input is at fault for, a
+    presentation, triangulation, file, field spec, word or bound."""
 
 
-class QuiverError(ValueError):
+class QuiverError(InputError):
     """Base class for presentation-level problems."""
 
 

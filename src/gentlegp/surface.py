@@ -9,10 +9,10 @@ from functools import cached_property
 
 from .gentle import GentleAlgebra, validate_gentle
 from .gp import singularity_descriptor
-from .quiver import Arrow, QuiverPresentation
+from .quiver import Arrow, InputError, QuiverPresentation
 
 
-class TriangulationError(ValueError):
+class TriangulationError(InputError):
     pass
 
 
@@ -94,17 +94,10 @@ def serialize_triangulation(t: Triangulation) -> str:
             f"triangles: {tris}\n")
 
 
-@dataclass(frozen=True)
-class InnerTriangleReport:
-    count: int
-    triangles: tuple
-
-
-def inner_triangles(t: Triangulation) -> InnerTriangleReport:
+def inner_triangles(t: Triangulation) -> tuple:
     """Triangles all of whose sides are internal arcs."""
-    inner = tuple(tri for tri in t.triangles
-                  if all(t.is_internal(s) for s in tri))
-    return InnerTriangleReport(len(inner), inner)
+    return tuple(tri for tri in t.triangles
+                 if all(t.is_internal(s) for s in tri))
 
 
 def algebra_presentation(t: Triangulation) -> QuiverPresentation:
@@ -154,6 +147,6 @@ def verify_inner_triangle_count(t: Triangulation) -> InnerCountReport:
     of inner triangles, every factor of length three."""
     a = algebra_from_triangulation(t)
     desc = singularity_descriptor(a).cycle_lengths
-    report = inner_triangles(t)
-    holds = len(desc) == report.count and all(l == 3 for l in desc)
-    return InnerCountReport(holds, report.count, desc, report.triangles)
+    inner = inner_triangles(t)
+    holds = len(desc) == len(inner) and all(l == 3 for l in desc)
+    return InnerCountReport(holds, len(inner), desc, inner)

@@ -67,6 +67,6 @@ def all_fixture_algebras(eightv, a2, fan5):
     zoo = {"eight_vertex": eightv, "a2": a2, "fan5": fan5}
     for n in range(2, 6):
         zoo[f"lambda{n}"] = validate_gentle(projective_line_chain(n))
-    for n in range(2, 5):
+    for n in range(1, 5):
         zoo[f"I{n}"] = validate_gentle(cyclic_nakayama(n))
     return zoo

@@ -1,4 +1,8 @@
+import errno
+import io
 import json
+import os
+import sys
 import time
 
 import pytest
@@ -46,7 +50,52 @@ def test_validate_not_gentle(capsys):
 
 def test_missing_file(capsys):
     code, out = invoke(capsys, "validate", "/no/such/file.gentle")
-    assert code == 2 and out["status"] == "error"
+    assert code == 2 and out == {
+        "status": "error",
+        "reason": "[Errno 2] No such file or directory: '/no/such/file.gentle'"}
+
+
+def test_emit_algebra_into_a_missing_directory_exits_2(tmp_path, capsys):
+    dest = tmp_path / "missing" / "x.gentle"
+    code, out = invoke(capsys, "surface", HEXAGON, "--emit-algebra", str(dest))
+    assert code == 2 and out == {
+        "status": "error",
+        "reason": f"[Errno 2] No such file or directory: '{dest}'"}
+
+
+class FullDisk(io.StringIO):
+    """Standard output on a full disk: every write, or only the flush,
+    fails."""
+
+    def __init__(self, failing):
+        super().__init__()
+        self.failing, self.writes = failing, 0
+
+    def _check(self, method):
+        if method == self.failing:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def write(self, s):
+        self.writes += 1
+        self._check("write")
+        return super().write(s)
+
+    def flush(self):
+        self._check("flush")
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+def test_a_result_that_cannot_be_written_exits_1(failing, capsys,
+                                                 monkeypatch):
+    # the input is fine, so this is no bad-input exit; the error goes to
+    # stderr once and never back to the broken stream
+    stdout = FullDisk(failing)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert run(["validate", EX22]) == 1
+    assert stdout.writes == 1
+    assert capsys.readouterr().err == (
+        "gentlegp: cannot write the result: [Errno 28] No space left on "
+        "device\n")
 
 
 @pytest.mark.parametrize("p", [linear_quiver(460), projective_line_chain(1000)],
@@ -231,6 +280,45 @@ def test_stable(capsys):
     assert len(out["stable_hom_matrix"]) == 6
 
 
+def _twisted_inclusion(real):
+    """string_inclusion with its block at the source of a nonzero arrow
+    doubled, so that it no longer commutes with that arrow."""
+    def twisted(m, n, sub, word, walk):
+        iota = real(m, n, sub, word, walk)
+        arr = next((x for x in m.algebra.arrows
+                    if not m.mats[x.name].is_zero()), None)
+        if arr is not None:
+            for row in iota.blocks[arr.source].rows:
+                for k, c in row.items():
+                    row[k] = m.field.add(c, c)
+        return iota
+    return twisted
+
+
+def _doubled_diagonal(real):
+    """stable_hom_dim reading 2 for every object against itself."""
+    def doubled(m, cover, omega):
+        d = real(m, cover, omega)
+        return 2 * d if cover.pi.target is m else d
+    return doubled
+
+
+@pytest.mark.parametrize("name, patch, reason", [
+    ("string_inclusion", _twisted_inclusion, "does not match the next summand"),
+    ("stable_hom_dim", _doubled_diagonal, "is not the identity"),
+], ids=["inclusion-not-a-map", "matrix-not-identity"])
+def test_a_failed_stable_certificate_exits_1(name, patch, reason, eightv,
+                                             capsys, monkeypatch):
+    from gentlegp import ClassificationMismatchError, gp
+
+    monkeypatch.setattr(gp, name, patch(getattr(gp, name)))
+    with pytest.raises(ClassificationMismatchError, match=reason):
+        gp.stable_category_table(eightv)
+    code, out = invoke(capsys, "stable", EX22)
+    assert code == 1
+    assert out["status"] == "internal-error" and reason in out["reason"]
+
+
 def test_stable_passes_field(capsys, monkeypatch):
     from gentlegp import PrimeField, gp
 
@@ -380,6 +468,9 @@ def test_bad_field(capsys):
     # a bound of 0 is given, not left to the default
     (("ext", EX22, "--word", "i,d,a,f,k", "--bound", "0"),
      "bound must be positive"),
+    (("ext", EX22, "--word", "a,,b"), "empty letter in word"),
+    # as many digits as a p below 2^31, but larger
+    (("--field", "f2147483648", "dim", A2), TOO_LARGE),
 ])
 def test_input_errors_exit_2(argv, reason, capsys):
     start = time.perf_counter()
@@ -388,6 +479,22 @@ def test_input_errors_exit_2(argv, reason, capsys):
     assert code == 2
     assert capsys.readouterr().out == json.dumps(
         {"reason": reason, "status": "error"}, separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize("command, name, text, reason", [
+    ("validate", "dup.gentle",
+     "vertices: 1, 2\narrows: a: 1 -> 2; a: 2 -> 1\nrelations:\n",
+     "duplicate arrow id 'a'"),
+    ("validate", "source.gentle", "vertices: 1\narrows: a: x -> 1\nrelations:\n",
+     "arrow 'a' has undeclared source 'x'"),
+    ("surface", "both.tri", "arcs: x; boundary: x, b, c; triangles: (x,b,c)\n",
+     "an arc id appears in both arc lists"),
+], ids=["duplicate-arrow", "undeclared-source", "arc-in-both-lists"])
+def test_invalid_files_exit_2(command, name, text, reason, tmp_path, capsys):
+    f = tmp_path / name
+    f.write_text(text)
+    code, out = invoke(capsys, command, str(f))
+    assert code == 2 and out == {"status": "error", "reason": reason}
 
 
 @pytest.mark.parametrize("argv, reason", [
@@ -422,7 +529,10 @@ def test_undecodable_input_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "latin1.gentle"
     bad.write_bytes(b"vertices: \xe9\n")
     code, out = invoke(capsys, "validate", str(bad))
-    assert code == 2 and out["status"] == "error"
+    assert code == 2 and out == {
+        "status": "error",
+        "reason": "'utf-8' codec can't decode byte 0xe9 in position 10: "
+                  "invalid continuation byte"}
 
 
 def test_bare_value_error_is_internal(capsys, monkeypatch):

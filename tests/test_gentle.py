@@ -256,7 +256,7 @@ def _basis_zoo():
             for f in sorted(DATA.rglob("*.tri"))]
     zoo += [linear_quiver(n) for n in range(1, 13)]
     zoo += [projective_line_chain(n) for n in range(2, 13)]
-    zoo += [cyclic_nakayama(n) for n in range(2, 9)]
+    zoo += [cyclic_nakayama(n) for n in range(1, 9)]
     return zoo
 
 

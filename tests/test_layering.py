@@ -1,13 +1,17 @@
 """The layers of the package, read from the syntax trees of its files:
 only reps turns string words into matrices, so strings imports neither
 reps nor linalg and neither gp nor strings names Matrix or walk_slots;
-every import sits at module level; and the module-level caches are the
-ones allowed below."""
+every import sits at module level; the module-level caches are the ones
+allowed below; only cli.run writes output; and every exception the
+package defines is bad input or a bug."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import gentlegp
+from gentlegp.quiver import InputError
 
 SRC = Path(gentlegp.__file__).parent
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -104,3 +108,42 @@ def test_bench_reads_the_allowed_caches():
              if isinstance(node, ast.Attribute) and node.attr == "cache_info"
              and isinstance(node.value, ast.Attribute)}
     assert {name for _, name in CACHED} <= reads
+
+
+def _writers(tree):
+    """The name of each function, or <module>, that calls print or _emit
+    or names sys.stdout."""
+    found = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        writes = (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id in ("print", "_emit")) or (
+            isinstance(node, ast.Attribute) and node.attr == "stdout"
+            and isinstance(node.value, ast.Name) and node.value.id == "sys")
+        if writes:
+            found.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_only_cli_run_writes_output():
+    found = {(fname, owner) for fname, tree in _trees().items()
+             for owner in _writers(tree)}
+    assert found == {("cli.py", "run")}
+
+
+def test_every_package_exception_is_bad_input_or_a_bug():
+    defined = [cls for p in sorted(SRC.glob("*.py"))
+               for module in [importlib.import_module(f"gentlegp.{p.stem}")]
+               for _, cls in inspect.getmembers(module, inspect.isclass)
+               if issubclass(cls, BaseException)
+               and cls.__module__ == module.__name__]
+    assert {"InputError", "NotGentleError", "TriangulationError",
+            "InternalError"} <= {cls.__name__ for cls in defined}
+    assert [cls.__name__ for cls in defined
+            if not issubclass(cls, (InputError, AssertionError))] == []

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -384,6 +384,33 @@ def test_top_generators_match_greedy_reference(a, fld, data):
     m = Representation(a, fld, m.dims, mats)
     check_module(m)
     assert top_generators(m) == greedy_top_generators(m)
+
+
+def test_hom_system_of_a_loop_with_a_nonzero_diagonal():
+    # x acts on k^2 over k[x]/x^2 with a nonzero diagonal, so the loop's
+    # commutation equation meets one unknown from both sides; no string
+    # module's matrices have a diagonal entry
+    fld = PrimeField(5)
+    a = validate_gentle(cyclic_nakayama(1))
+    m = Representation(a, fld, {"1": 2},
+                       {"a1": from_rows(fld, [[1, 1], [-1, -1]])})
+    check_module(m)
+    p1 = projective_rep(a, "1", fld)
+
+    def dense(x):
+        return [[row.get(j, 0) for j in range(2)] for row in x.mats["a1"].rows]
+
+    def commuting_maps(x, y):
+        xa, ya = dense(x), dense(y)
+        return sum(
+            all(sum(ya[i][k] * b[2 * k + j] - b[2 * i + k] * xa[k][j]
+                    for k in range(2)) % 5 == 0
+                for i in range(2) for j in range(2))
+            for b in product(range(5), repeat=4))
+
+    for x, y in ((m, m), (m, p1), (p1, m)):
+        assert 5 ** hom_dim(x, y) == commuting_maps(x, y)
+        assert hom_dim(x, y) == 2
 
 
 def _kronecker_band(kron, lam, size):

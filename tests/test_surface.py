@@ -61,7 +61,7 @@ def test_reject_garbage_text():
 
 def test_hexagon_inner_triangle_and_algebra():
     t = load("hexagon.tri")
-    assert inner_triangles(t).count == 1
+    assert len(inner_triangles(t)) == 1
     p = algebra_presentation(t)
     assert is_isomorphic(p, cyclic_nakayama(3))
     a = algebra_from_triangulation(t)
@@ -72,7 +72,7 @@ def test_hexagon_inner_triangle_and_algebra():
 
 def test_fan_has_no_inner_triangle(fan5):
     t = load("fan5.tri")
-    assert inner_triangles(t).count == 0
+    assert len(inner_triangles(t)) == 0
     assert singularity_descriptor(fan5).cycle_lengths == ()
     report = verify_inner_triangle_count(t)
     assert report.holds and report.inner_count == 0 and report.descriptor == ()
@@ -80,7 +80,7 @@ def test_fan_has_no_inner_triangle(fan5):
 
 def test_octagon_two_inner_triangles():
     t = load("octagon2.tri")
-    assert inner_triangles(t).count == 2
+    assert len(inner_triangles(t)) == 2
     report = verify_inner_triangle_count(t)
     assert report.holds and report.descriptor == (3, 3)
 
