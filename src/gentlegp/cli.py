@@ -95,7 +95,7 @@ def cmd_oracle(args):
     certificates.sort(key=lambda c: c["module"])
     return 1 if disagreement else 0, {
         "agreement": not disagreement,
-        "bound": max(coresolution.length, 1),
+        "bound": coresolution.bound,
         "max_letters": args.max_letters,
         "certificates": certificates}
 
@@ -127,7 +127,7 @@ def cmd_ext(args):
         reps.check_bound(args.bound)
     m = reps.string_module(a, w, fld)
     coresolution = reps.gorenstein_dimension(a, fld)
-    bound = max(coresolution.length, 1) if args.bound is None else args.bound
+    bound = coresolution.bound if args.bound is None else args.bound
     profile = reps.ext_profile(m, bound, coresolution)
     return 0, {"word": w.display(),
                "ext_dims": profile.dims,
@@ -160,7 +160,7 @@ def cmd_surface(args):
         except OSError as exc:
             raise quiver.InputError(str(exc)) from None
     return 0, {"inner_triangles": [list(tri) for tri in report.triangles],
-               "inner_count": report.inner_count,
+               "inner_count": len(report.triangles),
                "descriptor": list(report.descriptor),
                "count_matches": report.holds}
 

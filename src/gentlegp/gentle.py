@@ -1,11 +1,13 @@
 """Gentle-algebra validation, dimension, critical cycles, radical summands.
 
-The validated algebra is purely combinatorial: the allowed continuation
-of each arrow (unique by G4), from which its dimension and radical
-summand words are read.  The library counts the relation-free paths but
-never lists them.  Everything homological lives in :mod:`gentlegp.reps`,
-which builds each projective as the string module of
-:func:`gentlegp.strings.projective_word`.
+The validated algebra is purely combinatorial: its permitted threads,
+the maximal paths of allowed compositions (unique continuations by G4),
+from which its dimension, socles and radical summand words are read.
+The library counts the relation-free paths but never lists them.
+Everything homological lives in :mod:`gentlegp.reps`, which builds each
+projective as the string module of
+:func:`gentlegp.strings.projective_word`.  The critical cycles come
+from the forbidden compositions alone and never read the threads.
 """
 
 from __future__ import annotations
@@ -136,27 +138,40 @@ class GentleAlgebra:
     presentation: QuiverPresentation
 
     @cached_property
-    def _next_arrow(self):
-        """Arrow name -> its allowed continuation (unique by G4), or None."""
+    def _threads(self):
+        """The permitted threads, the maximal paths of allowed
+        compositions, as tuples of arrow names in traversal order, and the
+        (thread, position) of each arrow.  By G4 an arrow has at most one
+        allowed continuation and one allowed predecessor, and finite
+        dimension rules out a closed thread, so the threads start at the
+        arrows that nothing continues into and partition the arrows."""
         out = self.presentation.arrows_out
-        return {a.name: next((b.name for b in out(a.target)
-                              if (b.name, a.name) not in self.relations), None)
-                for a in self.arrows}
+        nxt = {a.name: next((b.name for b in out(a.target)
+                             if (b.name, a.name) not in self.relations), None)
+               for a in self.arrows}
+        continued = set(nxt.values())
+        threads, place = [], {}
+        for a in self.arrows:
+            if a.name in continued:
+                continue
+            thread = [a.name]
+            while (b := nxt[thread[-1]]) is not None:
+                thread.append(b)
+            thread = tuple(thread)
+            threads.append(thread)
+            place.update((b, (thread, i)) for i, b in enumerate(thread))
+        return threads, place
 
     @cached_property
     def socle_index(self):
         """Vertex w -> the vertices u, in algebra order, with w in the
-        socle of P_u.  That socle is the end of each maximal chain of
-        allowed continuations out of u, or u itself when u is a sink."""
-        nxt = self._next_arrow
+        socle of P_u.  That socle is the target of the last arrow of the
+        thread through each arrow out of u, or u itself when u is a sink."""
+        place = self._threads[1]
         index = {v: [] for v in self.vertices}
         for u in self.vertices:
-            ends = []
-            for arr in self.presentation.arrows_out(u):
-                name = arr.name
-                while nxt[name] is not None:
-                    name = nxt[name]
-                ends.append(self.arrow_map[name].target)
+            ends = [self.arrow_map[place[b.name][0][-1]].target
+                    for b in self.presentation.arrows_out(u)]
             for w in dict.fromkeys(ends or [u]):
                 index[w].append(u)
         return {w: tuple(us) for w, us in index.items()}
@@ -185,24 +200,11 @@ class GentleAlgebra:
         return self.presentation.relations
 
     def dimension(self):
-        return self._dimension
-
-    @cached_property
-    def _dimension(self):
-        """|Q_0| plus, per arrow a, the L(a) = 1 + L(next(a)) basis paths
-        that begin with a: by G4 they form one chain.  No basis is built."""
-        nxt = self._next_arrow
-        length = {}
-        for a in nxt:
-            chain = []
-            while a is not None and a not in length:
-                chain.append(a)
-                a = nxt[a]
-            n = length.get(a, 0)
-            for b in reversed(chain):
-                n += 1
-                length[b] = n
-        return len(self.vertices) + sum(length.values())
+        """|Q_0| plus, per thread of L arrows, the L(L+1)/2 basis paths
+        that lie on it: a relation-free path of positive length is a
+        segment of one thread.  No basis is built."""
+        return len(self.vertices) + sum(
+            len(t) * (len(t) + 1) // 2 for t in self._threads[0])
 
     def check_basis_size(self):
         """Raise BasisTooLargeError when the path basis would exceed
@@ -225,32 +227,22 @@ def critical_cycles(a: GentleAlgebra) -> list[CriticalCycle]:
     """The set C of repetition-free cycles whose consecutive compositions
     all lie in the ideal, canonically rotated and sorted.
 
-    By (G3) the forbidden-composition graph is a partial permutation on
-    arrows, so its cycles are disjoint and each arrow lies on at most one.
+    By (G3) the forbidden-successor map is a partial injection on arrows,
+    so a walk from an arrow no earlier walk visited closes into a cycle
+    only if it started on one.
     """
-    succ = {}
-    for later, earlier in a.relations:
-        succ[earlier] = later  # unique by G3
+    succ = {earlier: later for later, earlier in a.relations}
     cycles = []
     seen = set()
-    for start in sorted(succ):
-        if start in seen:
-            continue
-        chain = [start]
-        pos = {start: 0}
+    for start in succ:
+        walk = []
         cur = start
-        while cur in succ:
+        while cur in succ and cur not in seen:
+            seen.add(cur)
+            walk.append(cur)
             cur = succ[cur]
-            if cur in pos:
-                arc = chain[pos[cur]:]
-                cycles.append(CriticalCycle.from_arrows(arc))
-                seen.update(arc)
-                break
-            if cur in seen:
-                break
-            pos[cur] = len(chain)
-            chain.append(cur)
-        seen.update(chain)
+        if walk and cur == start:
+            cycles.append(CriticalCycle.from_arrows(walk))
     cycles.sort(key=lambda c: c.arrows)
     return cycles
 
@@ -261,10 +253,5 @@ def radical_summand_word(a: GentleAlgebra, arrow_name: str):
     itself excluded).  Empty tuple means the summand is simple."""
     if arrow_name not in a.arrow_map:
         raise PresentationError(f"unknown arrow {arrow_name!r}")
-    nxt = a._next_arrow
-    word = []
-    cur = nxt[arrow_name]
-    while cur is not None:
-        word.append(cur)
-        cur = nxt[cur]
-    return tuple(word)
+    thread, i = a._threads[1][arrow_name]
+    return thread[i + 1:]

@@ -78,7 +78,7 @@ def gp_oracle(m: Representation, coresolution: Coresolution,
         return OracleCertificate(label, "not-GP", [], "embedding",
                                  obstruction,
                                  "does not embed into a projective module")
-    bound = max(coresolution.length, 1)
+    bound = coresolution.bound
     profile = ext_profile(m, bound, coresolution, hom_m)
     if not profile.all_zero:
         first = next(i + 1 for i, x in enumerate(profile.dims) if x)

@@ -145,12 +145,11 @@ def _combine(coeffs, rows, p):
     return acc if all(acc.values()) else {j: v for j, v in acc.items() if v}
 
 
-def echelon(field, rows, npiv, reduced=True):
-    """Echelon form of sparse rows, dicts from column to nonzero entry,
-    which it leaves unchanged.  Pivots are sought before column ``npiv``; later
-    columns (right-hand sides) ride along.  Returns (pivot rows, increasing
-    pivot columns, the other nonzero rows, whose entries all lie past
-    ``npiv``); with ``reduced``, those of the unique reduced echelon form.
+def echelon(field, rows, ncols, reduced=True):
+    """Echelon form of sparse rows, dicts from column (below ``ncols``) to
+    nonzero entry, which it leaves unchanged.  Returns (pivot rows,
+    increasing pivot columns); with ``reduced``, those of the unique
+    reduced echelon form.
 
     Over F_p the row operations are on plain ints mod p.  Over Q they are
     fraction-free on integer rows, with fractions only in the reduced
@@ -162,7 +161,7 @@ def echelon(field, rows, npiv, reduced=True):
             r = dict(r) if p else _integral(r)
             by_lead.setdefault(min(r), []).append(r)
     prows, pivots = [], []
-    for c in range(npiv):
+    for c in range(ncols):
         group = by_lead.pop(c, None)
         if group is None:
             if not by_lead:
@@ -179,7 +178,6 @@ def echelon(field, rows, npiv, reduced=True):
                 by_lead.setdefault(min(r), []).append(r)
         prows.append(prow)
         pivots.append(c)
-    rest = [r for group in by_lead.values() for r in group] if by_lead else []
     if reduced:
         # bottom up: the rows below are reduced, so clearing one pivot
         # column of a row with them leaves its other pivot columns alone
@@ -191,7 +189,7 @@ def echelon(field, rows, npiv, reduced=True):
         if not p:
             prows = [{j: Fraction(v, r[c]) for j, v in r.items()}
                      for r, c in zip(prows, pivots)]
-    return prows, pivots, rest
+    return prows, pivots
 
 
 def _integral(row):
@@ -228,7 +226,7 @@ def kernel_vectors(field, rows, ncols):
     """A basis of the null space of sparse rows, as a dict from each free
     column, in order, to a sparse vector (column -> nonzero entry) that is
     1 there and 0 at every other free column."""
-    prows, pivots, _ = echelon(field, rows, ncols)
+    prows, pivots = echelon(field, rows, ncols)
     pivot_set = set(pivots)
     vectors = {c: {c: field.one} for c in range(ncols) if c not in pivot_set}
     for prow, pc in zip(prows, pivots):

@@ -473,6 +473,12 @@ class Coresolution:
     length: int
     euler: tuple
 
+    @property
+    def bound(self):
+        """max(n, 1): a GP test checks Ext^i(M, Lambda) for 1 <= i <=
+        bound, and Ext^1 even over a selfinjective algebra."""
+        return max(self.length, 1)
+
 
 def injective_coresolution(a: GentleAlgebra, fld=QQ,
                            aop: GentleAlgebra | None = None) -> Coresolution:

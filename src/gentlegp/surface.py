@@ -137,7 +137,6 @@ def algebra_from_triangulation(t: Triangulation) -> GentleAlgebra:
 @dataclass(frozen=True)
 class InnerCountReport:
     holds: bool
-    inner_count: int
     descriptor: tuple[int, ...]
     triangles: tuple
 
@@ -149,4 +148,4 @@ def verify_inner_triangle_count(t: Triangulation) -> InnerCountReport:
     desc = singularity_descriptor(a).cycle_lengths
     inner = inner_triangles(t)
     holds = len(desc) == len(inner) and all(l == 3 for l in desc)
-    return InnerCountReport(holds, len(inner), desc, inner)
+    return InnerCountReport(holds, desc, inner)

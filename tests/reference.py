@@ -3,10 +3,12 @@
 The program needs none of them: a brute-force presentation isomorphism,
 field arithmetic, dense rows, identity matrices and matrices side by
 side for the dense references, a dense-style linear solve, the path
-basis of an algebra, the peak test on string words, band modules, the module axioms, explicit hom bases, a module
-signature that tells apart the modules the tests compare, the
-embedding obstruction computed one indecomposable projective at a time,
-and an Ext profile that resolves every step, with no Euler characteristic.
+basis of an algebra, its critical cycles by exhaustive search, the peak
+test on string words, band modules, the module axioms, explicit hom
+bases, a module signature that tells apart the modules the tests
+compare, the embedding obstruction computed one indecomposable
+projective at a time, and an Ext profile that resolves every step, with
+no Euler characteristic.
 """
 
 from dataclasses import dataclass
@@ -154,11 +156,12 @@ def solve(a, b):
     if rhs.nrows != a.nrows:
         raise ValueError("dimension mismatch in solve")
     n = a.ncols
-    # the rows of [a | rhs]; echelon leaves them unchanged
+    # the rows of [a | rhs]; echelon leaves them unchanged.  A pivot on a
+    # right-hand side marks a row 0 = nonzero
     rows = [{**r, **{n + j: x for j, x in s.items()}} if s else r
             for r, s in zip(a.rows, rhs.rows)]
-    prows, pivots, rest = echelon(F, rows, n)
-    if rest:
+    prows, pivots = echelon(F, rows, n + rhs.ncols)
+    if pivots and pivots[-1] >= n:
         return None
     x = [{} for _ in range(n)]
     for prow, pc in zip(prows, pivots):
@@ -201,6 +204,26 @@ def path_basis(a):
         frontier = nxt
     basis.sort(key=lambda q: (len(q.arrows), q.source, q.arrows))
     return tuple(basis)
+
+
+def critical_cycles(a):
+    """The repetition-free cycles of arrows whose consecutive compositions
+    are all relations, each as a tuple from its least arrow, sorted.  A
+    depth-first search over the arrows that does not assume G3."""
+    later = {x.name: [b for b, e in a.relations if e == x.name]
+             for x in a.arrows}
+    cycles = []
+
+    def extend(path):
+        for b in later[path[-1]]:
+            if b == path[0]:
+                cycles.append(tuple(path))
+            elif b > path[0] and b not in path:
+                extend(path + [b])
+
+    for x in later:
+        extend([x])
+    return sorted(cycles)
 
 
 # ------------------------------------------------------------------ words

@@ -137,8 +137,8 @@ def test_criterion_08_surface_count_check():
     hx = verify_inner_triangle_count(hexagon)
     fn = verify_inner_triangle_count(fan)
     ok = (is_isomorphic(algebra_presentation(hexagon), cyclic_nakayama(3))
-          and hx.holds and hx.inner_count == 1 and hx.descriptor == (3,)
-          and fn.holds and fn.inner_count == 0 and fn.descriptor == ())
+          and hx.holds and len(hx.triangles) == 1 and hx.descriptor == (3,)
+          and fn.holds and len(fn.triangles) == 0 and fn.descriptor == ())
     report(8, "triangulations: inner triangles match descriptors", ok)
 
 

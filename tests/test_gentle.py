@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gentlegp import (Arrow, BasisTooLargeError, NotGentleError,
                       QuiverError, QuiverPresentation, algebra_presentation,
@@ -10,6 +10,7 @@ from gentlegp.families import (cyclic_nakayama, linear_quiver,
                                projective_line_chain)
 from gentlegp.strings import radical_summand_string
 
+import reference
 from conftest import DATA
 from reference import path_basis
 
@@ -228,6 +229,41 @@ def small_presentations(draw):
     return QuiverPresentation(vertices, arrows, frozenset(relations))
 
 
+@st.composite
+def gentle_presentations(draw):
+    """Presentations that satisfy G1, G3 and G4 by construction: an arrow
+    is kept only while its source has fewer than two arrows out and its
+    target fewer than two in, and at each vertex the arrows in are paired
+    with the arrows out by relations as G3 and G4 force.  Draws that are
+    infinite-dimensional are rejected."""
+    vertices = tuple(str(i) for i in range(draw(st.integers(1, 6))))
+    ends = draw(st.lists(st.tuples(st.sampled_from(vertices),
+                                   st.sampled_from(vertices)), max_size=9))
+    arrows = []
+    for s, t in ends:
+        if sum(a.source == s for a in arrows) < 2 and \
+                sum(a.target == t for a in arrows) < 2:
+            arrows.append(Arrow(f"x{len(arrows)}", s, t))
+    relations = set()
+    for v in vertices:
+        into = [a.name for a in arrows if a.target == v]
+        out = [a.name for a in arrows if a.source == v]
+        if len(into) == len(out) == 2:
+            if draw(st.booleans()):
+                out.reverse()
+            relations.update(zip(out, into))
+        elif len(into) + len(out) == 3:
+            relations.add((draw(st.sampled_from(out)),
+                           draw(st.sampled_from(into))))
+        elif len(into) == len(out) == 1 and draw(st.booleans()):
+            relations.add((out[0], into[0]))
+    p = QuiverPresentation(vertices, tuple(arrows), frozenset(relations))
+    # any other violation reaches validate_gentle in the test and fails it
+    assume(not any(v.axiom == "infinite-dimensional"
+                   for v in gentle_violations(p)))
+    return p
+
+
 @settings(max_examples=200, deadline=None)
 @given(small_presentations())
 def test_cycle_witness_matches_recursive_search(p):
@@ -260,16 +296,36 @@ def _basis_zoo():
     return zoo
 
 
-@pytest.mark.parametrize("p", _basis_zoo())
-def test_dimension_counts_the_path_basis(p):
-    a = validate_gentle(p)
+def _check_dimension(a):
     assert a.dimension() == len(path_basis(a))
 
 
-def test_radical_summand_word_follows_the_allowed_continuations(eightv):
+def _check_radical_summand_words(a):
     # the word is the longest basis path that begins with the arrow, less
     # the arrow itself
-    for arrow in eightv.arrows:
-        longest = max((q for q in path_basis(eightv)
-                       if q.arrows[:1] == (arrow.name,)), key=len)
-        assert radical_summand_word(eightv, arrow.name) == longest.arrows[1:]
+    basis = path_basis(a)
+    for arrow in a.arrows:
+        longest = max((q for q in basis if q.arrows[:1] == (arrow.name,)),
+                      key=len)
+        assert radical_summand_word(a, arrow.name) == longest.arrows[1:]
+
+
+@pytest.mark.parametrize("p", _basis_zoo())
+def test_dimension_counts_the_path_basis(p):
+    _check_dimension(validate_gentle(p))
+
+
+def test_radical_summand_word_follows_the_allowed_continuations(eightv):
+    _check_radical_summand_words(eightv)
+
+
+@settings(max_examples=150, deadline=None)
+@given(gentle_presentations())
+def test_generated_gentle_algebras_pass_the_thread_checks(p):
+    # and critical_cycles agrees with the exhaustive search, which does
+    # not rely on G3
+    a = validate_gentle(p)
+    _check_dimension(a)
+    _check_radical_summand_words(a)
+    assert [c.arrows for c in critical_cycles(a)] == \
+        reference.critical_cycles(a)

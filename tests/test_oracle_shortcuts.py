@@ -4,6 +4,7 @@ support of M, and the last Ext step read off the Euler characteristic of
 the algebra's injective coresolution."""
 
 import pytest
+from hypothesis import given, settings
 
 from gentlegp import (QQ, InternalError, PrimeField, algebra_from_triangulation,
                       enumerate_strings, ext_profile, gorenstein_dimension,
@@ -16,6 +17,7 @@ from gentlegp.linalg import echelon
 
 import reference
 from test_cli import ALGEBRA_FILES, TRI_FILES
+from test_gentle import gentle_presentations
 
 FIELDS = [QQ, PrimeField(101), PrimeField(5)]
 
@@ -57,13 +59,17 @@ def _socle(p):
                            p.dims[w], False)[1]) < p.dims[w]}
 
 
+def _check_socle_index(a, socles):
+    assert {w: tuple(u for u in a.vertices if w in socles[u])
+            for w in a.vertices} == a.socle_index
+
+
 @pytest.mark.parametrize("label", sorted(ZOO))
 def test_dropped_projectives_receive_no_map(label):
     a = ZOO[label]
     projectives = {u: projective_rep(a, u, QQ) for u in a.vertices}
     socles = {u: _socle(p) for u, p in projectives.items()}
-    assert {w: tuple(u for u in a.vertices if w in socles[u])
-            for w in a.vertices} == a.socle_index
+    _check_socle_index(a, socles)
     for w in enumerate_strings(a, 4):
         m = string_module(a, w, QQ)
         dropped = [u for u in a.vertices if not socles[u] & set(m.support)]
@@ -73,6 +79,14 @@ def test_dropped_projectives_receive_no_map(label):
         for u in dropped:
             assert reference.hom_basis(m, projectives[u]) == [], \
                 (w.display(), u)
+
+
+@settings(max_examples=100, deadline=None)
+@given(gentle_presentations())
+def test_socle_index_of_generated_gentle_algebras(p):
+    a = validate_gentle(p)
+    _check_socle_index(a, {u: _socle(projective_rep(a, u, QQ))
+                           for u in a.vertices})
 
 
 def test_the_opposite_sides_euler_characteristic_is_an_internal_error(

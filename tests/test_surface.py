@@ -67,7 +67,8 @@ def test_hexagon_inner_triangle_and_algebra():
     a = algebra_from_triangulation(t)
     assert singularity_descriptor(a).cycle_lengths == (3,)
     report = verify_inner_triangle_count(t)
-    assert report.holds and report.inner_count == 1 and report.descriptor == (3,)
+    assert report.holds and len(report.triangles) == 1
+    assert report.descriptor == (3,)
 
 
 def test_fan_has_no_inner_triangle(fan5):
@@ -75,7 +76,8 @@ def test_fan_has_no_inner_triangle(fan5):
     assert len(inner_triangles(t)) == 0
     assert singularity_descriptor(fan5).cycle_lengths == ()
     report = verify_inner_triangle_count(t)
-    assert report.holds and report.inner_count == 0 and report.descriptor == ()
+    assert report.holds and len(report.triangles) == 0
+    assert report.descriptor == ()
 
 
 def test_octagon_two_inner_triangles():
