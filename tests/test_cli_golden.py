@@ -27,8 +27,10 @@ GOLDEN = DATA / "cli_golden.json"
 
 GENTLE = sorted(p.name for p in DATA.glob("*.gentle"))
 TRI = sorted(p.name for p in DATA.glob("*.tri"))
-# A_12, lambda_5, I_6 and the octagon2 triangulation's algebra, written with
-# serialize_presentation from gentlegp.families and surface.algebra_presentation
+# A_12, lambda_5, I_6, the octagon2 triangulation's algebra and that of a
+# fixed 40-gon triangulation with 13 inner triangles (37 vertices, 49
+# arrows), written with serialize_presentation from gentlegp.families and
+# surface.algebra_presentation
 FAMILIES = sorted(f"families/{p.name}"
                   for p in (DATA / "families").glob("*.gentle"))
 
