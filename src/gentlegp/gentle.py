@@ -140,17 +140,20 @@ class GentleAlgebra:
     @cached_property
     def _threads(self):
         """The permitted threads, the maximal paths of allowed
-        compositions, as tuples of arrow names in traversal order, and the
-        (thread, position) of each arrow.  By G4 an arrow has at most one
-        allowed continuation and one allowed predecessor, and finite
-        dimension rules out a closed thread, so the threads start at the
-        arrows that nothing continues into and partition the arrows."""
+        compositions: the (thread, position) of each arrow, a thread
+        being a tuple of arrow names in traversal order, and the
+        dimension, |Q_0| plus L(L+1)/2 per thread of L arrows, as a
+        relation-free path of positive length is a segment of one thread.
+        By G4 an arrow has at most one allowed continuation and one
+        allowed predecessor, and finite dimension rules out a closed
+        thread, so the threads start at the arrows that nothing continues
+        into and partition the arrows."""
         out = self.presentation.arrows_out
         nxt = {a.name: next((b.name for b in out(a.target)
                              if (b.name, a.name) not in self.relations), None)
                for a in self.arrows}
         continued = set(nxt.values())
-        threads, place = [], {}
+        place, dimension = {}, len(self.vertices)
         for a in self.arrows:
             if a.name in continued:
                 continue
@@ -158,16 +161,16 @@ class GentleAlgebra:
             while (b := nxt[thread[-1]]) is not None:
                 thread.append(b)
             thread = tuple(thread)
-            threads.append(thread)
             place.update((b, (thread, i)) for i, b in enumerate(thread))
-        return threads, place
+            dimension += len(thread) * (len(thread) + 1) // 2
+        return place, dimension
 
     @cached_property
     def socle_index(self):
         """Vertex w -> the vertices u, in algebra order, with w in the
         socle of P_u.  That socle is the target of the last arrow of the
         thread through each arrow out of u, or u itself when u is a sink."""
-        place = self._threads[1]
+        place = self._threads[0]
         index = {v: [] for v in self.vertices}
         for u in self.vertices:
             ends = [self.arrow_map[place[b.name][0][-1]].target
@@ -175,6 +178,11 @@ class GentleAlgebra:
             for w in dict.fromkeys(ends or [u]):
                 index[w].append(u)
         return {w: tuple(us) for w, us in index.items()}
+
+    @cached_property
+    def vertex_index(self):
+        """Vertex -> its position in algebra order."""
+        return {v: i for i, v in enumerate(self.vertices)}
 
     @cached_property
     def memo(self):
@@ -200,11 +208,9 @@ class GentleAlgebra:
         return self.presentation.relations
 
     def dimension(self):
-        """|Q_0| plus, per thread of L arrows, the L(L+1)/2 basis paths
-        that lie on it: a relation-free path of positive length is a
-        segment of one thread.  No basis is built."""
-        return len(self.vertices) + sum(
-            len(t) * (len(t) + 1) // 2 for t in self._threads[0])
+        """The number of basis paths, counted once per algebra off the
+        permitted threads.  No basis is built."""
+        return self._threads[1]
 
     def check_basis_size(self):
         """Raise BasisTooLargeError when the path basis would exceed
@@ -253,5 +259,5 @@ def radical_summand_word(a: GentleAlgebra, arrow_name: str):
     itself excluded).  Empty tuple means the summand is simple."""
     if arrow_name not in a.arrow_map:
         raise PresentationError(f"unknown arrow {arrow_name!r}")
-    thread, i = a._threads[1][arrow_name]
+    thread, i = a._threads[0][arrow_name]
     return thread[i + 1:]

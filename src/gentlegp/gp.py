@@ -126,8 +126,7 @@ def _kernel_inclusion(a: GentleAlgebra, cover, v, nxt, omega) -> bool:
     except ValueError:
         return False
     pi = cover.pi
-    return (all(pi.blocks[u].mul(iota.blocks[u]).is_zero()
-                for u in a.vertices)
+    return (all(pi.blocks[u].mul(b).is_zero() for u, b in iota.blocks.items())
             and omega.total_dim + pi.target.total_dim == pi.source.total_dim)
 
 

@@ -6,6 +6,7 @@ string words into matrices."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import islice
@@ -22,7 +23,11 @@ class InternalError(AssertionError):
 
 
 class Representation:
-    """Finite dimensional left module: a matrix per arrow."""
+    """Finite dimensional left module, stored on its support: dims holds
+    the vertices where M is nonzero and mats the arrows that act by a
+    nonzero matrix; an absent vertex or arrow is 0.  The constructor
+    stores what it is given; every builder here stores only the
+    support."""
 
     def __init__(self, algebra: GentleAlgebra, fld, dims, mats):
         self.algebra = algebra
@@ -37,10 +42,11 @@ class Representation:
     @cached_property
     def support(self):
         """The vertices where M is nonzero, in algebra order."""
-        return tuple(v for v in self.algebra.vertices if self.dims[v])
+        return tuple(sorted((v for v, d in self.dims.items() if d),
+                            key=self.algebra.vertex_index.__getitem__))
 
     def dim_vector(self):
-        return tuple(self.dims[v] for v in self.algebra.vertices)
+        return tuple(self.dims.get(v, 0) for v in self.algebra.vertices)
 
     def is_zero(self):
         return self.total_dim == 0
@@ -53,53 +59,76 @@ class ModuleMap:
     blocks: dict
 
     def check(self):
-        for arr in self.source.algebra.arrows:
-            lhs = self.target.mats[arr.name].mul(self.blocks[arr.source])
-            rhs = self.blocks[arr.target].mul(self.source.mats[arr.name])
+        """Raise ValueError unless the blocks commute with every arrow
+        that the source or the target stores; both sides of any other
+        arrow are 0."""
+        src, tgt, blocks = self.source, self.target, self.blocks
+        amap = src.algebra.arrow_map
+        for name in dict.fromkeys([*src.mats, *tgt.mats]):
+            arr = amap[name]
+            lhs = _product(tgt.mats.get(name), blocks.get(arr.source))
+            rhs = _product(blocks.get(arr.target), src.mats.get(name))
             if lhs != rhs:
-                raise ValueError(f"map does not commute with arrow {arr.name}")
+                raise ValueError(f"map does not commute with arrow {name}")
+
+
+def _product(x, y):
+    """The nonzero rows of x y by index, with an absent factor as 0."""
+    if x is None or y is None:
+        return {}
+    return {i: row for i, row in enumerate(x.mul(y).rows) if row}
 
 
 def direct_sum(a: GentleAlgebra, fld, reps):
-    """Block-diagonal direct sum of modules over a and fld; returns (rep,
-    per-summand offsets).  The empty sum is the zero module."""
-    dims = {v: sum(r.dims[v] for r in reps) for v in a.vertices}
-    offsets = []
-    running = {v: 0 for v in a.vertices}
+    """Block-diagonal direct sum of modules over a and fld, on the union
+    of their supports; returns (rep, per-summand offsets, each over that
+    summand's support).  The empty sum is the zero module."""
+    dims, offsets = {}, []
     for r in reps:
-        offsets.append(dict(running))
-        for v in a.vertices:
-            running[v] += r.dims[v]
+        offsets.append({v: dims.get(v, 0) for v in r.dims})
+        for v, d in r.dims.items():
+            dims[v] = dims.get(v, 0) + d
     mats = {}
-    for arr in a.arrows:
-        m = Matrix.zeros(fld, dims[arr.target], dims[arr.source])
-        for r, off in zip(reps, offsets):
+    amap = a.arrow_map
+    for r, off in zip(reps, offsets):
+        for name, x in r.mats.items():
+            arr = amap[name]
+            m = mats.get(name)
+            if m is None:
+                m = mats[name] = Matrix.zeros(fld, dims[arr.target],
+                                              dims[arr.source])
             r0, c0 = off[arr.target], off[arr.source]
-            for i, row in enumerate(r.mats[arr.name].rows):
-                m.rows[r0 + i] = {c0 + j: x for j, x in row.items()}
-        mats[arr.name] = m
+            for i, row in enumerate(x.rows):
+                m.rows[r0 + i] = {c0 + j: y for j, y in row.items()}
     return Representation(a, fld, dims, mats), offsets
 
 
 def walk_slots(a: GentleAlgebra, w: StringWord):
-    """The dimension vector of the string module of w, and the slot of
-    each walk vertex within the space at its vertex."""
-    dims = {v: 0 for v in a.vertices}
+    """The dimensions of the string module of w on its support, the walk's
+    vertices, and the slot of each walk vertex within the space at its
+    vertex."""
+    dims = {}
     slots = []
     for v in w.vertices:
-        slots.append(dims[v])
-        dims[v] += 1
+        slots.append(dims.get(v, 0))
+        dims[v] = slots[-1] + 1
     return dims, slots
 
 
 def string_module(a: GentleAlgebra, w: StringWord, field=QQ) -> Representation:
-    """The representation with one basis vector per walk vertex."""
+    """The representation with one basis vector per walk vertex; it
+    stores the walk's vertices and the letters' arrows."""
     dims, slots = walk_slots(a, w)
-    mats = {arr.name: Matrix.zeros(field, dims[arr.target], dims[arr.source])
-            for arr in a.arrows}
+    amap = a.arrow_map
+    mats = {}
     for i, l in enumerate(w.letters):
         src, dst = (i, i + 1) if l.direct else (i + 1, i)
-        mats[l.arrow].rows[slots[dst]][slots[src]] = field.one
+        m = mats.get(l.arrow)
+        if m is None:
+            arr = amap[l.arrow]
+            m = mats[l.arrow] = Matrix.zeros(field, dims[arr.target],
+                                             dims[arr.source])
+        m.rows[slots[dst]][slots[src]] = field.one
     return Representation(a, field, dims, mats)
 
 
@@ -107,10 +136,11 @@ def string_inclusion(m: Representation, n: Representation, sub: StringWord,
                      word: StringWord, walk) -> ModuleMap:
     """The coordinate map from M, the string module of sub, to N, that of
     word, sending the vector of sub's i-th walk vertex to that of word's
-    walk[i]-th; the caller checks that it is a module map."""
+    walk[i]-th, with blocks over sub's support; the caller checks that
+    it is a module map."""
     a, fld = m.algebra, m.field
     slots = walk_slots(a, word)[1]
-    blocks = {u: Matrix.zeros(fld, n.dims[u], m.dims[u]) for u in a.vertices}
+    blocks = {u: Matrix.zeros(fld, n.dims[u], d) for u, d in m.dims.items()}
     for i, u, slot in zip(walk, sub.vertices, walk_slots(a, sub)[1]):
         blocks[u].rows[slots[i]][slot] = fld.one
     return ModuleMap(m, n, blocks)
@@ -131,8 +161,8 @@ def _projective_sum(a: GentleAlgebra, fld, summands: frozenset):
     target = a.memo.get(key)
     if target is None:
         target = a.memo[key] = direct_sum(
-            a, fld, [projective_rep(a, u, fld)
-                     for u in a.vertices if u in summands])[0]
+            a, fld, [projective_rep(a, u, fld) for u in
+                     sorted(summands, key=a.vertex_index.__getitem__)])[0]
     return target
 
 
@@ -162,7 +192,7 @@ def _hom_system(m: Representation, n: Representation):
     offsets = {}
     total = 0
     for v in m.support:
-        if n.dims[v]:
+        if n.dims.get(v):
             offsets[v] = total
             total += n.dims[v] * m.dims[v]
     rows = []
@@ -176,18 +206,23 @@ def _hom_system(m: Representation, n: Representation):
                if arr.source not in offsets]
     for arr in arrows:
         s, t = arr.source, arr.target
-        ms, mt = m.dims[s], m.dims[t]
-        # (N_a B_s - B_t M_a)[i][j] = 0 for all i < N_t, j < M_s
-        if not (ms and n.dims[t]):
+        # (N_a B_s - B_t M_a)[i][j] = 0 for all i < N_t, j < M_s, where
+        # an arrow that M or N does not store acts by 0
+        na = n.mats.get(arr.name) if s in offsets else None
+        ma = m.mats.get(arr.name) if t in offsets else None
+        if na is None and ma is None:
             continue
-        if s in offsets:
+        ms, mt, nt = m.dims.get(s, 0), m.dims.get(t, 0), n.dims.get(t, 0)
+        if not (ms and nt):
+            continue
+        if na is not None:
             left = [[(offsets[s] + k * ms, c) for k, c in row.items()]
-                    for row in n.mats[arr.name].rows]
+                    for row in na.rows]
         else:
-            left = [()] * n.dims[t]
+            left = [()] * nt
         right = [[] for _ in range(ms)]  # column j of -M_a, if B_t is unknown
-        if t in offsets:
-            for k, row in enumerate(m.mats[arr.name].rows):
+        if ma is not None:
+            for k, row in enumerate(ma.rows):
                 for j, c in row.items():
                     right[j].append((k, fld.neg(c)))
         for i, lrow in enumerate(left):
@@ -232,12 +267,12 @@ def top_generators(m: Representation):
     that is, unless some radical vector has its last nonzero coordinate
     at c: the pivots of the echelon form of the columns of the arrows into
     v, which span the radical at v, with the coordinates reversed."""
-    a = m.algebra
+    arrows_in = m.algebra.presentation.arrows_in
     gens = []
-    for v in a.vertices:
+    for v in m.support:
         last = m.dims[v] - 1
         rows = [{last - i: x for i, x in col.items()}
-                for arr in a.presentation.arrows_in(v)
+                for arr in arrows_in(v) if arr.name in m.mats
                 for col in m.mats[arr.name].transpose().rows]
         ends = {last - c for c in echelon(m.field, rows, last + 1, False)[1]}
         gens.extend((v, c) for c in range(last + 1) if c not in ends)
@@ -249,24 +284,29 @@ def _subrepresentation(m: Representation, bases):
     arrow actions.  A basis is a pair (vectors, positions) of sparse
     vectors and columns: vector r is 1 at positions[r] and 0 at every
     other listed position, so a vector of the span has its coordinates
-    at those positions."""
+    at those positions.  A vertex missing from bases has the zero
+    subspace; the result stores only its nonzero dims and blocks."""
     a = m.algebra
     fld = m.field
-    dims = {v: len(bases[v][0]) for v in a.vertices}
+    dims = {v: len(vectors) for v, (vectors, _) in bases.items() if vectors}
     mats = {}
-    for arr in a.arrows:
-        columns = m.mats[arr.name].transpose().rows
-        targets, positions = bases[arr.target]
+    for name, mat in m.mats.items():
+        arr = a.arrow_map[name]
+        if arr.source not in dims:
+            continue
+        columns = mat.transpose().rows
+        targets, positions = bases.get(arr.target, ((), ()))
         index = {c: r for r, c in enumerate(positions)}
-        block = Matrix.zeros(fld, dims[arr.target], dims[arr.source])
+        rows = [{} for _ in targets]
         for j, x in enumerate(bases[arr.source][0]):
             image = _combine(x, columns, fld.p)
             coords = {index[c]: y for c, y in image.items() if c in index}
             if _combine(coords, targets, fld.p) != image:
                 raise InternalError("subspace not closed under arrow action")
             for r, c in coords.items():
-                block.rows[r][j] = c
-        mats[arr.name] = block
+                rows[r][j] = c
+        if any(rows):
+            mats[name] = Matrix(fld, len(rows), dims[arr.source], rows)
     return Representation(a, fld, dims, mats)
 
 
@@ -285,9 +325,15 @@ def projective_cover(m: Representation) -> Cover:
     gens = top_generators(m)
     p, offsets = direct_sum(a, fld,
                             [projective_rep(a, v, fld) for v, _ in gens])
-    blocks = {v: Matrix.zeros(fld, m.dims[v], p.dims[v]) for v in a.vertices}
-    # an arrow maps the sparse vector x to the combination of its columns
+    blocks = {v: Matrix.zeros(fld, m.dims.get(v, 0), d)
+              for v, d in p.dims.items()}
+    # an arrow maps the sparse vector x to the combination of its columns;
+    # one that M does not store maps it to 0
     columns = {name: mat.transpose().rows for name, mat in m.mats.items()}
+
+    def image(x, arrow):
+        return _combine(x, columns[arrow], fld.p) if arrow in columns else {}
+
     tops = []
     for (v, k), off in zip(gens, offsets):
         word, top = projective_word(a, v)
@@ -296,20 +342,18 @@ def projective_cover(m: Representation) -> Cover:
         images = [None] * len(slots)
         images[top] = {k: fld.one}
         for i in range(top - 1, -1, -1):
-            images[i] = _combine(images[i + 1],
-                                 columns[word.letters[i].arrow], fld.p)
+            images[i] = image(images[i + 1], word.letters[i].arrow)
         for i in range(top, len(word)):
-            images[i + 1] = _combine(images[i],
-                                     columns[word.letters[i].arrow], fld.p)
-        for w, slot, image in zip(word.vertices, slots, images):
+            images[i + 1] = image(images[i], word.letters[i].arrow)
+        for w, slot, x in zip(word.vertices, slots, images):
             col = off[w] + slot
-            for i, entry in image.items():
+            for i, entry in x.items():
                 blocks[w].rows[i][col] = entry
         tops.append(off[v] + slots[top])
     pi = ModuleMap(p, m, blocks)
     # surjectivity: generators were a basis of the top
-    for v in a.vertices:
-        if blocks[v].rank() != m.dims[v]:
+    for v in m.support:
+        if v not in blocks or blocks[v].rank() != m.dims[v]:
             raise InternalError("projective cover not surjective")
     return Cover(p, tuple(v for v, _ in gens), pi, tuple(tops))
 
@@ -318,7 +362,7 @@ def syzygy(cover: Cover) -> Representation:
     """Kernel of the minimal projective cover; zero for projectives."""
     p = cover.projective
     kernels = {v: kernel_vectors(p.field, cover.pi.blocks[v].rows, p.dims[v])
-               for v in p.algebra.vertices}
+               for v in p.support}
     # minimality: the kernel lies in the radical of the cover, spanned by
     # every basis vector of the summands' words but their tops
     for v, col in zip(cover.summands, cover.tops):
@@ -393,10 +437,11 @@ def ext_profile(m: Representation, bound: int, coresolution: Coresolution,
         dimvecs.append(x.dim_vector())
         ended = x.is_zero()
     if not ended and len(dims) < bound:
-        dims.append(hx - _pairing(x.dim_vector(), coresolution.euler))
-        tops = [projective_rep(a, v, m.field) for v, _ in top_generators(x)]
-        omega = tuple(sum(p.dims[u] for p in tops) - x.dims[u]
-                      for u in a.vertices)
+        dims.append(hx - _pairing(x, coresolution.euler))
+        tops = Counter()
+        for v, _ in top_generators(x):
+            tops.update(projective_rep(a, v, m.field).dims)
+        omega = tuple(tops[u] - x.dims.get(u, 0) for u in a.vertices)
         dimvecs.append(omega)
         ended = not any(omega)
     if ended:
@@ -419,8 +464,10 @@ def _hom_lambda(m: Representation) -> int:
     return hom_dim(m, receiving_sum(m))
 
 
-def _pairing(dim_vector, euler) -> int:
-    return sum(n * c for n, c in zip(dim_vector, euler))
+def _pairing(m: Representation, euler) -> int:
+    """<dim M, euler>, over the support of M."""
+    index = m.algebra.vertex_index
+    return sum(d * euler[index[v]] for v, d in m.dims.items())
 
 
 def embedding_obstruction(m: Representation):
@@ -430,7 +477,7 @@ def embedding_obstruction(m: Representation):
     projectives, so the kernel is the common one of all maps to it."""
     fld = m.field
     vectors, cells = _hom_vectors(m, receiving_sum(m))
-    stacked = {w: [] for w in m.algebra.vertices}  # block rows, per vertex
+    stacked = {w: [] for w in m.support}  # block rows, per vertex
     for vec in vectors:
         rows = {}
         for idx, x in vec.items():
@@ -532,8 +579,8 @@ def gorenstein_dimension(a: GentleAlgebra, fld=QQ) -> Coresolution:
             "algebra and its opposite differ")
     regular = regular_rep(a, fld)
     for v in a.vertices:
-        if _pairing(projective_rep(a, v, fld).dim_vector(),
-                    left.euler) != regular.dims[v]:
+        if _pairing(projective_rep(a, v, fld), left.euler) != \
+                regular.dims[v]:
             raise InternalError(
                 "the Euler characteristic of the injective coresolution "
                 f"gives the wrong dim Hom(P_{v}, Lambda)")

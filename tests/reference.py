@@ -290,12 +290,12 @@ def band_module(a, b, lam, size, field=QQ):
     special = min((i for i in range(n) if b.letters[i].direct),
                   key=lambda i: b.letters[i].arrow)
 
-    dims = {v: 0 for v in a.vertices}
+    dims = {}  # the band's support
     block_base = []  # base offset of block i inside its vertex
     for i in range(n):
         v = b.vertices[i]
-        block_base.append(dims[v] * size)
-        dims[v] += 1
+        block_base.append(dims.get(v, 0) * size)
+        dims[v] = dims.get(v, 0) + 1
     dims = {v: d * size for v, d in dims.items()}
 
     jordan = Matrix.zeros(field, size, size)
@@ -304,8 +304,10 @@ def band_module(a, b, lam, size, field=QQ):
         if i + 1 < size:
             jordan.rows[i][i + 1] = field.one
 
-    mats = {arr.name: Matrix.zeros(field, dims[arr.target], dims[arr.source])
-            for arr in a.arrows}
+    amap = a.arrow_map
+    mats = {l.arrow: Matrix.zeros(field, dims[amap[l.arrow].target],
+                                  dims[amap[l.arrow].source])
+            for l in b.letters}
     for i, l in enumerate(b.letters):
         prev_block = (i - 1) % n
         if l.direct:
@@ -325,15 +327,25 @@ def band_module(a, b, lam, size, field=QQ):
 # -------------------------------------------------------------- modules
 
 def check_module(m):
-    """Raise ValueError unless every arrow's matrix has the shape of its
-    ends and every relation acts by zero."""
+    """Raise ValueError unless M is stored on its support (no zero
+    dimension, no all-zero matrix, no matrix at an arrow with an end
+    outside dims), every arrow's matrix has the shape of its ends and
+    every relation acts by zero."""
     amap = m.algebra.arrow_map
+    for v, d in m.dims.items():
+        if not d:
+            raise ValueError(f"vertex {v}: zero dimension stored")
     for name, x in m.mats.items():
         arr = amap[name]
+        if arr.source not in m.dims or arr.target not in m.dims:
+            raise ValueError(f"arrow {name}: stored off the support")
         if (x.nrows, x.ncols) != (m.dims[arr.target], m.dims[arr.source]):
             raise ValueError(f"arrow {name}: matrix shape mismatch")
+        if x.is_zero():
+            raise ValueError(f"arrow {name}: zero matrix stored")
     for later, earlier in m.algebra.relations:
-        if not m.mats[later].mul(m.mats[earlier]).is_zero():
+        if later in m.mats and earlier in m.mats and \
+                not m.mats[later].mul(m.mats[earlier]).is_zero():
             raise ValueError(f"relation {later}*{earlier} not satisfied")
 
 
@@ -342,8 +354,8 @@ def hom_basis(m, n):
     vectors, cells = _hom_vectors(m, n)
     maps = []
     for vec in vectors:
-        blocks = {v: Matrix.zeros(m.field, n.dims[v], m.dims[v])
-                  for v in m.algebra.vertices}
+        blocks = {v: Matrix.zeros(m.field, n.dims.get(v, 0), d)
+                  for v, d in m.dims.items()}
         for idx, x in vec.items():
             v, i, k = cells[idx]
             blocks[v].rows[i][k] = x
@@ -370,7 +382,7 @@ def embedding_obstruction(m):
     the total size of their hom bases."""
     a = m.algebra
     fld = m.field
-    stacked = {w: [] for w in a.vertices}  # block rows of all maps, per vertex
+    stacked = {w: [] for w in m.dims}  # block rows of all maps, per vertex
     homs = 0
     for v in a.vertices:
         vectors, cells = _hom_vectors(m, projective_rep(a, v, fld))

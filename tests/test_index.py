@@ -54,7 +54,7 @@ def test_basis_paths_from_matches_linear_scan(zoo):
         ends = Counter((q.source, q.target) for q in path_basis(a))
         for v in a.vertices:
             assert projective_rep(a, v, QQ).dims == {
-                w: ends[v, w] for w in a.vertices}
+                w: ends[v, w] for w in a.vertices if ends[v, w]}
 
 
 def test_regular_dim_at_matches_linear_scan(zoo):

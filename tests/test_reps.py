@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import islice, product
 
@@ -13,7 +14,7 @@ from gentlegp import (Letter, Matrix, PrimeField, QQ, Representation,
                       resolution, stable_hom_dim, string_module, syzygy,
                       validate_gentle)
 from gentlegp.families import (cyclic_nakayama, eight_vertex_example,
-                               projective_line_chain)
+                               linear_quiver, projective_line_chain)
 from gentlegp.linalg import echelon
 from gentlegp.reps import (Cover, InternalError, ModuleMap,
                           _subrepresentation, top_generators, walk_slots)
@@ -21,6 +22,7 @@ from gentlegp.strings import projective_word
 
 import reference
 from conftest import data_path, kronecker
+from test_gentle import gentle_presentations
 from reference import (band_module, check_module, column, from_rows, hstack,
                        hom_basis, identity, make_band, of, path_basis,
                        signature, solve)
@@ -39,7 +41,8 @@ def test_projective_dimension_vectors(eightv):
                 for v in eightv.vertices)
     assert total == eightv.dimension() == 64
     assert sum(q.target == "7" for q in path_basis(eightv)) == sum(
-        projective_rep(eightv, v, QQ).dims["7"] for v in eightv.vertices)
+        projective_rep(eightv, v, QQ).dims.get("7", 0)
+        for v in eightv.vertices)
 
 
 def test_representation_rejects_relation_violation(a2):
@@ -49,6 +52,16 @@ def test_representation_rejects_relation_violation(a2):
     with pytest.raises(ValueError, match="shape"):
         check_module(Representation(a2, QQ, {"1": 1, "2": 1},
                                     {"a1": Matrix.zeros(QQ, 2, 1)}))
+
+
+@pytest.mark.parametrize("dims, mats, reason", [
+    ({"1": 1, "2": 0}, {}, "zero dimension"),
+    ({"1": 1, "2": 1}, {"a1": Matrix.zeros(QQ, 1, 1)}, "zero matrix"),
+    ({"1": 1}, {"a1": Matrix(QQ, 0, 1, [])}, "off the support")],
+    ids=["zero-dimension", "zero-matrix", "off-the-support"])
+def test_check_module_rejects_entries_off_the_support(a2, dims, mats, reason):
+    with pytest.raises(ValueError, match=reason):
+        check_module(Representation(a2, QQ, dims, mats))
 
 
 def test_hom_from_projective_counts_fiber_dimension(eightv, kron, i3):
@@ -62,7 +75,8 @@ def test_hom_from_projective_counts_fiber_dimension(eightv, kron, i3):
                 for v in a.vertices]
     for n in modules:
         for v in n.algebra.vertices:
-            assert hom_dim(projective_rep(n.algebra, v, QQ), n) == n.dims[v]
+            assert hom_dim(projective_rep(n.algebra, v, QQ), n) == \
+                n.dims.get(v, 0)
 
 
 def test_hom_basis_maps_commute(eightv):
@@ -188,8 +202,8 @@ def test_subspace_not_closed_is_an_internal_error(eightv):
     # all of P_1 but its part at vertex 2: the arrow a: 1 -> 2 maps the
     # top of P_1 out of the span
     p1 = projective_rep(eightv, "1", QQ)
-    bases = {v: ([{i: QQ.one} for i in range(p1.dims[v])],
-                 list(range(p1.dims[v]))) for v in eightv.vertices}
+    bases = {v: ([{i: QQ.one} for i in range(d)], list(range(d)))
+             for v, d in p1.dims.items()}
     bases["2"] = ([], [])
     with pytest.raises(InternalError, match="not closed"):
         _subrepresentation(p1, bases)
@@ -206,8 +220,8 @@ def test_non_minimal_cover_is_an_internal_error(eightv):
     word, top = projective_word(eightv, "5")
     slot = walk_slots(eightv, word)[1][top]
     tops = tuple(off["5"] + slot for off in offsets)
-    blocks = {v: Matrix.zeros(QQ, s5.dims[v], p.dims[v])
-              for v in eightv.vertices}
+    blocks = {v: Matrix.zeros(QQ, s5.dims.get(v, 0), d)
+              for v, d in p.dims.items()}
     for col in tops:
         blocks["5"].rows[0][col] = QQ.one
     pi = ModuleMap(p, s5, blocks)
@@ -242,16 +256,49 @@ def test_resolution_step_eliminates_per_vertex_and_solves_nothing(
     modules = [string_module(a, w) for w in enumerate_strings(a, 3)]
     modules += [projective_rep(a, v, QQ) for v in a.vertices]
     modules.append(direct_sum(a, QQ, modules[:4])[0])
-    n = len(a.vertices)
     for m in modules:
         count["echelon"] = 0
         top_generators(m)
-        assert count["echelon"] == n
+        assert count["echelon"] == len(m.support)
         count["echelon"] = 0
-        syzygy(projective_cover(m))
-        # the top, the cover's surjectivity check and its kernel
-        assert count["echelon"] == 3 * n
+        cover = projective_cover(m)
+        syzygy(cover)
+        # the top and the cover's surjectivity check on supp M, and the
+        # kernel on supp P
+        assert count["echelon"] == \
+            2 * len(m.support) + len(cover.projective.support)
     assert count["solve"] == 0
+
+
+def test_a_resolution_step_costs_the_same_on_a_larger_quiver(monkeypatch):
+    from gentlegp import linalg, reps
+
+    count = {"zeros": 0, "echelon": 0}
+    real_zeros, real_echelon = Matrix.zeros.__func__, linalg.echelon
+
+    def zeros(cls, *args):
+        count["zeros"] += 1
+        return real_zeros(cls, *args)
+
+    def echelon(*args):
+        count["echelon"] += 1
+        return real_echelon(*args)
+
+    monkeypatch.setattr(Matrix, "zeros", classmethod(zeros))
+    monkeypatch.setattr(linalg, "echelon", echelon)
+    monkeypatch.setattr(reps, "echelon", echelon)
+    counts = []
+    for n in (5, 10, 20):
+        # the interval n-4 ... n-1: its cover P_{n-4} and its syzygy, the
+        # simple at the sink n, do not grow with n
+        a = validate_gentle(linear_quiver(n))
+        word = make_string(a, [Letter(f"a{i}", True)
+                               for i in range(n - 4, n - 1)])
+        count.update(zeros=0, echelon=0)
+        syzygy(projective_cover(string_module(a, word)))
+        counts.append(dict(count))
+    assert counts[0] == counts[1] == counts[2]
+    assert counts[0]["zeros"] and counts[0]["echelon"]
 
 
 def test_zero_representation(eightv):
@@ -312,7 +359,7 @@ def test_hom_across_validations_of_one_presentation(eightv):
         n_same = radical_summand_rep(eightv, arrow, QQ)
         assert hom_dim(m, n_twin) == hom_dim(m, n_same)
         assert len(hom_basis(m, n_twin)) == hom_dim(m, n_same)
-    assert hom_dim(projective_rep(twin, "7", QQ), m) == m.dims["7"]
+    assert hom_dim(projective_rep(twin, "7", QQ), m) == m.dims.get("7", 0)
 
 
 def test_hom_rejects_modules_over_different_presentations(eightv, a2):
@@ -342,10 +389,11 @@ def greedy_top_generators(m):
     radical and the vectors added so far, one solve per vector."""
     fld = m.field
     gens = []
-    for v in m.algebra.vertices:
+    for v in m.support:
         # the radical at v is spanned by the images of the arrows into v
         basis = hstack(fld, [Matrix.zeros(fld, m.dims[v], 0)] + [
-            m.mats[arr.name] for arr in m.algebra.presentation.arrows_in(v)])
+            m.mats[arr.name] for arr in m.algebra.presentation.arrows_in(v)
+            if arr.name in m.mats])
         for i in range(m.dims[v]):
             e = [fld.zero] * m.dims[v]
             e[i] = fld.one
@@ -376,11 +424,11 @@ def test_top_generators_match_greedy_reference(a, fld, data):
     # an invertible change of basis at every vertex hides the string basis
     g = {v: _unitriangular(data, fld, m.dims[v], True).mul(
              _unitriangular(data, fld, m.dims[v], False))
-         for v in a.vertices}
-    g_inv = {v: solve(g[v], identity(fld, m.dims[v]))
-             for v in a.vertices}
-    mats = {arr.name: g[arr.target].mul(m.mats[arr.name]).mul(
-                g_inv[arr.source]) for arr in a.arrows}
+         for v in m.support}
+    g_inv = {v: solve(g[v], identity(fld, m.dims[v])) for v in m.support}
+    amap = a.arrow_map
+    mats = {name: g[amap[name].target].mul(x).mul(g_inv[amap[name].source])
+            for name, x in m.mats.items()}
     m = Representation(a, fld, m.dims, mats)
     check_module(m)
     assert top_generators(m) == greedy_top_generators(m)
@@ -473,6 +521,25 @@ def test_constructed_modules_satisfy_their_relations(kron, fld):
         check_module(m)
 
 
+@settings(max_examples=60, deadline=None)
+@given(gentle_presentations(), st.sampled_from([QQ, PrimeField(101)]))
+def test_generated_modules_are_stored_on_their_support(p, fld):
+    # every module of the first steps of the resolutions, the covers'
+    # direct sums and the syzygies' subrepresentations included, stores
+    # no zero dimension or block; P_v has one basis vector per path from v
+    a = validate_gentle(p)
+    paths = Counter((q.source, q.target) for q in path_basis(a))
+    modules = [projective_rep(a, v, fld) for v in a.vertices]
+    for v, m in zip(a.vertices, modules):
+        assert m.dim_vector() == tuple(paths[v, w] for w in a.vertices)
+    modules += [string_module(a, w, fld) for w in enumerate_strings(a, 2)]
+    for m in modules:
+        check_module(m)
+        for cover, omega in islice(resolution(m), 4):
+            check_module(cover.projective)
+            check_module(omega)
+
+
 # the projective keeps its entries in a module-level cache, the regular
 # module in the store its algebra owns
 @pytest.mark.parametrize("build, args, entries", [
@@ -527,8 +594,10 @@ def reference_stable_hom_dim(m, n, cover):
     composites, size = [], 0
     for g in hom_basis(m, cover.projective):
         row, size = {}, 0
-        for v in m.algebra.vertices:
-            block = cover.pi.blocks[v].mul(g.blocks[v])
+        for v, b in g.blocks.items():
+            if v not in cover.pi.blocks:
+                continue  # P is 0 at v, and so is the composite
+            block = cover.pi.blocks[v].mul(b)
             for i, entries in enumerate(block.rows):
                 row.update((size + i * block.ncols + j, x)
                            for j, x in entries.items())
