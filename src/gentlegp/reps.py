@@ -213,8 +213,6 @@ def _hom_system(m: Representation, n: Representation):
         if na is None and ma is None:
             continue
         ms, mt, nt = m.dims.get(s, 0), m.dims.get(t, 0), n.dims.get(t, 0)
-        if not (ms and nt):
-            continue
         if na is not None:
             left = [[(offsets[s] + k * ms, c) for k, c in row.items()]
                     for row in na.rows]
