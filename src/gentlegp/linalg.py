@@ -13,11 +13,13 @@ from .quiver import InputError
 
 
 class Rationals:
-    """The field of rational numbers, backed by fractions.Fraction."""
+    """The field of rational numbers.  An integral element is a plain int
+    and only a real denominator makes a fractions.Fraction; the two mix
+    exactly, and equal values compare equal."""
 
     p = 0  # the characteristic; a prime field keeps its own as p
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def add(self, a, b):
         return a + b
@@ -152,8 +154,9 @@ def echelon(field, rows, ncols, reduced=True):
     reduced echelon form.
 
     Over F_p the row operations are on plain ints mod p.  Over Q they are
-    fraction-free on integer rows, with fractions only in the reduced
-    pivot rows scaled to 1 at the end."""
+    fraction-free on integer rows; scaling a reduced pivot row to 1 at the
+    end divides exactly, and makes a Fraction only of an entry its pivot
+    does not divide."""
     p = field.p
     by_lead = {}  # lead column -> rows starting there
     for r in rows:
@@ -187,13 +190,22 @@ def echelon(field, rows, ncols, reduced=True):
                 _clear(r, below[j], j, p)
             below[c] = r
         if not p:
-            prows = [{j: Fraction(v, r[c]) for j, v in r.items()}
+            prows = [r if r[c] == 1 else _divided(r, r[c])
                      for r, c in zip(prows, pivots)]
     return prows, pivots
 
 
+def _divided(row, d):
+    """An integer row over the integer d, with ints where d divides."""
+    return {j: v // d if v % d == 0 else Fraction(v, d)
+            for j, v in row.items()}
+
+
 def _integral(row):
-    """A row of rationals times the lcm of their denominators."""
+    """A row of rationals times the lcm of their denominators, as a new
+    row of ints."""
+    if all(type(x) is int for x in row.values()):
+        return dict(row)
     den = 1
     for x in row.values():
         if x.denominator != 1:

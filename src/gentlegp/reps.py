@@ -258,20 +258,28 @@ def _hom_vectors(m: Representation, n: Representation):
     return list(kernel_vectors(m.field, rows, total).values()), cells
 
 
-def top_generators(m: Representation):
+def _columns(m: Representation):
+    """The columns of each arrow matrix that M stores, by arrow."""
+    return {name: mat.transpose().rows for name, mat in m.mats.items()}
+
+
+def top_generators(m: Representation, columns=None):
     """Standard basis vectors completing the radical to all of M, as
     (vertex, index) pairs; they generate M and present its top.  A greedy
     completion picks e_c unless it lies in rad M_v + <e_0, ..., e_{c-1}>,
     that is, unless some radical vector has its last nonzero coordinate
     at c: the pivots of the echelon form of the columns of the arrows into
-    v, which span the radical at v, with the coordinates reversed."""
+    v, which span the radical at v, with the coordinates reversed.  A
+    caller that holds _columns(m) passes it as columns."""
+    if columns is None:
+        columns = _columns(m)
     arrows_in = m.algebra.presentation.arrows_in
     gens = []
     for v in m.support:
         last = m.dims[v] - 1
         rows = [{last - i: x for i, x in col.items()}
-                for arr in arrows_in(v) if arr.name in m.mats
-                for col in m.mats[arr.name].transpose().rows]
+                for arr in arrows_in(v) if arr.name in columns
+                for col in columns[arr.name]]
         ends = {last - c for c in echelon(m.field, rows, last + 1, False)[1]}
         gens.extend((v, c) for c in range(last + 1) if c not in ends)
     return gens
@@ -320,22 +328,25 @@ def projective_cover(m: Representation) -> Cover:
     """Minimal projective cover built on a basis of the top."""
     a = m.algebra
     fld = m.field
-    gens = top_generators(m)
+    # an arrow maps the sparse vector x to the combination of its columns;
+    # one that M does not store maps it to 0
+    columns = _columns(m)
+    gens = top_generators(m, columns)
     p, offsets = direct_sum(a, fld,
                             [projective_rep(a, v, fld) for v, _ in gens])
     blocks = {v: Matrix.zeros(fld, m.dims.get(v, 0), d)
               for v, d in p.dims.items()}
-    # an arrow maps the sparse vector x to the combination of its columns;
-    # one that M does not store maps it to 0
-    columns = {name: mat.transpose().rows for name, mat in m.mats.items()}
 
     def image(x, arrow):
         return _combine(x, columns[arrow], fld.p) if arrow in columns else {}
 
+    walks = {}  # vertex -> its projective's word, top and slots
     tops = []
     for (v, k), off in zip(gens, offsets):
-        word, top = projective_word(a, v)
-        _, slots = walk_slots(a, word)
+        if v not in walks:
+            word, top = projective_word(a, v)
+            walks[v] = word, top, walk_slots(a, word)[1]
+        word, top, slots = walks[v]
         # the generator sits on the top; every letter points away from it
         images = [None] * len(slots)
         images[top] = {k: fld.one}

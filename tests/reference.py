@@ -103,7 +103,8 @@ def mul(field, a, b):
 
 
 def div(field, a, b):
-    return a * pow(b, -1, field.p) % field.p if field.p else a / b
+    # over Q an integral element is an int, and int / int is a float
+    return a * pow(b, -1, field.p) % field.p if field.p else Fraction(a) / b
 
 
 def from_rows(field, rows):

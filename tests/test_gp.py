@@ -1,11 +1,14 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gentlegp import (QQ, classified_words, classify_gp,
+from gentlegp import (PrimeField, QQ, classified_words, classify_gp,
                       compare_derived_invariant, enumerate_strings,
                       gorenstein_dimension, gp_oracle, projective_rep,
                       radical_summand_rep, singularity_descriptor,
                       stable_category_table, string_module, validate_gentle)
 from gentlegp.families import cyclic_nakayama, projective_line_chain
+
+from test_gentle import gentle_presentations
 
 
 def test_classify_eight_vertex(eightv):
@@ -77,6 +80,20 @@ def test_oracle_sweep_eight_vertex_short_words(eightv):
         cert = gp_oracle(m, d)
         assert cert.verdict in ("GP", "not-GP")
         assert (cert.verdict == "GP") == (w.canonical() in words)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gentle_presentations(), st.sampled_from([QQ, PrimeField(101)]))
+def test_oracle_agrees_with_classifier_on_generated_algebras(p, fld):
+    # the oracle's linear algebra and the classifier's critical cycles
+    # are independent routes to the same GP modules
+    a = validate_gentle(p)
+    d = gorenstein_dimension(a, fld)
+    words = classified_words(a)
+    for w in enumerate_strings(a, 3):
+        cert = gp_oracle(string_module(a, w, fld), d)
+        assert cert.verdict in ("GP", "not-GP")
+        assert (cert.verdict == "GP") == (w.canonical() in words), w
 
 
 def test_oracle_bound_is_the_gorenstein_dimension(eightv, i3, a2):

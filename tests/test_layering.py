@@ -1,9 +1,10 @@
 """The layers of the package, read from the syntax trees of its files:
 only reps turns string words into matrices, so strings imports neither
 reps nor linalg and neither gp nor strings names Matrix or walk_slots;
-every import sits at module level; the module-level caches are the ones
-allowed below; only cli.run writes output; and every exception the
-package defines is bad input or a bug."""
+only linalg imports fractions; every import sits at module level; the
+module-level caches are the ones allowed below; only cli.run writes
+output; and every exception the package defines is bad input or a
+bug."""
 
 import ast
 import importlib
@@ -53,6 +54,14 @@ def _imported_modules(tree):
 def test_strings_imports_neither_reps_nor_linalg():
     imported = set(_imported_modules(_trees()["strings.py"]))
     assert imported & {"reps", "linalg"} == set()
+
+
+def test_only_linalg_imports_fractions():
+    # Q values enter only through linalg, as ints or, with a real
+    # denominator, as Fractions
+    importers = {fname for fname, tree in _trees().items()
+                 if "fractions" in _imported_modules(tree)}
+    assert importers == {"linalg.py"}
 
 
 def test_no_function_body_holds_an_import():

@@ -175,6 +175,7 @@ def test_solve_rejects_short_right_hand_side():
 def test_field_constants_are_shared():
     assert QQ.zero is Rationals().zero and QQ.one is Rationals().one
     assert (QQ.zero, QQ.one) == (Fraction(0), Fraction(1))
+    assert type(QQ.zero) is type(QQ.one) is int
     assert (PrimeField(5).zero, PrimeField(7).one) == (0, 1)
 
 
@@ -232,18 +233,23 @@ KERNEL_FIELDS = [QQ, PrimeField(5), PrimeField(101)]
 
 def _draw_sparse(data, fld, nrows, ncols):
     """A sparse matrix with some rows and columns forced to zero; over Q
-    the entries have denominators 1 to 6."""
+    the entries are either plain ints, as the program's own integral
+    matrices hold, or Fractions with denominators 1 to 6."""
     zero_rows = data.draw(st.sets(st.integers(0, max(nrows - 1, 0))))
     zero_cols = data.draw(st.sets(st.integers(0, max(ncols - 1, 0))))
-    if fld == QQ:
-        entry = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
-    else:
+    if fld != QQ:
         entry = st.integers(0, fld.p - 1)
-    rows = [[of(fld, data.draw(entry))
+    elif data.draw(st.booleans()):
+        entry = st.integers(-6, 6)
+    else:
+        entry = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+    rows = [[data.draw(entry)
              if i not in zero_rows and j not in zero_cols
              and data.draw(st.integers(0, 2)) == 0 else fld.zero
              for j in range(ncols)] for i in range(nrows)]
-    return _matrix(fld, nrows, ncols, rows)
+    # entries are field elements already: from_rows would make Fractions
+    return Matrix(fld, nrows, ncols,
+                  [{j: x for j, x in enumerate(r) if x} for r in rows])
 
 
 @settings(max_examples=300, deadline=None)
@@ -269,6 +275,24 @@ def test_kernel_matches_dense_reference(fld, nrows, ncols, nrhs, data):
         x = reference_solve(fld, a, column(fld, _column(b, j)))
         assert solve(a, _column(b, j)) == (
             None if x is None else _column(x, 0))
+
+
+def test_rational_echelon_keeps_integers_and_divides_exactly():
+    # an integral Q row stays ints; a pivot that does not divide an entry
+    # leaves a Fraction, and one that does leaves an int
+    rows, pivots = echelon(QQ, [{0: 2, 1: 1}], 2)
+    assert (rows, pivots) == ([{0: 1, 1: Fraction(1, 2)}], [0])
+    assert type(rows[0][0]) is int and type(rows[0][1]) is Fraction
+    rows = echelon(QQ, [{0: 2, 1: 4}, {0: 1, 2: -3}], 3)[0]
+    assert rows == [{0: 1, 2: -3}, {1: 1, 2: Fraction(3, 2)}]
+    assert [type(x) for x in rows[0].values()] == [int, int]
+    # Fraction input with denominator 1 comes out as ints too
+    rows = echelon(QQ, [{0: Fraction(3), 1: Fraction(-6)}], 2)[0]
+    assert rows == [{0: 1, 1: -2}]
+    assert all(type(x) is int for x in rows[0].values())
+    vectors = kernel_vectors(QQ, [{0: 1, 1: -1, 2: 2}], 3)
+    assert vectors == {1: {1: 1, 0: 1}, 2: {2: 1, 0: -2}}
+    assert all(type(x) is int for v in vectors.values() for x in v.values())
 
 
 # ------------------------------------------- sparse Matrix vs dense reference

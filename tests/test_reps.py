@@ -15,7 +15,7 @@ from gentlegp import (Letter, Matrix, PrimeField, QQ, Representation,
                       validate_gentle)
 from gentlegp.families import (cyclic_nakayama, eight_vertex_example,
                                linear_quiver, projective_line_chain)
-from gentlegp.linalg import echelon
+from gentlegp.linalg import echelon, kernel_vectors
 from gentlegp.reps import (Cover, InternalError, ModuleMap,
                           _subrepresentation, top_generators, walk_slots)
 from gentlegp.strings import projective_word
@@ -538,6 +538,33 @@ def test_generated_modules_are_stored_on_their_support(p, fld):
         for cover, omega in islice(resolution(m), 4):
             check_module(cover.projective)
             check_module(omega)
+
+
+def _entries(mats):
+    return [x for mat in mats for row in mat.rows for x in row.values()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(gentle_presentations())
+def test_generated_modules_over_q_hold_plain_ints(p):
+    # every Q entry starts from QQ.one, and the covers, kernels and
+    # syzygies of 0/+-1 matrices stay integral: no entry is a Fraction
+    a = validate_gentle(p)
+    modules = [projective_rep(a, v, QQ) for v in a.vertices]
+    modules += [string_module(a, w, QQ) for w in enumerate_strings(a, 2)]
+    entries = []
+    for m in modules:
+        entries += _entries(m.mats.values())
+        for cover, omega in islice(resolution(m), 4):
+            blocks = cover.pi.blocks
+            entries += _entries(cover.projective.mats.values())
+            entries += _entries(blocks.values())
+            entries += _entries(omega.mats.values())
+            for v in cover.projective.support:
+                entries += [x for vec in kernel_vectors(
+                    QQ, blocks[v].rows, blocks[v].ncols).values()
+                    for x in vec.values()]
+    assert entries and {type(x) for x in entries} == {int}
 
 
 # the projective keeps its entries in a module-level cache, the regular
