@@ -204,7 +204,10 @@ def _divided(row, d):
 def _integral(row):
     """A row of rationals times the lcm of their denominators, as a new
     row of ints."""
-    if all(type(x) is int for x in row.values()):
+    for x in row.values():
+        if type(x) is not int:
+            break
+    else:
         return dict(row)
     den = 1
     for x in row.values():
