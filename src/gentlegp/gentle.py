@@ -13,8 +13,8 @@ from the forbidden compositions alone and never read the threads.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .quiver import (InputError, PresentationError, QuiverError,
                      QuiverPresentation)
@@ -23,8 +23,7 @@ from .quiver import (InputError, PresentationError, QuiverError,
 MAX_BASIS_PATHS = 100000
 
 
-@dataclass(frozen=True)
-class GentleViolation:
+class GentleViolation(NamedTuple):
     axiom: str  # G1 | G2-admissible | G3 | G4 | infinite-dimensional
     witness: tuple
 
@@ -43,8 +42,7 @@ class BasisTooLargeError(QuiverError):
     """A valid presentation whose path basis exceeds MAX_BASIS_PATHS."""
 
 
-@dataclass(frozen=True)
-class CriticalCycle:
+class CriticalCycle(NamedTuple):
     """Repetition-free cycle of arrows with every consecutive composition
     in the relation ideal; stored in canonical rotation (lexicographically
     least arrow first, traversal order)."""
@@ -131,11 +129,11 @@ def _find_cycle(succ):
     return None
 
 
-@dataclass(frozen=True, eq=False)
 class GentleAlgebra:
     """Compares and hashes by identity: each validation is its own key."""
 
-    presentation: QuiverPresentation
+    def __init__(self, presentation: QuiverPresentation):
+        self.presentation = presentation
 
     @cached_property
     def _threads(self):

@@ -7,7 +7,7 @@ agreement between the two routes is the point of the library.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .gentle import GentleAlgebra, critical_cycles
 from .linalg import QQ
@@ -23,8 +23,7 @@ class ClassificationMismatchError(AssertionError):
     classification; indicates a bug, never silently ignored."""
 
 
-@dataclass(frozen=True)
-class GPClassification:
+class GPClassification(NamedTuple):
     projectives: tuple[str, ...]  # vertex ids
     nonprojective: tuple  # (cycle, arrow name) pairs, cycle order
 
@@ -39,8 +38,7 @@ def classify_gp(a: GentleAlgebra) -> GPClassification:
     return GPClassification(tuple(a.vertices), tuple(nonproj))
 
 
-@dataclass(frozen=True)
-class SingularityDescriptor:
+class SingularityDescriptor(NamedTuple):
     cycle_lengths: tuple[int, ...]  # sorted multiset
 
     def factor_labels(self):
@@ -57,8 +55,7 @@ def singularity_descriptor(a: GentleAlgebra) -> SingularityDescriptor:
         tuple(sorted(c.length for c in critical_cycles(a))))
 
 
-@dataclass
-class OracleCertificate:
+class OracleCertificate(NamedTuple):
     module_label: str
     verdict: str  # GP | not-GP
     ext_dims: list
@@ -130,8 +127,7 @@ def _kernel_inclusion(a: GentleAlgebra, cover, v, nxt, omega) -> bool:
             and omega.total_dim + pi.target.total_dim == pi.source.total_dim)
 
 
-@dataclass
-class StableCategoryTable:
+class StableCategoryTable(NamedTuple):
     objects: list  # (cycle name, arrow) in cycle order
     orbits: list   # lists of arrow names, shift orbit order
     matrix: list   # stable hom dims, row = source object
@@ -180,8 +176,7 @@ def stable_category_table(a: GentleAlgebra, fld=QQ) -> StableCategoryTable:
     return table
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     compatible: bool
     left: tuple[int, ...]
     right: tuple[int, ...]

@@ -8,10 +8,10 @@ path "first ``earlier``, then ``later``" is declared zero.  The DSL token
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from types import MappingProxyType
+from typing import NamedTuple
 
 
 class InputError(ValueError):
@@ -34,20 +34,20 @@ class PresentationError(QuiverError):
     """Semantically invalid presentation (unknown ids, bad composability)."""
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(NamedTuple):
     name: str
     source: str
     target: str
 
 
-@dataclass(frozen=True)
 class QuiverPresentation:
-    vertices: tuple[str, ...]
-    arrows: tuple[Arrow, ...]
-    relations: frozenset[tuple[str, str]]
+    """Compares and hashes by value: its vertices, arrows and relations."""
 
-    def __post_init__(self):
+    def __init__(self, vertices: tuple[str, ...], arrows: tuple[Arrow, ...],
+                 relations: frozenset[tuple[str, str]]):
+        self.vertices = vertices
+        self.arrows = arrows
+        self.relations = relations
         seen_v = set()
         for v in self.vertices:
             if v in seen_v:
@@ -73,6 +73,15 @@ class QuiverPresentation:
                     f"relation {later}*{earlier} is not composable: "
                     f"target({earlier}) = {seen_a[earlier].target!r} but "
                     f"source({later}) = {seen_a[later].source!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.vertices, self.arrows, self.relations) == \
+            (other.vertices, other.arrows, other.relations)
+
+    def __hash__(self):
+        return hash((self.vertices, self.arrows, self.relations))
 
     @cached_property
     def arrow_map(self):

@@ -7,9 +7,9 @@ string words into matrices."""
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import islice
+from typing import NamedTuple
 
 from .gentle import GentleAlgebra, validate_gentle
 from .linalg import Matrix, QQ, _combine, echelon, kernel_vectors
@@ -52,8 +52,7 @@ class Representation:
         return self.total_dim == 0
 
 
-@dataclass
-class ModuleMap:
+class ModuleMap(NamedTuple):
     source: Representation
     target: Representation
     blocks: dict
@@ -316,8 +315,7 @@ def _subrepresentation(m: Representation, bases):
     return Representation(a, fld, dims, mats)
 
 
-@dataclass
-class Cover:
+class Cover(NamedTuple):
     projective: Representation
     summands: tuple  # vertex per indecomposable summand
     pi: ModuleMap
@@ -398,11 +396,13 @@ def radical_summand_rep(a: GentleAlgebra, arrow_name: str, fld, /):
     return string_module(a, radical_summand_string(a, arrow_name), fld)
 
 
-@dataclass
 class ExtProfile:
-    dims: list          # dims[i-1] = dim Ext^i(M, regular module)
-    syzygy_dim_vectors: list
-    status: str         # terminated | gorenstein | checked-to-bound
+    """A plain class, not a record: a caller may rewrite a field."""
+
+    def __init__(self, dims: list, syzygy_dim_vectors: list, status: str):
+        self.dims = dims  # dims[i-1] = dim Ext^i(M, regular module)
+        self.syzygy_dim_vectors = syzygy_dim_vectors
+        self.status = status  # terminated | gorenstein | checked-to-bound
 
     @property
     def all_zero(self):
@@ -517,8 +517,7 @@ def stable_hom_dim(m: Representation, cover: Cover,
 RESOLUTION_CAP = 64
 
 
-@dataclass(frozen=True)
-class Coresolution:
+class Coresolution(NamedTuple):
     """The minimal injective coresolution 0 -> Lambda -> I^0 -> ... -> I^n
     -> 0 of the algebra over itself, by its length n, the injective
     dimension, and its Euler characteristic: euler[v] is the alternating

@@ -7,7 +7,6 @@ v_i, forwards for a direct letter and backwards for an inverse one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .gentle import GentleAlgebra, radical_summand_word
@@ -39,12 +38,12 @@ def parse_letters(text: str):
     return tuple(letters)
 
 
-@dataclass(frozen=True)
-class StringWord:
+class StringWord(NamedTuple):
     """A valid string: letters plus the visited walk vertices.
 
     len(vertices) == len(letters) + 1; a lazy word has no letters and one
-    vertex.
+    vertex.  len(w) counts letters, so the tuple's _make and _replace
+    fail on a word of other than two letters.
     """
 
     letters: tuple[Letter, ...]

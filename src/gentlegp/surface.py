@@ -4,8 +4,8 @@ gentle algebras they generate."""
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .gentle import GentleAlgebra, validate_gentle
 from .gp import singularity_descriptor
@@ -16,11 +16,25 @@ class TriangulationError(InputError):
     pass
 
 
-@dataclass(frozen=True)
 class Triangulation:
-    internal_arcs: tuple[str, ...]
-    boundary_arcs: tuple[str, ...]
-    triangles: tuple[tuple[str, str, str], ...]  # sides in cyclic orientation
+    """Compares and hashes by value: its arcs and triangles, each
+    triangle's sides in cyclic orientation."""
+
+    def __init__(self, internal_arcs: tuple[str, ...],
+                 boundary_arcs: tuple[str, ...],
+                 triangles: tuple[tuple[str, str, str], ...]):
+        self.internal_arcs = internal_arcs
+        self.boundary_arcs = boundary_arcs
+        self.triangles = triangles
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.internal_arcs, self.boundary_arcs, self.triangles) == \
+            (other.internal_arcs, other.boundary_arcs, other.triangles)
+
+    def __hash__(self):
+        return hash((self.internal_arcs, self.boundary_arcs, self.triangles))
 
     @cached_property
     def _internal(self):
@@ -134,8 +148,7 @@ def algebra_from_triangulation(t: Triangulation) -> GentleAlgebra:
     return validate_gentle(algebra_presentation(t))
 
 
-@dataclass(frozen=True)
-class InnerCountReport:
+class InnerCountReport(NamedTuple):
     holds: bool
     descriptor: tuple[int, ...]
     triangles: tuple

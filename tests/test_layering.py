@@ -1,14 +1,17 @@
 """The layers of the package, read from the syntax trees of its files:
 only reps turns string words into matrices, so strings imports neither
 reps nor linalg and neither gp nor strings names Matrix or walk_slots;
-only linalg imports fractions; every import sits at module level; the
-module-level caches are the ones allowed below; only cli.run writes
-output; and every exception the package defines is bad input or a
-bug."""
+only linalg imports fractions; no module imports dataclasses, and a
+fresh interpreter that builds the CLI parser loads neither dataclasses
+nor inspect; every import sits at module level; the module-level caches
+are the ones allowed below; only cli.run writes output; and every
+exception the package defines is bad input or a bug."""
 
 import ast
 import importlib
 import inspect
+import subprocess
+import sys
 from pathlib import Path
 
 import gentlegp
@@ -62,6 +65,26 @@ def test_only_linalg_imports_fractions():
     importers = {fname for fname, tree in _trees().items()
                  if "fractions" in _imported_modules(tree)}
     assert importers == {"linalg.py"}
+
+
+def test_no_module_imports_dataclasses():
+    # every CLI command starts a fresh interpreter: dataclasses imports
+    # inspect and compiles each record's methods from source at import
+    importers = {fname for fname, tree in _trees().items()
+                 if "dataclasses" in _imported_modules(tree)}
+    assert importers == set()
+
+
+def test_a_fresh_cli_loads_neither_dataclasses_nor_inspect():
+    # -I -S: no site hooks, so only what the package imports is loaded
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import gentlegp.cli; gentlegp.cli.build_parser(); "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", code,
+                           str(SRC.parent)],
+                          capture_output=True, text=True, check=True,
+                          timeout=60)
+    assert done.stdout == "[]\n"
 
 
 def test_no_function_body_holds_an_import():

@@ -6,8 +6,6 @@ last."""
 
 import json
 
-from dataclasses import replace
-
 import pytest
 
 from gentlegp import (QQ, ClassificationMismatchError, PrimeField,
@@ -160,7 +158,7 @@ def test_orbit_witness_rejects_the_wrong_successor(fld, monkeypatch):
     real = gp.critical_cycles
     # on 3-cycles the reversed order names the predecessor as successor
     monkeypatch.setattr(gp, "critical_cycles", lambda a: [
-        replace(c, arrows=c.arrows[::-1]) for c in real(a)])
+        c._replace(arrows=c.arrows[::-1]) for c in real(a)])
     assert {c.length for c in gp.critical_cycles(a)} == {3}
     with pytest.raises(ClassificationMismatchError,
                        match="does not match the next summand"):

@@ -116,7 +116,16 @@ def presentations(draw):
 
 @given(presentations())
 def test_roundtrip_random(p):
-    assert parse_presentation(serialize_presentation(p)) == p
+    q = parse_presentation(serialize_presentation(p))
+    assert q == p and hash(q) == hash(p)
+
+
+def test_presentations_compare_by_value_of_the_same_type():
+    p = eight_vertex_example()
+    fewer = QuiverPresentation(p.vertices, p.arrows,
+                               frozenset(sorted(p.relations)[1:]))
+    assert fewer != p
+    assert p != (p.vertices, p.arrows, p.relations)
 
 
 @given(presentations())

@@ -119,6 +119,16 @@ def test_string_module_isomorphic_to_inverse(eightv):
             == signature(string_module(eightv, w.inverse())))
 
 
+def test_word_length_counts_letters_and_equal_words_hash_equally(eightv):
+    lazy = lazy_word(eightv, "8")
+    assert len(lazy) == 0 and not lazy
+    w = make_string(eightv, [L("d"), L("a"), Li("e")])
+    twin = make_string(eightv, [L("d"), L("a"), Li("e")])
+    assert len(w) == 3 and twin == w and hash(twin) == hash(w)
+    assert w.inverse() != w
+    assert w.canonical() == w.inverse().canonical()
+
+
 def test_enumerate_lazy_only(eightv):
     words = enumerate_strings(eightv, 0)
     assert len(words) == 8 and all(w.is_lazy for w in words)

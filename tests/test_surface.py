@@ -27,7 +27,17 @@ def test_parse_hexagon():
 def test_roundtrip():
     for name in ("hexagon.tri", "fan5.tri", "octagon2.tri"):
         t = load(name)
-        assert parse_triangulation(serialize_triangulation(t)) == t
+        back = parse_triangulation(serialize_triangulation(t))
+        assert back == t and hash(back) == hash(t)
+
+
+def test_triangulations_compare_by_value_of_the_same_type():
+    t = load("hexagon.tri")
+    # the first triangle with its orientation reversed
+    flipped = make_triangulation(t.internal_arcs, t.boundary_arcs,
+                                 [t.triangles[0][::-1], *t.triangles[1:]])
+    assert flipped != t
+    assert t != (t.internal_arcs, t.boundary_arcs, t.triangles)
 
 
 def test_reject_self_folded():
