@@ -33,6 +33,8 @@ TRI = sorted(p.name for p in DATA.glob("*.tri"))
 # surface.algebra_presentation
 FAMILIES = sorted(f"families/{p.name}"
                   for p in (DATA / "families").glob("*.gentle"))
+# algebras with a loop, whose commutation equations meet one unknown twice
+LOOPS = sorted(f"loops/{p.name}" for p in (DATA / "loops").glob("*.gentle"))
 
 
 def _commands():
@@ -65,6 +67,20 @@ def _commands():
             cmds.append(["--field", field, "dim", name])
             cmds.append(["--field", field, "oracle", name,
                          "--max-letters", "3"])
+    for name in LOOPS:
+        for sub in ("validate", "cycles", "gp", "dsg"):
+            cmds.append([sub, name])
+        for field in ("q", "f101"):
+            cmds.append(["--field", field, "stable", name])
+            cmds.append(["--field", field, "dim", name])
+            cmds.append(["--field", field, "oracle", name,
+                         "--max-letters", "4"])
+    # small characteristic, where 1 + 1 and 1 + 1 + 1 + 1 + 1 vanish
+    for field in ("f2", "f5"):
+        for name in ("eight_vertex.gentle", "families/lambda5.gentle"):
+            cmds.append(["--field", field, "stable", name])
+            cmds.append(["--field", field, "oracle", name,
+                         "--max-letters", "4"])
     return cmds
 
 
@@ -76,7 +92,7 @@ def _key(argv):
 
 
 def _resolve(argv):
-    files = set(GENTLE) | set(TRI) | set(FAMILIES)
+    files = set(GENTLE) | set(TRI) | set(FAMILIES) | set(LOOPS)
     return [str(DATA / a) if a in files else a for a in argv]
 
 
