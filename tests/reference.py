@@ -4,22 +4,23 @@ The program needs none of them: a brute-force presentation isomorphism,
 field arithmetic, dense rows, identity matrices and matrices side by
 side for the dense references, a dense-style linear solve, the path
 basis of an algebra, its critical cycles by exhaustive search, the peak
-test on string words, band modules, the module axioms, explicit hom
-bases, a module signature that tells apart the modules the tests
-compare, the embedding obstruction computed one indecomposable
-projective at a time, and an Ext profile that resolves every step, with
-no Euler characteristic.
+test on string words, band modules, the module axioms, and the full
+commutation system of Hom(M, N), every block cell an unknown.  On that
+system rest explicit hom bases, hom dimensions, a module signature that
+tells apart the modules the tests compare, the embedding obstruction
+computed one indecomposable projective at a time, and an Ext profile
+that resolves every step, with no Euler characteristic.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, permutations
 
-from gentlegp.linalg import Matrix, QQ, echelon
+from gentlegp.linalg import Matrix, QQ, echelon, kernel_vectors
 from gentlegp.quiver import InputError
 from gentlegp.reps import (ExtProfile, ModuleMap, Representation,
-                           _hom_vectors, hom_dim, projective_rep,
-                           radical_summand_rep, regular_rep, resolution)
+                           projective_rep, radical_summand_rep, regular_rep,
+                           resolution)
 from gentlegp.strings import check_string, make_string
 
 
@@ -350,9 +351,65 @@ def check_module(m):
             raise ValueError(f"relation {later}*{earlier} not satisfied")
 
 
+# ------------------------------------------------------------------ homs
+
+def hom_system(m, n):
+    """The full commutation system of Hom(M, N): every cell of every block
+    B_v (N_v x M_v) where M and N are both nonzero is an unknown, numbered
+    row-major, vertices in algebra order.  Returns (rows, cells): one
+    sparse row per nonzero entry (i, j) of N_a B_s - B_t M_a, for every
+    arrow a: s -> t, and the (vertex, N-row, M-column) cell of each
+    unknown.  An arrow that M or N does not store acts by 0."""
+    if m.algebra.presentation != n.algebra.presentation:
+        raise ValueError("modules over different algebras")
+    fld = m.field
+    offsets, cells = {}, []
+    for v in m.algebra.vertices:
+        if m.dims.get(v) and n.dims.get(v):
+            offsets[v] = len(cells)
+            cells.extend((v, i, k) for i in range(n.dims[v])
+                         for k in range(m.dims[v]))
+    rows = []
+    for arr in m.algebra.arrows:
+        s, t = arr.source, arr.target
+        na = n.mats.get(arr.name) if s in offsets else None
+        ma = m.mats.get(arr.name) if t in offsets else None
+        if na is None and ma is None:
+            continue
+        ms, mt = m.dims.get(s, 0), m.dims.get(t, 0)
+        columns = ma.transpose().rows if ma is not None else None
+        for i in range(n.dims.get(t, 0)):
+            for j in range(ms):
+                row = {}
+                if na is not None:
+                    for k, c in na.rows[i].items():
+                        idx = offsets[s] + k * ms + j
+                        row[idx] = fld.add(row.get(idx, fld.zero), c)
+                if columns is not None:
+                    for k, c in columns[j].items():
+                        idx = offsets[t] + i * mt + k
+                        row[idx] = sub(fld, row.get(idx, fld.zero), c)
+                row = {idx: c for idx, c in row.items() if c}
+                if row:
+                    rows.append(row)
+    return rows, cells
+
+
+def hom_vectors(m, n):
+    """A basis of Hom(M, N) as kernel vectors of the full system, and the
+    cell of every unknown."""
+    rows, cells = hom_system(m, n)
+    return list(kernel_vectors(m.field, rows, len(cells)).values()), cells
+
+
+def hom_dim(m, n):
+    rows, cells = hom_system(m, n)
+    return len(cells) - len(echelon(m.field, rows, len(cells), False)[1])
+
+
 def hom_basis(m, n):
     """A basis of Hom(M, N), as module maps."""
-    vectors, cells = _hom_vectors(m, n)
+    vectors, cells = hom_vectors(m, n)
     maps = []
     for vec in vectors:
         blocks = {v: Matrix.zeros(m.field, n.dims.get(v, 0), d)
@@ -386,7 +443,7 @@ def embedding_obstruction(m):
     stacked = {w: [] for w in m.dims}  # block rows of all maps, per vertex
     homs = 0
     for v in a.vertices:
-        vectors, cells = _hom_vectors(m, projective_rep(a, v, fld))
+        vectors, cells = hom_vectors(m, projective_rep(a, v, fld))
         homs += len(vectors)
         for vec in vectors:
             rows = {}

@@ -5,7 +5,9 @@ only linalg imports fractions; no module imports dataclasses, and a
 fresh interpreter that builds the CLI parser loads neither dataclasses
 nor inspect; every import sits at module level; the module-level caches
 are the ones allowed below; only cli.run writes output; and every
-exception the package defines is bad input or a bug."""
+exception the package defines is bad input or a bug.  tests/reference.py,
+which the hom systems are checked against, solves none with the
+program's own."""
 
 import ast
 import importlib
@@ -19,6 +21,7 @@ from gentlegp.quiver import InputError
 
 SRC = Path(gentlegp.__file__).parent
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+REFERENCE = Path(__file__).resolve().parent / "reference.py"
 
 # (file, function) -> why it keeps a module-level cache
 CACHED = {
@@ -85,6 +88,20 @@ def test_a_fresh_cli_loads_neither_dataclasses_nor_inspect():
                           capture_output=True, text=True, check=True,
                           timeout=60)
     assert done.stdout == "[]\n"
+
+
+def test_the_reference_builds_its_own_hom_systems():
+    # the reference's hom bases, signatures, obstructions and Ext
+    # profiles check the program's hom systems, not the systems themselves
+    program = {"_hom_system", "_hom_vectors", "hom_dim"}
+    tree = ast.parse(REFERENCE.read_text())
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and (node.module or "").split(".")[0] == "gentlegp"
+                for alias in node.names}
+    reached = {node.attr for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute)}
+    assert (imported | reached) & program == set()
 
 
 def test_no_function_body_holds_an_import():
