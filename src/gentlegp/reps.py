@@ -181,80 +181,112 @@ def receiving_sum(m: Representation) -> Representation:
 
 
 def _hom_system(m: Representation, n: Representation):
-    """Sparse commutation system for Hom(M, N), a dict from unknown to
-    coefficient per equation: (rows, offsets, number of unknowns).  The
-    unknowns are the entries of the blocks B_v (N_v x M_v) where M and N
-    are both nonzero, flattened row-major, vertices in algebra order."""
+    """Sparse commutation system for Hom(M, N): (rows, cells), a dict from
+    unknown to coefficient per equation and the (vertex, N-row, M-column)
+    cell of each unknown in the blocks B_v (N_v x M_v) where M and N are
+    both nonzero.  Where an arrow a: s -> t leaves only N_a B_s = 0, a row
+    of N_a with one entry at k forces row k of B_s to 0; where it leaves
+    only B_t M_a = 0, a column of M_a with one entry at k forces column k
+    of B_t to 0.  Every kernel vector is 0 there, so the unknowns are the
+    other cells, row-major, vertices in algebra order; an arrow whose
+    every equation forces cells gives no rows."""
     if m.algebra is not n.algebra and \
             m.algebra.presentation != n.algebra.presentation:
         raise ValueError("modules over different algebras")
-    offsets = {}
-    total = 0
-    for v in m.support:
-        if n.dims.get(v):
-            offsets[v] = total
-            total += n.dims[v] * m.dims[v]
-    rows = []
-    if not total:
-        return rows, offsets, total
+    # the forced rows and columns of each block
+    forced = {v: (set(), set()) for v in m.support if n.dims.get(v)}
+    if not forced:
+        return [], []
     pres = m.algebra.presentation
     fld = m.field
-    # equations of arrows with neither end among the unknowns read 0 = 0
-    arrows = [arr for v in offsets for arr in pres.arrows_out(v)]
-    arrows += [arr for v in offsets for arr in pres.arrows_in(v)
-               if arr.source not in offsets]
+    # equations of arrows with neither end among the blocks read 0 = 0
+    arrows = [arr for v in forced for arr in pres.arrows_out(v)]
+    arrows += [arr for v in forced for arr in pres.arrows_in(v)
+               if arr.source not in forced]
+    equations = []
     for arr in arrows:
         s, t = arr.source, arr.target
-        # (N_a B_s - B_t M_a)[i][j] = 0 for all i < N_t, j < M_s, where
         # an arrow that M or N does not store acts by 0
-        na = n.mats.get(arr.name) if s in offsets else None
-        ma = m.mats.get(arr.name) if t in offsets else None
-        if na is None and ma is None:
-            continue
-        ms, mt, nt = m.dims.get(s, 0), m.dims.get(t, 0), n.dims.get(t, 0)
-        if na is not None:
-            left = [[(offsets[s] + k * ms, c) for k, c in row.items()]
-                    for row in na.rows]
-        else:
-            left = [()] * nt
-        right = [[] for _ in range(ms)]  # column j of -M_a, if B_t is unknown
-        if ma is not None:
+        na = n.mats.get(arr.name) if s in forced else None
+        ma = m.mats.get(arr.name) if t in forced else None
+        if ma is None:
+            if na is None:
+                continue
+            dead, wide = forced[s][0], False
+            for row in na.rows:
+                if len(row) == 1:
+                    dead.update(row)
+                elif row:
+                    wide = True
+            if wide:
+                equations.append((s, t, na, None))
+        elif na is None:
+            rows_of = {}  # column -> its one row, or -1 past one entry
             for k, row in enumerate(ma.rows):
+                for j in row:
+                    rows_of[j] = -1 if j in rows_of else k
+            forced[t][1].update(k for k in rows_of.values() if k >= 0)
+            if -1 in rows_of.values():
+                equations.append((s, t, None, ma))
+        else:
+            equations.append((s, t, na, ma))
+    cells = []
+    # per block, the index of each live row's first cell and the place of
+    # each live column within the row
+    starts, places = {}, {}
+    for v, (dead_rows, dead_cols) in forced.items():
+        cols = [k for k in range(m.dims[v]) if k not in dead_cols]
+        places[v] = {k: c for c, k in enumerate(cols)}
+        starts[v] = start = {}
+        for i in range(n.dims[v]):
+            if i not in dead_rows:
+                start[i] = len(cells)
+                cells += [(v, i, k) for k in cols]
+    rows = []
+    for s, t, na, ma in equations:
+        # entry (i, j) of N_a B_s - B_t M_a, with the forced cells read as 0
+        eqs = {}
+        if na is not None:
+            start, place = starts[s], places[s]
+            for i, row in enumerate(na.rows):
+                for k, c in row.items():
+                    if k in start:
+                        for j, col in place.items():
+                            eqs.setdefault((i, j), {})[start[k] + col] = c
+        if ma is not None:
+            start, place = starts[t], places[t]
+            for k, row in enumerate(ma.rows):
+                if k not in place:
+                    continue
                 for j, c in row.items():
-                    right[j].append((k, fld.neg(c)))
-        for i, lrow in enumerate(left):
-            base = offsets.get(t, 0) + i * mt
-            for j, rcol in enumerate(right):
-                row = {}
-                for col, c in lrow:
-                    row[col + j] = c
-                for k, c in rcol:
-                    idx = base + k
-                    if idx in row:  # a loop meets its own unknown twice
-                        c = fld.add(c, row.pop(idx))
-                    if c:
-                        row[idx] = c
-                if row:
-                    rows.append(row)
-    return rows, offsets, total
+                    c = fld.neg(c)
+                    for i, base in start.items():
+                        eq = eqs.setdefault((i, j), {})
+                        idx = base + place[k]
+                        if idx in eq:  # a loop meets its own unknown twice
+                            total = fld.add(c, eq.pop(idx))
+                            if total:
+                                eq[idx] = total
+                        else:
+                            eq[idx] = c
+        rows.extend(eq for eq in eqs.values() if eq)
+    return rows, cells
 
 
 def hom_dim(m: Representation, n: Representation) -> int:
-    rows, _, total = _hom_system(m, n)
-    if total == 0:
+    rows, cells = _hom_system(m, n)
+    if not cells:
         return 0
-    return total - len(echelon(m.field, rows, total, False)[1])
+    return len(cells) - len(echelon(m.field, rows, len(cells), False)[1])
 
 
 def _hom_vectors(m: Representation, n: Representation):
     """A basis of Hom(M, N) as sparse kernel vectors of its system, and
     the (vertex, row, column) block cell of every unknown."""
-    rows, offsets, total = _hom_system(m, n)
-    if total == 0:
+    rows, cells = _hom_system(m, n)
+    if not cells:
         return [], []
-    cells = [(v, i, k) for v in offsets
-             for i in range(n.dims[v]) for k in range(m.dims[v])]
-    return list(kernel_vectors(m.field, rows, total).values()), cells
+    return list(kernel_vectors(m.field, rows, len(cells)).values()), cells
 
 
 def _columns(m: Representation):
