@@ -154,6 +154,8 @@ def test_enumerate_eight_vertex_max2_against_generate_and_filter(eightv, kron):
     assert raw == 52
     words = enumerate_strings(eightv, 2)
     assert len(words) == 8 + raw // 2 == 34
+    # one representative per {w, w^-1}, and that one canonical
+    assert all(w.canonical() == w for w in words)
     twocycles = parse_presentation(data_path("twocycles.gentle").read_text())
     for a in (kron, validate_gentle(projective_line_chain(3)),
               validate_gentle(twocycles)):
