@@ -403,6 +403,7 @@ def hom_vectors(m, n):
 
 
 def hom_dim(m, n):
+    """dim Hom(M, N), from the full system."""
     rows, cells = hom_system(m, n)
     return len(cells) - len(echelon(m.field, rows, len(cells), False)[1])
 

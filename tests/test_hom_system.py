@@ -108,7 +108,8 @@ def test_hom_dims_and_obstructions_match_the_full_system(p, fld, lam):
     a = validate_gentle(p)
     strings = [string_module(a, w, fld) for w in enumerate_strings(a, 3)]
     # a syzygy's basis comes from kernel vectors, not from a walk, and a
-    # disguised one's from no walk at all
+    # disguised module's from no walk at all: its arrow matrices have rows
+    # and columns with more than one entry, which force no cell
     syzygies = [omega for m in strings
                 for omega in [syzygy(projective_cover(m))]
                 if not omega.is_zero()]
@@ -116,7 +117,8 @@ def test_hom_dims_and_obstructions_match_the_full_system(p, fld, lam):
     radicals = [radical_summand_rep(a, arr.name, fld) for arr in a.arrows]
     for m in strings + syzygies + [disguised(x) for x in syzygies] + \
             _bands(a, fld, lam):
-        for n in [receiving_sum(m), *projectives, *radicals]:
+        for n in [receiving_sum(m), disguised(receiving_sum(m)),
+                  *projectives, *radicals]:
             check_against_reference(m, n)
         assert embedding_obstruction(m) == \
             reference.embedding_obstruction(m)
