@@ -9,9 +9,8 @@ from .gentle import (GentleAlgebra, GentleViolation, NotGentleError,
                      gentle_violations, critical_cycles,
                      radical_summand_word)
 from .linalg import Matrix, QQ, PrimeField, parse_field
-from .strings import (Letter, StringWord, parse_letters,
-                      check_string, is_valid_string, make_string, lazy_word,
-                      enumerate_strings)
+from .strings import (Letter, StringWord, parse_letters, make_string,
+                      lazy_word, enumerate_strings)
 from .reps import (Representation, ModuleMap, ExtProfile, hom_dim,
                    string_module, projective_cover, projective_rep,
                    gorenstein_dimension, radical_summand_rep, syzygy,

@@ -1,13 +1,13 @@
 """Gentle-algebra validation, dimension, critical cycles, radical summands.
 
-The validated algebra is purely combinatorial: its permitted threads,
-the maximal paths of allowed compositions (unique continuations by G4),
-from which its dimension, socles and radical summand words are read.
+The validated algebra is purely combinatorial: each arrow's allowed
+continuation (unique by G4), which strings follow, and the permitted
+threads they chain into, giving dimension, socles and radical summands.
 The library counts the relation-free paths but never lists them.
 Everything homological lives in :mod:`gentlegp.reps`, which builds each
 projective as the string module of
-:func:`gentlegp.strings.projective_word`.  The critical cycles come
-from the forbidden compositions alone and never read the threads.
+:func:`gentlegp.strings.projective_word`.  The critical cycles come from
+the forbidden compositions alone, never the continuations or threads.
 """
 
 from __future__ import annotations
@@ -136,6 +136,15 @@ class GentleAlgebra:
         self.presentation = presentation
 
     @cached_property
+    def continuation(self):
+        """Arrow name -> the arrow out of its target that it composes with
+        to no relation (unique by G4), or None."""
+        out = self.presentation.arrows_out
+        return {a.name: next((b.name for b in out(a.target)
+                              if (b.name, a.name) not in self.relations), None)
+                for a in self.arrows}
+
+    @cached_property
     def _threads(self):
         """The permitted threads, the maximal paths of allowed
         compositions: the (thread, position) of each arrow, a thread
@@ -146,10 +155,7 @@ class GentleAlgebra:
         allowed predecessor, and finite dimension rules out a closed
         thread, so the threads start at the arrows that nothing continues
         into and partition the arrows."""
-        out = self.presentation.arrows_out
-        nxt = {a.name: next((b.name for b in out(a.target)
-                             if (b.name, a.name) not in self.relations), None)
-               for a in self.arrows}
+        nxt = self.continuation
         continued = set(nxt.values())
         place, dimension = {}, len(self.vertices)
         for a in self.arrows:

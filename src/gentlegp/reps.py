@@ -102,7 +102,7 @@ def direct_sum(a: GentleAlgebra, fld, reps):
     return Representation(a, fld, dims, mats), offsets
 
 
-def walk_slots(a: GentleAlgebra, w: StringWord):
+def walk_slots(w: StringWord):
     """The dimensions of the string module of w on its support, the walk's
     vertices, and the slot of each walk vertex within the space at its
     vertex."""
@@ -117,7 +117,7 @@ def walk_slots(a: GentleAlgebra, w: StringWord):
 def string_module(a: GentleAlgebra, w: StringWord, field=QQ) -> Representation:
     """The representation with one basis vector per walk vertex; it
     stores the walk's vertices and the letters' arrows."""
-    dims, slots = walk_slots(a, w)
+    dims, slots = walk_slots(w)
     amap = a.arrow_map
     mats = {}
     for i, l in enumerate(w.letters):
@@ -137,10 +137,10 @@ def string_inclusion(m: Representation, n: Representation, sub: StringWord,
     word, sending the vector of sub's i-th walk vertex to that of word's
     walk[i]-th, with blocks over sub's support; the caller checks that
     it is a module map."""
-    a, fld = m.algebra, m.field
-    slots = walk_slots(a, word)[1]
+    fld = m.field
+    slots = walk_slots(word)[1]
     blocks = {u: Matrix.zeros(fld, n.dims[u], d) for u, d in m.dims.items()}
-    for i, u, slot in zip(walk, sub.vertices, walk_slots(a, sub)[1]):
+    for i, u, slot in zip(walk, sub.vertices, walk_slots(sub)[1]):
         blocks[u].rows[slots[i]][slot] = fld.one
     return ModuleMap(m, n, blocks)
 
@@ -375,7 +375,7 @@ def projective_cover(m: Representation) -> Cover:
     for (v, k), off in zip(gens, offsets):
         if v not in walks:
             word, top = projective_word(a, v)
-            walks[v] = word, top, walk_slots(a, word)[1]
+            walks[v] = word, top, walk_slots(word)[1]
         word, top, slots = walks[v]
         # the generator sits on the top; every letter points away from it
         images = [None] * len(slots)
@@ -544,11 +544,6 @@ def stable_hom_dim(m: Representation, cover: Cover,
     return homs - hom_dim(m, cover.projective) + hom_dim(m, omega)
 
 
-# a resolution of the dual regular module longer than this contradicts the
-# finiteness of the injective dimension of a gentle algebra
-RESOLUTION_CAP = 64
-
-
 class Coresolution(NamedTuple):
     """The minimal injective coresolution 0 -> Lambda -> I^0 -> ... -> I^n
     -> 0 of the algebra over itself, by its length n, the injective
@@ -567,32 +562,36 @@ class Coresolution(NamedTuple):
         return max(self.length, 1)
 
 
+def _injective_dimension_bound(a: GentleAlgebra) -> int:
+    """|Q_1|: Geiss-Reiten bound id Lambda by max(1, the longest path of
+    relations on no cycle of relations), and by G3 it repeats no arrow."""
+    return len(a.arrows)
+
+
 def injective_coresolution(a: GentleAlgebra, fld=QQ,
                            aop: GentleAlgebra | None = None) -> Coresolution:
     """The algebra's injective coresolution over itself, read off the
     minimal projective resolution of the dual of the regular module over
     the opposite algebra aop (validated here unless passed in): the dual
-    of the projective at v over aop is the injective I_v.  Finite for
-    gentle algebras; exceeding the cap is a bug, not a feature of the
-    input."""
+    of the projective at v over aop is the injective I_v.  A resolution
+    longer than the bound on the injective dimension is a bug, not a
+    feature of the input."""
     if aop is None:
         aop = validate_gentle(opposite(a.presentation))
     regular = regular_rep(a, fld)
     dual_mats = {name: m.transpose() for name, m in regular.mats.items()}
     x = Representation(aop, fld, regular.dims, dual_mats)
     euler = dict.fromkeys(a.vertices, 0)
-    steps = 0
-    for cover, _ in islice(resolution(x), RESOLUTION_CAP + 1):
-        sign = -1 if steps % 2 else 1
+    bound = _injective_dimension_bound(a)
+    for length, (cover, _) in enumerate(islice(resolution(x), bound + 2)):
         for v in cover.summands:
-            euler[v] += sign
-        steps += 1
-    if steps > RESOLUTION_CAP:
+            euler[v] += -1 if length % 2 else 1
+    if length > bound:
         raise InternalError(
             "resolution of the dual regular module exceeded "
-            f"{RESOLUTION_CAP} steps; this contradicts finiteness of "
-            "the injective dimension")
-    return Coresolution(steps - 1, tuple(euler.values()))
+            f"{bound + 1} steps; an injective dimension above {bound}, "
+            "the number of arrows, breaks the Geiss-Reiten bound")
+    return Coresolution(length, tuple(euler.values()))
 
 
 def injective_dimension(a: GentleAlgebra, fld=QQ) -> int:

@@ -64,9 +64,13 @@ class StringWord(NamedTuple):
         return tuple((l.arrow, not l.direct) for l in self.letters)
 
     def canonical(self):
-        """The lexicographically smaller of the word and its inverse."""
-        inv = self.inverse()
-        return self if self.sort_key() <= inv.sort_key() else inv
+        """The smaller of the word and its inverse by sort_key, compared
+        from both ends without building the inverse."""
+        for l, r in zip(self.letters, reversed(self.letters)):
+            key, inverse_key = (l.arrow, not l.direct), (r.arrow, r.direct)
+            if key != inverse_key:
+                return self if key < inverse_key else self.inverse()
+        return self
 
     def display(self):
         if self.is_lazy:
@@ -80,54 +84,46 @@ def lazy_word(a: GentleAlgebra, vertex: str) -> StringWord:
     return StringWord((), (vertex,))
 
 
-def _letter_endpoints(a: GentleAlgebra, letter: Letter):
-    arr = a.arrow_map.get(letter.arrow)
-    if arr is None:
-        raise PresentationError(f"unknown arrow {letter.arrow!r}")
-    return (arr.source, arr.target) if letter.direct else (arr.target, arr.source)
-
-
-def check_string(a: GentleAlgebra, letters) -> tuple[bool, str | None]:
-    """Validity of a letter sequence, with the first failure reason."""
-    letters = tuple(letters)
-    if not letters:
-        return True, None
-    prev_end = None
-    for i, l in enumerate(letters):
-        start, end = _letter_endpoints(a, l)
-        if prev_end is not None and start != prev_end:
-            return False, f"letters {i} and {i+1} do not form a walk"
-        prev_end = end
-        if i == 0:
-            continue
-        p = letters[i - 1]
-        if p.arrow == l.arrow and p.direct != l.direct:
-            return False, f"letter {i+1} immediately undoes letter {i}"
-        if p.direct and l.direct:
-            if (l.arrow, p.arrow) in a.relations:
-                return False, (f"direct letters {p.arrow},{l.arrow} "
-                               f"form a relation")
-        elif not p.direct and not l.direct:
-            if (p.arrow, l.arrow) in a.relations:
-                return False, (f"inverse letters {p.arrow}^-1,{l.arrow}^-1 "
-                               f"reverse a relation")
-    return True, None
-
-
-def is_valid_string(a: GentleAlgebra, letters) -> bool:
-    return check_string(a, letters)[0]
+def _follows(nxt, p: Letter, l: Letter) -> bool:
+    """Whether letter l may follow letter p in a string, the two forming
+    a walk, for nxt the algebra's allowed continuations: letters of
+    mixed directions must not undo each other, and letters of one
+    direction must compose to no relation."""
+    if p.direct != l.direct:
+        return p.arrow != l.arrow
+    return nxt[p.arrow] == l.arrow if p.direct else nxt[l.arrow] == p.arrow
 
 
 def make_string(a: GentleAlgebra, letters) -> StringWord:
-    ok, reason = check_string(a, letters)
-    if not ok:
-        raise InputError(f"invalid string word: {reason}")
+    """The string of a letter sequence, checked letter by letter; the
+    first failure is an InputError that names it."""
     letters = tuple(letters)
     if not letters:
         raise InputError("use lazy_word for empty words")
-    verts = [_letter_endpoints(a, letters[0])[0]]
-    for l in letters:
-        verts.append(_letter_endpoints(a, l)[1])
+    amap, nxt = a.arrow_map, a.continuation
+    verts = []
+    for i, l in enumerate(letters):
+        arr = amap.get(l.arrow)
+        if arr is None:
+            raise PresentationError(f"unknown arrow {l.arrow!r}")
+        start, end = (arr.source, arr.target) if l.direct \
+            else (arr.target, arr.source)
+        reason = None
+        if not verts:
+            verts.append(start)
+        elif start != verts[-1]:
+            reason = f"letters {i} and {i+1} do not form a walk"
+        elif not _follows(nxt, p := letters[i - 1], l):
+            if p.direct != l.direct:
+                reason = f"letter {i+1} immediately undoes letter {i}"
+            elif p.direct:
+                reason = f"direct letters {p.arrow},{l.arrow} form a relation"
+            else:
+                reason = (f"inverse letters {p.arrow}^-1,{l.arrow}^-1 "
+                          "reverse a relation")
+        if reason:
+            raise InputError(f"invalid string word: {reason}")
+        verts.append(end)
     return StringWord(letters, tuple(verts))
 
 
@@ -163,7 +159,7 @@ def enumerate_strings(a: GentleAlgebra, max_letters: int):
     representative per {w, w^-1} pair, lazy words included."""
     if max_letters < 0:
         raise InputError("max_letters must be nonnegative")
-    pres = a.presentation
+    pres, nxt = a.presentation, a.continuation
     # the letters that leave each vertex, with the vertex they reach
     steps = {v: [(Letter(b.name, True), b.target) for b in pres.arrows_out(v)]
              + [(Letter(b.name, False), b.source) for b in pres.arrows_in(v)]
@@ -172,13 +168,12 @@ def enumerate_strings(a: GentleAlgebra, max_letters: int):
     frontier = [StringWord((l,), (v, u)) for v in a.vertices
                 for l, u in steps[v]]
     for length in range(1, max_letters + 1):
-        out.extend(frontier)
+        # a word and its inverse share one canonical form
+        out.extend(w for w in frontier if w.canonical() == w)
         if length == max_letters or not frontier:
             break
         frontier = [StringWord(w.letters + (l,), w.vertices + (u,))
                     for w in frontier for l, u in steps[w.vertices[-1]]
-                    if is_valid_string(a, (w.letters[-1], l))]
-    # a word and its inverse share one canonical form
-    unique = {w.canonical() for w in out}
-    return sorted(unique,
-                  key=lambda w: (len(w.letters), w.sort_key(), w.vertices))
+                    if _follows(nxt, w.letters[-1], l)]
+    return sorted(out, key=lambda w: (len(w.letters), w.sort_key(),
+                                      w.vertices))

@@ -3,8 +3,10 @@
 The program needs none of them: a brute-force presentation isomorphism,
 field arithmetic, dense rows, identity matrices and matrices side by
 side for the dense references, a dense-style linear solve, the path
-basis of an algebra, its critical cycles by exhaustive search, the peak
-test on string words, band modules, the module axioms, and the full
+basis of an algebra, its critical cycles by exhaustive search, the
+string rule read off the relations with the words and refusals it gives
+make_string and enumerate_strings, the peak test on string words, band
+modules, the module axioms, and the full
 commutation system of Hom(M, N), every block cell an unknown.  On that
 system rest explicit hom bases, hom dimensions, a module signature that
 tells apart the modules the tests compare, the embedding obstruction
@@ -17,11 +19,11 @@ from fractions import Fraction
 from itertools import islice, permutations
 
 from gentlegp.linalg import Matrix, QQ, echelon, kernel_vectors
-from gentlegp.quiver import InputError
+from gentlegp.quiver import InputError, PresentationError
 from gentlegp.reps import (ExtProfile, ModuleMap, Representation,
                            projective_rep, radical_summand_rep, regular_rep,
                            resolution)
-from gentlegp.strings import check_string, make_string
+from gentlegp.strings import Letter, StringWord
 
 
 # ------------------------------------------------ presentation isomorphism
@@ -230,6 +232,76 @@ def critical_cycles(a):
 
 # ------------------------------------------------------------------ words
 
+def _letter_endpoints(a, letter):
+    arr = a.arrow_map.get(letter.arrow)
+    if arr is None:
+        raise PresentationError(f"unknown arrow {letter.arrow!r}")
+    return (arr.source, arr.target) if letter.direct else (arr.target, arr.source)
+
+
+def check_string(a, letters):
+    """Validity of a letter sequence, with the first failure reason, read
+    off the relations themselves rather than the algebra's allowed
+    continuations."""
+    letters = tuple(letters)
+    if not letters:
+        return True, None
+    prev_end = None
+    for i, l in enumerate(letters):
+        start, end = _letter_endpoints(a, l)
+        if prev_end is not None and start != prev_end:
+            return False, f"letters {i} and {i+1} do not form a walk"
+        prev_end = end
+        if i == 0:
+            continue
+        p = letters[i - 1]
+        if p.arrow == l.arrow and p.direct != l.direct:
+            return False, f"letter {i+1} immediately undoes letter {i}"
+        if p.direct and l.direct:
+            if (l.arrow, p.arrow) in a.relations:
+                return False, (f"direct letters {p.arrow},{l.arrow} "
+                               f"form a relation")
+        elif not p.direct and not l.direct:
+            if (p.arrow, l.arrow) in a.relations:
+                return False, (f"inverse letters {p.arrow}^-1,{l.arrow}^-1 "
+                               f"reverse a relation")
+    return True, None
+
+
+def string_outcome(a, letters):
+    """What make_string should give for letters, by check_string: the
+    word, or the type and text of the exception it should raise."""
+    try:
+        ok, reason = check_string(a, letters)
+    except PresentationError as err:
+        return type(err), str(err)
+    if not ok:
+        return InputError, f"invalid string word: {reason}"
+    if not letters:
+        return InputError, "use lazy_word for empty words"
+    ends = [_letter_endpoints(a, l) for l in letters]
+    return StringWord(tuple(letters),
+                      (ends[0][0],) + tuple(end for _, end in ends))
+
+
+def strings_by_search(a, max_letters):
+    """The strings of at most max_letters letters, one per {w, w^-1}
+    pair, lazy words included, in enumerate_strings' order: each word
+    check_string accepts is extended by every letter, and each accepted
+    word replaced by the smaller of it and its inverse."""
+    alphabet = [Letter(arr.name, d) for arr in a.arrows for d in (True, False)]
+    words = {StringWord((), (v,)) for v in a.vertices}
+    layer = [()]
+    for _ in range(max_letters):
+        layer = [w + (l,) for w in layer for l in alphabet
+                 if check_string(a, w + (l,))[0]]
+        for letters in layer:
+            word = string_outcome(a, letters)
+            words.add(min(word, word.inverse(), key=StringWord.sort_key))
+    return sorted(words, key=lambda w: (len(w.letters), w.sort_key(),
+                                        w.vertices))
+
+
 def contains_peak(w):
     """True iff two distinct arrows of the walk point into a common
     vertex: a direct letter immediately followed by an inverse one."""
@@ -270,7 +342,7 @@ def make_band(a, letters):
         ok, reason = check_string(a, (rot[-1], rot[0]))
         if not ok:
             raise InputError(f"cyclic closure fails: {reason}")
-    walk = make_string(a, letters).vertices
+    walk = string_outcome(a, letters).vertices
     if walk[-1] != walk[0]:
         raise InputError("band walk does not close up")
     return BandWord(letters, walk[1:])

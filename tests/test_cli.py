@@ -411,6 +411,17 @@ def test_dim_prime_field(capsys):
     assert code == 0 and out["injective_dimension"] == 2
 
 
+def test_dim_and_oracle_resolve_past_64_steps(capsys):
+    # radical-square-zero A_70: every composition of two arrows is a
+    # relation, so its injective dimension reaches the bound of one per
+    # arrow, 69
+    a70 = str(data_path("families/a70_rad2.gentle"))
+    code, out = invoke(capsys, "dim", a70)
+    assert (code, out["injective_dimension"]) == (0, 69)
+    code, out = invoke(capsys, "oracle", a70, "--max-letters", "2")
+    assert (code, out["bound"], out["agreement"]) == (0, 69, True)
+
+
 # the algebra of a single triangle: no vertices, no arrows, dimension 0
 ZERO_ALGEBRA = "vertices: \narrows: \nrelations: \n"
 

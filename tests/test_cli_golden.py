@@ -30,7 +30,8 @@ TRI = sorted(p.name for p in DATA.glob("*.tri"))
 # A_12, lambda_5, I_6, the octagon2 triangulation's algebra and that of a
 # fixed 40-gon triangulation with 13 inner triangles (37 vertices, 49
 # arrows), written with serialize_presentation from gentlegp.families and
-# surface.algebra_presentation
+# surface.algebra_presentation, and A_70 with radical square zero, whose
+# injective dimension is 69
 FAMILIES = sorted(f"families/{p.name}"
                   for p in (DATA / "families").glob("*.gentle"))
 # algebras with a loop, whose commutation equations meet one unknown twice

@@ -264,6 +264,20 @@ def gentle_presentations(draw):
     return p
 
 
+@st.composite
+def deep_chains(draw):
+    """Linearly oriented A_n for n up to 16, each composition of two
+    arrows a relation or not as drawn: gentle, and with every
+    composition a relation its injective dimension is n - 1, deeper than
+    gentle_presentations reaches."""
+    n = draw(st.integers(2, 16))
+    p = linear_quiver(n)
+    related = draw(st.lists(st.booleans(), min_size=n - 2, max_size=n - 2))
+    relations = frozenset((f"a{i + 1}", f"a{i}")
+                          for i, r in enumerate(related, 1) if r)
+    return QuiverPresentation(p.vertices, p.arrows, relations)
+
+
 @settings(max_examples=200, deadline=None)
 @given(small_presentations())
 def test_cycle_witness_matches_recursive_search(p):

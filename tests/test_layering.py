@@ -1,6 +1,8 @@
 """The layers of the package, read from the syntax trees of its files:
 only reps turns string words into matrices, so strings imports neither
 reps nor linalg and neither gp nor strings names Matrix or walk_slots;
+strings reads no relation, only the allowed continuations, and the
+critical cycles read neither those nor the threads;
 only linalg imports fractions; no module imports dataclasses, and a
 fresh interpreter that builds the CLI parser loads neither dataclasses
 nor inspect; every import sits at module level; the module-level caches
@@ -112,6 +114,18 @@ def test_no_function_body_holds_an_import():
               and any(isinstance(x, (ast.Import, ast.ImportFrom))
                       for x in ast.walk(node))]
     assert inside == []
+
+
+def test_strings_follow_the_algebras_continuations():
+    # the string rule reads the allowed continuations gentle computes, and
+    # the classifier's cycles read neither them nor the threads built on
+    # them, so the oracle's words and the classifier stay independent
+    trees = _trees()
+    assert "relations" not in set(_names(trees["strings.py"]))
+    cycles = next(node for node in trees["gentle.py"].body
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "critical_cycles")
+    assert {"continuation", "_threads"} & set(_names(cycles)) == set()
 
 
 def test_gp_and_strings_build_no_matrix():

@@ -32,10 +32,14 @@ def _zoo():
 
 
 ZOO = _zoo()
+# radical-square-zero A_70 has d = 69, and checking each of its 71 bounds
+# from scratch resolves every module about d^2 / 2 steps: some 20 s a
+# field.  tests/test_cli.py and the golden corpus resolve it.
+SHALLOW = sorted(label for label in ZOO if label != "a70_rad2.gentle")
 
 
 @pytest.mark.parametrize("fld", FIELDS, ids=str)
-@pytest.mark.parametrize("label", sorted(ZOO))
+@pytest.mark.parametrize("label", SHALLOW)
 def test_ext_profile_matches_the_full_resolution(label, fld):
     a = ZOO[label]
     coresolution = gorenstein_dimension(a, fld)

@@ -22,7 +22,7 @@ from gentlegp.strings import projective_word
 
 import reference
 from conftest import data_path, kronecker
-from test_gentle import gentle_presentations
+from test_gentle import deep_chains, gentle_presentations
 from reference import (band_module, check_module, column, from_rows, hstack,
                        hom_basis, identity, make_band, of, path_basis,
                        signature, solve)
@@ -218,7 +218,7 @@ def test_non_minimal_cover_is_an_internal_error(eightv):
     s5 = simple(eightv, "5")
     p, offsets = direct_sum(eightv, QQ, [p5, p5])
     word, top = projective_word(eightv, "5")
-    slot = walk_slots(eightv, word)[1][top]
+    slot = walk_slots(word)[1][top]
     tops = tuple(off["5"] + slot for off in offsets)
     blocks = {v: Matrix.zeros(QQ, s5.dims.get(v, 0), d)
               for v, d in p.dims.items()}
@@ -319,12 +319,36 @@ def test_injective_dimension_past_the_cap_is_an_internal_error(
         eightv, cap, monkeypatch):
     from gentlegp import reps
 
-    # the dual regular module of eight_vertex resolves in 3 steps
-    monkeypatch.setattr(reps, "RESOLUTION_CAP", cap)
+    # the dual regular module of eight_vertex resolves in 3 steps; a
+    # bound b on the injective dimension allows b + 1
+    monkeypatch.setattr(reps, "_injective_dimension_bound",
+                        lambda a: cap - 1)
     with pytest.raises(InternalError, match=f"exceeded {cap} steps"):
         injective_dimension(eightv)
-    monkeypatch.setattr(reps, "RESOLUTION_CAP", 3)
+    monkeypatch.setattr(reps, "_injective_dimension_bound", lambda a: 2)
     assert injective_dimension(eightv) == 2
+
+
+def _longest_path_of_relations(p):
+    """The most arrows on a path whose consecutive compositions are all
+    relations, on a quiver with no cycle."""
+    after = {earlier: later for later, earlier in p.relations}
+    longest = 0
+    for arr in p.arrows:
+        n, name = 1, arr.name
+        while name in after:
+            n, name = n + 1, after[name]
+        longest = max(longest, n)
+    return longest
+
+
+@settings(max_examples=60, deadline=None)
+@given(deep_chains())
+def test_injective_dimension_of_a_chain_is_its_longest_path_of_relations(p):
+    # Geiss-Reiten bound d by that length, which is at most |Q_1|, the
+    # bound the coresolution checks; on a chain d reaches it
+    d = injective_dimension(validate_gentle(p))
+    assert d == _longest_path_of_relations(p) <= len(p.arrows)
 
 
 def test_resolution_yields_the_ext_profile_syzygies(all_fixture_algebras):

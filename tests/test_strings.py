@@ -2,17 +2,20 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
 
-from gentlegp import (Letter, PrimeField, check_string,
-                      enumerate_strings, is_valid_string, lazy_word,
-                      make_string, parse_letters,
+from gentlegp import (InputError, Letter, PrimeField, enumerate_strings,
+                      lazy_word, make_string, parse_letters,
                       parse_presentation, radical_summand_word,
                       string_module, validate_gentle)
 from gentlegp.strings import projective_word, radical_summand_string
 from gentlegp.families import projective_line_chain
 
-from conftest import data_path
-from reference import band_module, check_module, contains_peak, make_band
+from conftest import DATA, data_path
+from reference import (band_module, check_module, check_string,
+                       contains_peak, make_band, string_outcome,
+                       strings_by_search)
+from test_gentle import gentle_presentations
 
 
 def L(name):
@@ -36,33 +39,76 @@ def test_parse_letters():
 
 def test_radical_summand_walk_is_valid(eightv):
     word = radical_summand_word(eightv, "j")
-    assert is_valid_string(eightv, [L(x) for x in word])
+    assert check_string(eightv, [L(x) for x in word]) == (True, None)
     assert word == ("i", "d", "a", "f", "k")
 
 
+def _refusal(a, letters):
+    """The reference's reason for refusing letters, after checking that
+    make_string refuses them with that reason."""
+    ok, reason = check_string(a, letters)
+    assert not ok
+    with pytest.raises(InputError) as err:
+        make_string(a, letters)
+    assert str(err.value) == f"invalid string word: {reason}"
+    return reason
+
+
 def test_immediate_backtrack_invalid(eightv):
-    ok, reason = check_string(eightv, [L("a"), Li("a")])
-    assert not ok and "undoes" in reason
+    assert "undoes" in _refusal(eightv, [L("a"), Li("a")])
 
 
 def test_relation_pair_invalid(eightv):
-    ok, reason = check_string(eightv, [L("e"), L("f")])  # first e then f: fe in I
-    assert not ok and "relation" in reason
+    # first e then f: fe in I
+    assert "relation" in _refusal(eightv, [L("e"), L("f")])
 
 
 def test_inverse_relation_pair_invalid(eightv):
-    ok, reason = check_string(eightv, [Li("f"), Li("e")])
-    assert not ok
+    assert "reverse a relation" in _refusal(eightv, [Li("f"), Li("e")])
 
 
 def test_non_walk_invalid(eightv):
-    ok, reason = check_string(eightv, [L("a"), L("d")])
-    assert not ok and "walk" in reason
+    assert "walk" in _refusal(eightv, [L("a"), L("d")])
 
 
 def test_unknown_arrow_raises(eightv):
-    with pytest.raises(Exception, match="unknown arrow"):
-        check_string(eightv, [L("zz")])
+    for check in (check_string, make_string):
+        with pytest.raises(InputError, match="unknown arrow 'zz'"):
+            check(eightv, [L("zz")])
+
+
+def _agrees_with_the_reference(a):
+    # every sequence of at most 3 letters, a letter of no arrow included,
+    # gets make_string's word or refusal from the relations themselves
+    alphabet = [Letter(arr.name, d) for arr in a.arrows
+                for d in (True, False)] + [L("zz")]
+    for n in range(4):
+        for letters in product(alphabet, repeat=n):
+            try:
+                got = make_string(a, letters)
+            except InputError as err:
+                got = type(err), str(err)
+            assert got == string_outcome(a, letters), letters
+    # the reference lists by length first, so its prefix by length is
+    # the shorter enumeration
+    expected = strings_by_search(a, 4)
+    for n in range(5):
+        assert enumerate_strings(a, n) == [w for w in expected
+                                           if len(w) <= n]
+    assert all(w.inverse().canonical() == w for w in expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(gentle_presentations())
+def test_strings_follow_the_relations_on_generated_algebras(p):
+    _agrees_with_the_reference(validate_gentle(p))
+
+
+@pytest.mark.parametrize("path", sorted((DATA / "loops").glob("*.gentle")),
+                         ids=lambda path: path.name)
+def test_strings_follow_the_relations_on_loops(path):
+    _agrees_with_the_reference(
+        validate_gentle(parse_presentation(path.read_text())))
 
 
 def test_string_module_dimension_rule(eightv):
@@ -170,7 +216,7 @@ def test_projective_word_points_away_from_its_top(eightv, kron):
         for v in a.vertices:
             word, top = projective_word(a, v)
             assert word.vertices[top] == v
-            assert is_valid_string(a, word.letters)
+            assert check_string(a, word.letters) == (True, None)
             assert [l.direct for l in word.letters] == (
                 [False] * top + [True] * (len(word) - top))
     assert projective_word(kron, "2") == (lazy_word(kron, "2"), 0)
