@@ -150,14 +150,29 @@ def cmd_compare(args):
     return 0, payload
 
 
+def _reads_back(vertices, arrows=(), relations=frozenset()):
+    """Whether the DSL text of this presentation parses back to it."""
+    p = quiver.QuiverPresentation(vertices, arrows, relations)
+    try:
+        return quiver.parse_presentation(quiver.serialize_presentation(p)) == p
+    except quiver.InputError:
+        return False
+
+
 def cmd_surface(args):
     t = surface.parse_triangulation(_read(args.file))
     report = surface.verify_inner_triangle_count(t)
     if args.emit_algebra:
-        text = quiver.serialize_presentation(surface.algebra_presentation(t))
+        p = surface.algebra_presentation(t)
+        if not _reads_back(p.vertices, p.arrows, p.relations):
+            # name the first id that does not read back alone
+            bad = next(x for x, *alone in [(v, (v,)) for v in p.vertices] + [
+                (b.name, tuple(dict.fromkeys(b[1:])), (b,)) for b in p.arrows]
+                if not _reads_back(*alone))
+            raise quiver.InputError(f"the DSL cannot read the id {bad!r} back")
         try:
             with open(args.emit_algebra, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.write(quiver.serialize_presentation(p))
         except OSError as exc:
             raise quiver.InputError(str(exc)) from None
     return 0, {"inner_triangles": [list(tri) for tri in report.triangles],

@@ -17,7 +17,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .quiver import (InputError, PresentationError, QuiverError,
-                     QuiverPresentation)
+                     QuiverPresentation, opposite)
 
 # the largest dimension (number of basis paths) the library works with
 MAX_BASIS_PATHS = 100000
@@ -187,6 +187,13 @@ class GentleAlgebra:
     def vertex_index(self):
         """Vertex -> its position in algebra order."""
         return {v: i for i, v in enumerate(self.vertices)}
+
+    @cached_property
+    def opposite(self):
+        """The opposite algebra, validated once; its opposite is this one."""
+        op = validate_gentle(opposite(self.presentation))
+        op.opposite = self
+        return op
 
     @cached_property
     def memo(self):

@@ -31,11 +31,8 @@ class GPClassification(NamedTuple):
 def classify_gp(a: GentleAlgebra) -> GPClassification:
     """Indecomposable GPs: all projectives plus one radical summand per
     arrow on a critical cycle."""
-    nonproj = []
-    for c in critical_cycles(a):
-        for arrow in c.arrows:
-            nonproj.append((c, arrow))
-    return GPClassification(tuple(a.vertices), tuple(nonproj))
+    return GPClassification(tuple(a.vertices), tuple(
+        (c, arrow) for c in critical_cycles(a) for arrow in c.arrows))
 
 
 class SingularityDescriptor(NamedTuple):
@@ -144,12 +141,8 @@ def stable_category_table(a: GentleAlgebra, fld=QQ) -> StableCategoryTable:
     non-projective GPs; verifies the cyclic syzygy action and the
     delta-shaped stable homs, raising ClassificationMismatchError otherwise."""
     cycles = critical_cycles(a)
-    objects = []
-    orbits = []
-    for c in cycles:
-        orbits.append(list(c.arrows))
-        for arrow in c.arrows:
-            objects.append((c.name, arrow))
+    objects = [(c.name, arrow) for c in cycles for arrow in c.arrows]
+    orbits = [list(c.arrows) for c in cycles]
 
     # one cover per object, for the orbit check and the stable homs into it
     reps = {arrow: radical_summand_rep(a, arrow, fld) for _, arrow in objects}

@@ -11,9 +11,9 @@ from functools import cached_property, lru_cache
 from itertools import islice
 from typing import NamedTuple
 
-from .gentle import GentleAlgebra, validate_gentle
+from .gentle import GentleAlgebra
 from .linalg import Matrix, QQ, _combine, echelon, kernel_vectors
-from .quiver import InputError, opposite
+from .quiver import InputError
 from .strings import StringWord, projective_word, radical_summand_string
 
 
@@ -44,6 +44,11 @@ class Representation:
         """The vertices where M is nonzero, in algebra order."""
         return tuple(sorted((v for v, d in self.dims.items() if d),
                             key=self.algebra.vertex_index.__getitem__))
+
+    @cached_property
+    def columns(self):
+        """The columns of each arrow matrix that M stores, by arrow."""
+        return {name: mat.transpose().rows for name, mat in self.mats.items()}
 
     def dim_vector(self):
         return tuple(self.dims.get(v, 0) for v in self.algebra.vertices)
@@ -209,27 +214,22 @@ def _hom_system(m: Representation, n: Representation):
         # an arrow that M or N does not store acts by 0
         na = n.mats.get(arr.name) if s in forced else None
         ma = m.mats.get(arr.name) if t in forced else None
-        if ma is None:
-            if na is None:
-                continue
-            dead, wide = forced[s][0], False
-            for row in na.rows:
-                if len(row) == 1:
-                    dead.update(row)
-                elif row:
+        if na is None and ma is None:
+            continue
+        if na is None or ma is None:
+            # a row of N_a, or a column of M_a, with one entry at k forces
+            # row k of B_s, or column k of B_t
+            vectors, dead = ((na.rows, forced[s][0]) if ma is None
+                             else (m.columns[arr.name], forced[t][1]))
+            wide = False
+            for x in vectors:
+                if len(x) == 1:
+                    dead.update(x)
+                elif x:
                     wide = True
-            if wide:
-                equations.append((s, t, na, None))
-        elif na is None:
-            rows_of = {}  # column -> its one row, or -1 past one entry
-            for k, row in enumerate(ma.rows):
-                for j in row:
-                    rows_of[j] = -1 if j in rows_of else k
-            forced[t][1].update(k for k in rows_of.values() if k >= 0)
-            if -1 in rows_of.values():
-                equations.append((s, t, None, ma))
-        else:
-            equations.append((s, t, na, ma))
+            if not wide:
+                continue
+        equations.append((s, t, na, ma))
     cells = []
     # per block, the index of each live row's first cell and the place of
     # each live column within the row
@@ -289,28 +289,20 @@ def _hom_vectors(m: Representation, n: Representation):
     return list(kernel_vectors(m.field, rows, len(cells)).values()), cells
 
 
-def _columns(m: Representation):
-    """The columns of each arrow matrix that M stores, by arrow."""
-    return {name: mat.transpose().rows for name, mat in m.mats.items()}
-
-
-def top_generators(m: Representation, columns=None):
+def top_generators(m: Representation):
     """Standard basis vectors completing the radical to all of M, as
     (vertex, index) pairs; they generate M and present its top.  A greedy
     completion picks e_c unless it lies in rad M_v + <e_0, ..., e_{c-1}>,
     that is, unless some radical vector has its last nonzero coordinate
     at c: the pivots of the echelon form of the columns of the arrows into
-    v, which span the radical at v, with the coordinates reversed.  A
-    caller that holds _columns(m) passes it as columns."""
-    if columns is None:
-        columns = _columns(m)
+    v, which span the radical at v, with the coordinates reversed."""
     arrows_in = m.algebra.presentation.arrows_in
     gens = []
     for v in m.support:
         last = m.dims[v] - 1
         rows = [{last - i: x for i, x in col.items()}
-                for arr in arrows_in(v) if arr.name in columns
-                for col in columns[arr.name]]
+                for arr in arrows_in(v) if arr.name in m.columns
+                for col in m.columns[arr.name]]
         ends = {last - c for c in echelon(m.field, rows, last + 1, False)[1]}
         gens.extend((v, c) for c in range(last + 1) if c not in ends)
     return gens
@@ -360,8 +352,8 @@ def projective_cover(m: Representation) -> Cover:
     fld = m.field
     # an arrow maps the sparse vector x to the combination of its columns;
     # one that M does not store maps it to 0
-    columns = _columns(m)
-    gens = top_generators(m, columns)
+    columns = m.columns
+    gens = top_generators(m)
     p, offsets = direct_sum(a, fld,
                             [projective_rep(a, v, fld) for v, _ in gens])
     blocks = {v: Matrix.zeros(fld, m.dims.get(v, 0), d)
@@ -428,13 +420,10 @@ def radical_summand_rep(a: GentleAlgebra, arrow_name: str, fld, /):
     return string_module(a, radical_summand_string(a, arrow_name), fld)
 
 
-class ExtProfile:
-    """A plain class, not a record: a caller may rewrite a field."""
-
-    def __init__(self, dims: list, syzygy_dim_vectors: list, status: str):
-        self.dims = dims  # dims[i-1] = dim Ext^i(M, regular module)
-        self.syzygy_dim_vectors = syzygy_dim_vectors
-        self.status = status  # terminated | gorenstein | checked-to-bound
+class ExtProfile(NamedTuple):
+    dims: list  # dims[i-1] = dim Ext^i(M, regular module)
+    syzygy_dim_vectors: list
+    status: str  # terminated | gorenstein | checked-to-bound
 
     @property
     def all_zero(self):
@@ -568,19 +557,15 @@ def _injective_dimension_bound(a: GentleAlgebra) -> int:
     return len(a.arrows)
 
 
-def injective_coresolution(a: GentleAlgebra, fld=QQ,
-                           aop: GentleAlgebra | None = None) -> Coresolution:
+def injective_coresolution(a: GentleAlgebra, fld=QQ) -> Coresolution:
     """The algebra's injective coresolution over itself, read off the
     minimal projective resolution of the dual of the regular module over
-    the opposite algebra aop (validated here unless passed in): the dual
-    of the projective at v over aop is the injective I_v.  A resolution
-    longer than the bound on the injective dimension is a bug, not a
-    feature of the input."""
-    if aop is None:
-        aop = validate_gentle(opposite(a.presentation))
+    the opposite algebra: the dual of the projective at v over it is the
+    injective I_v.  A resolution longer than the bound on the injective
+    dimension is a bug, not a feature of the input."""
     regular = regular_rep(a, fld)
     dual_mats = {name: m.transpose() for name, m in regular.mats.items()}
-    x = Representation(aop, fld, regular.dims, dual_mats)
+    x = Representation(a.opposite, fld, regular.dims, dual_mats)
     euler = dict.fromkeys(a.vertices, 0)
     bound = _injective_dimension_bound(a)
     for length, (cover, _) in enumerate(islice(resolution(x), bound + 2)):
@@ -607,11 +592,8 @@ def gorenstein_dimension(a: GentleAlgebra, fld=QQ) -> Coresolution:
     = 0 for 1 <= i <= d.  Ext^{>=1}(P_v, Lambda) = 0, so the Euler
     characteristic must give dim Hom(P_v, Lambda), the dimension of
     Lambda at v, for every v."""
-    # one opposite algebra for both sides, so each side's projectives are
-    # built once
-    aop = validate_gentle(opposite(a.presentation))
-    left = injective_coresolution(a, fld, aop)
-    right = injective_coresolution(aop, fld, a).length
+    left = injective_coresolution(a, fld)
+    right = injective_coresolution(a.opposite, fld).length
     if left.length != right:
         raise InternalError(
             f"injective dimensions {left.length} and {right} of the "

@@ -243,7 +243,7 @@ def test_unequal_one_sided_injective_dimensions_exit_1(capsys, monkeypatch):
 
     sides = iter([2, 1])
     monkeypatch.setattr(reps, "injective_coresolution",
-                        lambda a, fld, aop: reps.Coresolution(next(sides), ()))
+                        lambda a, fld: reps.Coresolution(next(sides), ()))
     code, out = invoke(capsys, "oracle", EX22, "--max-letters", "1")
     assert code == 1
     assert out == {"status": "internal-error",
@@ -385,6 +385,26 @@ def test_surface(capsys, tmp_path):
     # emitted DSL parses back into a gentle algebra
     a = validate_gentle(parse_presentation(dest.read_text()))
     assert len(a.vertices) == 3
+
+
+@pytest.mark.parametrize("arc, renamed, offending", [
+    ("x13", "arrows13", "arrows13"),
+    ("x14", "relations14", "relations14_x13"),
+    ("x13", "x-13", "x-13"),
+    ("x13", "x 13", "x 13"),
+    ("x13", "x:13", "x:13")])
+def test_surface_refuses_to_emit_what_does_not_parse_back(
+        capsys, tmp_path, arc, renamed, offending):
+    tri = tmp_path / "fan5.tri"
+    tri.write_text(data_path("fan5.tri").read_text().replace(arc, renamed))
+    code, out = invoke(capsys, "surface", str(tri))
+    assert code == 0 and out["inner_count"] == 0
+    dest = tmp_path / "fan5.gentle"
+    code, out = invoke(capsys, "surface", str(tri),
+                       "--emit-algebra", str(dest))
+    assert code == 2 and out["status"] == "error"
+    assert repr(offending) in out["reason"]
+    assert not dest.exists()
 
 
 def test_surface_with_a_twisted_gluing_is_not_gentle(capsys, tmp_path):

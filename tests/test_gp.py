@@ -2,10 +2,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gentlegp import (PrimeField, QQ, classified_words, classify_gp,
-                      compare_derived_invariant, enumerate_strings,
-                      gorenstein_dimension, gp_oracle, projective_rep,
-                      radical_summand_rep, singularity_descriptor,
-                      stable_category_table, string_module, validate_gentle)
+                      compare_derived_invariant, critical_cycles,
+                      enumerate_strings, gorenstein_dimension, gp_oracle,
+                      projective_rep, radical_summand_rep,
+                      singularity_descriptor, stable_category_table,
+                      string_module, validate_gentle)
 from gentlegp.families import cyclic_nakayama, projective_line_chain
 
 from test_gentle import gentle_presentations
@@ -83,7 +84,8 @@ def test_oracle_sweep_eight_vertex_short_words(eightv):
 
 
 @settings(max_examples=60, deadline=None)
-@given(gentle_presentations(), st.sampled_from([QQ, PrimeField(101)]))
+@given(gentle_presentations(),
+       st.sampled_from([QQ, PrimeField(2), PrimeField(101)]))
 def test_oracle_agrees_with_classifier_on_generated_algebras(p, fld):
     # the oracle's linear algebra and the classifier's critical cycles
     # are independent routes to the same GP modules
@@ -114,9 +116,7 @@ def test_oracle_refuses_finite_projective_dimension_with_ext_zero(
     real = gp.ext_profile
 
     def hollow(m, bound, d, hom_m=None):
-        profile = real(m, bound, d, hom_m)
-        profile.dims = [0] * bound
-        return profile
+        return real(m, bound, d, hom_m)._replace(dims=[0] * bound)
 
     monkeypatch.setattr(gp, "ext_profile", hollow)
     # M(f,k) embeds into a projective and has projective dimension 1
@@ -130,6 +130,20 @@ def test_stable_table_eight_vertex(eightv):
     t = stable_category_table(eightv)
     assert [arrow for _, arrow in t.objects] == ["e", "f", "j", "g", "k", "h"]
     assert t.orbits == [["e", "f", "j"], ["g", "k", "h"]]
+    assert t.is_identity
+
+
+@settings(max_examples=60, deadline=None)
+@given(gentle_presentations(),
+       st.sampled_from([QQ, PrimeField(2), PrimeField(101)]))
+def test_stable_table_on_generated_algebras(p, fld):
+    # one object per arrow on a critical cycle, each cycle one shift
+    # orbit, and the identity as the stable-hom matrix
+    a = validate_gentle(p)
+    cycles = critical_cycles(a)
+    t = stable_category_table(a, fld)
+    assert t.orbits == [list(c.arrows) for c in cycles]
+    assert len(t.objects) == sum(c.length for c in cycles)
     assert t.is_identity
 
 

@@ -5,7 +5,8 @@ strings reads no relation, only the allowed continuations, and the
 critical cycles read neither those nor the threads;
 only linalg imports fractions; no module imports dataclasses, and a
 fresh interpreter that builds the CLI parser loads neither dataclasses
-nor inspect; every import sits at module level; the module-level caches
+nor inspect; reps makes no algebra and takes no aop or columns
+parameter; every import sits at module level; the module-level caches
 are the ones allowed below; only cli.run writes output; and every
 exception the package defines is bad input or a bug.  tests/reference.py,
 which the hom systems are checked against, solves none with the
@@ -126,6 +127,20 @@ def test_strings_follow_the_algebras_continuations():
                   if isinstance(node, ast.FunctionDef)
                   and node.name == "critical_cycles")
     assert {"continuation", "_threads"} & set(_names(cycles)) == set()
+
+
+def test_reps_makes_no_algebra_and_takes_no_derived_value():
+    # only gentle makes algebras, the opposite one included, and a module's
+    # columns live on the module: no caller passes either in
+    tree = _trees()["reps.py"]
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert imported & {"validate_gentle", "opposite"} == set()
+    params = {arg.arg for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef)
+              for arg in [*node.args.posonlyargs, *node.args.args,
+                          *node.args.kwonlyargs]}
+    assert params & {"aop", "columns"} == set()
 
 
 def test_gp_and_strings_build_no_matrix():

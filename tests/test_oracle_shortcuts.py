@@ -105,6 +105,6 @@ def test_the_opposite_sides_euler_characteristic_is_an_internal_error(
     # each side answers with the other side's walk: equal lengths, so only
     # the Euler characteristic can tell
     monkeypatch.setattr(reps, "injective_coresolution",
-                        lambda a, fld, aop: real(aop, fld, a))
+                        lambda a, fld: real(a.opposite, fld))
     with pytest.raises(InternalError, match="Euler characteristic"):
         gorenstein_dimension(a)
