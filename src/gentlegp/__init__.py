@@ -16,7 +16,7 @@ from .reps import (Representation, ModuleMap, ExtProfile, hom_dim,
                    gorenstein_dimension, radical_summand_rep, syzygy,
                    resolution, ext_profile, embedding_obstruction,
                    stable_hom_dim, InternalError, injective_dimension,
-                   direct_sum, regular_rep, Coresolution,
+                   direct_sum, regular_rep, Coresolution, isomorphism,
                    injective_coresolution, receiving_sum)
 from .gp import (GPClassification, SingularityDescriptor, OracleCertificate,
                  StableCategoryTable, ComparisonReport, ClassificationMismatchError,

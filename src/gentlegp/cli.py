@@ -46,12 +46,14 @@ def cmd_cycles(args):
 def cmd_gp(args):
     a = _load_algebra(args.file)
     cls = gp.classify_gp(a)
-    nonproj = []
+    nonproj, last = [], None
     for cycle, arrow in cls.nonprojective:
+        if cycle is not last:  # a name joins the whole cycle: once each
+            last, name = cycle, cycle.name
         w = strings.radical_summand_string(a, arrow)
         nonproj.append({
             "arrow": arrow,
-            "cycle": cycle.name,
+            "cycle": name,
             "word": [l.arrow for l in w.letters],
             "vertices": list(w.vertices),
             "dimension": len(w.vertices),

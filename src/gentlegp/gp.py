@@ -13,8 +13,8 @@ from .gentle import GentleAlgebra, critical_cycles
 from .linalg import QQ
 # bench/test_bench.py::BindingProbe reads gp.projective_rep (unused here)
 from .reps import (Coresolution, InternalError, Representation, ext_profile,
-                   embedding_obstruction, projective_cover, projective_rep,
-                   radical_summand_rep, stable_hom_dim, string_inclusion)
+                   embedding_obstruction, isomorphism, projective_cover,
+                   projective_rep, radical_summand_rep, stable_hom_dim, syzygy)
 from .strings import projective_word, radical_summand_string
 
 
@@ -102,28 +102,6 @@ def classified_words(a: GentleAlgebra) -> frozenset:
     return frozenset(w.canonical() for w in words)
 
 
-def _kernel_inclusion(a: GentleAlgebra, cover, v, nxt, omega) -> bool:
-    """Is omega = R(nxt) the kernel of the cover P_v -> R?  The coordinate
-    inclusion along the nxt chain of P_v's word is injective, so it is if
-    the inclusion is a module map that the cover kills, and
-    dim R(nxt) + dim R = dim P_v."""
-    word, top = projective_word(a, v)
-    sub = radical_summand_string(a, nxt)
-    after = top < len(word) and word.letters[top].arrow == nxt
-    walk = range(top + 1, len(word) + 1) if after else range(top - 1, -1, -1)
-    if cover.summands != (v,) or \
-            [word.vertices[i] for i in walk] != list(sub.vertices):
-        return False
-    iota = string_inclusion(omega, cover.projective, sub, word, walk)
-    try:
-        iota.check()
-    except ValueError:
-        return False
-    pi = cover.pi
-    return (all(pi.blocks[u].mul(b).is_zero() for u, b in iota.blocks.items())
-            and omega.total_dim + pi.target.total_dim == pi.source.total_dim)
-
-
 class StableCategoryTable(NamedTuple):
     objects: list  # (cycle name, arrow) in cycle order
     orbits: list   # lists of arrow names, shift orbit order
@@ -148,19 +126,18 @@ def stable_category_table(a: GentleAlgebra, fld=QQ) -> StableCategoryTable:
     reps = {arrow: radical_summand_rep(a, arrow, fld) for _, arrow in objects}
     covers = {arrow: projective_cover(r) for arrow, r in reps.items()}
 
-    # shift orbit: the syzygy of R(alpha_i) is R(alpha_{i+1}) along the cycle
-    omegas = {}
-    for c in cycles:
-        for i, arrow in enumerate(c.arrows):
-            nxt = c.arrows[(i + 1) % c.length]
-            v = a.arrow_map[arrow].target
-            if not _kernel_inclusion(a, covers[arrow], v, nxt, reps[nxt]):
-                raise ClassificationMismatchError(
-                    f"syzygy of the radical summand at {arrow!r} does not "
-                    f"match the next summand {nxt!r} on its cycle")
-            omegas[arrow] = reps[nxt]
+    # shift orbit: Omega R(alpha_i) = R(alpha_{i+1}), by a witness checked here
+    shift = {arrow: nxt for c in cycles
+             for arrow, nxt in zip(c.arrows, c.arrows[1:] + c.arrows[:1])}
+    for arrow, nxt in shift.items():
+        omega, r = syzygy(covers[arrow]), reps[nxt]
+        f = isomorphism(omega, r)
+        if not (f and f[:2] == (omega, r) and f.is_isomorphism()):
+            raise ClassificationMismatchError(
+                f"syzygy of the radical summand at {arrow!r} does not "
+                f"match the next summand {nxt!r} on its cycle")
 
-    matrix = [[stable_hom_dim(reps[x], covers[y], omegas[y])
+    matrix = [[stable_hom_dim(reps[x], covers[y], reps[shift[y]])
                for _, y in objects] for _, x in objects]
     table = StableCategoryTable(objects, orbits, matrix)
     if objects and not table.is_identity:

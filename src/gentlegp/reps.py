@@ -75,6 +75,16 @@ class ModuleMap(NamedTuple):
             if lhs != rhs:
                 raise ValueError(f"map does not commute with arrow {name}")
 
+    def is_isomorphism(self):
+        """Is this a module map with square blocks of full rank?"""
+        try:
+            self.check()
+        except ValueError:
+            return False
+        return self.source.dims == self.target.dims and all(
+            (b := self.blocks.get(v)) and b.nrows == b.ncols == b.rank() == d
+            for v, d in self.source.dims.items())
+
 
 def _product(x, y):
     """The nonzero rows of x y by index, with an absent factor as 0."""
@@ -87,6 +97,8 @@ def direct_sum(a: GentleAlgebra, fld, reps):
     """Block-diagonal direct sum of modules over a and fld, on the union
     of their supports; returns (rep, per-summand offsets, each over that
     summand's support).  The empty sum is the zero module."""
+    if len(reps) == 1:  # one summand is its own sum
+        return reps[0], [dict.fromkeys(reps[0].dims, 0)]
     dims, offsets = {}, []
     for r in reps:
         offsets.append({v: dims.get(v, 0) for v in r.dims})
@@ -134,20 +146,6 @@ def string_module(a: GentleAlgebra, w: StringWord, field=QQ) -> Representation:
                                              dims[arr.source])
         m.rows[slots[dst]][slots[src]] = field.one
     return Representation(a, field, dims, mats)
-
-
-def string_inclusion(m: Representation, n: Representation, sub: StringWord,
-                     word: StringWord, walk) -> ModuleMap:
-    """The coordinate map from M, the string module of sub, to N, that of
-    word, sending the vector of sub's i-th walk vertex to that of word's
-    walk[i]-th, with blocks over sub's support; the caller checks that
-    it is a module map."""
-    fld = m.field
-    slots = walk_slots(word)[1]
-    blocks = {u: Matrix.zeros(fld, n.dims[u], d) for u, d in m.dims.items()}
-    for i, u, slot in zip(walk, sub.vertices, walk_slots(sub)[1]):
-        blocks[u].rows[slots[i]][slot] = fld.one
-    return ModuleMap(m, n, blocks)
 
 
 @lru_cache(maxsize=None)
@@ -289,6 +287,28 @@ def _hom_vectors(m: Representation, n: Representation):
     return list(kernel_vectors(m.field, rows, len(cells)).values()), cells
 
 
+def isomorphism(x: Representation, y: Representation) -> ModuleMap | None:
+    """An isomorphism x -> y, or None: the identity if x and y have equal
+    content, else the first hom basis map that is one.  For indecomposable
+    x, None decides: End(x) is local, so if x and y are isomorphic the
+    non-isomorphisms x -> y form a proper subspace, which holds no basis."""
+    if x.dims != y.dims:
+        return None
+    if x.mats == y.mats:
+        return ModuleMap(x, y, {v: Matrix(x.field, d, d, [
+            {i: x.field.one} for i in range(d)]) for v, d in x.dims.items()})
+    vectors, cells = _hom_vectors(x, y)
+    for vec in vectors:
+        f = ModuleMap(x, y, {v: Matrix.zeros(x.field, d, d)
+                             for v, d in x.dims.items()})
+        for idx, c in vec.items():
+            v, i, k = cells[idx]
+            f.blocks[v].rows[i][k] = c
+        if f.is_isomorphism():
+            return f
+    return None
+
+
 def top_generators(m: Representation):
     """Standard basis vectors completing the radical to all of M, as
     (vertex, index) pairs; they generate M and present its top.  A greedy
@@ -390,14 +410,15 @@ def projective_cover(m: Representation) -> Cover:
 
 
 def syzygy(cover: Cover) -> Representation:
-    """Kernel of the minimal projective cover; zero for projectives."""
-    p = cover.projective
+    """Kernel of the minimal projective cover; zero for projectives.  The
+    cover is onto, so it is bijective where P_v and M_v have equal dims."""
+    p, m = cover.projective, cover.pi.target
     kernels = {v: kernel_vectors(p.field, cover.pi.blocks[v].rows, p.dims[v])
-               for v in p.support}
+               for v in p.support if p.dims[v] > m.dims.get(v, 0)}
     # minimality: the kernel lies in the radical of the cover, spanned by
     # every basis vector of the summands' words but their tops
     for v, col in zip(cover.summands, cover.tops):
-        if any(col in x for x in kernels[v].values()):
+        if any(col in x for x in kernels.get(v, {}).values()):
             raise InternalError("cover kernel escapes the radical")
     return _subrepresentation(p, {v: (list(k.values()), list(k))
                                   for v, k in kernels.items()})

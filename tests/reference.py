@@ -6,12 +6,12 @@ side for the dense references, a dense-style linear solve, the path
 basis of an algebra, its critical cycles by exhaustive search, the
 string rule read off the relations with the words and refusals it gives
 make_string and enumerate_strings, the peak test on string words, band
-modules, the module axioms, and the full
-commutation system of Hom(M, N), every block cell an unknown.  On that
-system rest explicit hom bases, hom dimensions, a module signature that
-tells apart the modules the tests compare, the embedding obstruction
-computed one indecomposable projective at a time, and an Ext profile
-that resolves every step, with no Euler characteristic.
+modules, the module axioms, the coordinate summands of a module, and
+the full commutation system of Hom(M, N), every block cell an unknown.
+On that system rest explicit hom bases, hom dimensions, an isomorphism
+search that returns a witness, the embedding obstruction computed one
+indecomposable projective at a time, and an Ext profile that resolves
+every step, with no Euler characteristic.
 """
 
 from dataclasses import dataclass
@@ -21,8 +21,7 @@ from itertools import islice, permutations
 from gentlegp.linalg import Matrix, QQ, echelon, kernel_vectors
 from gentlegp.quiver import InputError, PresentationError
 from gentlegp.reps import (ExtProfile, ModuleMap, Representation,
-                           projective_rep, radical_summand_rep, regular_rep,
-                           resolution)
+                           projective_rep, regular_rep, resolution)
 from gentlegp.strings import Letter, StringWord
 
 
@@ -494,17 +493,61 @@ def hom_basis(m, n):
     return maps
 
 
-def signature(m):
-    """An isomorphism invariant of M: its dimension vector, dim Hom(M, P_v)
-    for every vertex v and dim Hom(M, R(a)) for every arrow a, where R(a)
-    is the radical summand generated by a.  It separates the finitely many
-    modules the tests compare with it."""
-    a = m.algebra
-    homs = tuple(hom_dim(m, projective_rep(a, v, m.field))
-                 for v in a.vertices)
-    rad = tuple(hom_dim(m, radical_summand_rep(a, arr.name, m.field))
-                for arr in a.arrows)
-    return m.dim_vector(), homs, rad
+def isomorphism(x, y):
+    """An isomorphism x -> y, or None: the first map of the full system's
+    hom basis whose blocks are all square and of full rank.  For an
+    indecomposable x, None means x and y are not isomorphic: End(x) is
+    local, so if x and y are isomorphic the non-isomorphisms x -> y form a
+    proper subspace of Hom(x, y), which holds no basis."""
+    if x.dim_vector() != y.dim_vector():
+        return None
+    for f in hom_basis(x, y):
+        if all(b.nrows == b.ncols == len(echelon(x.field, b.rows, b.ncols,
+                                                 False)[1])
+               for b in f.blocks.values()):
+            return f
+    return None
+
+
+def coordinate_summands(m):
+    """The coordinate summands of M: the connected parts of its basis,
+    joined wherever an arrow matrix has a nonzero entry, each as a module
+    on its basis vectors in their order.  No arrow leaves a part, so M is
+    the direct sum of its coordinate summands."""
+    amap = m.algebra.arrow_map
+    parent = {(v, i): (v, i) for v, d in m.dims.items() for i in range(d)}
+
+    def root(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for name, mat in m.mats.items():
+        arr = amap[name]
+        for i, row in enumerate(mat.rows):
+            for j in row:
+                parent[root((arr.source, j))] = root((arr.target, i))
+    parts = {}
+    for x in parent:
+        parts.setdefault(root(x), []).append(x)
+    summands = []
+    for basis in parts.values():
+        slots = {}  # vertex -> {index in M: index in the part}
+        for v, i in basis:
+            at_v = slots.setdefault(v, {})
+            at_v[i] = len(at_v)
+        mats = {}
+        for name, mat in m.mats.items():
+            arr = amap[name]
+            src, tgt = slots.get(arr.source), slots.get(arr.target)
+            if src is None or tgt is None:
+                continue
+            rows = [{src[j]: c for j, c in mat.rows[i].items()} for i in tgt]
+            if any(rows):
+                mats[name] = Matrix(m.field, len(tgt), len(src), rows)
+        summands.append(Representation(
+            m.algebra, m.field, {v: len(s) for v, s in slots.items()}, mats))
+    return summands
 
 
 def embedding_obstruction(m):

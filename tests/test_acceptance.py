@@ -22,7 +22,7 @@ from gentlegp.strings import radical_summand_string
 
 from conftest import ACCEPTANCE_LINES, data_path
 from reference import (band_module, contains_peak, is_isomorphic,
-                       make_band, signature)
+                       isomorphism, make_band)
 
 
 def report(number, name, ok):
@@ -84,9 +84,12 @@ def test_criterion_04_syzygy_orbits_close(all_fixture_algebras):
                 nxt = c.arrows[(i + 1) % c.length]
                 r = radical_summand_rep(a, arrow, QQ)
                 om = syzygy(projective_cover(r))
-                if (signature(om)
-                        != signature(radical_summand_rep(a, nxt, QQ))):
+                # a witness Omega R(alpha_i) -> R(alpha_{i+1}), checked
+                f = isomorphism(om, radical_summand_rep(a, nxt, QQ))
+                if f is None:
                     ok = False
+                else:
+                    f.check()
     report(4, "syzygy orbits close with period = cycle length", ok)
 
 

@@ -7,10 +7,11 @@ import time
 
 import pytest
 
-from gentlegp import (parse_presentation, serialize_presentation,
-                      validate_gentle)
+from gentlegp import (Matrix, ModuleMap, parse_presentation,
+                      serialize_presentation, validate_gentle)
 from gentlegp.cli import run
-from gentlegp.families import linear_quiver, projective_line_chain
+from gentlegp.families import (cyclic_nakayama, linear_quiver,
+                               projective_line_chain)
 
 from conftest import data_path
 
@@ -175,6 +176,28 @@ def test_gp(capsys):
     assert by_arrow["e"]["dimension"] == 10
 
 
+def test_gp_names_each_cycle_once(tmp_path, capsys, monkeypatch):
+    # a cycle's name joins all its arrows, so I_n joins n arrows once,
+    # not once per arrow on the cycle
+    from gentlegp.gentle import CriticalCycle
+
+    path = tmp_path / "i40.gentle"
+    path.write_text(serialize_presentation(cyclic_nakayama(40)))
+    reads = []
+    real = CriticalCycle.name
+
+    def name(cycle):
+        reads.append(cycle)
+        return real.fget(cycle)
+
+    monkeypatch.setattr(CriticalCycle, "name", property(name))
+    code, out = invoke(capsys, "gp", str(path))
+    assert code == 0 and len(out["nonprojective"]) == 40
+    assert {d["cycle"] for d in out["nonprojective"]} == {
+        "".join(f"a{i}" for i in range(40, 0, -1))}
+    assert len(reads) == 1
+
+
 def test_dsg(capsys):
     code, out = invoke(capsys, "dsg", EX22)
     assert code == 0
@@ -279,18 +302,35 @@ def test_stable(capsys):
     assert len(out["stable_hom_matrix"]) == 6
 
 
-def _twisted_inclusion(real):
-    """string_inclusion with its block at the source of a nonzero arrow
+def _no_witness(real):
+    """isomorphism finding nothing."""
+    return lambda x, y: None
+
+
+def _twisted_witness(real):
+    """isomorphism with its block at the source of a nonzero arrow
     doubled, so that it no longer commutes with that arrow."""
-    def twisted(m, n, sub, word, walk):
-        iota = real(m, n, sub, word, walk)
-        arr = next((x for x in m.algebra.arrows if x.name in m.mats), None)
+    def twisted(x, y):
+        f = real(x, y)
+        arr = next((a for a in x.algebra.arrows if a.name in x.mats), None)
         if arr is not None:
-            for row in iota.blocks[arr.source].rows:
+            for row in f.blocks[arr.source].rows:
                 for k, c in row.items():
-                    row[k] = m.field.add(c, c)
-        return iota
+                    row[k] = x.field.add(c, c)
+        return f
     return twisted
+
+
+def _zero_witness(real):
+    """isomorphism returning the zero map, a module map of square but
+    singular blocks."""
+    return lambda x, y: ModuleMap(x, y, {v: Matrix.zeros(x.field, d, d)
+                                         for v, d in x.dims.items()})
+
+
+def _witness_of_another_pair(real):
+    """isomorphism returning the identity of its target instead."""
+    return lambda x, y: real(y, y)
 
 
 def _doubled_diagonal(real):
@@ -302,9 +342,14 @@ def _doubled_diagonal(real):
 
 
 @pytest.mark.parametrize("name, patch, reason", [
-    ("string_inclusion", _twisted_inclusion, "does not match the next summand"),
+    ("isomorphism", _no_witness, "does not match the next summand"),
+    ("isomorphism", _twisted_witness, "does not match the next summand"),
+    ("isomorphism", _zero_witness, "does not match the next summand"),
+    ("isomorphism", _witness_of_another_pair,
+     "does not match the next summand"),
     ("stable_hom_dim", _doubled_diagonal, "is not the identity"),
-], ids=["inclusion-not-a-map", "matrix-not-identity"])
+], ids=["no-witness", "witness-not-a-map", "witness-singular",
+        "witness-of-another-pair", "matrix-not-identity"])
 def test_a_failed_stable_certificate_exits_1(name, patch, reason, eightv,
                                              capsys, monkeypatch):
     from gentlegp import ClassificationMismatchError, gp

@@ -6,8 +6,10 @@ critical cycles read neither those nor the threads;
 only linalg imports fractions; no module imports dataclasses, and a
 fresh interpreter that builds the CLI parser loads neither dataclasses
 nor inspect; reps makes no algebra and takes no aop or columns
-parameter; every import sits at module level; the module-level caches
-are the ones allowed below; only cli.run writes output; and every
+parameter; the stable table's orbit check reads no word but checks a
+witness of the one isomorphism routine, and tests/reference.py keeps no
+module fingerprint; every import sits at module level; the module-level
+caches are the ones allowed below; only cli.run writes output; and every
 exception the package defines is bad input or a bug.  tests/reference.py,
 which the hom systems are checked against, solves none with the
 program's own."""
@@ -141,6 +143,27 @@ def test_reps_makes_no_algebra_and_takes_no_derived_value():
               for arg in [*node.args.posonlyargs, *node.args.args,
                           *node.args.kwonlyargs]}
     assert params & {"aop", "columns"} == set()
+
+
+def _functions(tree):
+    """Every function the tree defines, by name."""
+    return {node.name: node for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)}
+
+
+def test_one_isomorphism_routine_and_no_fingerprint():
+    # the orbit check rests on a witness of reps.isomorphism that the
+    # table checks itself, not on an inclusion built from P_v's word, and
+    # the tests compare modules by witnesses, not by a fingerprint
+    trees = _trees()
+    assert "string_inclusion" not in _functions(trees["reps.py"])
+    assert "_kernel_inclusion" not in _functions(trees["gp.py"])
+    assert "signature" not in _functions(ast.parse(REFERENCE.read_text()))
+    table = set(_names(_functions(trees["gp.py"])["stable_category_table"]))
+    assert {"isomorphism", "is_isomorphism", "syzygy"} <= table
+    words = {"projective_word", "radical_summand_string", "letters",
+             "vertices", "walk_slots", "_kernel_inclusion"}
+    assert table & words == set()
 
 
 def test_gp_and_strings_build_no_matrix():

@@ -1,8 +1,8 @@
 """The exact isomorphism claims: classifier membership by canonical string
-word, and the shift orbit of the stable category by an explicit inclusion
-of each radical summand as the kernel of the next cover.  Also the oracle's
-one Hom(-, Lambda) system per module and per resolution step but the
-last."""
+word, checked against isomorphism witnesses, and the shift orbit of the
+stable category by a checked isomorphism from each syzygy to the next
+radical summand.  Also the oracle's one Hom(-, Lambda) system per module
+and per resolution step but the last."""
 
 import json
 
@@ -21,7 +21,7 @@ from gentlegp.cli import run
 from gentlegp.families import cyclic_nakayama, projective_line_chain
 
 from conftest import DATA, data_path
-from reference import signature
+from reference import isomorphism
 
 FIELDS = [QQ, PrimeField(101)]
 ALGEBRAS = ["eight_vertex", "lambda4", "twocycles"]
@@ -83,11 +83,14 @@ def test_word_membership_matches_the_signature(name, fld):
     cls = classify_gp(a)
     gps = [projective_rep(a, v, fld) for v in cls.projectives]
     gps += [radical_summand_rep(a, x, fld) for _, x in cls.nonprojective]
-    signatures = {signature(g) for g in gps}
     words = classified_words(a)
     for w in enumerate_strings(a, 4):
+        # a string module is indecomposable, so no witness decides
         m = string_module(a, w, fld)
-        assert (w.canonical() in words) == (signature(m) in signatures)
+        witnesses = [f for f in (isomorphism(m, g) for g in gps) if f]
+        for f in witnesses:
+            f.check()
+        assert (w.canonical() in words) == bool(witnesses)
 
 
 def test_membership_builds_no_hom_system(hom_systems):

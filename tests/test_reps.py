@@ -23,9 +23,10 @@ from gentlegp.strings import projective_word
 import reference
 from conftest import data_path, kronecker
 from test_gentle import deep_chains, gentle_presentations
-from reference import (band_module, check_module, column, from_rows, hstack,
-                       hom_basis, identity, make_band, of, path_basis,
-                       signature, solve)
+from reference import (band_module, check_module, column,
+                       coordinate_summands, from_rows, hstack, hom_basis,
+                       identity, isomorphism, make_band, of, path_basis,
+                       solve)
 
 
 def simple(a, v, fld=QQ):
@@ -96,7 +97,16 @@ def test_top_and_radical_of_p7(eightv):
     assert rad.total_dim == p7.total_dim - 1
     rj = radical_summand_rep(eightv, "j", QQ)
     rk = radical_summand_rep(eightv, "k", QQ)
-    assert signature(rad) == signature(direct_sum(eightv, QQ, [rj, rk])[0])
+    # rad P_7 is decomposable: match each coordinate summand by a witness
+    summands = coordinate_summands(rad)
+    assert len(summands) == 2
+    matched = []
+    for r in (rj, rk):
+        found = [f for f in (isomorphism(s, r) for s in summands) if f]
+        assert len(found) == 1
+        found[0].check()
+        matched.append(found[0].source)
+    assert matched[0] is not matched[1]
 
 
 def test_projective_cover_of_radical_summand(eightv):
@@ -125,8 +135,9 @@ def test_syzygy_orbit_of_radical_summands(eightv):
     cur = radical_summand_rep(eightv, "e", QQ)
     for nxt in ("f", "j", "e"):
         cur = syzygy(projective_cover(cur))
-        assert (signature(cur)
-                == signature(radical_summand_rep(eightv, nxt, QQ)))
+        f = isomorphism(cur, radical_summand_rep(eightv, nxt, QQ))
+        assert f is not None
+        f.check()
 
 
 def test_ext_profile_periodic_radical_summand(eightv):
@@ -264,9 +275,11 @@ def test_resolution_step_eliminates_per_vertex_and_solves_nothing(
         cover = projective_cover(m)
         syzygy(cover)
         # the top and the cover's surjectivity check on supp M, and the
-        # kernel on supp P
-        assert count["echelon"] == \
-            2 * len(m.support) + len(cover.projective.support)
+        # kernel where P_v is larger than M_v: elsewhere the cover, onto,
+        # is bijective
+        p = cover.projective
+        assert count["echelon"] == 2 * len(m.support) + sum(
+            p.dims[v] > m.dims.get(v, 0) for v in p.support)
     assert count["solve"] == 0
 
 
@@ -718,7 +731,7 @@ def test_stable_table_covers_each_object_once(family, monkeypatch):
                                     lambda: projective_line_chain(4),
                                     _twocycles],
                          ids=["eight_vertex", "lambda4", "twocycles"])
-def test_stable_table_takes_no_syzygy(family, monkeypatch):
+def test_stable_table_takes_one_syzygy_per_object(family, monkeypatch):
     from gentlegp import gp, reps, stable_category_table
 
     a = validate_gentle(family())
@@ -730,10 +743,11 @@ def test_stable_table_takes_no_syzygy(family, monkeypatch):
         return real(cover)
 
     monkeypatch.setattr(reps, "syzygy", counting_syzygy)
-    monkeypatch.setattr(gp, "syzygy", counting_syzygy, raising=False)
+    monkeypatch.setattr(gp, "syzygy", counting_syzygy)
     table = stable_category_table(a)
     assert table.is_identity and len(table.objects) == 6
-    assert calls == []
+    # the orbit check takes the syzygy of each object's cover once
+    assert len(calls) == 6 and len({id(c) for c in calls}) == 6
 
 
 def test_oracle_resolves_a_projective_once(eightv, monkeypatch):
