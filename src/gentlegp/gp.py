@@ -13,8 +13,8 @@ from .gentle import GentleAlgebra, critical_cycles
 from .linalg import QQ
 # bench/test_bench.py::BindingProbe reads gp.projective_rep (unused here)
 from .reps import (Coresolution, InternalError, Representation, ext_profile,
-                   embedding_obstruction, isomorphism, projective_cover,
-                   projective_rep, radical_summand_rep, stable_hom_dim, syzygy)
+                   embedding_obstruction, hom_dim, isomorphism, syzygy,
+                   projective_cover, projective_rep, radical_summand_rep)
 from .strings import projective_word, radical_summand_string
 
 
@@ -137,8 +137,16 @@ def stable_category_table(a: GentleAlgebra, fld=QQ) -> StableCategoryTable:
                 f"syzygy of the radical summand at {arrow!r} does not "
                 f"match the next summand {nxt!r} on its cycle")
 
-    matrix = [[stable_hom_dim(reps[x], covers[y], reps[shift[y]])
-               for _, y in objects] for _, x in objects]
+    # the maps R(x) -> R(y) through a projective are those that lift along
+    # the cover P -> R(y); Hom(R(x), -) is left exact, so they span dim
+    # Hom(R(x), P) - dim Hom(R(x), R(shift y)): x's row solves each once
+    matrix = []
+    for _, x in objects:
+        row = {y: hom_dim(reps[x], r) for y, r in reps.items()}
+        into = {p: hom_dim(reps[x], p) for p in dict.fromkeys(
+            covers[y].projective for y, h in row.items() if h)}
+        matrix.append([h and h - into[covers[y].projective] + row[shift[y]]
+                       for y, h in row.items()])
     table = StableCategoryTable(objects, orbits, matrix)
     if objects and not table.is_identity:
         raise ClassificationMismatchError(

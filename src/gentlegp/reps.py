@@ -1,6 +1,6 @@
 """Representations of a gentle algebra and the homological toolbox:
-string modules, hom spaces, top generators, projective covers, syzygies,
-Ext against the regular module, stable homs, and the
+string modules, hom spaces, isomorphisms, top generators, projective
+covers, syzygies, Ext against the regular module, and the
 submodule-of-projective obstruction.  This is the one module that turns
 string words into matrices."""
 
@@ -63,10 +63,13 @@ class ModuleMap(NamedTuple):
     blocks: dict
 
     def check(self):
-        """Raise ValueError unless the blocks commute with every arrow
-        that the source or the target stores; both sides of any other
-        arrow are 0."""
+        """Raise ValueError unless each block is target dim x source dim
+        at its vertex and the blocks commute with every arrow that either
+        side stores; both sides of any other arrow are 0."""
         src, tgt, blocks = self.source, self.target, self.blocks
+        for v, b in blocks.items():
+            if (b.nrows, b.ncols) != (tgt.dims.get(v, 0), src.dims.get(v, 0)):
+                raise ValueError(f"block at {v} has the wrong shape")
         amap = src.algebra.arrow_map
         for name in dict.fromkeys([*src.mats, *tgt.mats]):
             arr = amap[name]
@@ -82,7 +85,7 @@ class ModuleMap(NamedTuple):
         except ValueError:
             return False
         return self.source.dims == self.target.dims and all(
-            (b := self.blocks.get(v)) and b.nrows == b.ncols == b.rank() == d
+            (b := self.blocks.get(v)) and b.rank() == d
             for v, d in self.source.dims.items())
 
 
@@ -539,19 +542,6 @@ def embedding_obstruction(m: Representation):
     kernel = sum(m.dims[w] - len(echelon(fld, rows, m.dims[w], False)[1])
                  if rows else m.dims[w] for w, rows in stacked.items())
     return kernel, len(vectors)
-
-
-def stable_hom_dim(m: Representation, cover: Cover,
-                   omega: Representation) -> int:
-    """dim of Hom(M, N) modulo maps factoring through a projective, for N
-    the target of the cover P -> N and omega a module isomorphic to
-    Omega N.  Such a map lifts along the cover, and Hom(M, -) is left
-    exact on 0 -> Omega N -> P -> N, so those maps span a space of
-    dimension dim Hom(M, P) - dim Hom(M, Omega N)."""
-    homs = hom_dim(m, cover.pi.target)
-    if not homs:
-        return 0
-    return homs - hom_dim(m, cover.projective) + hom_dim(m, omega)
 
 
 class Coresolution(NamedTuple):

@@ -334,10 +334,11 @@ def _witness_of_another_pair(real):
 
 
 def _doubled_diagonal(real):
-    """stable_hom_dim reading 2 for every object against itself."""
-    def doubled(m, cover, omega):
-        d = real(m, cover, omega)
-        return 2 * d if cover.pi.target is m else d
+    """hom_dim reading twice the dimension of every module's Hom to
+    itself."""
+    def doubled(m, n):
+        d = real(m, n)
+        return 2 * d if n is m else d
     return doubled
 
 
@@ -347,7 +348,7 @@ def _doubled_diagonal(real):
     ("isomorphism", _zero_witness, "does not match the next summand"),
     ("isomorphism", _witness_of_another_pair,
      "does not match the next summand"),
-    ("stable_hom_dim", _doubled_diagonal, "is not the identity"),
+    ("hom_dim", _doubled_diagonal, "is not the identity"),
 ], ids=["no-witness", "witness-not-a-map", "witness-singular",
         "witness-of-another-pair", "matrix-not-identity"])
 def test_a_failed_stable_certificate_exits_1(name, patch, reason, eightv,

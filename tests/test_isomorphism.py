@@ -6,10 +6,11 @@ Q, F_2 and F_101."""
 
 from itertools import combinations
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from gentlegp import (ModuleMap, PrimeField, QQ, Representation, direct_sum,
-                      enumerate_strings, isomorphism, lazy_word,
+from gentlegp import (Matrix, ModuleMap, PrimeField, QQ, Representation,
+                      direct_sum, enumerate_strings, isomorphism, lazy_word,
                       string_module, validate_gentle)
 from gentlegp import reps
 
@@ -146,3 +147,12 @@ def test_a_witness_covers_every_vertex_of_both_modules(eightv):
     assert not ModuleMap(s8, bigger, identity.blocks).is_isomorphism()
     assert not ModuleMap(s8, s8, {}).is_isomorphism()
     assert isomorphism(s8, bigger) is None
+
+
+def test_check_rejects_a_block_of_the_wrong_shape(eightv):
+    # no arrow at 8 is stored by S_8, so only the shape can tell
+    s8 = string_module(eightv, lazy_word(eightv, "8"))
+    f = ModuleMap(s8, s8, {"8": Matrix.zeros(QQ, 2, 5)})
+    with pytest.raises(ValueError, match="wrong shape"):
+        f.check()
+    assert not f.is_isomorphism()

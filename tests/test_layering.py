@@ -166,6 +166,15 @@ def test_one_isomorphism_routine_and_no_fingerprint():
     assert table & words == set()
 
 
+def test_the_stable_table_reads_hom_rows():
+    # every stable hom comes off the table's row of Hom(R(x), R(-)), not
+    # off a per-pair routine in reps
+    trees = _trees()
+    assert "stable_hom_dim" not in _functions(trees["reps.py"])
+    table = _functions(trees["gp.py"])["stable_category_table"]
+    assert "hom_dim" in set(_names(table))
+
+
 def test_gp_and_strings_build_no_matrix():
     trees = _trees()
     for fname in ("gp.py", "strings.py"):

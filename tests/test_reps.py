@@ -11,8 +11,8 @@ from gentlegp import (Letter, Matrix, PrimeField, QQ, Representation,
                       injective_dimension,
                       lazy_word, make_string, parse_field, parse_presentation, projective_cover,
                       projective_rep, radical_summand_rep, regular_rep,
-                      resolution, stable_hom_dim, string_module, syzygy,
-                      validate_gentle)
+                      resolution, stable_category_table, string_module,
+                      syzygy, validate_gentle)
 from gentlegp.families import (cyclic_nakayama, eight_vertex_example,
                                linear_quiver, projective_line_chain)
 from gentlegp.linalg import echelon, kernel_vectors
@@ -191,14 +191,15 @@ def test_embedding_obstruction_matches_one_projective_at_a_time(fld):
 
 
 def test_stable_hom_values(eightv):
+    # the one map R(k) -> R(j) factors through a projective
+    table = stable_category_table(eightv)
+    arrows = [arrow for _, arrow in table.objects]
+    k, j = arrows.index("k"), arrows.index("j")
     rj = radical_summand_rep(eightv, "j", QQ)
     rk = radical_summand_rep(eightv, "k", QQ)
-    cover = projective_cover(rj)
-    omega = syzygy(cover)
     assert hom_dim(rk, rj) == 1
-    assert stable_hom_dim(rk, cover, omega) == 0
-    assert stable_hom_dim(rj, cover, omega) == 1
-    assert stable_hom_dim(projective_rep(eightv, "1", QQ), cover, omega) == 0
+    assert table.matrix[k][j] == 0
+    assert table.matrix[j][j] == 1
 
 
 def test_hom_additivity_over_direct_sum(eightv):
@@ -674,27 +675,28 @@ def _twocycles():
     return parse_presentation(data_path("twocycles.gentle").read_text())
 
 
-STABLE_HOM_ALGEBRAS = {"eight_vertex": eight_vertex_example,
-                       "lambda3": lambda: projective_line_chain(3),
-                       "twocycles": _twocycles, "kronecker": kronecker}
+# family -> the pairs of objects with maps that factor through a projective
+STABLE_HOM_ALGEBRAS = {"eight_vertex": (eight_vertex_example, 10),
+                       "lambda3": (lambda: projective_line_chain(3), 2),
+                       "lambda4": (lambda: projective_line_chain(4), 6),
+                       "twocycles": (_twocycles, 0)}
 
 
 @pytest.mark.parametrize("fld", [QQ, PrimeField(101)], ids=repr)
-@pytest.mark.parametrize("family", STABLE_HOM_ALGEBRAS.values(),
+@pytest.mark.parametrize("family, lifted_pairs", STABLE_HOM_ALGEBRAS.values(),
                          ids=STABLE_HOM_ALGEBRAS.keys())
-def test_stable_hom_dim_matches_composed_maps(family, fld):
+def test_stable_hom_dim_matches_composed_maps(family, lifted_pairs, fld):
     a = validate_gentle(family())
-    modules = [string_module(a, w, fld) for w in enumerate_strings(a, 3)]
-    modules += [radical_summand_rep(a, arr.name, fld) for arr in a.arrows]
-    lifted = 0  # pairs with maps that factor through a projective
-    for n in modules:
-        cover = projective_cover(n)
-        omega = syzygy(cover)
-        for m in modules:
-            expected = reference_stable_hom_dim(m, n, cover)
-            assert stable_hom_dim(m, cover, omega) == expected
+    table = stable_category_table(a, fld)
+    summands = [radical_summand_rep(a, arrow, fld)
+                for _, arrow in table.objects]
+    lifted = 0
+    for row, m in zip(table.matrix, summands):
+        for entry, n in zip(row, summands):
+            expected = reference_stable_hom_dim(m, n, projective_cover(n))
+            assert entry == expected
             lifted += expected < hom_dim(m, n)
-    assert lifted
+    assert lifted == lifted_pairs
 
 
 def _count_covers(monkeypatch):
@@ -725,6 +727,43 @@ def test_stable_table_covers_each_object_once(family, monkeypatch):
     table = stable_category_table(a)
     assert len(table.objects) == 6
     assert len(calls) == 6
+
+
+@pytest.mark.parametrize("family, systems", [
+    (eight_vertex_example, 52), (lambda: projective_line_chain(4), 48),
+    (_twocycles, 42)], ids=["eight_vertex", "lambda4", "twocycles"])
+def test_stable_table_builds_each_hom_system_once(family, systems,
+                                                  monkeypatch):
+    from gentlegp import gp, reps
+
+    a = validate_gentle(family())
+    summands = [radical_summand_rep(a, arrow, QQ) for arrow in
+                (arrow for c in gp.critical_cycles(a) for arrow in c.arrows)]
+    # per row, the covers of the R(y) that receive a map from R(x)
+    covers = sum(len({projective_cover(n).summands for n in summands
+                      if hom_dim(m, n)}) for m in summands)
+    built, pairs = [], []
+    real_rep, real_system = gp.radical_summand_rep, reps._hom_system
+
+    def summand(*args):
+        built.append(real_rep(*args))
+        return built[-1]
+
+    def system(m, n):
+        pairs.append((m, n))
+        return real_system(m, n)
+
+    monkeypatch.setattr(gp, "radical_summand_rep", summand)
+    monkeypatch.setattr(reps, "_hom_system", system)
+    stable_category_table(a)
+    keys = [(id(m), id(n)) for m, n in pairs]
+    assert len(set(keys)) == len(keys) == systems
+    # a row is one system per object and one per cover of a nonzero
+    # entry; the other systems are the orbit check's witness searches
+    ids = {id(r) for r in built}
+    rows = [n for m, n in keys if m in ids]
+    assert sum(n in ids for n in rows) == len(built) ** 2
+    assert len(rows) == len(built) ** 2 + covers
 
 
 @pytest.mark.parametrize("family", [eight_vertex_example,
