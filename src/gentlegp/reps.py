@@ -190,88 +190,75 @@ def _hom_system(m: Representation, n: Representation):
     """Sparse commutation system for Hom(M, N): (rows, cells), a dict from
     unknown to coefficient per equation and the (vertex, N-row, M-column)
     cell of each unknown in the blocks B_v (N_v x M_v) where M and N are
-    both nonzero.  Where an arrow a: s -> t leaves only N_a B_s = 0, a row
-    of N_a with one entry at k forces row k of B_s to 0; where it leaves
-    only B_t M_a = 0, a column of M_a with one entry at k forces column k
-    of B_t to 0.  Every kernel vector is 0 there, so the unknowns are the
-    other cells, row-major, vertices in algebra order; an arrow whose
-    every equation forces cells gives no rows."""
+    both nonzero.  The full system has one equation per entry (i, j) of
+    N_a B_s - B_t M_a for each arrow a: s -> t.  An equation with one
+    unknown forces that cell to 0 in every kernel vector, and the cell
+    leaves every equation, until no equation has one unknown.  The
+    unknowns are the other cells, row-major, vertices in algebra order."""
     if m.algebra is not n.algebra and \
             m.algebra.presentation != n.algebra.presentation:
         raise ValueError("modules over different algebras")
-    # the forced rows and columns of each block
-    forced = {v: (set(), set()) for v in m.support if n.dims.get(v)}
-    if not forced:
+    # every cell, row-major, and the index of each block's first cell
+    offsets, where = {}, []
+    for v in m.support:
+        if n.dims.get(v):
+            offsets[v] = len(where)
+            where += [(v, i, k) for i in range(n.dims[v])
+                      for k in range(m.dims[v])]
+    if not offsets:
         return [], []
     pres = m.algebra.presentation
     fld = m.field
     # equations of arrows with neither end among the blocks read 0 = 0
-    arrows = [arr for v in forced for arr in pres.arrows_out(v)]
-    arrows += [arr for v in forced for arr in pres.arrows_in(v)
-               if arr.source not in forced]
+    arrows = [arr for v in offsets for arr in pres.arrows_out(v)]
+    arrows += [arr for v in offsets for arr in pres.arrows_in(v)
+               if arr.source not in offsets]
     equations = []
     for arr in arrows:
         s, t = arr.source, arr.target
         # an arrow that M or N does not store acts by 0
-        na = n.mats.get(arr.name) if s in forced else None
-        ma = m.mats.get(arr.name) if t in forced else None
-        if na is None and ma is None:
-            continue
-        if na is None or ma is None:
-            # a row of N_a, or a column of M_a, with one entry at k forces
-            # row k of B_s, or column k of B_t
-            vectors, dead = ((na.rows, forced[s][0]) if ma is None
-                             else (m.columns[arr.name], forced[t][1]))
-            wide = False
-            for x in vectors:
-                if len(x) == 1:
-                    dead.update(x)
-                elif x:
-                    wide = True
-            if not wide:
-                continue
-        equations.append((s, t, na, ma))
-    cells = []
-    # per block, the index of each live row's first cell and the place of
-    # each live column within the row
-    starts, places = {}, {}
-    for v, (dead_rows, dead_cols) in forced.items():
-        cols = [k for k in range(m.dims[v]) if k not in dead_cols]
-        places[v] = {k: c for c, k in enumerate(cols)}
-        starts[v] = start = {}
-        for i in range(n.dims[v]):
-            if i not in dead_rows:
-                start[i] = len(cells)
-                cells += [(v, i, k) for k in cols]
-    rows = []
-    for s, t, na, ma in equations:
-        # entry (i, j) of N_a B_s - B_t M_a, with the forced cells read as 0
+        na = n.mats.get(arr.name) if s in offsets else None
+        ma = m.mats.get(arr.name) if t in offsets else None
         eqs = {}
         if na is not None:
-            start, place = starts[s], places[s]
+            base, width = offsets[s], m.dims[s]
             for i, row in enumerate(na.rows):
                 for k, c in row.items():
-                    if k in start:
-                        for j, col in place.items():
-                            eqs.setdefault((i, j), {})[start[k] + col] = c
+                    for j in range(width):
+                        eqs.setdefault((i, j), {})[base + k * width + j] = c
         if ma is not None:
-            start, place = starts[t], places[t]
+            base, width = offsets[t], m.dims[t]
             for k, row in enumerate(ma.rows):
-                if k not in place:
-                    continue
                 for j, c in row.items():
                     c = fld.neg(c)
-                    for i, base in start.items():
+                    for i in range(n.dims[t]):
                         eq = eqs.setdefault((i, j), {})
-                        idx = base + place[k]
-                        if idx in eq:  # a loop meets its own unknown twice
-                            total = fld.add(c, eq.pop(idx))
-                            if total:
-                                eq[idx] = total
-                        else:
-                            eq[idx] = c
-        rows.extend(eq for eq in eqs.values() if eq)
-    return rows, cells
+                        idx = base + i * width + k
+                        # a loop meets its own unknown from both sides
+                        total = fld.add(eq.pop(idx, fld.zero), c)
+                        if total:
+                            eq[idx] = total
+        equations.extend(eq for eq in eqs.values() if eq)
+    # force cells to a fixpoint, each equation reached through its cells
+    readers = {}
+    for eq in equations:
+        for idx in eq:
+            readers.setdefault(idx, []).append(eq)
+    forced = set()
+    single = [eq for eq in equations if len(eq) == 1]
+    while single:
+        eq = single.pop()
+        if len(eq) == 1:  # else its unknown was forced meanwhile
+            [idx] = eq
+            forced.add(idx)
+            for other in readers[idx]:
+                del other[idx]
+                if len(other) == 1:
+                    single.append(other)
+    live = [idx for idx in range(len(where)) if idx not in forced]
+    number = {idx: c for c, idx in enumerate(live)}
+    return [{number[idx]: c for idx, c in eq.items()}
+            for eq in equations if eq], [where[idx] for idx in live]
 
 
 def hom_dim(m: Representation, n: Representation) -> int:

@@ -45,6 +45,12 @@ class Triangulation:
 
 
 def _validate(internal, boundary, triangles):
+    for ids in (internal, boundary):
+        seen = set()
+        for arc in ids:
+            if arc in seen:
+                raise TriangulationError(f"duplicate arc id {arc!r}")
+            seen.add(arc)
     arcs = set(internal) | set(boundary)
     if len(arcs) != len(internal) + len(boundary):
         raise TriangulationError("an arc id appears in both arc lists")

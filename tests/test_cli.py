@@ -564,7 +564,14 @@ def test_input_errors_exit_2(argv, reason, capsys):
      "arrow 'a' has undeclared source 'x'"),
     ("surface", "both.tri", "arcs: x; boundary: x, b, c; triangles: (x,b,c)\n",
      "an arc id appears in both arc lists"),
-], ids=["duplicate-arrow", "undeclared-source", "arc-in-both-lists"])
+    ("surface", "twice.tri",
+     "arcs: x, x; boundary: b1,b2,b3,b4; triangles: (b1,b2,x); (x,b3,b4)\n",
+     "duplicate arc id 'x'"),
+    ("surface", "twice-boundary.tri",
+     "arcs: x; boundary: b1,b2,b3,b1; triangles: (b1,b2,x); (x,b3,b4)\n",
+     "duplicate arc id 'b1'"),
+], ids=["duplicate-arrow", "undeclared-source", "arc-in-both-lists",
+        "arc-twice-in-arcs", "arc-twice-in-boundary"])
 def test_invalid_files_exit_2(command, name, text, reason, tmp_path, capsys):
     f = tmp_path / name
     f.write_text(text)

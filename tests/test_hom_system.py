@@ -1,8 +1,10 @@
 """The program's hom systems against the full commutation system of
 tests/reference.py, in which every cell of every block is an unknown.
-The program numbers only the cells that no one-sided equation with a
-single entry forces to 0; the kernel, and so every hom dimension and
-embedding obstruction, must not change."""
+The program drops the cells that an equation with one unknown forces to
+0, repeated until no equation has one unknown.  A forced cell is a pivot
+column of the reduced echelon form, so the kernel basis, read as block
+cells, must not change, nor any hom dimension or embedding
+obstruction."""
 
 from fractions import Fraction
 
@@ -15,7 +17,7 @@ from gentlegp import (QQ, InputError, PrimeField, Representation,
                       projective_rep, radical_summand_rep, receiving_sum,
                       string_module, syzygy, validate_gentle)
 from gentlegp.families import projective_line_chain
-from gentlegp.reps import _hom_system
+from gentlegp.reps import _hom_vectors
 
 import reference
 from test_gentle import gentle_presentations
@@ -25,50 +27,34 @@ FIELDS = [QQ, PrimeField(101), PrimeField(5)]
 BAND_PARAMETERS = [2, Fraction(3, 2), Fraction(-1, 3)]
 
 
-def forced_cells(m, n):
-    """The block cells of Hom(M, N) that a one-sided equation with one
-    entry forces to 0, read off the arrow matrices: where only N_a B_s
-    survives, a row of N_a with its one entry at k kills row k of B_s;
-    where only B_t M_a survives, a column of M_a with its one entry at k
-    kills column k of B_t."""
-    common = {v for v, d in m.dims.items() if d and n.dims.get(v)}
-    forced = set()
-    for arr in m.algebra.arrows:
-        s, t = arr.source, arr.target
-        na = n.mats.get(arr.name) if s in common else None
-        ma = m.mats.get(arr.name) if t in common else None
-        if ma is None and na is not None:
-            for row in na.rows:
-                if len(row) == 1:
-                    [k] = row
-                    forced.update((s, k, j) for j in range(m.dims[s]))
-        if na is None and ma is not None:
-            for col in ma.transpose().rows:
-                if len(col) == 1:
-                    [k] = col
-                    forced.update((t, i, k) for i in range(n.dims[t]))
-    return forced
-
-
 def check_against_reference(m, n):
-    """The program numbers the cells of the full system that are not
-    forced, in the same order, and finds the same hom dimension."""
-    cells = reference.hom_system(m, n)[1]
-    forced = forced_cells(m, n)
-    assert _hom_system(m, n)[1] == [c for c in cells if c not in forced]
-    assert hom_dim(m, n) == reference.hom_dim(m, n)
-    return len(cells), len(forced)
+    """The program's unknowns are cells of the full system, in the same
+    order; its kernel vectors, read as cells, are the full system's, one
+    for one; and it finds as many maps.  Returns the number of cells of
+    each system."""
+    full_vectors, full_cells = reference.hom_vectors(m, n)
+    vectors, cells = _hom_vectors(m, n)
+    # each test consumes the iterator up to its match, so order counts
+    places = iter(full_cells)
+    assert all(c in places for c in cells)
+
+    def read(vecs, where):
+        return [{where[idx]: x for idx, x in vec.items()} for vec in vecs]
+
+    assert read(vectors, cells) == read(full_vectors, full_cells)
+    assert hom_dim(m, n) == len(full_vectors)
+    return len(full_cells), len(cells)
 
 
-def test_hom_systems_number_no_forced_cell_on_lambda6():
+def test_hom_systems_keep_the_unforced_cells_on_lambda6():
     a = validate_gentle(projective_line_chain(6))
-    full = forced = 0
+    full = kept = 0
     for w in enumerate_strings(a, 3):
         m = string_module(a, w)
-        cells, dead = check_against_reference(m, receiving_sum(m))
+        cells, unknowns = check_against_reference(m, receiving_sum(m))
         full += cells
-        forced += dead
-    assert (full, full - forced) == (1055, 595)
+        kept += unknowns
+    assert (full, kept) == (1055, 248)
 
 
 def _bands(a, fld, lam):

@@ -624,8 +624,8 @@ def test_cached_builders_keep_one_entry_per_module(build, args, entries):
     assert entries(a) == before + 1
 
 
-def test_disjoint_supports_build_one_system_and_eliminate_nothing(
-        kron, monkeypatch):
+def count_systems(monkeypatch):
+    """Counts of the hom systems built and the eliminations run."""
     from gentlegp import linalg, reps
 
     count = {"systems": 0, "echelon": 0}
@@ -642,6 +642,14 @@ def test_disjoint_supports_build_one_system_and_eliminate_nothing(
     monkeypatch.setattr(reps, "_hom_system", system)
     monkeypatch.setattr(reps, "echelon", echelon)
     monkeypatch.setattr(linalg, "echelon", echelon)
+    return count
+
+
+def test_disjoint_supports_build_one_system_and_eliminate_nothing(
+        kron, monkeypatch):
+    from gentlegp import reps
+
+    count = count_systems(monkeypatch)
     s1, s2 = simple(kron, "1"), simple(kron, "2")
     assert hom_dim(s1, s2) == 0
     assert count == {"systems": 1, "echelon": 0}
@@ -650,6 +658,21 @@ def test_disjoint_supports_build_one_system_and_eliminate_nothing(
     # a common support does eliminate
     assert hom_dim(s1, s1) == 1
     assert count == {"systems": 3, "echelon": 1}
+
+
+def test_fully_forced_system_eliminates_nothing(monkeypatch):
+    # on A_3, N_a2 B_2 = 0 forces B_2 to 0, and then N_a1 B_1 = B_2 M_a1
+    # forces B_1: the system keeps no unknown
+    from gentlegp import reps
+
+    a = validate_gentle(linear_quiver(3))
+    m = string_module(a, make_string(a, [Letter("a1", True)]))
+    n = string_module(a, make_string(a, [Letter("a1", True),
+                                         Letter("a2", True)]))
+    assert reps._hom_system(m, n) == ([], [])
+    count = count_systems(monkeypatch)
+    assert hom_dim(m, n) == 0
+    assert count == {"systems": 1, "echelon": 0}
 
 
 def reference_stable_hom_dim(m, n, cover):
