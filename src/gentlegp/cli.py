@@ -75,14 +75,13 @@ def cmd_oracle(args):
     # refuse an oversized algebra and any bad input before the
     # coresolution and the sweep build projectives
     a.check_basis_size()
-    fld = parse_field(args.field)
     sweep = strings.enumerate_strings(a, args.max_letters)
-    coresolution = reps.gorenstein_dimension(a, fld)
+    coresolution = reps.gorenstein_dimension(a, args.field)
     words = gp.classified_words(a)
     certificates = []
     disagreement = False
     for w in sweep:
-        m = reps.string_module(a, w, fld)
+        m = reps.string_module(a, w, args.field)
         cert = gp.gp_oracle(m, coresolution, label=w.display())
         # the sweep holds one canonical word per {w, w^-1}
         claimed = w in words
@@ -108,7 +107,7 @@ def cmd_stable(args):
     # refused like the other commands that build projectives, even when no
     # critical cycle leaves a module to build
     a.check_basis_size()
-    table = gp.stable_category_table(a, parse_field(args.field))
+    table = gp.stable_category_table(a, args.field)
     return 0, {"objects": [{"cycle": c, "arrow": arrow}
                            for c, arrow in table.objects],
                "orbits": table.orbits,
@@ -118,7 +117,6 @@ def cmd_stable(args):
 
 def cmd_ext(args):
     a = _load_algebra(args.file)
-    fld = parse_field(args.field)
     letters = strings.parse_letters(args.word)
     if len(letters) == 1 and letters[0].direct and \
             letters[0].arrow not in a.arrow_map and \
@@ -128,8 +126,8 @@ def cmd_ext(args):
         w = strings.make_string(a, letters)
     if args.bound is not None:
         reps.check_bound(args.bound)
-    m = reps.string_module(a, w, fld)
-    coresolution = reps.gorenstein_dimension(a, fld)
+    m = reps.string_module(a, w, args.field)
+    coresolution = reps.gorenstein_dimension(a, args.field)
     bound = coresolution.bound if args.bound is None else args.bound
     profile = reps.ext_profile(m, bound, coresolution)
     return 0, {"word": w.display(),
@@ -185,9 +183,8 @@ def cmd_surface(args):
 
 def cmd_dim(args):
     a = _load_algebra(args.file)
-    fld = parse_field(args.field)
     return 0, {"dimension": a.dimension(),
-               "injective_dimension": reps.injective_dimension(a, fld)}
+               "injective_dimension": reps.injective_dimension(a, args.field)}
 
 
 def _subcommands():
@@ -256,6 +253,8 @@ def run(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser(_command_named(argv)).parse_args(argv)
     try:
+        # every command refuses a bad field before it reads its input
+        args.field = parse_field(args.field)
         code, payload = args.fn(args)
     except gentle.NotGentleError as exc:
         code, payload = 2, {"status": "not-gentle", "violations": [

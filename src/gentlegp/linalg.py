@@ -18,14 +18,6 @@ class Rationals:
     exactly, and equal values compare equal."""
 
     p = 0  # the characteristic; a prime field keeps its own as p
-    zero = 0
-    one = 1
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
 
     def __eq__(self, other):
         return isinstance(other, Rationals)
@@ -43,21 +35,12 @@ _TOO_LARGE = "prime field characteristic must be below 2^31"
 class PrimeField:
     """F_p for a prime p; elements are ints in range(p)."""
 
-    zero = 0
-    one = 1
-
     def __init__(self, p):
         if p >= 2 ** 31:
             raise InputError(_TOO_LARGE)
         if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
             raise InputError(f"{p} is not prime")
         self.p = p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -241,11 +224,12 @@ def kernel_vectors(field, rows, ncols):
     """A basis of the null space of sparse rows, as a dict from each free
     column, in order, to a sparse vector (column -> nonzero entry) that is
     1 there and 0 at every other free column."""
+    p = field.p
     prows, pivots = echelon(field, rows, ncols)
     pivot_set = set(pivots)
-    vectors = {c: {c: field.one} for c in range(ncols) if c not in pivot_set}
+    vectors = {c: {c: 1} for c in range(ncols) if c not in pivot_set}
     for prow, pc in zip(prows, pivots):
         for j, v in prow.items():
             if j != pc:
-                vectors[j][pc] = field.neg(v)
+                vectors[j][pc] = -v % p if p else -v
     return vectors

@@ -147,7 +147,7 @@ def string_module(a: GentleAlgebra, w: StringWord, field=QQ) -> Representation:
             arr = amap[l.arrow]
             m = mats[l.arrow] = Matrix.zeros(field, dims[arr.target],
                                              dims[arr.source])
-        m.rows[slots[dst]][slots[src]] = field.one
+        m.rows[slots[dst]][slots[src]] = 1
     return Representation(a, field, dims, mats)
 
 
@@ -208,7 +208,7 @@ def _hom_system(m: Representation, n: Representation):
     if not offsets:
         return [], []
     pres = m.algebra.presentation
-    fld = m.field
+    p = m.field.p
     # equations of arrows with neither end among the blocks read 0 = 0
     arrows = [arr for v in offsets for arr in pres.arrows_out(v)]
     arrows += [arr for v in offsets for arr in pres.arrows_in(v)
@@ -230,12 +230,13 @@ def _hom_system(m: Representation, n: Representation):
             base, width = offsets[t], m.dims[t]
             for k, row in enumerate(ma.rows):
                 for j, c in row.items():
-                    c = fld.neg(c)
                     for i in range(n.dims[t]):
                         eq = eqs.setdefault((i, j), {})
                         idx = base + i * width + k
                         # a loop meets its own unknown from both sides
-                        total = fld.add(eq.pop(idx, fld.zero), c)
+                        total = eq.pop(idx, 0) - c
+                        if p:
+                            total %= p
                         if total:
                             eq[idx] = total
         equations.extend(eq for eq in eqs.values() if eq)
@@ -286,7 +287,7 @@ def isomorphism(x: Representation, y: Representation) -> ModuleMap | None:
         return None
     if x.mats == y.mats:
         return ModuleMap(x, y, {v: Matrix(x.field, d, d, [
-            {i: x.field.one} for i in range(d)]) for v, d in x.dims.items()})
+            {i: 1} for i in range(d)]) for v, d in x.dims.items()})
     vectors, cells = _hom_vectors(x, y)
     for vec in vectors:
         f = ModuleMap(x, y, {v: Matrix.zeros(x.field, d, d)
@@ -381,7 +382,7 @@ def projective_cover(m: Representation) -> Cover:
         word, top, slots = walks[v]
         # the generator sits on the top; every letter points away from it
         images = [None] * len(slots)
-        images[top] = {k: fld.one}
+        images[top] = {k: 1}
         for i in range(top - 1, -1, -1):
             images[i] = image(images[i + 1], word.letters[i].arrow)
         for i in range(top, len(word)):

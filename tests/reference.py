@@ -96,6 +96,10 @@ def of(field, x):
     return x.numerator * pow(x.denominator, -1, field.p) % field.p
 
 
+def add(field, a, b):
+    return (a + b) % field.p if field.p else a + b
+
+
 def sub(field, a, b):
     return (a - b) % field.p if field.p else a - b
 
@@ -120,7 +124,7 @@ def from_rows(field, rows):
 
 
 def identity(field, n):
-    return Matrix(field, n, n, [{i: field.one} for i in range(n)])
+    return Matrix(field, n, n, [{i: 1} for i in range(n)])
 
 
 def hstack(field, mats):
@@ -170,7 +174,7 @@ def solve(a, b):
     for prow, pc in zip(prows, pivots):
         x[pc] = {j - n: v for j, v in prow.items() if j >= n}
     x = Matrix(F, n, rhs.ncols, x)
-    return [row.get(0, F.zero) for row in x.rows] if vector else x
+    return [row.get(0, 0) for row in x.rows] if vector else x
 
 
 # ------------------------------------------------------------- path basis
@@ -355,7 +359,7 @@ def band_module(a, b, lam, size, field=QQ):
     The designated letter is the lexicographically least direct letter of
     the word (ties broken by position)."""
     lam = of(field, lam)
-    if lam == field.zero:
+    if lam == 0:
         raise InputError("band parameter must be nonzero")
     if size < 1:
         raise InputError("band size must be positive")
@@ -375,7 +379,7 @@ def band_module(a, b, lam, size, field=QQ):
     for i in range(size):
         jordan.rows[i][i] = lam
         if i + 1 < size:
-            jordan.rows[i][i + 1] = field.one
+            jordan.rows[i][i + 1] = 1
 
     amap = a.arrow_map
     mats = {l.arrow: Matrix.zeros(field, dims[amap[l.arrow].target],
@@ -455,11 +459,11 @@ def hom_system(m, n):
                 if na is not None:
                     for k, c in na.rows[i].items():
                         idx = offsets[s] + k * ms + j
-                        row[idx] = fld.add(row.get(idx, fld.zero), c)
+                        row[idx] = add(fld, row.get(idx, 0), c)
                 if columns is not None:
                     for k, c in columns[j].items():
                         idx = offsets[t] + i * mt + k
-                        row[idx] = sub(fld, row.get(idx, fld.zero), c)
+                        row[idx] = sub(fld, row.get(idx, 0), c)
                 row = {idx: c for idx, c in row.items() if c}
                 if row:
                     rows.append(row)

@@ -14,6 +14,7 @@ from gentlegp.families import (cyclic_nakayama, linear_quiver,
                                projective_line_chain)
 
 from conftest import data_path
+from reference import add
 
 EX22 = str(data_path("eight_vertex.gentle"))
 A2 = str(data_path("a2.gentle"))
@@ -22,6 +23,7 @@ L4 = str(data_path("lambda4.gentle"))
 NOTGENTLE = str(data_path("notgentle.gentle"))
 TOO_LARGE = "prime field characteristic must be below 2^31"
 HEXAGON = str(data_path("hexagon.tri"))
+FAN5 = str(data_path("fan5.tri"))
 TWOCYCLES = str(data_path("twocycles.gentle"))
 DATA = data_path(".")
 ALGEBRA_FILES = sorted(p for p in DATA.glob("**/*.gentle")
@@ -281,7 +283,7 @@ def test_internal_invariant_failure_exits_1(capsys, monkeypatch):
 
     def drop_an_arrow_target(m, bases):
         # a subspace the first nonzero arrow maps out of
-        bases = {v: ([{i: m.field.one} for i in range(d)], list(range(d)))
+        bases = {v: ([{i: 1} for i in range(d)], list(range(d)))
                  for v, d in m.dims.items()}
         arr = next(x for x in m.algebra.arrows if x.name in m.mats)
         bases[arr.target] = ([], [])
@@ -316,7 +318,7 @@ def _twisted_witness(real):
         if arr is not None:
             for row in f.blocks[arr.source].rows:
                 for k, c in row.items():
-                    row[k] = x.field.add(c, c)
+                    row[k] = add(x.field, c, c)
         return f
     return twisted
 
@@ -546,6 +548,13 @@ def test_bad_field(capsys):
     (("ext", EX22, "--word", "a,,b"), "empty letter in word"),
     # as many digits as a p below 2^31, but larger
     (("--field", "f2147483648", "dim", A2), TOO_LARGE),
+    # every command parses the field before it reads its input, even one
+    # that computes over no field
+    *[(("--field", "f6", command, *files), "6 is not prime")
+      for command, *files in [("validate", EX22), ("cycles", EX22),
+                              ("gp", EX22), ("dsg", EX22),
+                              ("compare", EX22, A2), ("surface", FAN5),
+                              ("dim", "missing.gentle")]],
 ])
 def test_input_errors_exit_2(argv, reason, capsys):
     start = time.perf_counter()

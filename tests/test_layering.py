@@ -10,9 +10,10 @@ parameter; the stable table's orbit check reads no word but checks a
 witness of the one isomorphism routine, and tests/reference.py keeps no
 module fingerprint; every import sits at module level; the module-level
 caches are the ones allowed below; only cli.run writes output; and every
-exception the package defines is bad input or a bug.  tests/reference.py,
-which the hom systems are checked against, solves none with the
-program's own."""
+exception the package defines is bad input or a bug; a field keeps only
+its characteristic p, and cli.run alone parses --field.
+tests/reference.py, which the hom systems are checked against, solves
+none with the program's own."""
 
 import ast
 import importlib
@@ -220,20 +221,16 @@ def test_bench_reads_the_allowed_caches():
     assert {name for _, name in CACHED} <= reads
 
 
-def _writers(tree):
-    """The name of each function, or <module>, that calls print or _emit
-    or names sys.stdout."""
-    found = set()
+def _owners(tree, hit):
+    """The name of the function, or <module>, around each node that hit
+    holds for, in the order of a walk."""
+    found = []
 
     def visit(node, owner):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner = node.name
-        writes = (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                  and node.func.id in ("print", "_emit")) or (
-            isinstance(node, ast.Attribute) and node.attr == "stdout"
-            and isinstance(node.value, ast.Name) and node.value.id == "sys")
-        if writes:
-            found.add(owner)
+        if hit(node):
+            found.append(owner)
         for child in ast.iter_child_nodes(node):
             visit(child, owner)
 
@@ -241,10 +238,43 @@ def _writers(tree):
     return found
 
 
+def _writes(node):
+    """Whether the node calls print or _emit or names sys.stdout."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("print", "_emit")) or (
+        isinstance(node, ast.Attribute) and node.attr == "stdout"
+        and isinstance(node.value, ast.Name) and node.value.id == "sys")
+
+
 def test_only_cli_run_writes_output():
     found = {(fname, owner) for fname, tree in _trees().items()
-             for owner in _writers(tree)}
+             for owner in _owners(tree, _writes)}
     assert found == {("cli.py", "run")}
+
+
+def test_a_field_is_its_characteristic_parsed_once():
+    # the row kernels reduce mod p inline, so the fields carry no
+    # arithmetic of their own, and every command gets its field from run
+    trees = _trees()
+    fields = [node for node in trees["linalg.py"].body
+              if isinstance(node, ast.ClassDef)
+              and node.name in ("Rationals", "PrimeField")]
+    assert len(fields) == 2
+    defined = set()
+    for node in (x for cls in fields for x in ast.walk(cls)):
+        if isinstance(node, ast.FunctionDef):
+            defined.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            defined.add(node.id)
+        elif isinstance(node, ast.Attribute) and \
+                isinstance(node.ctx, ast.Store):
+            defined.add(node.attr)
+    assert "p" in defined
+    assert defined & {"zero", "one", "add", "neg"} == set()
+    calls = _owners(trees["cli.py"], lambda node: isinstance(node, ast.Call)
+                    and "parse_field" in (getattr(node.func, "id", None),
+                                          getattr(node.func, "attr", None)))
+    assert calls == ["run"]
 
 
 def test_every_package_exception_is_bad_input_or_a_bug():

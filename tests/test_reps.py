@@ -214,7 +214,7 @@ def test_subspace_not_closed_is_an_internal_error(eightv):
     # all of P_1 but its part at vertex 2: the arrow a: 1 -> 2 maps the
     # top of P_1 out of the span
     p1 = projective_rep(eightv, "1", QQ)
-    bases = {v: ([{i: QQ.one} for i in range(d)], list(range(d)))
+    bases = {v: ([{i: 1} for i in range(d)], list(range(d)))
              for v, d in p1.dims.items()}
     bases["2"] = ([], [])
     with pytest.raises(InternalError, match="not closed"):
@@ -235,7 +235,7 @@ def test_non_minimal_cover_is_an_internal_error(eightv):
     blocks = {v: Matrix.zeros(QQ, s5.dims.get(v, 0), d)
               for v, d in p.dims.items()}
     for col in tops:
-        blocks["5"].rows[0][col] = QQ.one
+        blocks["5"].rows[0][col] = 1
     pi = ModuleMap(p, s5, blocks)
     pi.check()
     with pytest.raises(InternalError, match="cover kernel escapes the radical"):
@@ -433,8 +433,8 @@ def greedy_top_generators(m):
             m.mats[arr.name] for arr in m.algebra.presentation.arrows_in(v)
             if arr.name in m.mats])
         for i in range(m.dims[v]):
-            e = [fld.zero] * m.dims[v]
-            e[i] = fld.one
+            e = [0] * m.dims[v]
+            e[i] = 1
             if solve(basis, e) is None:
                 basis = hstack(fld, [basis, column(fld, e)])
                 gens.append((v, i))
@@ -442,8 +442,7 @@ def greedy_top_generators(m):
 
 
 def _unitriangular(data, fld, n, lower):
-    m = [[fld.one if r == c else fld.zero for c in range(n)]
-         for r in range(n)]
+    m = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
     for i in range(n):
         for j in range(i):
             r, c = (i, j) if lower else (j, i)
@@ -585,7 +584,7 @@ def _entries(mats):
 @settings(max_examples=60, deadline=None)
 @given(gentle_presentations())
 def test_generated_modules_over_q_hold_plain_ints(p):
-    # every Q entry starts from QQ.one, and the covers, kernels and
+    # every Q entry starts from 1, and the covers, kernels and
     # syzygies of 0/+-1 matrices stay integral: no entry is a Fraction
     a = validate_gentle(p)
     modules = [projective_rep(a, v, QQ) for v in a.vertices]

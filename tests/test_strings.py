@@ -28,7 +28,7 @@ def Li(name):
 
 def _dense(m):
     """The rows of a Matrix as lists of entries, zeros included."""
-    return [[row.get(j, m.field.zero) for j in range(m.ncols)]
+    return [[row.get(j, 0) for j in range(m.ncols)]
             for row in m.rows]
 
 
