@@ -46,19 +46,21 @@ def cmd_cycles(args):
 def cmd_gp(args):
     a = _load_algebra(args.file)
     cls = gp.classify_gp(a)
-    nonproj, last = [], None
+    # a name joins the whole cycle: written once, cited by index
+    cycles, nonproj, last = [], [], None
     for cycle, arrow in cls.nonprojective:
-        if cycle is not last:  # a name joins the whole cycle: once each
-            last, name = cycle, cycle.name
+        if cycle is not last:
+            last = cycle
+            cycles.append(cycle.name)
         w = strings.radical_summand_string(a, arrow)
         nonproj.append({
             "arrow": arrow,
-            "cycle": name,
+            "cycle": len(cycles) - 1,
             "word": [l.arrow for l in w.letters],
             "vertices": list(w.vertices),
             "dimension": len(w.vertices),
         })
-    return 0, {"projectives": sorted(cls.projectives),
+    return 0, {"projectives": sorted(cls.projectives), "cycles": cycles,
                "nonprojective": sorted(nonproj, key=lambda d: d["arrow"])}
 
 

@@ -179,8 +179,8 @@ def test_gp(capsys):
 
 
 def test_gp_names_each_cycle_once(tmp_path, capsys, monkeypatch):
-    # a cycle's name joins all its arrows, so I_n joins n arrows once,
-    # not once per arrow on the cycle
+    # a cycle's name joins all its arrows, so I_n writes it once and each
+    # entry cites it by index, not once per arrow on the cycle
     from gentlegp.gentle import CriticalCycle
 
     path = tmp_path / "i40.gentle"
@@ -193,11 +193,39 @@ def test_gp_names_each_cycle_once(tmp_path, capsys, monkeypatch):
         return real.fget(cycle)
 
     monkeypatch.setattr(CriticalCycle, "name", property(name))
-    code, out = invoke(capsys, "gp", str(path))
+    code = run(["gp", str(path)])
+    raw = capsys.readouterr().out
+    out = json.loads(raw)
+    cycle = "".join(f"a{i}" for i in range(40, 0, -1))
     assert code == 0 and len(out["nonprojective"]) == 40
-    assert {d["cycle"] for d in out["nonprojective"]} == {
-        "".join(f"a{i}" for i in range(40, 0, -1))}
+    assert raw.count(cycle) == 1 and out["cycles"] == [cycle]
+    assert {d["cycle"] for d in out["nonprojective"]} == {0}
     assert len(reads) == 1
+
+
+def test_gp_cites_the_cycle_of_each_arrow(capsys):
+    # eight_vertex has two critical cycles: each entry's index reads the
+    # name of the cycle that `cycles` lists with the entry's arrow
+    _, out = invoke(capsys, "gp", EX22)
+    _, listed = invoke(capsys, "cycles", EX22)
+    owner = {arrow: c["name"] for c in listed["cycles"]
+             for arrow in c["arrows"]}
+    assert len(out["nonprojective"]) == len(owner) == 6
+    assert out["cycles"] == [c["name"] for c in listed["cycles"]]
+    assert {d["arrow"]: out["cycles"][d["cycle"]]
+            for d in out["nonprojective"]} == owner
+
+
+def test_gp_output_is_linear_in_the_cycle_length(tmp_path, capsys):
+    # one name per cycle: I_200 prints about twice what I_100 does (4.19
+    # times while every entry repeated its cycle's name)
+    sizes = []
+    for n in (100, 200):
+        path = tmp_path / f"i{n}.gentle"
+        path.write_text(serialize_presentation(cyclic_nakayama(n)))
+        assert run(["gp", str(path)]) == 0
+        sizes.append(len(capsys.readouterr().out.encode()))
+    assert sizes[1] < 2.5 * sizes[0]
 
 
 def test_dsg(capsys):

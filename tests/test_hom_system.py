@@ -13,18 +13,21 @@ from hypothesis import given, settings, strategies as st
 
 from gentlegp import (QQ, InputError, PrimeField, Representation,
                       embedding_obstruction,
-                      enumerate_strings, hom_dim, projective_cover,
+                      enumerate_strings, hom_dim, parse_presentation,
+                      projective_cover,
                       projective_rep, radical_summand_rep, receiving_sum,
                       string_module, syzygy, validate_gentle)
 from gentlegp.families import projective_line_chain
 from gentlegp.reps import _hom_vectors
 
 import reference
+from conftest import data_path
 from test_gentle import gentle_presentations
 
 FIELDS = [QQ, PrimeField(101), PrimeField(5)]
 # none of them is 0 or 1 in any of the fields
 BAND_PARAMETERS = [2, Fraction(3, 2), Fraction(-1, 3)]
+LOOPS = sorted(data_path("loops").glob("*.gentle"))
 
 
 def check_against_reference(m, n):
@@ -87,11 +90,9 @@ def disguised(m):
         for name, x in m.mats.items()})
 
 
-@settings(max_examples=40, deadline=None)
-@given(gentle_presentations(), st.sampled_from(FIELDS),
-       st.sampled_from(BAND_PARAMETERS))
-def test_hom_dims_and_obstructions_match_the_full_system(p, fld, lam):
-    a = validate_gentle(p)
+def _strings_and_syzygies(a, fld):
+    """The string modules of at most three letters, and those modules
+    followed by their nonzero syzygies and disguised copies of these."""
     strings = [string_module(a, w, fld) for w in enumerate_strings(a, 3)]
     # a syzygy's basis comes from kernel vectors, not from a walk, and a
     # disguised module's from no walk at all: its arrow matrices have rows
@@ -99,15 +100,40 @@ def test_hom_dims_and_obstructions_match_the_full_system(p, fld, lam):
     syzygies = [omega for m in strings
                 for omega in [syzygy(projective_cover(m))]
                 if not omega.is_zero()]
+    return strings, strings + syzygies + [disguised(x) for x in syzygies]
+
+
+def _check_modules(a, fld, modules, targets=()):
+    """Each module against its receiving sum, a disguised copy of it,
+    every projective, every radical summand and the given targets, and
+    its embedding obstruction against the reference."""
     projectives = [projective_rep(a, v, fld) for v in a.vertices]
     radicals = [radical_summand_rep(a, arr.name, fld) for arr in a.arrows]
-    for m in strings + syzygies + [disguised(x) for x in syzygies] + \
-            _bands(a, fld, lam):
+    for m in modules:
         for n in [receiving_sum(m), disguised(receiving_sum(m)),
-                  *projectives, *radicals]:
+                  *projectives, *radicals, *targets]:
             check_against_reference(m, n)
         assert embedding_obstruction(m) == \
             reference.embedding_obstruction(m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(gentle_presentations(), st.sampled_from(FIELDS),
+       st.sampled_from(BAND_PARAMETERS))
+def test_hom_dims_and_obstructions_match_the_full_system(p, fld, lam):
+    a = validate_gentle(p)
+    _, modules = _strings_and_syzygies(a, fld)
+    _check_modules(a, fld, modules + _bands(a, fld, lam))
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=str)
+@pytest.mark.parametrize("path", LOOPS, ids=lambda p: p.stem)
+def test_loop_homs_match_the_full_system(path, fld):
+    # a loop's equation meets its own unknown from both sides; the
+    # generated algebras reach this case only when a draw has a loop
+    a = validate_gentle(parse_presentation(path.read_text()))
+    strings, modules = _strings_and_syzygies(a, fld)
+    _check_modules(a, fld, modules, strings)
 
 
 @pytest.mark.parametrize("fld", FIELDS, ids=str)
