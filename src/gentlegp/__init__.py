@@ -18,11 +18,10 @@ from .reps import (Representation, ModuleMap, ExtProfile, hom_dim,
                    InternalError, injective_dimension, direct_sum, regular_rep,
                    Coresolution, isomorphism, injective_coresolution,
                    receiving_sum)
-from .gp import (GPClassification, SingularityDescriptor, OracleCertificate,
-                 StableCategoryTable, ComparisonReport, ClassificationMismatchError,
-                 classify_gp, gp_oracle, singularity_descriptor,
-                 stable_category_table, compare_derived_invariant,
-                 classified_words)
+from .gp import (SingularityDescriptor, OracleCertificate, StableCategoryTable,
+                 ComparisonReport, ClassificationMismatchError, gp_oracle,
+                 singularity_descriptor, stable_category_table,
+                 compare_derived_invariant, classified_words)
 from .surface import (Triangulation, TriangulationError,
                       InnerCountReport, parse_triangulation,
                       serialize_triangulation, make_triangulation,

@@ -45,22 +45,21 @@ def cmd_cycles(args):
 
 def cmd_gp(args):
     a = _load_algebra(args.file)
-    cls = gp.classify_gp(a)
+    cycles = gentle.critical_cycles(a)
+    nonproj = []
+    for i, cycle in enumerate(cycles):
+        for arrow in cycle.arrows:
+            w = strings.radical_summand_string(a, arrow)
+            nonproj.append({
+                "arrow": arrow,
+                "cycle": i,
+                "word": [l.arrow for l in w.letters],
+                "vertices": list(w.vertices),
+                "dimension": len(w.vertices),
+            })
     # a name joins the whole cycle: written once, cited by index
-    cycles, nonproj, last = [], [], None
-    for cycle, arrow in cls.nonprojective:
-        if cycle is not last:
-            last = cycle
-            cycles.append(cycle.name)
-        w = strings.radical_summand_string(a, arrow)
-        nonproj.append({
-            "arrow": arrow,
-            "cycle": len(cycles) - 1,
-            "word": [l.arrow for l in w.letters],
-            "vertices": list(w.vertices),
-            "dimension": len(w.vertices),
-        })
-    return 0, {"projectives": sorted(cls.projectives), "cycles": cycles,
+    return 0, {"projectives": sorted(a.vertices),
+               "cycles": [c.name for c in cycles],
                "nonprojective": sorted(nonproj, key=lambda d: d["arrow"])}
 
 
@@ -110,9 +109,9 @@ def cmd_stable(args):
     # critical cycle leaves a module to build
     a.check_basis_size()
     table = gp.stable_category_table(a, args.field)
-    return 0, {"objects": [{"cycle": c, "arrow": arrow}
-                           for c, arrow in table.objects],
-               "orbits": table.orbits,
+    return 0, {"objects": [{"cycle": c.name, "arrow": arrow}
+                           for c in table.cycles for arrow in c.arrows],
+               "orbits": [list(c.arrows) for c in table.cycles],
                "stable_hom_matrix": table.matrix,
                "identity": table.is_identity}
 

@@ -23,18 +23,6 @@ class ClassificationMismatchError(AssertionError):
     classification; indicates a bug, never silently ignored."""
 
 
-class GPClassification(NamedTuple):
-    projectives: tuple[str, ...]  # vertex ids
-    nonprojective: tuple  # (cycle, arrow name) pairs, cycle order
-
-
-def classify_gp(a: GentleAlgebra) -> GPClassification:
-    """Indecomposable GPs: all projectives plus one radical summand per
-    arrow on a critical cycle."""
-    return GPClassification(tuple(a.vertices), tuple(
-        (c, arrow) for c in critical_cycles(a) for arrow in c.arrows))
-
-
 class SingularityDescriptor(NamedTuple):
     cycle_lengths: tuple[int, ...]  # sorted multiset
 
@@ -93,37 +81,36 @@ def gp_oracle(m: Representation, coresolution: Coresolution,
 
 
 def classified_words(a: GentleAlgebra) -> frozenset:
-    """The canonical words of the classified GPs, all string modules.
+    """The canonical words of the classified GPs.  The indecomposable GPs
+    are the projective P_v at every vertex v and the radical summand R(alpha)
+    of every arrow alpha on a critical cycle (Kalck), all string modules.
     String modules are isomorphic iff their words agree up to inversion
     (Butler-Ringel), so this set decides membership by canonical word."""
-    cls = classify_gp(a)
-    words = [projective_word(a, v)[0] for v in cls.projectives]
-    words += [radical_summand_string(a, x) for _, x in cls.nonprojective]
+    words = [projective_word(a, v)[0] for v in a.vertices]
+    words += [radical_summand_string(a, x)
+              for c in critical_cycles(a) for x in c.arrows]
     return frozenset(w.canonical() for w in words)
 
 
 class StableCategoryTable(NamedTuple):
-    objects: list  # (cycle name, arrow) in cycle order
-    orbits: list   # lists of arrow names, shift orbit order
-    matrix: list   # stable hom dims, row = source object
+    cycles: list  # critical cycles: each a shift orbit, its arrows objects
+    matrix: list  # stable hom dims, objects in cycle order, row = source
 
     @property
     def is_identity(self):
-        n = len(self.objects)
+        n = len(self.matrix)
         return all(self.matrix[i][j] == (1 if i == j else 0)
                    for i in range(n) for j in range(n))
 
 
 def stable_category_table(a: GentleAlgebra, fld=QQ) -> StableCategoryTable:
-    """Objects, shift orbits, and the stable-hom matrix of the
-    non-projective GPs; verifies the cyclic syzygy action and the
-    delta-shaped stable homs, raising ClassificationMismatchError otherwise."""
+    """The critical cycles, which are the shift orbits, and the stable-hom
+    matrix of the non-projective GPs; verifies the cyclic syzygy action and
+    the delta-shaped stable homs, raising ClassificationMismatchError."""
     cycles = critical_cycles(a)
-    objects = [(c.name, arrow) for c in cycles for arrow in c.arrows]
-    orbits = [list(c.arrows) for c in cycles]
-
     # one cover per object, for the orbit check and the stable homs into it
-    reps = {arrow: radical_summand_rep(a, arrow, fld) for _, arrow in objects}
+    reps = {arrow: radical_summand_rep(a, arrow, fld)
+            for c in cycles for arrow in c.arrows}
     covers = {arrow: projective_cover(r) for arrow, r in reps.items()}
 
     # shift orbit: Omega R(alpha_i) = R(alpha_{i+1}), by a witness checked here
@@ -141,14 +128,14 @@ def stable_category_table(a: GentleAlgebra, fld=QQ) -> StableCategoryTable:
     # the cover P -> R(y); Hom(R(x), -) is left exact, so they span dim
     # Hom(R(x), P) - dim Hom(R(x), R(shift y)): x's row solves each once
     matrix = []
-    for _, x in objects:
-        row = {y: hom_dim(reps[x], r) for y, r in reps.items()}
-        into = {p: hom_dim(reps[x], p) for p in dict.fromkeys(
+    for x in reps.values():
+        row = {y: hom_dim(x, r) for y, r in reps.items()}
+        into = {p: hom_dim(x, p) for p in dict.fromkeys(
             covers[y].projective for y, h in row.items() if h)}
         matrix.append([h and h - into[covers[y].projective] + row[shift[y]]
                        for y, h in row.items()])
-    table = StableCategoryTable(objects, orbits, matrix)
-    if objects and not table.is_identity:
+    table = StableCategoryTable(cycles, matrix)
+    if not table.is_identity:
         raise ClassificationMismatchError(
             "stable-hom matrix of the non-projective GPs is not the identity")
     return table

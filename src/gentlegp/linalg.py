@@ -95,9 +95,6 @@ class Matrix:
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols} over {self.field!r})"
 
-    def is_zero(self):
-        return not any(self.rows)
-
     def mul(self, other):
         if self.ncols != other.nrows:
             raise ValueError(

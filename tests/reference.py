@@ -418,11 +418,11 @@ def check_module(m):
             raise ValueError(f"arrow {name}: stored off the support")
         if (x.nrows, x.ncols) != (m.dims[arr.target], m.dims[arr.source]):
             raise ValueError(f"arrow {name}: matrix shape mismatch")
-        if x.is_zero():
+        if not any(x.rows):
             raise ValueError(f"arrow {name}: zero matrix stored")
     for later, earlier in m.algebra.relations:
         if later in m.mats and earlier in m.mats and \
-                not m.mats[later].mul(m.mats[earlier]).is_zero():
+                any(m.mats[later].mul(m.mats[earlier]).rows):
             raise ValueError(f"relation {later}*{earlier} not satisfied")
 
 

@@ -216,6 +216,36 @@ def test_gp_cites_the_cycle_of_each_arrow(capsys):
             for d in out["nonprojective"]} == owner
 
 
+@pytest.mark.parametrize("source", ALGEBRA_FILES + TRI_FILES,
+                         ids=lambda p: p.relative_to(DATA).as_posix())
+def test_commands_read_one_classification(source, tmp_path, capsys):
+    # gp, cycles, stable and dsg all report the critical cycles, in the
+    # order cycles lists them
+    path = str(source)
+    if source.suffix == ".tri":
+        path = str(tmp_path / "algebra.gentle")
+        assert invoke(capsys, "surface", str(source),
+                      "--emit-algebra", path)[0] == 0
+    results = [invoke(capsys, *argv) for argv in (
+        ["cycles", path], ["gp", path], ["--field", "q", "stable", path],
+        ["dsg", path])]
+    assert [code for code, _ in results] == [0] * 4
+    listed, gp, stable, dsg = (out for _, out in results)
+    arrows = [c["arrows"] for c in listed["cycles"]]
+    names = [c["name"] for c in listed["cycles"]]
+    assert gp["cycles"] == names
+    for entry in gp["nonprojective"]:
+        assert entry["arrow"] in arrows[entry["cycle"]]
+    assert sorted(e["arrow"] for e in gp["nonprojective"]) == sorted(
+        arrow for cycle in arrows for arrow in cycle)
+    assert stable["orbits"] == arrows
+    assert stable["objects"] == [{"cycle": name, "arrow": arrow}
+                                 for name, cycle in zip(names, arrows)
+                                 for arrow in cycle]
+    assert dsg["descriptor"] == sorted(len(cycle) for cycle in arrows)
+    assert dsg["indecomposable_objects"] == len(gp["nonprojective"])
+
+
 def test_gp_output_is_linear_in_the_cycle_length(tmp_path, capsys):
     # one name per cycle: I_200 prints about twice what I_100 does (4.19
     # times while every entry repeated its cycle's name)

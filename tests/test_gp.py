@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gentlegp import (PrimeField, QQ, classified_words, classify_gp,
+from gentlegp import (PrimeField, QQ, classified_words,
                       compare_derived_invariant, critical_cycles,
                       enumerate_strings, gorenstein_dimension, gp_oracle,
                       projective_rep, radical_summand_rep,
@@ -13,17 +13,15 @@ from test_gentle import gentle_presentations
 
 
 def test_classify_eight_vertex(eightv):
-    cls = classify_gp(eightv)
-    assert cls.projectives == tuple("12345678")
-    assert [arrow for _, arrow in cls.nonprojective] == [
+    cycles = critical_cycles(eightv)
+    assert tuple(eightv.vertices) == tuple("12345678")
+    assert [arrow for c in cycles for arrow in c.arrows] == [
         "e", "f", "j", "g", "k", "h"]
-    cycles = {c.name for c, _ in cls.nonprojective}
-    assert cycles == {"jfe", "hkg"}
+    assert [c.name for c in cycles] == ["jfe", "hkg"]
 
 
 def test_classify_no_cycles(a2):
-    cls = classify_gp(a2)
-    assert cls.projectives == ("1", "2") and cls.nonprojective == ()
+    assert tuple(a2.vertices) == ("1", "2") and critical_cycles(a2) == []
 
 
 def test_descriptor_eight_vertex(eightv):
@@ -128,9 +126,8 @@ def test_oracle_refuses_finite_projective_dimension_with_ext_zero(
 
 def test_stable_table_eight_vertex(eightv):
     t = stable_category_table(eightv)
-    assert [arrow for _, arrow in t.objects] == ["e", "f", "j", "g", "k", "h"]
-    assert t.orbits == [["e", "f", "j"], ["g", "k", "h"]]
-    assert t.is_identity
+    assert [c.arrows for c in t.cycles] == [("e", "f", "j"), ("g", "k", "h")]
+    assert len(t.matrix) == 6 and t.is_identity
 
 
 @settings(max_examples=60, deadline=None)
@@ -142,14 +139,14 @@ def test_stable_table_on_generated_algebras(p, fld):
     a = validate_gentle(p)
     cycles = critical_cycles(a)
     t = stable_category_table(a, fld)
-    assert t.orbits == [list(c.arrows) for c in cycles]
-    assert len(t.objects) == sum(c.length for c in cycles)
+    assert t.cycles == cycles
+    assert len(t.matrix) == sum(c.length for c in cycles)
     assert t.is_identity
 
 
 def test_stable_table_empty_without_cycles(a2):
     t = stable_category_table(a2)
-    assert t.objects == [] and t.matrix == []
+    assert t.cycles == [] and t.matrix == [] and t.is_identity
 
 
 def test_compare_reflexive_and_symmetric(eightv, a2):
@@ -182,10 +179,10 @@ def test_compare_eight_vertex_vs_disjoint_three_cycles(eightv):
 
 def test_nakayama_whole_cycle_is_gp():
     i4 = validate_gentle(cyclic_nakayama(4))
-    cls = classify_gp(i4)
-    assert len(cls.nonprojective) == 4
+    [cycle] = critical_cycles(i4)
+    assert cycle.length == 4
     d = gorenstein_dimension(i4)
     assert d.length == 0
-    for _, arrow in cls.nonprojective:
+    for arrow in cycle.arrows:
         cert = gp_oracle(radical_summand_rep(i4, arrow, QQ), d)
         assert cert.verdict == "GP" and cert.ext_dims == [0]

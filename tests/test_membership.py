@@ -10,7 +10,7 @@ import pytest
 
 from gentlegp import (QQ, ClassificationMismatchError, PrimeField,
                       algebra_from_triangulation, classified_words,
-                      classify_gp, critical_cycles, enumerate_strings,
+                      critical_cycles, enumerate_strings,
                       gorenstein_dimension, gp_oracle, make_string,
                       parse_letters, parse_presentation, parse_triangulation,
                       projective_rep, radical_summand_rep, receiving_sum,
@@ -80,9 +80,9 @@ def test_one_word_per_classified_gp(label):
 @pytest.mark.parametrize("name", ALGEBRAS)
 def test_word_membership_matches_the_signature(name, fld):
     a = _algebra(name)
-    cls = classify_gp(a)
-    gps = [projective_rep(a, v, fld) for v in cls.projectives]
-    gps += [radical_summand_rep(a, x, fld) for _, x in cls.nonprojective]
+    gps = [projective_rep(a, v, fld) for v in a.vertices]
+    gps += [radical_summand_rep(a, x, fld)
+            for c in critical_cycles(a) for x in c.arrows]
     words = classified_words(a)
     for w in enumerate_strings(a, 4):
         # a string module is indecomposable, so no witness decides
