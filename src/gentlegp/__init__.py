@@ -8,7 +8,7 @@ from .gentle import (GentleAlgebra, GentleViolation, NotGentleError,
                      BasisTooLargeError, CriticalCycle, validate_gentle,
                      gentle_violations, critical_cycles,
                      radical_summand_word)
-from .linalg import Matrix, QQ, PrimeField, parse_field
+from .linalg import Matrix, QQ, parse_field
 from .strings import (Letter, StringWord, parse_letters, make_string,
                       lazy_word, enumerate_strings)
 from .reps import (Representation, ModuleMap, ExtProfile, hom_dim,

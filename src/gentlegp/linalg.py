@@ -1,6 +1,10 @@
 """Exact linear algebra over the rationals or a prime field.
 
-No floating point anywhere; ranks and kernels are exact, so there are no
+A field is its characteristic p, a plain int: QQ = 0 for the rationals,
+else a prime.  Over Q an integral element is a plain int and only a real
+denominator makes a fractions.Fraction; the two mix exactly, and equal
+values compare equal.  Over F_p elements are ints in range(p).  No
+floating point anywhere; ranks and kernels are exact, so there are no
 tolerances to tune.
 """
 
@@ -11,65 +15,30 @@ from math import gcd, isqrt, lcm
 
 from .quiver import InputError
 
-
-class Rationals:
-    """The field of rational numbers.  An integral element is a plain int
-    and only a real denominator makes a fractions.Fraction; the two mix
-    exactly, and equal values compare equal."""
-
-    p = 0  # the characteristic; a prime field keeps its own as p
-
-    def __eq__(self, other):
-        return isinstance(other, Rationals)
-
-    def __hash__(self):
-        return hash("Q")
-
-    def __repr__(self):
-        return "QQ"
+QQ = 0
 
 
-_TOO_LARGE = "prime field characteristic must be below 2^31"
-
-
-class PrimeField:
-    """F_p for a prime p; elements are ints in range(p)."""
-
-    def __init__(self, p):
-        if p >= 2 ** 31:
-            raise InputError(_TOO_LARGE)
-        if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
-            raise InputError(f"{p} is not prime")
-        self.p = p
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("F", self.p))
-
-    def __repr__(self):
-        return f"GF({self.p})"
-
-
-QQ = Rationals()
-
-
-def parse_field(spec: str):
-    """Parse a field spec: 'q' for rationals, 'f5' / 'F5' for a prime field."""
+def parse_field(spec: str) -> int:
+    """Parse a field spec into its characteristic: 'q' for the rationals,
+    'f5' / 'F5' for a prime field."""
     s = spec.strip().lower()
     if s in ("q", "qq", "rationals"):
         return QQ
     digits = s[1:]
-    if s.startswith("f") and digits.isascii() and digits.isdigit():
-        if len(digits.lstrip("0")) > 10:  # 2^31 has 10 digits
-            raise InputError(_TOO_LARGE)
-        return PrimeField(int(digits))
-    raise InputError(f"unrecognized field spec {spec!r}")
+    if not (s.startswith("f") and digits.isascii() and digits.isdigit()):
+        raise InputError(f"unrecognized field spec {spec!r}")
+    # 2^31 has 10 digits, and int() refuses over 4,300
+    if len(digits.lstrip("0")) > 10 or int(digits) >= 2 ** 31:
+        raise InputError("prime field characteristic must be below 2^31")
+    p = int(digits)
+    if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+        raise InputError(f"{p} is not prime")
+    return p
 
 
 class Matrix:
-    """Sparse matrix over an exact field; 0xN and Nx0 shapes are legal.
+    """Sparse matrix over the field of characteristic ``field``; 0xN and
+    Nx0 shapes are legal.
 
     Row i is a dict from column to entry, the format ``echelon`` takes.
     Invariant: no entry is stored as zero, so two matrices are equal
@@ -93,14 +62,14 @@ class Matrix:
                 and self.rows == other.rows)
 
     def __repr__(self):
-        return f"Matrix({self.nrows}x{self.ncols} over {self.field!r})"
+        return f"Matrix({self.nrows}x{self.ncols} over char {self.field})"
 
     def mul(self, other):
         if self.ncols != other.nrows:
             raise ValueError(
                 f"shape mismatch: {self.ncols} cols vs {other.nrows} rows")
         return Matrix(self.field, self.nrows, other.ncols,
-                      [_combine(r, other.rows, self.field.p) for r in self.rows])
+                      [_combine(r, other.rows, self.field) for r in self.rows])
 
     def transpose(self):
         cols = [{} for _ in range(self.ncols)]
@@ -127,7 +96,7 @@ def _combine(coeffs, rows, p):
     return acc if all(acc.values()) else {j: v for j, v in acc.items() if v}
 
 
-def echelon(field, rows, ncols, reduced=True):
+def echelon(p, rows, ncols, reduced=True):
     """Echelon form of sparse rows, dicts from column (below ``ncols``) to
     nonzero entry, which it leaves unchanged.  Returns (pivot rows,
     increasing pivot columns); with ``reduced``, those of the unique
@@ -137,7 +106,6 @@ def echelon(field, rows, ncols, reduced=True):
     fraction-free on integer rows; scaling a reduced pivot row to 1 at the
     end divides exactly, and makes a Fraction only of an entry its pivot
     does not divide."""
-    p = field.p
     by_lead = {}  # lead column -> rows starting there
     for r in rows:
         if r:
@@ -217,12 +185,11 @@ def _clear(r, s, c, p):
             r[j] //= g
 
 
-def kernel_vectors(field, rows, ncols):
+def kernel_vectors(p, rows, ncols):
     """A basis of the null space of sparse rows, as a dict from each free
     column, in order, to a sparse vector (column -> nonzero entry) that is
     1 there and 0 at every other free column."""
-    p = field.p
-    prows, pivots = echelon(field, rows, ncols)
+    prows, pivots = echelon(p, rows, ncols)
     pivot_set = set(pivots)
     vectors = {c: {c: 1} for c in range(ncols) if c not in pivot_set}
     for prow, pc in zip(prows, pivots):

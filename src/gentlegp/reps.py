@@ -208,7 +208,7 @@ def _hom_system(m: Representation, n: Representation):
     if not offsets:
         return [], []
     pres = m.algebra.presentation
-    p = m.field.p
+    p = m.field
     # equations of arrows with neither end among the blocks read 0 = 0
     arrows = [arr for v in offsets for arr in pres.arrows_out(v)]
     arrows += [arr for v in offsets for arr in pres.arrows_in(v)
@@ -339,9 +339,9 @@ def _subrepresentation(m: Representation, bases):
         index = {c: r for r, c in enumerate(positions)}
         rows = [{} for _ in targets]
         for j, x in enumerate(bases[arr.source][0]):
-            image = _combine(x, columns, fld.p)
+            image = _combine(x, columns, fld)
             coords = {index[c]: y for c, y in image.items() if c in index}
-            if _combine(coords, targets, fld.p) != image:
+            if _combine(coords, targets, fld) != image:
                 raise InternalError("subspace not closed under arrow action")
             for r, c in coords.items():
                 rows[r][j] = c
@@ -371,7 +371,7 @@ def projective_cover(m: Representation) -> Cover:
               for v, d in p.dims.items()}
 
     def image(x, arrow):
-        return _combine(x, columns[arrow], fld.p) if arrow in columns else {}
+        return _combine(x, columns[arrow], fld) if arrow in columns else {}
 
     walks = {}  # vertex -> its projective's word, top and slots
     tops = []

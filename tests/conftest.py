@@ -25,6 +25,11 @@ def data_path(name):
     return DATA / name
 
 
+def field_id(p):
+    """The test id of the field of characteristic p: QQ or GF(p)."""
+    return f"GF({p})" if p else "QQ"
+
+
 def kronecker():
     """Two parallel arrows 1 => 2, no relations."""
     return QuiverPresentation(

@@ -11,7 +11,16 @@ tree's ``src/``:
   inputs that ``bench/workloads.py`` writes once for both trees;
 - ``surface --emit-algebra`` on every ``.tri`` under ``tests/data/``,
   where the written file's bytes count as part of the output;
-- ``validate`` and ``dim`` with the bad fields ``f6``, ``f0`` and ``x``.
+- ``validate`` and ``dim`` with the bad fields ``f6``, ``f0`` and ``x``;
+- ``dim``, ``stable`` and ``oracle --max-letters 4`` over ``f2`` and
+  ``f5``, where 1 + 1 and 1 + 1 + 1 + 1 + 1 vanish, on every ``.gentle``
+  under ``tests/data/``;
+- ``ext`` on every string of at most 2 letters, one per {w, w^-1}, of
+  each top-level ``.gentle`` fixture, over ``q`` and ``f101``, with no
+  ``--bound`` and with ``--bound`` 1 to 4;
+- ``compare`` on every pair of top-level ``.gentle`` fixtures.
+
+A command the golden corpus already runs is run once.
 
 Each tree runs in one child interpreter that imports ``gentlegp`` from
 that tree's ``src/`` alone and clears ``reps.projective_rep``'s cache
@@ -27,6 +36,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from itertools import combinations
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -35,6 +45,8 @@ SRC = ROOT / "src"
 sys.path.insert(0, str(SRC))
 
 import test_cli_golden as golden  # noqa: E402
+from gentlegp import (InputError, enumerate_strings,  # noqa: E402
+                      parse_presentation, validate_gentle)
 
 DATA = Path(__file__).resolve().parent / "data"
 WORKLOADS = ("oracle-sweep", "resolve-ladder", "combinatorial-ladder")
@@ -117,7 +129,31 @@ def command_matrix(inputs):
             cmds.append((f"--field {field} {sub} eight_vertex.gentle",
                          ["--field", field, sub,
                           str(DATA / "eight_vertex.gentle")]))
-    return cmds
+    named = []  # argv with file names relative to DATA
+    for field in ("f2", "f5"):
+        for path in sorted(DATA.glob("**/*.gentle")):
+            name = path.relative_to(DATA).as_posix()
+            for sub in (["dim"], ["stable"], ["oracle", "--max-letters", "4"]):
+                named.append(["--field", field, sub[0], name, *sub[1:]])
+    top = sorted(p.name for p in DATA.glob("*.gentle"))
+    for name in top:
+        try:
+            a = validate_gentle(parse_presentation((DATA / name).read_text()))
+        except InputError:
+            continue
+        # cmd_ext reads a lone vertex name as its lazy word
+        words = [w.display() if w.letters else w.vertices[0]
+                 for w in enumerate_strings(a, 2)]
+        for field in ("q", "f101"):
+            for word in words:
+                for bound in ([], *(["--bound", str(b)] for b in range(1, 5))):
+                    named.append(["--field", field, "ext", name,
+                                  "--word", word, *bound])
+    named += [["compare", left, right]
+              for left, right in combinations(top, 2)]
+    cmds += [(" ".join(argv), [str(DATA / x) if x.endswith(".gentle") else x
+                               for x in argv]) for argv in named]
+    return list(dict(cmds).items())
 
 
 def run_trees(srcs, commands, workdir):

@@ -85,41 +85,41 @@ def is_isomorphic(p, q):
 
 # ----------------------------------------------------- fields and matrices
 
-def of(field, x):
-    """The image of a rational in the field: over F_p, a/b goes to a
-    times the inverse of b mod p."""
+def of(p, x):
+    """The image of a rational in the field of characteristic p: over
+    F_p, a/b goes to a times the inverse of b mod p."""
     x = Fraction(x)
-    if not field.p:
+    if not p:
         return x
-    if x.denominator % field.p == 0:
-        raise InputError(f"{x} has no image in F_{field.p}")
-    return x.numerator * pow(x.denominator, -1, field.p) % field.p
+    if x.denominator % p == 0:
+        raise InputError(f"{x} has no image in F_{p}")
+    return x.numerator * pow(x.denominator, -1, p) % p
 
 
-def add(field, a, b):
-    return (a + b) % field.p if field.p else a + b
+def add(p, a, b):
+    return (a + b) % p if p else a + b
 
 
-def sub(field, a, b):
-    return (a - b) % field.p if field.p else a - b
+def sub(p, a, b):
+    return (a - b) % p if p else a - b
 
 
-def mul(field, a, b):
-    return a * b % field.p if field.p else a * b
+def mul(p, a, b):
+    return a * b % p if p else a * b
 
 
-def div(field, a, b):
+def div(p, a, b):
     # over Q an integral element is an int, and int / int is a float
-    return a * pow(b, -1, field.p) % field.p if field.p else Fraction(a) / b
+    return a * pow(b, -1, p) % p if p else Fraction(a) / b
 
 
-def from_rows(field, rows):
+def from_rows(p, rows):
     """The Matrix of dense rows, lists of entries."""
-    rows = [[of(field, x) for x in r] for r in rows]
+    rows = [[of(p, x) for x in r] for r in rows]
     ncols = len(rows[0]) if rows else 0
     if any(len(r) != ncols for r in rows):
         raise ValueError("rows of unequal length")
-    return Matrix(field, len(rows), ncols,
+    return Matrix(p, len(rows), ncols,
                   [{j: x for j, x in enumerate(r) if x} for r in rows])
 
 

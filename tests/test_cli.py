@@ -295,7 +295,8 @@ def test_oracle_takes_no_bound(capsys):
     assert "unrecognized arguments: --bound 3" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("field", ["q", "f101"])
+# the least prime and the largest below 2^31 are fields too
+@pytest.mark.parametrize("field", ["q", "f101", "f2", "f2147483647"])
 def test_gorenstein_dimension_is_two_sided_and_bounds_the_oracle(
         field, tmp_path, capsys):
     from gentlegp import (gorenstein_dimension, injective_dimension,
@@ -424,7 +425,7 @@ def test_a_failed_stable_certificate_exits_1(name, patch, reason, eightv,
 
 
 def test_stable_passes_field(capsys, monkeypatch):
-    from gentlegp import PrimeField, gp
+    from gentlegp import gp
 
     seen = []
     table = gp.stable_category_table
@@ -436,7 +437,7 @@ def test_stable_passes_field(capsys, monkeypatch):
     monkeypatch.setattr(gp, "stable_category_table", spy)
     code, out = invoke(capsys, "--field", "f101", "stable", EX22)
     assert code == 0 and out["identity"] is True
-    assert seen == [PrimeField(101)]
+    assert seen == [101] and type(seen[0]) is int
 
 
 def test_ext_word(capsys):
@@ -613,6 +614,11 @@ def test_bad_field(capsys):
                               ("gp", EX22), ("dsg", EX22),
                               ("compare", EX22, A2), ("surface", FAN5),
                               ("dim", "missing.gentle")]],
+    # every characteristic the field's constructor refused, and an
+    # 11-digit p
+    *[(("--field", f"f{p}", "dim", A2), f"{p} is not prime")
+      for p in (0, 1, 4)],
+    (("--field", "f12345678901", "dim", A2), TOO_LARGE),
 ])
 def test_input_errors_exit_2(argv, reason, capsys):
     start = time.perf_counter()

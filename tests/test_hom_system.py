@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gentlegp import (QQ, InputError, PrimeField, Representation,
+from gentlegp import (QQ, InputError, Representation,
                       embedding_obstruction,
                       enumerate_strings, hom_dim, parse_presentation,
                       projective_cover,
@@ -21,10 +21,10 @@ from gentlegp.families import projective_line_chain
 from gentlegp.reps import _hom_vectors
 
 import reference
-from conftest import data_path
+from conftest import data_path, field_id
 from test_gentle import gentle_presentations
 
-FIELDS = [QQ, PrimeField(101), PrimeField(5)]
+FIELDS = [QQ, 101, 5]
 # none of them is 0 or 1 in any of the fields
 BAND_PARAMETERS = [2, Fraction(3, 2), Fraction(-1, 3)]
 LOOPS = sorted(data_path("loops").glob("*.gentle"))
@@ -126,7 +126,7 @@ def test_hom_dims_and_obstructions_match_the_full_system(p, fld, lam):
     _check_modules(a, fld, modules + _bands(a, fld, lam))
 
 
-@pytest.mark.parametrize("fld", FIELDS, ids=str)
+@pytest.mark.parametrize("fld", FIELDS, ids=field_id)
 @pytest.mark.parametrize("path", LOOPS, ids=lambda p: p.stem)
 def test_loop_homs_match_the_full_system(path, fld):
     # a loop's equation meets its own unknown from both sides; the
@@ -136,7 +136,7 @@ def test_loop_homs_match_the_full_system(path, fld):
     _check_modules(a, fld, modules, strings)
 
 
-@pytest.mark.parametrize("fld", FIELDS, ids=str)
+@pytest.mark.parametrize("fld", FIELDS, ids=field_id)
 @pytest.mark.parametrize("lam", BAND_PARAMETERS, ids=str)
 def test_band_homs_match_the_full_system(kron, fld, lam):
     # a band's arrow matrices hold its parameter, and against another

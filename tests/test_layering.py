@@ -10,8 +10,9 @@ parameter; the stable table's orbit check reads no word but checks a
 witness of the one isomorphism routine, and tests/reference.py keeps no
 module fingerprint; every import sits at module level; the module-level
 caches are the ones allowed below; only cli.run writes output; and every
-exception the package defines is bad input or a bug; a field keeps only
-its characteristic p, and cli.run alone parses --field.
+exception the package defines is bad input or a bug; a field is its
+characteristic p, an int with no class of its own that no module reads
+an attribute p of, and cli.run alone parses --field.
 tests/reference.py, which the hom systems are checked against, solves
 none with the program's own."""
 
@@ -23,6 +24,7 @@ import sys
 from pathlib import Path
 
 import gentlegp
+from gentlegp.linalg import parse_field
 from gentlegp.quiver import InputError
 
 SRC = Path(gentlegp.__file__).parent
@@ -253,24 +255,16 @@ def test_only_cli_run_writes_output():
 
 
 def test_a_field_is_its_characteristic_parsed_once():
-    # the row kernels reduce mod p inline, so the fields carry no
-    # arithmetic of their own, and every command gets its field from run
+    # the row kernels reduce mod p inline, so a field is the int p with no
+    # class of its own, and every command gets its field from run
     trees = _trees()
-    fields = [node for node in trees["linalg.py"].body
-              if isinstance(node, ast.ClassDef)
-              and node.name in ("Rationals", "PrimeField")]
-    assert len(fields) == 2
-    defined = set()
-    for node in (x for cls in fields for x in ast.walk(cls)):
-        if isinstance(node, ast.FunctionDef):
-            defined.add(node.name)
-        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
-            defined.add(node.id)
-        elif isinstance(node, ast.Attribute) and \
-                isinstance(node.ctx, ast.Store):
-            defined.add(node.attr)
-    assert "p" in defined
-    assert defined & {"zero", "one", "add", "neg"} == set()
+    assert [node.name for node in trees["linalg.py"].body
+            if isinstance(node, ast.ClassDef)] == ["Matrix"]
+    assert [fname for fname, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "p"] == []
+    assert [(parse_field(s), type(parse_field(s))) for s in
+            ("q", "f2", "F101", "f2147483647")] == [
+        (0, int), (2, int), (101, int), (2 ** 31 - 1, int)]
     calls = _owners(trees["cli.py"], lambda node: isinstance(node, ast.Call)
                     and "parse_field" in (getattr(node.func, "id", None),
                                           getattr(node.func, "attr", None)))

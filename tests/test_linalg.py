@@ -1,11 +1,13 @@
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gentlegp import InputError, Matrix, PrimeField, QQ, parse_field
-from gentlegp.linalg import Rationals, echelon, kernel_vectors
+from gentlegp import InputError, Matrix, QQ, parse_field
+from gentlegp.linalg import echelon, kernel_vectors
 
+from conftest import field_id
 from reference import (add, column, div, from_rows, hstack, identity, mul,
                        of, solve, sub)
 
@@ -99,7 +101,7 @@ def test_rank_agrees_with_large_prime_field(nrows, ncols, data):
     rows = [[data.draw(st.integers(0, 1)) for _ in range(ncols)]
             for _ in range(nrows)]
     mq = from_rows(QQ, rows)
-    mp = from_rows(PrimeField(10007), rows)
+    mp = from_rows(10007, rows)
     assert mq.rank() == mp.rank()
 
 
@@ -109,7 +111,7 @@ def _draw_matrix(data, fld, nrows, ncols):
                     for _ in range(nrows)])
 
 
-@given(st.sampled_from([QQ, PrimeField(5)]), st.integers(0, 4),
+@given(st.sampled_from([QQ, 5]), st.integers(0, 4),
        st.integers(0, 4), st.lists(st.booleans(), max_size=3), st.data())
 def test_solve_matrix_rhs(fld, nrows, ncols, consistent, data):
     a = _draw_matrix(data, fld, nrows, ncols)
@@ -134,14 +136,12 @@ def test_solve_matrix_rhs(fld, nrows, ncols, consistent, data):
 
 
 def test_prime_field_arithmetic():
-    f5 = PrimeField(5)
+    f5 = 5
     assert div(f5, of(f5, 3), of(f5, 4)) == (3 * pow(4, -1, 5)) % 5
-    with pytest.raises(ValueError):
-        PrimeField(6)
 
 
 def test_prime_field_of_inverts_denominators():
-    f101 = PrimeField(101)
+    f101 = 101
     assert of(f101, Fraction(1, 2)) == 51
     assert of(f101, Fraction(3, 2)) == 52
     assert of(f101, -1) == 100
@@ -150,18 +150,31 @@ def test_prime_field_of_inverts_denominators():
 
 
 def test_parse_field():
+    # a field is its characteristic, a plain int
+    for spec, p in (("q", 0), ("F7", 7), ("f2", 2),
+                    ("f2147483647", 2 ** 31 - 1)):
+        assert parse_field(spec) == p and type(parse_field(spec)) is int
     assert parse_field("q") == QQ
-    assert isinstance(parse_field("q"), Rationals)
-    assert parse_field("F7") == PrimeField(7)
-    with pytest.raises(ValueError):
-        parse_field("r64")
+
+
+TOO_LARGE = "prime field characteristic must be below 2^31"
+
+
+@pytest.mark.parametrize("spec, reason", [
+    ("f6", "6 is not prime"), ("f0", "0 is not prime"),
+    ("f1", "1 is not prime"), ("f4", "4 is not prime"),
+    ("f2147483648", TOO_LARGE), ("f12345678901", TOO_LARGE),
+    ("r64", "unrecognized field spec 'r64'")])
+def test_parse_field_refuses(spec, reason):
+    with pytest.raises(InputError, match=f"^{re.escape(reason)}$"):
+        parse_field(spec)
 
 
 def test_from_rows_rejects_ragged_rows():
     with pytest.raises(ValueError, match="unequal"):
         from_rows(QQ, [[1, 2], [3]])
     with pytest.raises(ValueError, match="unequal"):
-        from_rows(PrimeField(5), [[1], [2, 3]])
+        from_rows(5, [[1], [2, 3]])
 
 
 def test_solve_rejects_short_right_hand_side():
@@ -221,7 +234,7 @@ def reference_solve(fld, a, b):
     return _matrix(fld, n, b.ncols, x)
 
 
-KERNEL_FIELDS = [QQ, PrimeField(5), PrimeField(101)]
+KERNEL_FIELDS = [QQ, 5, 101]
 
 
 def _draw_sparse(data, fld, nrows, ncols):
@@ -231,7 +244,7 @@ def _draw_sparse(data, fld, nrows, ncols):
     zero_rows = data.draw(st.sets(st.integers(0, max(nrows - 1, 0))))
     zero_cols = data.draw(st.sets(st.integers(0, max(ncols - 1, 0))))
     if fld != QQ:
-        entry = st.integers(0, fld.p - 1)
+        entry = st.integers(0, fld - 1)
     elif data.draw(st.booleans()):
         entry = st.integers(-6, 6)
     else:
@@ -306,7 +319,7 @@ def assert_no_stored_zero(m):
     for row in m.rows:
         for j, x in row.items():
             assert 0 <= j < m.ncols and x != 0
-            assert m.field == QQ or 0 < x < m.field.p
+            assert m.field == QQ or 0 < x < m.field
     assert len(m.rows) == m.nrows
 
 
@@ -343,12 +356,12 @@ def test_sparse_matrix_matches_dense_reference(fld, n, k, m, extra, data):
         assert _dense(from_rows(fld, da)) == da
 
 
-@pytest.mark.parametrize("fld", KERNEL_FIELDS, ids=repr)
+@pytest.mark.parametrize("fld", KERNEL_FIELDS, ids=field_id)
 def test_products_that_cancel_store_no_zero(fld):
     # [1 1] times [[1, 2], [-1, 3]] is [0, 5], and 5 vanishes in F_5
     prod = from_rows(fld, [[1, 1]]).mul(
         from_rows(fld, [[1, 2], [-1, 3]]))
-    assert prod.rows == [{} if fld.p == 5 else {1: of(fld, 5)}]
+    assert prod.rows == [{} if fld == 5 else {1: of(fld, 5)}]
     assert_no_stored_zero(prod)
 
 

@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from gentlegp import (QQ, ClassificationMismatchError, PrimeField,
+from gentlegp import (QQ, ClassificationMismatchError,
                       algebra_from_triangulation, classified_words,
                       critical_cycles, enumerate_strings,
                       gorenstein_dimension, gp_oracle, make_string,
@@ -20,10 +20,10 @@ from gentlegp import gp, reps
 from gentlegp.cli import run
 from gentlegp.families import cyclic_nakayama, projective_line_chain
 
-from conftest import DATA, data_path
+from conftest import DATA, data_path, field_id
 from reference import isomorphism
 
-FIELDS = [QQ, PrimeField(101)]
+FIELDS = [QQ, 101]
 ALGEBRAS = ["eight_vertex", "lambda4", "twocycles"]
 
 
@@ -76,7 +76,7 @@ def test_one_word_per_classified_gp(label):
     assert all(w.canonical() == w for w in words)
 
 
-@pytest.mark.parametrize("fld", FIELDS, ids=str)
+@pytest.mark.parametrize("fld", FIELDS, ids=field_id)
 @pytest.mark.parametrize("name", ALGEBRAS)
 def test_word_membership_matches_the_signature(name, fld):
     a = _algebra(name)
@@ -155,7 +155,7 @@ def test_hom_systems_per_module_do_not_grow_with_the_quiver(
     assert max(small) == max(d, 1) and small == {1}
 
 
-@pytest.mark.parametrize("fld", FIELDS, ids=str)
+@pytest.mark.parametrize("fld", FIELDS, ids=field_id)
 def test_orbit_witness_rejects_the_wrong_successor(fld, monkeypatch):
     a = _algebra("eight_vertex")
     real = gp.critical_cycles

@@ -6,7 +6,7 @@ the algebra's injective coresolution."""
 import pytest
 from hypothesis import given, settings
 
-from gentlegp import (QQ, InternalError, PrimeField, algebra_from_triangulation,
+from gentlegp import (QQ, InternalError, algebra_from_triangulation,
                       enumerate_strings, ext_profile, gorenstein_dimension,
                       opposite, parse_presentation, parse_triangulation,
                       projective_rep, receiving_sum, string_module,
@@ -16,10 +16,11 @@ from gentlegp.families import projective_line_chain
 from gentlegp.linalg import echelon
 
 import reference
+from conftest import field_id
 from test_cli import ALGEBRA_FILES, TRI_FILES
 from test_gentle import gentle_presentations
 
-FIELDS = [QQ, PrimeField(101), PrimeField(5)]
+FIELDS = [QQ, 101, 5]
 
 
 def _zoo():
@@ -38,7 +39,7 @@ ZOO = _zoo()
 SHALLOW = sorted(label for label in ZOO if label != "a70_rad2.gentle")
 
 
-@pytest.mark.parametrize("fld", FIELDS, ids=str)
+@pytest.mark.parametrize("fld", FIELDS, ids=field_id)
 @pytest.mark.parametrize("label", SHALLOW)
 def test_ext_profile_matches_the_full_resolution(label, fld):
     a = ZOO[label]

@@ -5,7 +5,7 @@ from itertools import islice, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gentlegp import (Letter, Matrix, PrimeField, QQ, Representation,
+from gentlegp import (Letter, Matrix, QQ, Representation,
                       direct_sum, embedding_obstruction, enumerate_strings,
                       ext_profile, gorenstein_dimension, hom_dim,
                       injective_dimension,
@@ -21,7 +21,7 @@ from gentlegp.reps import (Cover, InternalError, ModuleMap,
 from gentlegp.strings import projective_word
 
 import reference
-from conftest import data_path, kronecker
+from conftest import data_path, field_id, kronecker
 from test_gentle import deep_chains, gentle_presentations
 from reference import (band_module, check_module, column,
                        coordinate_summands, from_rows, hstack, hom_basis,
@@ -180,7 +180,7 @@ def test_embedding_obstruction_positive_on_peak(kron):
     assert embedding_obstruction(string_module(kron, w))[0] > 0
 
 
-@pytest.mark.parametrize("fld", [QQ, PrimeField(101)], ids=repr)
+@pytest.mark.parametrize("fld", [QQ, 101], ids=field_id)
 def test_embedding_obstruction_matches_one_projective_at_a_time(fld):
     # one system against Lambda, against one per indecomposable projective
     for a in _fixture_and_family_algebras():
@@ -452,7 +452,7 @@ def _unitriangular(data, fld, n, lower):
 
 def _scalars(data, fld, n):
     """A diagonal matrix of n drawn nonzero scalars."""
-    units = st.integers(1, fld.p - 1) if fld.p else \
+    units = st.integers(1, fld - 1) if fld else \
         st.sampled_from([1, -1, 2, Fraction(-1, 3)])
     return Matrix(fld, n, n, [{i: of(fld, data.draw(units))}
                               for i in range(n)])
@@ -476,7 +476,7 @@ def hide_basis(data, m):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from(SMALL_ALGEBRAS), st.sampled_from([QQ, PrimeField(5)]),
+@given(st.sampled_from(SMALL_ALGEBRAS), st.sampled_from([QQ, 5]),
        st.data())
 def test_top_generators_match_greedy_reference(a, fld, data):
     words = list(enumerate_strings(a, 3))
@@ -492,7 +492,7 @@ def test_hom_system_of_a_loop_with_a_nonzero_diagonal():
     # x acts on k^2 over k[x]/x^2 with a nonzero diagonal, so the loop's
     # commutation equation meets one unknown from both sides; no string
     # module's matrices have a diagonal entry
-    fld = PrimeField(5)
+    fld = 5
     a = validate_gentle(cyclic_nakayama(1))
     m = Representation(a, fld, {"1": 2},
                        {"a1": from_rows(fld, [[1, 1], [-1, -1]])})
@@ -550,7 +550,7 @@ def _fixture_and_family_algebras():
     return algebras
 
 
-@pytest.mark.parametrize("fld", [QQ, PrimeField(101)], ids=repr)
+@pytest.mark.parametrize("fld", [QQ, 101], ids=field_id)
 def test_constructed_modules_satisfy_their_relations(kron, fld):
     # the program builds these without checking them
     from gentlegp import opposite
@@ -576,7 +576,7 @@ def test_constructed_modules_satisfy_their_relations(kron, fld):
 
 
 @settings(max_examples=60, deadline=None)
-@given(gentle_presentations(), st.sampled_from([QQ, PrimeField(101)]))
+@given(gentle_presentations(), st.sampled_from([QQ, 101]))
 def test_generated_modules_are_stored_on_their_support(p, fld):
     # every module of the first steps of the resolutions, the covers'
     # direct sums and the syzygies' subrepresentations included, stores
@@ -721,7 +721,7 @@ STABLE_HOM_ALGEBRAS = {"eight_vertex": (eight_vertex_example, 10),
                        "twocycles": (_twocycles, 0)}
 
 
-@pytest.mark.parametrize("fld", [QQ, PrimeField(101)], ids=repr)
+@pytest.mark.parametrize("fld", [QQ, 101], ids=field_id)
 @pytest.mark.parametrize("family, lifted_pairs", STABLE_HOM_ALGEBRAS.values(),
                          ids=STABLE_HOM_ALGEBRAS.keys())
 def test_stable_hom_dim_matches_composed_maps(family, lifted_pairs, fld):

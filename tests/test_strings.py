@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings
 
-from gentlegp import (InputError, Letter, PrimeField, enumerate_strings,
+from gentlegp import (InputError, Letter, enumerate_strings,
                       lazy_word, make_string, parse_letters,
                       parse_presentation, radical_summand_word,
                       string_module, validate_gentle)
@@ -250,7 +250,7 @@ def test_kronecker_band_n1(kron):
 
 
 def test_band_parameter_over_a_prime_field_is_a_quotient(kron):
-    f101 = PrimeField(101)
+    f101 = 101
     b = make_band(kron, [Li("alpha"), L("beta")])
     m = band_module(kron, b, Fraction(3, 2), 1, f101)
     # beta is the designated direct letter and acts by 3/2 = 3 * 51 mod 101
