@@ -18,10 +18,10 @@ from .reps import (Representation, ModuleMap, ExtProfile, hom_dim,
                    InternalError, injective_dimension, direct_sum, regular_rep,
                    Coresolution, isomorphism, injective_coresolution,
                    receiving_sum)
-from .gp import (SingularityDescriptor, OracleCertificate, StableCategoryTable,
-                 ComparisonReport, ClassificationMismatchError, gp_oracle,
+from .gp import (OracleCertificate, StableCategoryTable,
+                 ClassificationMismatchError, gp_oracle,
                  singularity_descriptor, stable_category_table,
-                 compare_derived_invariant, classified_words)
+                 classified_words)
 from .surface import (Triangulation, TriangulationError,
                       InnerCountReport, parse_triangulation,
                       serialize_triangulation, make_triangulation,

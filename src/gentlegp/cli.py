@@ -66,9 +66,9 @@ def cmd_gp(args):
 def cmd_dsg(args):
     a = _load_algebra(args.file)
     d = gp.singularity_descriptor(a)
-    return 0, {"descriptor": list(d.cycle_lengths),
-               "factors": d.factor_labels(),
-               "indecomposable_objects": d.object_count}
+    return 0, {"descriptor": list(d),
+               "factors": [f"{n - 1}-cluster category of type A1" for n in d],
+               "indecomposable_objects": sum(d)}
 
 
 def cmd_oracle(args):
@@ -140,14 +140,15 @@ def cmd_ext(args):
 
 
 def cmd_compare(args):
-    a = _load_algebra(args.file_a)
-    b = _load_algebra(args.file_b)
-    report = gp.compare_derived_invariant(a, b)
-    payload = {"compatible": report.compatible,
-               "descriptor_a": list(report.left),
-               "descriptor_b": list(report.right)}
-    if not report.compatible:
-        payload["witness_length"] = report.witness_length
+    # file_a loads first, so its error is the one reported
+    a, b = _load_algebra(args.file_a), _load_algebra(args.file_b)
+    da, db = gp.singularity_descriptor(a), gp.singularity_descriptor(b)
+    # derived-equivalent algebras have equal descriptors
+    payload = {"compatible": da == db, "descriptor_a": list(da),
+               "descriptor_b": list(db)}
+    if da != db:
+        payload["witness_length"] = min(
+            n for n in {*da, *db} if da.count(n) != db.count(n))
     return 0, payload
 
 

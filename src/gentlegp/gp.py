@@ -23,21 +23,11 @@ class ClassificationMismatchError(AssertionError):
     classification; indicates a bug, never silently ignored."""
 
 
-class SingularityDescriptor(NamedTuple):
-    cycle_lengths: tuple[int, ...]  # sorted multiset
-
-    def factor_labels(self):
-        return [f"{n - 1}-cluster category of type A1"
-                for n in self.cycle_lengths]
-
-    @property
-    def object_count(self):
-        return sum(self.cycle_lengths)
-
-
-def singularity_descriptor(a: GentleAlgebra) -> SingularityDescriptor:
-    return SingularityDescriptor(
-        tuple(sorted(c.length for c in critical_cycles(a))))
+def singularity_descriptor(a: GentleAlgebra) -> tuple[int, ...]:
+    """The sorted critical-cycle lengths.  D_sg(Lambda) is a product with
+    one factor per critical cycle: for a cycle of length n, the
+    (n - 1)-cluster category of type A1 with n objects (Kalck)."""
+    return tuple(sorted(c.length for c in critical_cycles(a)))
 
 
 class OracleCertificate(NamedTuple):
@@ -139,23 +129,3 @@ def stable_category_table(a: GentleAlgebra, fld=QQ) -> StableCategoryTable:
         raise ClassificationMismatchError(
             "stable-hom matrix of the non-projective GPs is not the identity")
     return table
-
-
-class ComparisonReport(NamedTuple):
-    compatible: bool
-    left: tuple[int, ...]
-    right: tuple[int, ...]
-    witness_length: int | None  # first length with differing multiplicity
-
-
-def compare_derived_invariant(a: GentleAlgebra,
-                              b: GentleAlgebra) -> ComparisonReport:
-    """Necessary condition for derived equivalence: equal multisets of
-    critical-cycle lengths."""
-    da = singularity_descriptor(a).cycle_lengths
-    db = singularity_descriptor(b).cycle_lengths
-    if da == db:
-        return ComparisonReport(True, da, db, None)
-    lengths = sorted(set(da) | set(db))
-    witness = next(l for l in lengths if da.count(l) != db.count(l))
-    return ComparisonReport(False, da, db, witness)

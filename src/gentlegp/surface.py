@@ -164,7 +164,7 @@ def verify_inner_triangle_count(t: Triangulation) -> InnerCountReport:
     """The number of singularity-category factors must equal the number
     of inner triangles, every factor of length three."""
     a = algebra_from_triangulation(t)
-    desc = singularity_descriptor(a).cycle_lengths
+    desc = singularity_descriptor(a)
     inner = inner_triangles(t)
     holds = len(desc) == len(inner) and all(l == 3 for l in desc)
     return InnerCountReport(holds, desc, inner)

@@ -18,7 +18,8 @@ tree's ``src/``:
 - ``ext`` on every string of at most 2 letters, one per {w, w^-1}, of
   each top-level ``.gentle`` fixture, over ``q`` and ``f101``, with no
   ``--bound`` and with ``--bound`` 1 to 4;
-- ``compare`` on every pair of top-level ``.gentle`` fixtures.
+- ``compare`` on every ordered pair of distinct ``.gentle`` files under
+  ``tests/data/``.
 
 A command the golden corpus already runs is run once.
 
@@ -36,7 +37,7 @@ import os
 import subprocess
 import sys
 import tempfile
-from itertools import combinations
+from itertools import permutations
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -130,9 +131,10 @@ def command_matrix(inputs):
                          ["--field", field, sub,
                           str(DATA / "eight_vertex.gentle")]))
     named = []  # argv with file names relative to DATA
+    everything = [path.relative_to(DATA).as_posix()
+                  for path in sorted(DATA.glob("**/*.gentle"))]
     for field in ("f2", "f5"):
-        for path in sorted(DATA.glob("**/*.gentle")):
-            name = path.relative_to(DATA).as_posix()
+        for name in everything:
             for sub in (["dim"], ["stable"], ["oracle", "--max-letters", "4"]):
                 named.append(["--field", field, sub[0], name, *sub[1:]])
     top = sorted(p.name for p in DATA.glob("*.gentle"))
@@ -150,7 +152,7 @@ def command_matrix(inputs):
                     named.append(["--field", field, "ext", name,
                                   "--word", word, *bound])
     named += [["compare", left, right]
-              for left, right in combinations(top, 2)]
+              for left, right in permutations(everything, 2)]
     cmds += [(" ".join(argv), [str(DATA / x) if x.endswith(".gentle") else x
                                for x in argv]) for argv in named]
     return list(dict(cmds).items())

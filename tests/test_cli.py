@@ -4,17 +4,21 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gentlegp import (Matrix, ModuleMap, parse_presentation,
-                      serialize_presentation, validate_gentle)
+from gentlegp import (Arrow, Matrix, ModuleMap, QuiverPresentation,
+                      parse_presentation, serialize_presentation,
+                      validate_gentle)
 from gentlegp.cli import run
 from gentlegp.families import (cyclic_nakayama, linear_quiver,
                                projective_line_chain)
 
 from conftest import data_path
 from reference import add
+from test_cli_golden import _invoke as golden_invoke
 
 EX22 = str(data_path("eight_vertex.gentle"))
 A2 = str(data_path("a2.gentle"))
@@ -480,6 +484,53 @@ def test_compare_incompatible(capsys):
     code, out = invoke(capsys, "compare", L3, L4)
     assert code == 0
     assert out["compatible"] is False and out["witness_length"] == 2
+
+
+def _nakayama_union(lengths):
+    """The disjoint union of cyclic_nakayama(n) for n in lengths, the
+    names of the k-th copy prefixed c{k}_."""
+    vertices, arrows, relations = [], [], set()
+    for k, n in enumerate(lengths):
+        p, name = cyclic_nakayama(n), f"c{k}_".__add__
+        vertices += map(name, p.vertices)
+        arrows += [Arrow(name(x.name), name(x.source), name(x.target))
+                   for x in p.arrows]
+        relations |= {(name(b), name(a)) for b, a in p.relations}
+    return QuiverPresentation(tuple(vertices), tuple(arrows),
+                              frozenset(relations))
+
+
+def _run_json(*argv):
+    # capsys, a fixture per test, would be shared by every example
+    code, out = golden_invoke(list(argv))
+    return code, json.loads(out)
+
+
+# multisets of critical-cycle lengths
+LENGTHS = st.lists(st.integers(1, 5), max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(la=LENGTHS, lb=LENGTHS)
+def test_compare_witnesses_the_least_length_whose_multiplicity_differs(
+        la, lb, tmp_path_factory):
+    # each I_n is one critical n-cycle, so the union's descriptor is la
+    paths = [tmp_path_factory.getbasetemp() / f"union_{side}.gentle"
+             for side in "ab"]
+    for path, ls in zip(paths, (la, lb)):
+        path.write_text(serialize_presentation(_nakayama_union(ls)))
+    ca, cb = Counter(la), Counter(lb)
+    code, out = _run_json("compare", *map(str, paths))
+    assert code == 0 and out.pop("compatible") == (ca == cb)
+    assert out.pop("descriptor_a") == sorted(la)
+    assert out.pop("descriptor_b") == sorted(lb)
+    differing = [n for n in ca | cb if ca[n] != cb[n]]
+    assert out == ({"witness_length": min(differing)} if differing else {})
+    assert _run_json("dsg", str(paths[0])) == (0, {
+        "descriptor": sorted(la),
+        "factors": [f"{n - 1}-cluster category of type A1"
+                    for n in sorted(la)],
+        "indecomposable_objects": sum(la)})
 
 
 def test_surface(capsys, tmp_path):

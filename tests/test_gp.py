@@ -1,14 +1,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gentlegp import (QQ, classified_words,
-                      compare_derived_invariant, critical_cycles,
+from gentlegp import (QQ, classified_words, critical_cycles,
                       enumerate_strings, gorenstein_dimension, gp_oracle,
                       projective_rep, radical_summand_rep,
                       singularity_descriptor, stable_category_table,
                       string_module, validate_gentle)
 from gentlegp.families import cyclic_nakayama, projective_line_chain
 
+from test_cli import A2, EX22, L3, L4, TWOCYCLES, invoke
 from test_gentle import gentle_presentations
 
 
@@ -25,16 +25,13 @@ def test_classify_no_cycles(a2):
 
 
 def test_descriptor_eight_vertex(eightv):
-    d = singularity_descriptor(eightv)
-    assert d.cycle_lengths == (3, 3)
-    assert d.object_count == 6
-    assert d.factor_labels() == ["2-cluster category of type A1"] * 2
+    assert singularity_descriptor(eightv) == (3, 3)
 
 
 def test_descriptor_lambda_family():
     for n in range(2, 6):
         a = validate_gentle(projective_line_chain(n))
-        assert singularity_descriptor(a).cycle_lengths == (2,) * (n - 1)
+        assert singularity_descriptor(a) == (2,) * (n - 1)
 
 
 def test_oracle_on_radical_summand(eightv):
@@ -149,32 +146,26 @@ def test_stable_table_empty_without_cycles(a2):
     assert t.cycles == [] and t.matrix == [] and t.is_identity
 
 
-def test_compare_reflexive_and_symmetric(eightv, a2):
-    assert compare_derived_invariant(eightv, eightv).compatible
-    r1 = compare_derived_invariant(eightv, a2)
-    r2 = compare_derived_invariant(a2, eightv)
-    assert not r1.compatible and not r2.compatible
-    assert r1.witness_length == r2.witness_length == 3
+def test_compare_reflexive_and_symmetric(capsys):
+    assert invoke(capsys, "compare", EX22, EX22) == (0, {
+        "compatible": True, "descriptor_a": [3, 3], "descriptor_b": [3, 3]})
+    _, r1 = invoke(capsys, "compare", EX22, A2)
+    _, r2 = invoke(capsys, "compare", A2, EX22)
+    assert not r1["compatible"] and not r2["compatible"]
+    assert r1["witness_length"] == r2["witness_length"] == 3
 
 
-def test_compare_lambda3_vs_lambda4():
-    l3 = validate_gentle(projective_line_chain(3))
-    l4 = validate_gentle(projective_line_chain(4))
-    r = compare_derived_invariant(l3, l4)
-    assert not r.compatible
-    assert r.left == (2, 2) and r.right == (2, 2, 2)
-    assert r.witness_length == 2
+def test_compare_lambda3_vs_lambda4(capsys):
+    code, r = invoke(capsys, "compare", L3, L4)
+    assert code == 0 and r == {"compatible": False, "descriptor_a": [2, 2],
+                               "descriptor_b": [2, 2, 2],
+                               "witness_length": 2}
 
 
-def test_compare_eight_vertex_vs_disjoint_three_cycles(eightv):
-    from gentlegp import parse_presentation
-
-    from conftest import data_path
-
-    other = validate_gentle(
-        parse_presentation(data_path("twocycles.gentle").read_text()))
-    r = compare_derived_invariant(eightv, other)
-    assert r.compatible and r.left == r.right == (3, 3)
+def test_compare_eight_vertex_vs_disjoint_three_cycles(capsys):
+    code, r = invoke(capsys, "compare", EX22, TWOCYCLES)
+    assert code == 0 and r["compatible"]
+    assert r["descriptor_a"] == r["descriptor_b"] == [3, 3]
 
 
 def test_nakayama_whole_cycle_is_gp():

@@ -12,7 +12,9 @@ module fingerprint; every import sits at module level; the module-level
 caches are the ones allowed below; only cli.run writes output; and every
 exception the package defines is bad input or a bug; a field is its
 characteristic p, an int with no class of its own that no module reads
-an attribute p of, and cli.run alone parses --field.
+an attribute p of, and cli.run alone parses --field; the singularity
+category's descriptor is a plain tuple of ints, with no record or
+comparison wrapper around it.
 tests/reference.py, which the hom systems are checked against, solves
 none with the program's own."""
 
@@ -269,6 +271,21 @@ def test_a_field_is_its_characteristic_parsed_once():
                     and "parse_field" in (getattr(node.func, "id", None),
                                           getattr(node.func, "attr", None)))
     assert calls == ["run"]
+
+
+def test_the_descriptor_is_a_plain_tuple(eightv):
+    # D_sg is one factor per critical cycle, so its lengths say it all
+    d = gentlegp.singularity_descriptor(eightv)
+    assert type(d) is tuple and [type(n) for n in d] == [int, int]
+    gone = {"SingularityDescriptor", "ComparisonReport",
+            "compare_derived_invariant"}
+    assert [(fname, node.name) for fname, tree in _trees().items()
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+            and node.name in gone] == []
+    assert {name for tree in _trees().values() for name in _names(tree)} \
+        & gone == set()
+    assert gone & set(dir(gentlegp)) == set()
 
 
 def test_every_package_exception_is_bad_input_or_a_bug():
