@@ -46,16 +46,19 @@ def cmd_cycles(args):
 def cmd_gp(args):
     a = _load_algebra(args.file)
     cycles = gentle.critical_cycles(a)
+    target = {b.name: b.target for b in a.arrows}
     nonproj = []
     for i, cycle in enumerate(cycles):
         for arrow in cycle.arrows:
-            w = strings.radical_summand_string(a, arrow)
+            # the radical summand's word, a chain of allowed continuations
+            word = gentle.radical_summand_word(a, arrow)
+            vertices = [target[n] for n in (arrow, *word)]
             nonproj.append({
                 "arrow": arrow,
                 "cycle": i,
-                "word": [l.arrow for l in w.letters],
-                "vertices": list(w.vertices),
-                "dimension": len(w.vertices),
+                "word": word,
+                "vertices": vertices,
+                "dimension": len(vertices),
             })
     # a name joins the whole cycle: written once, cited by index
     return 0, {"projectives": sorted(a.vertices),

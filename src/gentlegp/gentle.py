@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property
+from itertools import chain, repeat
 from typing import NamedTuple
 
 from .quiver import (InputError, PresentationError, QuiverError,
@@ -62,44 +63,85 @@ class CriticalCycle(NamedTuple):
     @staticmethod
     def from_arrows(arrows):
         arrows = tuple(arrows)
-        least = min(range(len(arrows)), key=lambda i: arrows[i])
+        least = arrows.index(min(arrows))
         return CriticalCycle(arrows[least:] + arrows[:least])
 
 
-def gentle_violations(p: QuiverPresentation) -> list[GentleViolation]:
-    """All violations of the gentle axioms, each with a witness."""
-    violations = []
+def _allowed_successors(p: QuiverPresentation):
+    """Arrow name -> the arrows out of its target that it composes with to
+    no relation, in declaration order: the allowed-continuation index that
+    G4, the cycle search and GentleAlgebra.continuation read."""
+    out = {v: [] for v in p.vertices}
+    for a in p.arrows:
+        out[a.source].append(a.name)
+    succ = {a.name: out[a.target] for a in p.arrows}
+    for later, earlier in p.relations:
+        # a copy, as arrows into one vertex share its list
+        succ[earlier] = rest = succ[earlier].copy()
+        rest.remove(later)
+    return succ
 
-    for v in p.vertices:
-        n_out = len(p.arrows_out(v))
-        n_in = len(p.arrows_in(v))
-        if n_out > 2 or n_in > 2:
-            violations.append(GentleViolation("G1", (v,)))
+
+def gentle_violations(p: QuiverPresentation,
+                      succ=None) -> list[GentleViolation]:
+    """All violations of the gentle axioms, each with a witness.  ``succ``
+    is the index of :func:`_allowed_successors`, built here unless the
+    caller has it.  Each axiom is checked on counts first and walked in
+    declaration order only to name the arrows or vertices that break it."""
+    if succ is None:
+        succ = _allowed_successors(p)
+    violations = []
+    sources = Counter(a.source for a in p.arrows)
+    targets = Counter(a.target for a in p.arrows)
+    if max(sources.values(), default=0) > 2 or \
+            max(targets.values(), default=0) > 2:
+        violations += [GentleViolation("G1", (v,)) for v in p.vertices
+                       if sources[v] > 2 or targets[v] > 2]
 
     # G3: per arrow, at most one forbidden continuation / predecessor
-    n_succ = Counter(e for (l, e) in p.relations)
-    n_pred = Counter(l for (l, e) in p.relations)
-    for b in p.arrows:
-        if n_succ[b.name] > 1 or n_pred[b.name] > 1:
-            violations.append(GentleViolation("G3", (b.name,)))
+    laters, earliers = zip(*p.relations) if p.relations else ((), ())
+    if len(set(laters)) < len(laters) or len(set(earliers)) < len(earliers):
+        n_succ, n_pred = Counter(earliers), Counter(laters)
+        violations += [GentleViolation("G3", (b.name,)) for b in p.arrows
+                       if n_succ[b.name] > 1 or n_pred[b.name] > 1]
 
-    # G4: per arrow, at most one allowed continuation / predecessor
-    succ = {b.name: [a.name for a in p.arrows_out(b.target)
-                     if (a.name, b.name) not in p.relations]
-            for b in p.arrows}
-    for b in p.arrows:
-        pred = [a.name for a in p.arrows_in(b.source)
-                if (b.name, a.name) not in p.relations]
-        if len(succ[b.name]) > 1 or len(pred) > 1:
-            violations.append(GentleViolation("G4", (b.name,)))
+    # G4: per arrow, at most one allowed continuation / predecessor; b's
+    # allowed predecessors are the arrows that b is an allowed successor of
+    pred = Counter(chain.from_iterable(succ.values()))
+    single = max(map(len, succ.values()), default=0) <= 1 and \
+        max(pred.values(), default=0) <= 1
+    if not single:
+        violations += [GentleViolation("G4", (b.name,)) for b in p.arrows
+                       if len(succ[b.name]) > 1 or pred[b.name] > 1]
 
     # admissibility / finite dimensionality: no relation-free cycle in the
-    # allowed-composition graph (nodes = arrows)
-    cycle = _find_cycle(succ)
-    if cycle is not None:
-        violations.append(GentleViolation("infinite-dimensional", tuple(cycle)))
+    # allowed-composition graph (nodes = arrows); with one successor and
+    # one predecessor each, the walks from the arrows without one tell
+    if not single or not _walks_cover(succ, pred):
+        cycle = _find_cycle(succ)
+        if cycle is not None:
+            violations.append(
+                GentleViolation("infinite-dimensional", tuple(cycle)))
 
     return violations
+
+
+def _walks_cover(succ, pred):
+    """Whether the walks along ``succ`` from the arrows with no
+    predecessor visit every arrow, in a graph where each arrow has at
+    most one successor and one predecessor: if not, the rest close into
+    cycles."""
+    visited = 0
+    for start in succ:
+        if pred[start]:
+            continue
+        cur = start
+        while True:
+            visited += 1
+            if not (after := succ[cur]):
+                break
+            cur = after[0]
+    return visited == len(succ)
 
 
 def _find_cycle(succ):
@@ -132,23 +174,17 @@ def _find_cycle(succ):
 class GentleAlgebra:
     """Compares and hashes by identity: each validation is its own key."""
 
-    def __init__(self, presentation: QuiverPresentation):
+    def __init__(self, presentation: QuiverPresentation, continuation):
         self.presentation = presentation
-
-    @cached_property
-    def continuation(self):
-        """Arrow name -> the arrow out of its target that it composes with
-        to no relation (unique by G4), or None."""
-        out = self.presentation.arrows_out
-        return {a.name: next((b.name for b in out(a.target)
-                              if (b.name, a.name) not in self.relations), None)
-                for a in self.arrows}
+        # arrow name -> the arrow out of its target that it composes with
+        # to no relation (unique by G4), or None
+        self.continuation = continuation
 
     @cached_property
     def _threads(self):
         """The permitted threads, the maximal paths of allowed
-        compositions: the (thread, position) of each arrow, a thread
-        being a tuple of arrow names in traversal order, and the
+        compositions: the thread of each arrow, a tuple of arrow names in
+        traversal order, the arrow's position in it, and the
         dimension, |Q_0| plus L(L+1)/2 per thread of L arrows, as a
         relation-free path of positive length is a segment of one thread.
         By G4 an arrow has at most one allowed continuation and one
@@ -157,7 +193,7 @@ class GentleAlgebra:
         into and partition the arrows."""
         nxt = self.continuation
         continued = set(nxt.values())
-        place, dimension = {}, len(self.vertices)
+        thread_of, position, dimension = {}, {}, len(self.vertices)
         for a in self.arrows:
             if a.name in continued:
                 continue
@@ -165,19 +201,20 @@ class GentleAlgebra:
             while (b := nxt[thread[-1]]) is not None:
                 thread.append(b)
             thread = tuple(thread)
-            place.update((b, (thread, i)) for i, b in enumerate(thread))
+            thread_of.update(zip(thread, repeat(thread)))
+            position.update(zip(thread, range(len(thread))))
             dimension += len(thread) * (len(thread) + 1) // 2
-        return place, dimension
+        return thread_of, position, dimension
 
     @cached_property
     def socle_index(self):
         """Vertex w -> the vertices u, in algebra order, with w in the
         socle of P_u.  That socle is the target of the last arrow of the
         thread through each arrow out of u, or u itself when u is a sink."""
-        place = self._threads[0]
+        thread_of = self._threads[0]
         index = {v: [] for v in self.vertices}
         for u in self.vertices:
-            ends = [self.arrow_map[place[b.name][0][-1]].target
+            ends = [self.arrow_map[thread_of[b.name][-1]].target
                     for b in self.presentation.arrows_out(u)]
             for w in dict.fromkeys(ends or [u]):
                 index[w].append(u)
@@ -221,7 +258,7 @@ class GentleAlgebra:
     def dimension(self):
         """The number of basis paths, counted once per algebra off the
         permitted threads.  No basis is built."""
-        return self._threads[1]
+        return self._threads[2]
 
     def check_basis_size(self):
         """Raise BasisTooLargeError when the path basis would exceed
@@ -234,10 +271,11 @@ class GentleAlgebra:
 
 def validate_gentle(p: QuiverPresentation) -> GentleAlgebra:
     """Validate the gentle axioms; raises NotGentleError with all violations."""
-    violations = gentle_violations(p)
+    succ = _allowed_successors(p)
+    violations = gentle_violations(p, succ)
     if violations:
         raise NotGentleError(violations)
-    return GentleAlgebra(p)
+    return GentleAlgebra(p, {b: s[0] if s else None for b, s in succ.items()})
 
 
 def critical_cycles(a: GentleAlgebra) -> list[CriticalCycle]:
@@ -250,17 +288,16 @@ def critical_cycles(a: GentleAlgebra) -> list[CriticalCycle]:
     """
     succ = {earlier: later for later, earlier in a.relations}
     cycles = []
-    seen = set()
-    for start in succ:
+    for start in list(succ):
+        # a walk takes each arrow it visits out of succ
         walk = []
         cur = start
-        while cur in succ and cur not in seen:
-            seen.add(cur)
+        while (nxt := succ.pop(cur, None)) is not None:
             walk.append(cur)
-            cur = succ[cur]
+            cur = nxt
         if walk and cur == start:
             cycles.append(CriticalCycle.from_arrows(walk))
-    cycles.sort(key=lambda c: c.arrows)
+    cycles.sort()
     return cycles
 
 
@@ -270,5 +307,5 @@ def radical_summand_word(a: GentleAlgebra, arrow_name: str):
     itself excluded).  Empty tuple means the summand is simple."""
     if arrow_name not in a.arrow_map:
         raise PresentationError(f"unknown arrow {arrow_name!r}")
-    thread, i = a._threads[0][arrow_name]
-    return thread[i + 1:]
+    thread_of, position, _ = a._threads
+    return thread_of[arrow_name][position[arrow_name] + 1:]

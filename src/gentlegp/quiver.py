@@ -115,10 +115,16 @@ def opposite(p: QuiverPresentation) -> QuiverPresentation:
 
 # one match per token: the whitespace and comments before it, then the
 # token itself (an identifier, "->", any other single character, or "" at
-# the end of the text)
-_TOKEN = re.compile(r"(?:\s|#[^\n]*)*([A-Za-z0-9_.']+|->|.|\Z)", re.S)
+# the end of the text); compiled on first use, by a text the sections do
+# not read
+_TOKEN = r"(?s)(?:\s|#[^\n]*)*([A-Za-z0-9_.']+|->|.|\Z)"
 _IDENT_CHARS = frozenset(
     "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_.'")
+_ID = r"([A-Za-z0-9_.']+)"
+_COMMENT = re.compile(r"#[^\n]*")
+_VERTEX = re.compile(_ID)
+_ARROW = re.compile(rf"{_ID}\s*:\s*{_ID}\s*->\s*{_ID}")
+_RELATION = re.compile(rf"{_ID}\s*\*\s*{_ID}")
 
 
 def parse_presentation(text: str) -> QuiverPresentation:
@@ -132,12 +138,79 @@ def parse_presentation(text: str) -> QuiverPresentation:
 
     ``#`` starts a comment.  The ``arrows`` and ``relations`` sections may
     be empty.
+
+    There are two passes.  A well-formed text is read section by section,
+    each in one regex split, with no Python loop per token.  A text that
+    pass turns down, every malformed one among them, goes to the token
+    walk of :func:`_parse_tokens`: it reads a text the first pass takes
+    the same way, and it alone can name the first error by line and
+    column.
     """
-    toks = _TOKEN.findall(text)
+    p = _parse_sections(text)
+    return p if p is not None else _parse_tokens(text)
+
+
+def _items(pattern, section, sep):
+    """Per group of ``pattern``, the list of what it captures in each
+    match, when ``section`` is nothing but the matches joined by ``sep``,
+    then an optional ``sep`` and an optional ';', whitespace aside; else
+    None."""
+    parts = pattern.split(section)
+    gaps = parts[::pattern.groups + 1]
+    last = "".join(gaps[-1].split())
+    if len(gaps) == 1:
+        return [[]] * pattern.groups if last in ("", ";") else None
+    if (gaps[0].strip() or last not in ("", ";", sep, sep + ";")
+            or list(map(str.strip, gaps[1:-1])) != [sep] * (len(gaps) - 2)):
+        return None
+    return [parts[i::pattern.groups + 1]
+            for i in range(1, pattern.groups + 1)]
+
+
+def _parse_sections(text):
+    """The presentation of a text that splits into well-formed sections,
+    else None.  The headers must be the first ``arrows`` in the text and
+    the first ``relations`` after it: the token walk ends a list at an id
+    that begins with the next section's keyword, so a text with such an
+    id is left to it, as is a duplicate relation."""
+    if "#" in text:
+        text = _COMMENT.sub("", text)
+    a = text.find("arrows")
+    r = text.find("relations", a)
+    if a < 0 or r < 0 or text[a - 1:a] in _IDENT_CHARS or \
+            text[r - 1:r] in _IDENT_CHARS:
+        return None
+    sections = []
+    for keyword, section in (("vertices", text[:a]), ("arrows", text[a:r]),
+                             ("relations", text[r:])):
+        head, colon, body = section.partition(":")
+        if head.strip() != keyword or not colon:
+            return None
+        sections.append(body)
+    vertices = _items(_VERTEX, sections[0], ",")
+    arrows = _items(_ARROW, sections[1], ";")
+    relations = _items(_RELATION, sections[2], ",")
+    if vertices is None or arrows is None or relations is None:
+        return None
+    pairs = list(zip(*relations))
+    # a set first, as the token walk builds it: the first faulty relation
+    # named is the first in the frozenset's order
+    relations = set(pairs)
+    if len(relations) < len(pairs):
+        return None
+    return QuiverPresentation(tuple(vertices[0]), tuple(map(Arrow, *arrows)),
+                              frozenset(relations))
+
+
+def _parse_tokens(text):
+    """Parse the DSL one token at a time, raising DSLSyntaxError with the
+    line and column of the first token that does not fit."""
+    toks = re.findall(_TOKEN, text)
 
     def fail(message, i, offset=0):
         # where token i starts is looked up only now that it is needed
-        pos = next(islice(_TOKEN.finditer(text), i, None)).start(1) + offset
+        token = next(islice(re.finditer(_TOKEN, text), i, None))
+        pos = token.start(1) + offset
         line = text.count("\n", 0, pos) + 1
         raise DSLSyntaxError(message, line, pos - text.rfind("\n", 0, pos))
 

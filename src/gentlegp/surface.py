@@ -4,7 +4,8 @@ gentle algebras they generate."""
 from __future__ import annotations
 
 import re
-from functools import cached_property
+from collections import Counter
+from itertools import chain
 from typing import NamedTuple
 
 from .gentle import GentleAlgebra, validate_gentle
@@ -36,15 +37,15 @@ class Triangulation:
     def __hash__(self):
         return hash((self.internal_arcs, self.boundary_arcs, self.triangles))
 
-    @cached_property
-    def _internal(self):
-        return frozenset(self.internal_arcs)
-
-    def is_internal(self, arc):
-        return arc in self._internal
-
 
 def _validate(internal, boundary, triangles):
+    """Check the arcs and triangles in bulk; walk them in order only to
+    name the first fault."""
+    expected = dict.fromkeys(internal, 2) | dict.fromkeys(boundary, 1)
+    if len(expected) == len(internal) + len(boundary) and \
+            sum(map(len, map(set, triangles))) == 3 * len(triangles) and \
+            dict(Counter(chain.from_iterable(triangles))) == expected:
+        return
     for ids in (internal, boundary):
         seen = set()
         for arc in ids:
@@ -78,33 +79,44 @@ def _validate(internal, boundary, triangles):
 def make_triangulation(internal, boundary, triangles) -> Triangulation:
     internal = tuple(internal)
     boundary = tuple(boundary)
-    triangles = tuple(tuple(t) for t in triangles)
+    triangles = tuple(map(tuple, triangles))
     _validate(internal, boundary, triangles)
     return Triangulation(internal, boundary, triangles)
 
 
-_SECTION = re.compile(
-    r"arcs\s*:(?P<arcs>.*?);?\s*boundary\s*:(?P<boundary>.*?);?\s*"
-    r"triangles\s*:(?P<triangles>.*)", re.S)
-_TRIANGLE = re.compile(r"\(\s*([^(),]+?)\s*,\s*([^(),]+?)\s*,\s*([^(),]+?)\s*\)")
+# each section runs up to the next header; _arc_list cuts off the ';' that
+# ends one
+_SECTION = re.compile(r"arcs\s*:(?P<arcs>.*?)boundary\s*:(?P<boundary>.*?)"
+                      r"triangles\s*:(?P<triangles>.*)", re.S)
+# the sides still carry the whitespace around them
+_TRIANGLE = re.compile(r"\(([^(),]+),([^(),]+),([^(),]+)\)")
 
 
 def parse_triangulation(text: str) -> Triangulation:
     """Format: ``arcs: x, y; boundary: b1, b2; triangles: (s1,s2,s3); ...``
-    with sides listed in cyclic orientation order; ``#`` comments."""
+    with sides listed in cyclic orientation order; ``#`` comments.  Only
+    whitespace and comments may come before ``arcs:``."""
     body = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
     m = _SECTION.search(body)
     if not m:
         raise TriangulationError(
             "expected sections 'arcs:', 'boundary:', 'triangles:'")
-    internal = [s.strip() for s in m.group("arcs").split(",") if s.strip()]
-    boundary = [s.strip() for s in m.group("boundary").split(",") if s.strip()]
-    tri_text = m.group("triangles")
-    triangles = [tuple(g.strip() for g in t) for t in _TRIANGLE.findall(tri_text)]
-    leftover = _TRIANGLE.sub("", tri_text).replace(";", "").replace(",", "").strip()
+    if lead := body[:m.start()].strip():
+        raise TriangulationError(f"unexpected text before 'arcs:': {lead!r}")
+    internal = _arc_list(m["arcs"])
+    boundary = _arc_list(m["boundary"])
+    # one split: the text around the triangles, then each one's sides
+    parts = _TRIANGLE.split(m["triangles"])
+    leftover = "".join(parts[::4]).replace(";", "").replace(",", "").strip()
     if leftover:
         raise TriangulationError(f"unparsed triangle text: {leftover!r}")
-    return make_triangulation(internal, boundary, triangles)
+    sides = [map(str.strip, parts[i::4]) for i in (1, 2, 3)]
+    return make_triangulation(internal, boundary, zip(*sides))
+
+
+def _arc_list(section):
+    section = section.rstrip().removesuffix(";")
+    return list(filter(None, map(str.strip, section.split(","))))
 
 
 def serialize_triangulation(t: Triangulation) -> str:
@@ -116,8 +128,8 @@ def serialize_triangulation(t: Triangulation) -> str:
 
 def inner_triangles(t: Triangulation) -> tuple:
     """Triangles all of whose sides are internal arcs."""
-    return tuple(tri for tri in t.triangles
-                 if all(t.is_internal(s) for s in tri))
+    internal = set(t.internal_arcs)
+    return tuple(tri for tri in t.triangles if internal.issuperset(tri))
 
 
 def algebra_presentation(t: Triangulation) -> QuiverPresentation:
@@ -126,26 +138,33 @@ def algebra_presentation(t: Triangulation) -> QuiverPresentation:
     same-triangle arrows are the relations.  An arrow is named
     ``{s}_{d}``; one whose name is taken (two triangles with the same two
     sides, as on an annulus) gets the first free ``{s}_{d}.{k}``, k >= 2."""
+    internal = set(t.internal_arcs)
     arrows = []
     names = set()
     relations = set()
-    for tri in t.triangles:
-        tri_arrows = []  # (name, src, dst) within this triangle
-        for i in range(3):
-            s, d = tri[i], tri[(i + 1) % 3]
-            if t.is_internal(s) and t.is_internal(d):
-                name, k = f"{s}_{d}", 1
-                while name in names:
-                    k += 1
-                    name = f"{s}_{d}.{k}"
-                names.add(name)
-                arrows.append(Arrow(name, s, d))
-                tri_arrows.append((name, s, d))
-        # compositions of consecutive arrows from the same triangle vanish
-        for n1, s1, d1 in tri_arrows:
-            for n2, s2, d2 in tri_arrows:
-                if n1 != n2 and d1 == s2:
-                    relations.add((n2, n1))  # first n1 then n2 is zero
+
+    def arrow(s, d):
+        name, k = f"{s}_{d}", 1
+        while name in names:
+            k += 1
+            name = f"{s}_{d}.{k}"
+        names.add(name)
+        arrows.append(Arrow(name, s, d))
+        return name
+
+    for x, y, z in t.triangles:
+        inside = x in internal, y in internal, z in internal
+        if all(inside):
+            # make_triangulation keeps the sides distinct, so only here do
+            # two arrows of a triangle compose: each with the next, to 0
+            a, b, c = arrow(x, y), arrow(y, z), arrow(z, x)
+            relations.update(((b, a), (c, b), (a, c)))
+        elif inside[0] and inside[1]:
+            arrow(x, y)
+        elif inside[1] and inside[2]:
+            arrow(y, z)
+        elif inside[2] and inside[0]:
+            arrow(z, x)
     return QuiverPresentation(tuple(t.internal_arcs), tuple(arrows),
                               frozenset(relations))
 

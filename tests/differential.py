@@ -11,6 +11,9 @@ tree's ``src/``:
   inputs that ``bench/workloads.py`` writes once for both trees;
 - ``surface --emit-algebra`` on every ``.tri`` under ``tests/data/``,
   where the written file's bytes count as part of the output;
+- ``validate`` on each text of ``tests/data/parse_errors_golden.json``
+  and ``surface`` on each text of ``tests/data/tri_errors_golden.json``,
+  each written to a file;
 - ``validate`` and ``dim`` with the bad fields ``f6``, ``f0`` and ``x``;
 - ``dim``, ``stable`` and ``oracle --max-letters 4`` over ``f2`` and
   ``f5``, where 1 + 1 and 1 + 1 + 1 + 1 + 1 vanish, on every ``.gentle``
@@ -125,6 +128,18 @@ def command_matrix(inputs):
         name = tri.relative_to(DATA).as_posix()
         cmds.append((f"surface {name} --emit-algebra",
                      ["surface", str(tri), "--emit-algebra", EMIT]))
+    # malformed input: each text of the two error goldens, as a file
+    for golden_name, sub, suffix in (("parse_errors_golden", "validate",
+                                      ".gentle"),
+                                     ("tri_errors_golden", "surface", ".tri")):
+        cases = json.loads((DATA / f"{golden_name}.json").read_text(
+            encoding="utf-8"))
+        for i, case in enumerate(cases):
+            path = Path(inputs) / golden_name / f"{i}{suffix}"
+            path.parent.mkdir(parents=True, exist_ok=True)
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(case["text"])
+            cmds.append((f"{sub} {golden_name}[{i}]", [sub, str(path)]))
     for field in ("f6", "f0", "x"):
         for sub in ("validate", "dim"):
             cmds.append((f"--field {field} {sub} eight_vertex.gentle",

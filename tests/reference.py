@@ -1,28 +1,36 @@
 """Reference routines the tests compare the program against.
 
 The program needs none of them: a brute-force presentation isomorphism,
-field arithmetic, dense rows, identity matrices and matrices side by
-side for the dense references, a dense-style linear solve, the path
-basis of an algebra, its critical cycles by exhaustive search, the
-string rule read off the relations with the words and refusals it gives
-make_string and enumerate_strings, the peak test on string words, band
-modules, the module axioms, the coordinate summands of a module, and
-the full commutation system of Hom(M, N), every block cell an unknown.
-On that system rest explicit hom bases, hom dimensions, an isomorphism
-search that returns a witness, the embedding obstruction computed one
-indecomposable projective at a time, and an Ext profile that resolves
-every step, with no Euler characteristic.
+the token-by-token DSL reader, the triangulation reader and the gentle
+axioms checked arrow by arrow, as the program did before it read and
+checked its input in bulk, field arithmetic, dense rows, identity
+matrices and matrices side by side for the dense references, a
+dense-style linear solve, the path basis of an algebra, its critical
+cycles by exhaustive search, the string rule read off the relations with
+the words and refusals it gives make_string and enumerate_strings, the
+peak test on string words, band modules, the module axioms, the
+coordinate summands of a module, and the full commutation system of
+Hom(M, N), every block cell an unknown.  On that system rest explicit
+hom bases, hom dimensions, an isomorphism search that returns a witness,
+the embedding obstruction computed one indecomposable projective at a
+time, and an Ext profile that resolves every step, with no Euler
+characteristic.
 """
 
+import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, permutations
 
+from gentlegp.gentle import GentleViolation
 from gentlegp.linalg import Matrix, QQ, echelon, kernel_vectors
-from gentlegp.quiver import InputError, PresentationError
+from gentlegp.quiver import (Arrow, DSLSyntaxError, InputError,
+                             PresentationError)
 from gentlegp.reps import (ExtProfile, ModuleMap, Representation,
                            projective_rep, regular_rep, resolution)
 from gentlegp.strings import Letter, StringWord
+from gentlegp.surface import TriangulationError
 
 
 # ------------------------------------------------ presentation isomorphism
@@ -81,6 +89,245 @@ def is_isomorphic(p, q):
     if len(p.relations) != len(q.relations):
         return False
     return canonical_key(p) == canonical_key(q)
+
+
+# ------------------------------------------------- parsing and validation
+# The one-token-at-a-time readers and the one-arrow-at-a-time checks the
+# program's bulk passes are compared against.  The readers return plain
+# tuples, checked here, so no check of the program's stands in for them.
+
+_TOKEN = re.compile(r"(?:\s|#[^\n]*)*([A-Za-z0-9_.']+|->|.|\Z)", re.S)
+_IDENT_CHARS = frozenset(
+    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_.'")
+
+
+def parse_presentation(text):
+    """(vertices, arrows, relations) of a DSL text, token by token; each
+    error names its line and column."""
+    toks = _TOKEN.findall(text)
+
+    def fail(message, i, offset=0):
+        pos = next(islice(_TOKEN.finditer(text), i, None)).start(1) + offset
+        line = text.count("\n", 0, pos) + 1
+        raise DSLSyntaxError(message, line, pos - text.rfind("\n", 0, pos))
+
+    def expect(i, literal):
+        if toks[i] != literal:
+            fail(f"expected {literal!r}", i)
+
+    def ident(i, what):
+        if toks[i][:1] not in _IDENT_CHARS:
+            fail(f"expected {what}", i)
+        return toks[i]
+
+    def header(i, keyword):
+        if toks[i] != keyword:
+            if toks[i].startswith(keyword):
+                fail("expected ':'", i, len(keyword))
+            fail(f"expected {keyword!r}", i)
+        expect(i + 1, ":")
+        return i + 2
+
+    i = header(0, "vertices")
+    vertices = []
+    while toks[i] not in ("", ";") and not toks[i].startswith("arrows"):
+        vertices.append(ident(i, "vertex id"))
+        i += 1
+        if toks[i] != ",":
+            break
+        i += 1
+    i = header(i + (toks[i] == ";"), "arrows")
+
+    arrows = []
+    while toks[i] not in ("", ";") and not toks[i].startswith("relations"):
+        name = ident(i, "arrow id")
+        expect(i + 1, ":")
+        src = ident(i + 2, "source vertex")
+        expect(i + 3, "->")
+        arrows.append(Arrow(name, src, ident(i + 4, "target vertex")))
+        i += 5
+        if toks[i] != ";":
+            break
+        i += 1
+    i = header(i + (toks[i] == ";"), "relations")
+
+    relations = set()
+    while toks[i] not in ("", ";"):
+        later = ident(i, "arrow id")
+        expect(i + 1, "*")
+        pair = (later, ident(i + 2, "arrow id"))
+        if pair in relations:
+            raise PresentationError(f"duplicate relation {pair[0]}*{pair[1]}")
+        relations.add(pair)
+        i += 3
+        if toks[i] != ",":
+            break
+        i += 1
+    i += toks[i] == ";"
+    if toks[i]:
+        fail("unexpected trailing input", i)
+    return check_presentation(tuple(vertices), tuple(arrows),
+                              frozenset(relations))
+
+
+def check_presentation(vertices, arrows, relations):
+    """The presentation's parts, once every id is declared once and every
+    relation composes; else the PresentationError of the first fault."""
+    seen_v = set()
+    for v in vertices:
+        if v in seen_v:
+            raise PresentationError(f"duplicate vertex id {v!r}")
+        seen_v.add(v)
+    seen_a = {}
+    for a in arrows:
+        if a.name in seen_a:
+            raise PresentationError(f"duplicate arrow id {a.name!r}")
+        if a.source not in seen_v:
+            raise PresentationError(
+                f"arrow {a.name!r} has undeclared source {a.source!r}")
+        if a.target not in seen_v:
+            raise PresentationError(
+                f"arrow {a.name!r} has undeclared target {a.target!r}")
+        seen_a[a.name] = a
+    for later, earlier in relations:
+        if later not in seen_a or earlier not in seen_a:
+            raise PresentationError(
+                f"relation {later}*{earlier} references an unknown arrow")
+        if seen_a[earlier].target != seen_a[later].source:
+            raise PresentationError(
+                f"relation {later}*{earlier} is not composable: "
+                f"target({earlier}) = {seen_a[earlier].target!r} but "
+                f"source({later}) = {seen_a[later].source!r}")
+    return vertices, arrows, relations
+
+
+_SECTION = re.compile(
+    r"arcs\s*:(?P<arcs>.*?);?\s*boundary\s*:(?P<boundary>.*?);?\s*"
+    r"triangles\s*:(?P<triangles>.*)", re.S)
+_TRIANGLE = re.compile(
+    r"\(\s*([^(),]+?)\s*,\s*([^(),]+?)\s*,\s*([^(),]+?)\s*\)")
+
+
+def parse_triangulation(text):
+    """(internal arcs, boundary arcs, triangles) of a triangulation text:
+    one search for the sections, a findall for the triangles and a sub for
+    what lies around them.  Only whitespace and comments may come before
+    'arcs:'."""
+    body = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
+    m = _SECTION.search(body)
+    if not m:
+        raise TriangulationError(
+            "expected sections 'arcs:', 'boundary:', 'triangles:'")
+    if body[:m.start()].strip():
+        raise TriangulationError("unexpected text before 'arcs:': "
+                                 f"{body[:m.start()].strip()!r}")
+    internal = [s.strip() for s in m.group("arcs").split(",") if s.strip()]
+    boundary = [s.strip() for s in m.group("boundary").split(",")
+                if s.strip()]
+    tri_text = m.group("triangles")
+    triangles = [tuple(g.strip() for g in t)
+                 for t in _TRIANGLE.findall(tri_text)]
+    leftover = _TRIANGLE.sub("", tri_text).replace(";", "").replace(
+        ",", "").strip()
+    if leftover:
+        raise TriangulationError(f"unparsed triangle text: {leftover!r}")
+    return check_triangulation(tuple(internal), tuple(boundary),
+                               tuple(triangles))
+
+
+def check_triangulation(internal, boundary, triangles):
+    """The triangulation's parts, once each arc is named once and lies in
+    as many triangles as it should; else the first fault's
+    TriangulationError."""
+    for ids in (internal, boundary):
+        seen = set()
+        for arc in ids:
+            if arc in seen:
+                raise TriangulationError(f"duplicate arc id {arc!r}")
+            seen.add(arc)
+    arcs = set(internal) | set(boundary)
+    if len(arcs) != len(internal) + len(boundary):
+        raise TriangulationError("an arc id appears in both arc lists")
+    counts = {a: 0 for a in arcs}
+    for tri in triangles:
+        if len(set(tri)) != 3:
+            raise TriangulationError(
+                f"self-folded triangle {tri}: sides must be distinct")
+        for side in tri:
+            if side not in counts:
+                raise TriangulationError(f"unknown arc {side!r} in {tri}")
+            counts[side] += 1
+    for arc in internal:
+        if counts[arc] != 2:
+            raise TriangulationError(
+                f"internal arc {arc!r} lies in {counts[arc]} triangles, "
+                "expected 2")
+    for arc in boundary:
+        if counts[arc] != 1:
+            raise TriangulationError(
+                f"boundary segment {arc!r} lies in {counts[arc]} triangles, "
+                "expected 1")
+    return internal, boundary, triangles
+
+
+def gentle_violations(p):
+    """Every violation of the gentle axioms, each with a witness, read off
+    the relations arrow by arrow."""
+    violations = []
+    for v in p.vertices:
+        if len(p.arrows_out(v)) > 2 or len(p.arrows_in(v)) > 2:
+            violations.append(GentleViolation("G1", (v,)))
+    n_succ = Counter(e for (l, e) in p.relations)
+    n_pred = Counter(l for (l, e) in p.relations)
+    for b in p.arrows:
+        if n_succ[b.name] > 1 or n_pred[b.name] > 1:
+            violations.append(GentleViolation("G3", (b.name,)))
+    succ = {b.name: [a.name for a in p.arrows_out(b.target)
+                     if (a.name, b.name) not in p.relations]
+            for b in p.arrows}
+    for b in p.arrows:
+        pred = [a.name for a in p.arrows_in(b.source)
+                if (b.name, a.name) not in p.relations]
+        if len(succ[b.name]) > 1 or len(pred) > 1:
+            violations.append(GentleViolation("G4", (b.name,)))
+    cycle = _find_cycle(succ)
+    if cycle is not None:
+        violations.append(GentleViolation("infinite-dimensional",
+                                          tuple(cycle)))
+    return violations
+
+
+def _find_cycle(succ):
+    """A cycle of allowed compositions, by depth-first search over the
+    arrows in declaration order, or None."""
+    color = {name: 0 for name in succ}
+    for root in succ:
+        if color[root]:
+            continue
+        color[root] = 1
+        stack_path = [root]
+        pending = [iter(succ[root])]
+        while pending:
+            for w in pending[-1]:
+                if color[w] == 1:
+                    return stack_path[stack_path.index(w):]
+                if color[w] == 0:
+                    color[w] = 1
+                    stack_path.append(w)
+                    pending.append(iter(succ[w]))
+                    break
+            else:
+                color[stack_path.pop()] = 2
+                pending.pop()
+    return None
+
+
+def continuation(p):
+    """Arrow name -> the first arrow out of its target that it composes
+    with to no relation, or None."""
+    return {a.name: next((b.name for b in p.arrows_out(a.target)
+                          if (b.name, a.name) not in p.relations), None)
+            for a in p.arrows}
 
 
 # ----------------------------------------------------- fields and matrices

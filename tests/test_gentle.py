@@ -1,3 +1,6 @@
+from itertools import (chain, combinations, combinations_with_replacement,
+                       product)
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -343,3 +346,52 @@ def test_generated_gentle_algebras_pass_the_thread_checks(p):
     _check_radical_summand_words(a)
     assert [c.arrows for c in critical_cycles(a)] == \
         reference.critical_cycles(a)
+
+
+def small_enumeration():
+    """Every presentation on 1 to 3 vertices with at most 3 arrows, named
+    a, b, c in order and drawn as a multiset of (source, target) pairs,
+    with every set of composable pairs as relations."""
+    for n in range(1, 4):
+        vertices = tuple(str(i) for i in range(1, n + 1))
+        for k in range(4):
+            for ends in combinations_with_replacement(
+                    list(product(vertices, vertices)), k):
+                arrows = tuple(Arrow(name, s, t)
+                               for name, (s, t) in zip("abc", ends))
+                composable = [(b.name, a.name) for a in arrows
+                              for b in arrows if a.target == b.source]
+                for relations in chain.from_iterable(
+                        combinations(composable, r)
+                        for r in range(len(composable) + 1)):
+                    yield QuiverPresentation(vertices, arrows,
+                                             frozenset(relations))
+
+
+def _check_against_reference(p):
+    """gentle_violations, validate_gentle, the continuations and the
+    dimension agree with the arrow-by-arrow reference; True when p is
+    gentle."""
+    expected = reference.gentle_violations(p)
+    assert gentle_violations(p) == expected
+    try:
+        a = validate_gentle(p)
+    except NotGentleError as exc:
+        assert exc.violations == expected != []
+        return False
+    assert expected == []
+    assert a.continuation == reference.continuation(p)
+    assert a.dimension() == len(path_basis(a))
+    return True
+
+
+def test_every_small_presentation_validates_as_the_reference_does():
+    # larger algebras are covered by the draws below only
+    gentle = [_check_against_reference(p) for p in small_enumeration()]
+    assert (len(gentle), sum(gentle)) == (5961, 269)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(small_presentations(), gentle_presentations()))
+def test_drawn_presentations_validate_as_the_reference_does(p):
+    _check_against_reference(p)

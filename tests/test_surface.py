@@ -137,12 +137,6 @@ def test_emit_algebra_validates_once_and_writes_the_recorded_file(
     assert len(validations) == 1
 
 
-def test_is_internal_matches_the_arc_list():
-    t = load("octagon2.tri")
-    for arc in t.internal_arcs + t.boundary_arcs + ("nowhere",):
-        assert t.is_internal(arc) == (arc in t.internal_arcs)
-
-
 def test_annulus_gives_the_kronecker_algebra(tmp_path, capsys):
     # two triangles share both arcs, so the two arrows x -> y need two names
     from gentlegp import cli
