@@ -16,8 +16,7 @@ from .reps import (Representation, ModuleMap, ExtProfile, hom_dim,
                    gorenstein_dimension, radical_summand_rep, syzygy,
                    resolution, ext_profile, embedding_obstruction,
                    InternalError, injective_dimension, direct_sum, regular_rep,
-                   Coresolution, isomorphism, injective_coresolution,
-                   receiving_sum)
+                   Coresolution, isomorphism, injective_coresolution)
 from .gp import (OracleCertificate, StableCategoryTable,
                  ClassificationMismatchError, gp_oracle,
                  singularity_descriptor, stable_category_table,

@@ -2,7 +2,7 @@
 
 The validated algebra is purely combinatorial: each arrow's allowed
 continuation (unique by G4), which strings follow, and the permitted
-threads they chain into, giving dimension, socles and radical summands.
+threads they chain into, giving dimension and radical summands.
 The library counts the relation-free paths but never lists them.
 Everything homological lives in :mod:`gentlegp.reps`, which builds each
 projective as the string module of
@@ -205,20 +205,6 @@ class GentleAlgebra:
             position.update(zip(thread, range(len(thread))))
             dimension += len(thread) * (len(thread) + 1) // 2
         return thread_of, position, dimension
-
-    @cached_property
-    def socle_index(self):
-        """Vertex w -> the vertices u, in algebra order, with w in the
-        socle of P_u.  That socle is the target of the last arrow of the
-        thread through each arrow out of u, or u itself when u is a sink."""
-        thread_of = self._threads[0]
-        index = {v: [] for v in self.vertices}
-        for u in self.vertices:
-            ends = [self.arrow_map[thread_of[b.name][-1]].target
-                    for b in self.presentation.arrows_out(u)]
-            for w in dict.fromkeys(ends or [u]):
-                index[w].append(u)
-        return {w: tuple(us) for w, us in index.items()}
 
     @cached_property
     def vertex_index(self):

@@ -64,15 +64,20 @@ class QuiverPresentation:
                 raise PresentationError(
                     f"arrow {a.name!r} has undeclared target {a.target!r}")
             seen_a[a.name] = a
-        for later, earlier in self.relations:
+        faulty = [(later, earlier) for later, earlier in self.relations
+                  if later not in seen_a or earlier not in seen_a
+                  or seen_a[earlier].target != seen_a[later].source]
+        if faulty:
+            # the set's order follows the string hash seed: name the
+            # least faulty relation, so the message is reproducible
+            later, earlier = min(faulty)
             if later not in seen_a or earlier not in seen_a:
                 raise PresentationError(
                     f"relation {later}*{earlier} references an unknown arrow")
-            if seen_a[earlier].target != seen_a[later].source:
-                raise PresentationError(
-                    f"relation {later}*{earlier} is not composable: "
-                    f"target({earlier}) = {seen_a[earlier].target!r} but "
-                    f"source({later}) = {seen_a[later].source!r}")
+            raise PresentationError(
+                f"relation {later}*{earlier} is not composable: "
+                f"target({earlier}) = {seen_a[earlier].target!r} but "
+                f"source({later}) = {seen_a[later].source!r}")
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

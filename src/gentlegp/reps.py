@@ -8,7 +8,8 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property, lru_cache
-from itertools import islice
+from itertools import groupby, islice
+from operator import itemgetter
 from typing import NamedTuple
 
 from .gentle import GentleAlgebra
@@ -159,31 +160,14 @@ def projective_rep(a: GentleAlgebra, v: str, fld, /) -> Representation:
     return string_module(a, projective_word(a, v)[0], fld)
 
 
-def _projective_sum(a: GentleAlgebra, fld, summands: frozenset):
-    """The direct sum, in algebra order, of the projectives P_u for u in
-    summands, built once per field and summand set in the algebra's memo."""
-    key = (fld, summands)
-    target = a.memo.get(key)
-    if target is None:
-        target = a.memo[key] = direct_sum(
-            a, fld, [projective_rep(a, u, fld) for u in
-                     sorted(summands, key=a.vertex_index.__getitem__)])[0]
-    return target
-
-
 def regular_rep(a: GentleAlgebra, fld, /) -> Representation:
-    """The regular module, the receiving sum of every vertex."""
-    return _projective_sum(a, fld, frozenset(a.vertices))
-
-
-def receiving_sum(m: Representation) -> Representation:
-    """The direct sum, in algebra order, of the indecomposable projectives
-    P_u whose socle meets the support of M: the target of Hom(M, Lambda).
-    A nonzero map M -> P_u has a submodule of P_u as image, which meets
-    soc P_u, so the other summands of Lambda receive no map."""
-    index = m.algebra.socle_index
-    return _projective_sum(m.algebra, m.field, frozenset(
-        u for w in m.support for u in index[w]))
+    """The regular module, the direct sum of every P_v in algebra order,
+    built once per field in the algebra's memo."""
+    regular = a.memo.get((fld, "regular"))
+    if regular is None:
+        regular = a.memo[fld, "regular"] = direct_sum(
+            a, fld, [projective_rep(a, v, fld) for v in a.vertices])[0]
+    return regular
 
 
 def _hom_system(m: Representation, n: Representation):
@@ -402,7 +386,10 @@ def projective_cover(m: Representation) -> Cover:
 
 def syzygy(cover: Cover) -> Representation:
     """Kernel of the minimal projective cover; zero for projectives.  The
-    cover is onto, so it is bijective where P_v and M_v have equal dims."""
+    cover is onto, so it is bijective where P_v and M_v have equal dims.
+    The kernel keeps its basis as its inclusion into the cover:
+    ``inclusion[v][i]`` is basis vector i at v, a sparse vector in the
+    cover's coordinates."""
     p, m = cover.projective, cover.pi.target
     kernels = {v: kernel_vectors(p.field, cover.pi.blocks[v].rows, p.dims[v])
                for v in p.support if p.dims[v] > m.dims.get(v, 0)}
@@ -411,8 +398,10 @@ def syzygy(cover: Cover) -> Representation:
     for v, col in zip(cover.summands, cover.tops):
         if any(col in x for x in kernels.get(v, {}).values()):
             raise InternalError("cover kernel escapes the radical")
-    return _subrepresentation(p, {v: (list(k.values()), list(k))
-                                  for v, k in kernels.items()})
+    bases = {v: (list(k.values()), list(k)) for v, k in kernels.items()}
+    omega = _subrepresentation(p, bases)
+    omega.inclusion = {v: vectors for v, (vectors, _) in bases.items()}
+    return omega
 
 
 def resolution(m: Representation):
@@ -459,8 +448,8 @@ def ext_profile(m: Representation, bound: int, coresolution: Coresolution,
     coresolution is gorenstein_dimension's, of length d: Ext^i(M, Lambda)
     = 0 for every i > d, so a profile reaching d is complete (status
     gorenstein).  Then X = Omega^{bound-1} M has Ext^{>=2}(X, Lambda) = 0,
-    and the last step is h(X) - <dim X, euler> with no cover, kernel or
-    hom system; Omega X has the dimension vector of the cover of X's top
+    and the last step is h(X) - <dim X, euler> with no cover or kernel;
+    Omega X has the dimension vector of the cover of X's top
     less that of X.  A caller that knows dim Hom(M, Lambda) passes it as
     hom_m."""
     check_bound(bound)
@@ -501,9 +490,61 @@ def check_bound(bound: int):
         raise InputError("bound must be positive")
 
 
+def _hom_lambda_system(m: Representation):
+    """The system of Hom(M, Lambda) read off d^0: I^0 -> I^1, the first
+    differential of the algebra's injective coresolution.  Hom(M, -) is
+    left exact, so Hom(M, Lambda) is the kernel of Hom(M, I^0) -> Hom(M,
+    I^1), that is of (+)_k D(M_{v_k}) -> (+)_j D(M_{w_j}): the unknowns
+    are the coordinates of the functionals phi_k on M_{v_k}, and summand
+    j of I^1 gives one equation per basis vector y of M_{w_j}, the sum of
+    c phi_k(M(p) y) over its entries (k, p, c).  Returns (rows, cells),
+    with cell (v_k, k, b) of each unknown, b the first unknown of phi_k:
+    unknown b + i is coordinate i of phi_k."""
+    a, p = m.algebra, m.field
+    table = a.memo.get((p, "d0"))
+    if table is None:
+        table = a.memo[p, "d0"] = _injective_presentation(a, p)
+    at, by_vertex = table
+    cells, base = [], {}
+    for v in m.support:
+        for k in at.get(v, ()):
+            base[k] = len(cells)
+            cells += [(v, k, base[k])] * m.dims[v]
+    if not cells:  # M vanishes at every vertex of I^0
+        return [], cells
+    columns = m.columns
+    rows = []
+    for w in m.support:
+        for y in range(m.dims[w] if w in by_vertex else 0):
+            images = {}  # path -> M(path) y, each path walked once
+            for entries in by_vertex[w]:
+                row = {}
+                for k, path, c in entries:
+                    if k not in base:
+                        continue
+                    x = images.get(path)
+                    if x is None:
+                        # walk y along the path, stopping at the first zero
+                        x = {y: 1}
+                        for arrow in path:
+                            if not (x := _combine(x, columns[arrow], p)
+                                    if arrow in columns else {}):
+                                break
+                        images[path] = x
+                    b = base[k]
+                    for i, z in x.items():
+                        row[b + i] = row.get(b + i, 0) + c * z
+                row = {i: r for i, z in row.items()
+                       if (r := z % p if p else z)}
+                if row:
+                    rows.append(row)
+    return rows, cells
+
+
 def _hom_lambda(m: Representation) -> int:
     """dim Hom(M, Lambda)."""
-    return hom_dim(m, receiving_sum(m))
+    rows, cells = _hom_lambda_system(m)
+    return len(cells) - len(echelon(m.field, rows, len(cells), False)[1])
 
 
 def _pairing(m: Representation, euler) -> int:
@@ -515,21 +556,40 @@ def _pairing(m: Representation, euler) -> int:
 def embedding_obstruction(m: Representation):
     """The dimension of the common kernel of all maps M -> Lambda, zero
     exactly when M embeds into a projective module, and dim Hom(M, Lambda).
-    Every such map lands in the receiving sum of indecomposable
-    projectives, so the kernel is the common one of all maps to it."""
-    fld = m.field
-    vectors, cells = _hom_vectors(m, receiving_sum(m))
-    stacked = {w: [] for w in m.support}  # block rows, per vertex
+    A map vanishes at x in M_w when its functionals phi_k vanish on M(q) x
+    for every path q from w to v_k, so the common kernel is the largest
+    submodule of M inside K, where K_w is cut out by the functionals of
+    the Hom basis at v_k = w.  Pulling those back along M's arrows until
+    no rank grows gives the annihilator of that submodule at each vertex."""
+    p = m.field
+    rows, cells = _hom_lambda_system(m)
+    vectors = kernel_vectors(p, rows, len(cells)).values()
+    functionals = {w: [] for w in m.support}
     for vec in vectors:
-        rows = {}
+        parts = {}
         for idx, x in vec.items():
-            w, i, k = cells[idx]
-            rows.setdefault((w, i), {})[k] = x
-        for (w, _), row in rows.items():
-            stacked[w].append(row)
-    kernel = sum(m.dims[w] - len(echelon(fld, rows, m.dims[w], False)[1])
-                 if rows else m.dims[w] for w, rows in stacked.items())
-    return kernel, len(vectors)
+            v, k, b = cells[idx]
+            parts.setdefault((v, k), {})[idx - b] = x
+        for (v, _), phi in parts.items():
+            functionals[v].append(phi)
+    ranked = {w: fs and echelon(p, fs, m.dims[w], False)[0]
+              for w, fs in functionals.items()}
+    pending = [w for w, fs in ranked.items() if fs]
+    arrows_in = m.algebra.presentation.arrows_in
+    while pending:
+        t = pending.pop()
+        for arr in arrows_in(t):
+            s = arr.source
+            if arr.name not in m.mats or len(ranked[s]) == m.dims[s]:
+                continue
+            rows_t = m.mats[arr.name].rows
+            pulled = [g for phi in ranked[t]
+                      if (g := _combine(phi, rows_t, p))]
+            grown = echelon(p, ranked[s] + pulled, m.dims[s], False)[0]
+            if len(grown) > len(ranked[s]):
+                ranked[s] = grown
+                pending.append(s)
+    return sum(m.dims[w] - len(fs) for w, fs in ranked.items()), len(vectors)
 
 
 class Coresolution(NamedTuple):
@@ -567,15 +627,67 @@ def injective_coresolution(a: GentleAlgebra, fld=QQ) -> Coresolution:
     x = Representation(a.opposite, fld, regular.dims, dual_mats)
     euler = dict.fromkeys(a.vertices, 0)
     bound = _injective_dimension_bound(a)
+    tops = []
     for length, (cover, _) in enumerate(islice(resolution(x), bound + 2)):
         for v in cover.summands:
             euler[v] += -1 if length % 2 else 1
+        if length == 0:
+            first = cover.summands
+        elif length == 1:
+            # the top of each summand maps to a basis vector of the first
+            # syzygy, whose inclusion reads it in the first cover
+            inclusion, blocks = cover.pi.target.inclusion, cover.pi.blocks
+            tops = [(w, inclusion[w][next(i for i, row in enumerate(
+                blocks[w].rows) if col in row)])
+                for w, col in zip(cover.summands, cover.tops)]
+    a.memo[fld, "d0 tops"] = first, tops
     if length > bound:
         raise InternalError(
             "resolution of the dual regular module exceeded "
             f"{bound + 1} steps; an injective dimension above {bound}, "
             "the number of arrows, breaks the Geiss-Reiten bound")
     return Coresolution(length, tuple(euler.values()))
+
+
+def _injective_presentation(a: GentleAlgebra, fld):
+    """d^0: I^0 -> I^1 read as paths, from the first two covers of the
+    dual of the regular module over the opposite algebra, which
+    injective_coresolution keeps: the vertices v_k of I^0 = (+)_k I_{v_k},
+    and per vertex w the summands I_w of I^1, each a list of entries
+    (k, p, c).  The top of such a summand maps to the sum of c times the
+    path p, from w to v_k, in the first cover, the sum of the projectives
+    at v_k over the opposite algebra, whose words' letters point away
+    from their tops there and towards them here."""
+    if (fld, "d0 tops") not in a.memo:
+        injective_coresolution(a, fld)
+    first, tops = a.memo[fld, "d0 tops"]
+    # the first cover lists its summands by vertex, as top_generators
+    # finds them, and at w a summand at v holds the walk positions at w of
+    # the word of the projective at v over the opposite algebra
+    at = {v: [k for k, _ in run]
+          for v, run in groupby(enumerate(first), key=itemgetter(1))}
+    words, walks = {}, {}
+    for v in at:
+        words[v] = projective_word(a.opposite, v)
+        walks[v] = positions = {}
+        for i, u in enumerate(words[v][0].vertices):
+            positions.setdefault(u, []).append(i)
+    by_vertex = {}
+    for w, vector in tops:
+        entries = []
+        for col, c in vector.items():
+            for v, ks in at.items():
+                slots = walks[v].get(w, ())
+                if col < len(ks) * len(slots):
+                    break
+                col -= len(ks) * len(slots)
+            k, i = ks[col // len(slots)], slots[col % len(slots)]
+            word, top = words[v]
+            letters = word.letters[i:top] if i < top \
+                else word.letters[top:i][::-1]
+            entries.append((k, tuple(l.arrow for l in letters), c))
+        by_vertex.setdefault(w, []).append(entries)
+    return at, by_vertex
 
 
 def injective_dimension(a: GentleAlgebra, fld=QQ) -> int:

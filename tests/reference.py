@@ -9,12 +9,13 @@ dense-style linear solve, the path basis of an algebra, its critical
 cycles by exhaustive search, the string rule read off the relations with
 the words and refusals it gives make_string and enumerate_strings, the
 peak test on string words, band modules, the module axioms, the
-coordinate summands of a module, and the full commutation system of
-Hom(M, N), every block cell an unknown.  On that system rest explicit
-hom bases, hom dimensions, an isomorphism search that returns a witness,
-the embedding obstruction computed one indecomposable projective at a
-time, and an Ext profile that resolves every step, with no Euler
-characteristic.
+coordinate summands of a module, the socle index of an algebra's
+projectives read off its threads with the receiving sum it gives, and
+the full commutation system of Hom(M, N), every block cell an unknown.
+On that system rest explicit hom bases, hom dimensions, an isomorphism
+search that returns a witness, the embedding obstruction computed one
+indecomposable projective at a time, and an Ext profile that resolves
+every step, with no Euler characteristic.
 """
 
 import re
@@ -28,7 +29,8 @@ from gentlegp.linalg import Matrix, QQ, echelon, kernel_vectors
 from gentlegp.quiver import (Arrow, DSLSyntaxError, InputError,
                              PresentationError)
 from gentlegp.reps import (ExtProfile, ModuleMap, Representation,
-                           projective_rep, regular_rep, resolution)
+                           direct_sum, projective_rep, regular_rep,
+                           resolution)
 from gentlegp.strings import Letter, StringWord
 from gentlegp.surface import TriangulationError
 
@@ -172,7 +174,8 @@ def parse_presentation(text):
 
 def check_presentation(vertices, arrows, relations):
     """The presentation's parts, once every id is declared once and every
-    relation composes; else the PresentationError of the first fault."""
+    relation composes; else the PresentationError of the first fault,
+    the relations walked in sorted order."""
     seen_v = set()
     for v in vertices:
         if v in seen_v:
@@ -189,7 +192,7 @@ def check_presentation(vertices, arrows, relations):
             raise PresentationError(
                 f"arrow {a.name!r} has undeclared target {a.target!r}")
         seen_a[a.name] = a
-    for later, earlier in relations:
+    for later, earlier in sorted(relations):
         if later not in seen_a or earlier not in seen_a:
             raise PresentationError(
                 f"relation {later}*{earlier} references an unknown arrow")
@@ -799,6 +802,34 @@ def coordinate_summands(m):
         summands.append(Representation(
             m.algebra, m.field, {v: len(s) for v, s in slots.items()}, mats))
     return summands
+
+
+def socle_index(a):
+    """Vertex w -> the vertices u, in algebra order, with w in the socle
+    of P_u.  That socle is the target of the last arrow of the thread
+    through each arrow out of u, or u itself when u is a sink."""
+    index = {v: [] for v in a.vertices}
+    for u in a.vertices:
+        ends = []
+        for b in a.presentation.arrows_out(u):
+            last = b.name
+            while a.continuation[last] is not None:
+                last = a.continuation[last]
+            ends.append(a.arrow_map[last].target)
+        for w in dict.fromkeys(ends or [u]):
+            index[w].append(u)
+    return {w: tuple(us) for w, us in index.items()}
+
+
+def receiving_sum(m):
+    """The direct sum, in algebra order, of the indecomposable projectives
+    P_u whose socle meets the support of M.  A nonzero map M -> P_u has a
+    submodule of P_u as image, which meets soc P_u, so the other summands
+    of Lambda receive no map."""
+    a, index = m.algebra, socle_index(m.algebra)
+    receiving = {u for w in m.support for u in index[w]}
+    return direct_sum(a, m.field, [projective_rep(a, u, m.field)
+                                   for u in a.vertices if u in receiving])[0]
 
 
 def embedding_obstruction(m):

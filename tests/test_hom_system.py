@@ -3,8 +3,9 @@ tests/reference.py, in which every cell of every block is an unknown.
 The program drops the cells that an equation with one unknown forces to
 0, repeated until no equation has one unknown.  A forced cell is a pivot
 column of the reduced echelon form, so the kernel basis, read as block
-cells, must not change, nor any hom dimension or embedding
-obstruction."""
+cells, must not change, nor any hom dimension.  The embedding
+obstruction, which the program reads off the algebra's injective
+presentation with no hom system, is checked on the same modules."""
 
 from fractions import Fraction
 
@@ -15,8 +16,7 @@ from gentlegp import (QQ, InputError, Representation,
                       embedding_obstruction,
                       enumerate_strings, hom_dim, parse_presentation,
                       projective_cover,
-                      projective_rep, radical_summand_rep, receiving_sum,
-                      string_module, syzygy, validate_gentle)
+                      projective_rep, radical_summand_rep, string_module, syzygy, validate_gentle)
 from gentlegp.families import projective_line_chain
 from gentlegp.reps import _hom_vectors
 
@@ -54,7 +54,8 @@ def test_hom_systems_keep_the_unforced_cells_on_lambda6():
     full = kept = 0
     for w in enumerate_strings(a, 3):
         m = string_module(a, w)
-        cells, unknowns = check_against_reference(m, receiving_sum(m))
+        cells, unknowns = check_against_reference(
+            m, reference.receiving_sum(m))
         full += cells
         kept += unknowns
     assert (full, kept) == (1055, 248)
@@ -104,13 +105,15 @@ def _strings_and_syzygies(a, fld):
 
 
 def _check_modules(a, fld, modules, targets=()):
-    """Each module against its receiving sum, a disguised copy of it,
+    """Each module against the projectives whose socle meets its support
+    (tests/reference.py's receiving sum), a disguised copy of that sum,
     every projective, every radical summand and the given targets, and
     its embedding obstruction against the reference."""
     projectives = [projective_rep(a, v, fld) for v in a.vertices]
     radicals = [radical_summand_rep(a, arr.name, fld) for arr in a.arrows]
     for m in modules:
-        for n in [receiving_sum(m), disguised(receiving_sum(m)),
+        target = reference.receiving_sum(m)
+        for n in [target, disguised(target),
                   *projectives, *radicals, *targets]:
             check_against_reference(m, n)
         assert embedding_obstruction(m) == \
@@ -142,6 +145,6 @@ def test_band_homs_match_the_full_system(kron, fld, lam):
     # a band's arrow matrices hold its parameter, and against another
     # band every equation has both sides
     m = _bands(kron, fld, lam)[0]
-    for n in [m, receiving_sum(m), *_bands(kron, fld, 2)]:
+    for n in [m, reference.receiving_sum(m), *_bands(kron, fld, 2)]:
         check_against_reference(m, n)
     assert embedding_obstruction(m) == reference.embedding_obstruction(m)

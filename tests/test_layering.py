@@ -14,7 +14,9 @@ exception the package defines is bad input or a bug; a field is its
 characteristic p, an int with no class of its own that no module reads
 an attribute p of, and cli.run alone parses --field; the singularity
 category's descriptor is a plain tuple of ints, with no record or
-comparison wrapper around it.
+comparison wrapper around it; the oracle's route to Hom(-, Lambda) and
+the embedding test reads no critical cycle, classified word or hom
+system.
 tests/reference.py, which the hom systems are checked against, solves
 none with the program's own."""
 
@@ -178,6 +180,25 @@ def test_the_stable_table_reads_hom_rows():
     assert "stable_hom_dim" not in _functions(trees["reps.py"])
     table = _functions(trees["gp.py"])["stable_category_table"]
     assert "hom_dim" in set(_names(table))
+
+
+def test_the_oracle_route_reads_no_classification():
+    # the embedding test and Hom(-, Lambda) come off the algebra's
+    # injective presentation, so the oracle stays independent of the
+    # classifier and solves no hom system per module
+    trees = _trees()
+    assert "gp" not in set(_imported_modules(trees["reps.py"]))
+    reps_fns, gp_fns = _functions(trees["reps.py"]), _functions(trees["gp.py"])
+    route = [reps_fns[name] for name in (
+        "injective_coresolution", "_injective_presentation",
+        "_hom_lambda_system", "_hom_lambda", "embedding_obstruction",
+        "ext_profile")] + [gp_fns["gp_oracle"]]
+    read = {name for fn in route for name in _names(fn)}
+    assert read & {"critical_cycles", "CriticalCycle", "classified_words",
+                   "radical_summand_word", "radical_summand_string",
+                   "radical_summand_rep", "_hom_system", "_hom_vectors",
+                   "hom_dim"} == set()
+    assert {"_hom_lambda_system", "_injective_presentation"} <= read
 
 
 def test_gp_and_strings_build_no_matrix():

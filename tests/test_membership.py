@@ -1,8 +1,9 @@
 """The exact isomorphism claims: classifier membership by canonical string
 word, checked against isomorphism witnesses, and the shift orbit of the
 stable category by a checked isomorphism from each syzygy to the next
-radical summand.  Also the oracle's one Hom(-, Lambda) system per module
-and per resolution step but the last."""
+radical summand.  Also the oracle's route to Hom(-, Lambda): no hom
+system per module, but one table of the algebra's injective
+presentation per algebra and field."""
 
 import json
 
@@ -12,10 +13,10 @@ from gentlegp import (QQ, ClassificationMismatchError,
                       algebra_from_triangulation, classified_words,
                       critical_cycles, enumerate_strings,
                       gorenstein_dimension, gp_oracle, make_string,
-                      parse_letters, parse_presentation, parse_triangulation,
-                      projective_rep, radical_summand_rep, receiving_sum,
-                      serialize_presentation, stable_category_table,
-                      string_module, validate_gentle)
+                      parse_field, parse_letters, parse_presentation,
+                      parse_triangulation, projective_rep,
+                      radical_summand_rep, serialize_presentation,
+                      stable_category_table, string_module, validate_gentle)
 from gentlegp import gp, reps
 from gentlegp.cli import run
 from gentlegp.families import cyclic_nakayama, projective_line_chain
@@ -101,58 +102,59 @@ def test_membership_builds_no_hom_system(hom_systems):
     assert hom_systems == []
 
 
-def test_one_hom_system_against_the_regular_module_per_step(hom_systems):
+def test_the_oracle_builds_no_hom_system(hom_systems):
     a = _algebra("eight_vertex")
     # the radical summand at j as a string module of its own: GP, so the
     # oracle resolves it to the Gorenstein dimension 2
     w = make_string(a, parse_letters("i,d,a,f,k"))
     m = string_module(a, w)
     coresolution = gorenstein_dimension(a)
-    assert hom_systems == [] and coresolution.length == 2
+    assert coresolution.length == 2
     cert = gp_oracle(m, coresolution)
     assert (cert.verdict, cert.status) == ("GP", "gorenstein")
     assert w.canonical() in classified_words(a)
-    # the embedding test, then one system per resolution step but the
-    # last, which the Euler characteristic takes
-    assert len(hom_systems) == len(cert.ext_dims)
-    assert hom_systems[0][0] is m
-    # each against the projectives whose socle meets the source's support
-    assert all(target is receiving_sum(source)
-               for source, target in hom_systems)
+    # the embedding test and every Ext step read Hom(-, Lambda) off d^0
+    assert len(cert.ext_dims) == 2 and hom_systems == []
 
 
-def _systems_per_module(n, tmp_path, capsys, monkeypatch):
-    """The set of hom system counts of the modules of one oracle sweep of
-    lambda_n, up to 3 letters."""
+def _recorded(argv, n, tmp_path, capsys, monkeypatch):
+    """The (source, target) of every hom system and the (algebra, field)
+    of every table of the injective presentation that one command builds,
+    where argv names lambda_n's file as FILE, and the command's output."""
     f = tmp_path / f"lambda{n}.gentle"
     f.write_text(serialize_presentation(projective_line_chain(n)))
-    built = []
-    real_system, real_oracle = reps._hom_system, gp.gp_oracle
+    systems, tables = [], []
+    real_system, real_table = reps._hom_system, reps._injective_presentation
 
     def system(m, t):
-        built[-1] += 1
+        systems.append((m, t))
         return real_system(m, t)
 
-    def oracle(*args, **kwargs):
-        built.append(0)
-        return real_oracle(*args, **kwargs)
+    def table(a, fld):
+        tables.append((a, fld))
+        return real_table(a, fld)
 
     monkeypatch.setattr(reps, "_hom_system", system)
-    monkeypatch.setattr(gp, "gp_oracle", oracle)
-    assert run(["oracle", str(f), "--max-letters", "3"]) == 0
-    assert len(json.loads(capsys.readouterr().out)["certificates"]) \
-        == len(built)
-    return set(built)
+    monkeypatch.setattr(reps, "_injective_presentation", table)
+    assert run([str(f) if x == "FILE" else x for x in argv]) == 0
+    return systems, tables, json.loads(capsys.readouterr().out)
 
 
-def test_hom_systems_per_module_do_not_grow_with_the_quiver(
+def test_an_oracle_sweep_builds_no_hom_system_and_one_table(
         tmp_path, capsys, monkeypatch):
-    small = _systems_per_module(6, tmp_path, capsys, monkeypatch)
-    assert small == _systems_per_module(24, tmp_path, capsys, monkeypatch)
-    # the embedding test, then one system per resolution step but the
-    # last: d = 1 leaves the embedding test alone
-    d = gorenstein_dimension(validate_gentle(projective_line_chain(6))).length
-    assert max(small) == max(d, 1) and small == {1}
+    for n in (6, 24):
+        for field in ("q", "f101"):
+            systems, tables, out = _recorded(
+                ["--field", field, "oracle", "FILE", "--max-letters", "3"],
+                n, tmp_path, capsys, monkeypatch)
+            assert out["certificates"] and systems == []
+            # once per algebra and field, whatever the number of modules
+            assert [fld for _, fld in tables] == [parse_field(field)]
+            # dim builds the coresolution but never reads the table
+            systems, tables, _ = _recorded(
+                ["--field", field, "dim", "FILE"], n, tmp_path, capsys,
+                monkeypatch)
+            assert systems == tables == []
 
 
 @pytest.mark.parametrize("fld", FIELDS, ids=field_id)

@@ -10,6 +10,8 @@ To re-record (only when a change of the error messages is intended):
 """
 
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -74,6 +76,8 @@ CASES = [
     # accepted despite comments, a trailing comma and odd spacing
     "vertices: ab#c\n, d\narrows:a:ab->d\nrelations:",
     "vertices: 1\narrows: a: 1 -> 1 # loop\nrelations: a*a, # trailing\n",
+    # two faulty relations: the least one is named, whatever the hash seed
+    "vertices: 1, 2\narrows: a: 1 -> 2; b: 1 -> 2\nrelations: c*a, b*a",
 ]
 
 
@@ -92,6 +96,20 @@ def test_parse_outcome_matches_golden(index):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert golden[index]["text"] == CASES[index]
     assert {"text": CASES[index], **_outcome(CASES[index])} == golden[index]
+
+
+def test_validate_names_one_fault_under_every_hash_seed(tmp_path):
+    # frozenset order follows the string hash seed; the message must not
+    f = tmp_path / "faults.gentle"
+    f.write_text("vertices: 1, 2\narrows: a: 1 -> 2\n"
+                 "relations: b*a, c*a, d*a, a*e\n")
+    outs = {subprocess.run(
+        [sys.executable, "-m", "gentlegp.cli", "validate", str(f)],
+        capture_output=True, text=True, timeout=60, check=False,
+        env={**os.environ, "PYTHONHASHSEED": str(seed),
+             "PYTHONPATH": str(Path(__file__).parent.parent / "src")}).stdout
+        for seed in range(1, 6)}
+    assert len(outs) == 1 and "relation a*e references" in outs.pop()
 
 
 _PIECES = ["vertices", "arrows", "relations", ":", ";", ",", "*", "->", "-",
