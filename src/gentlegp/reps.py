@@ -172,13 +172,11 @@ def regular_rep(a: GentleAlgebra, fld, /) -> Representation:
 
 def _hom_system(m: Representation, n: Representation):
     """Sparse commutation system for Hom(M, N): (rows, cells), a dict from
-    unknown to coefficient per equation and the (vertex, N-row, M-column)
-    cell of each unknown in the blocks B_v (N_v x M_v) where M and N are
-    both nonzero.  The full system has one equation per entry (i, j) of
-    N_a B_s - B_t M_a for each arrow a: s -> t.  An equation with one
-    unknown forces that cell to 0 in every kernel vector, and the cell
-    leaves every equation, until no equation has one unknown.  The
-    unknowns are the other cells, row-major, vertices in algebra order."""
+    unknown to coefficient per nonzero equation and the (vertex, N-row,
+    M-column) cell of each unknown.  Every cell of the blocks B_v (N_v x
+    M_v) where M and N are both nonzero is an unknown, row-major, vertices
+    in algebra order, and each entry (i, j) of N_a B_s - B_t M_a, for each
+    arrow a: s -> t, is an equation."""
     if m.algebra is not n.algebra and \
             m.algebra.presentation != n.algebra.presentation:
         raise ValueError("modules over different algebras")
@@ -224,26 +222,7 @@ def _hom_system(m: Representation, n: Representation):
                         if total:
                             eq[idx] = total
         equations.extend(eq for eq in eqs.values() if eq)
-    # force cells to a fixpoint, each equation reached through its cells
-    readers = {}
-    for eq in equations:
-        for idx in eq:
-            readers.setdefault(idx, []).append(eq)
-    forced = set()
-    single = [eq for eq in equations if len(eq) == 1]
-    while single:
-        eq = single.pop()
-        if len(eq) == 1:  # else its unknown was forced meanwhile
-            [idx] = eq
-            forced.add(idx)
-            for other in readers[idx]:
-                del other[idx]
-                if len(other) == 1:
-                    single.append(other)
-    live = [idx for idx in range(len(where)) if idx not in forced]
-    number = {idx: c for c, idx in enumerate(live)}
-    return [{number[idx]: c for idx, c in eq.items()}
-            for eq in equations if eq], [where[idx] for idx in live]
+    return equations, where
 
 
 def hom_dim(m: Representation, n: Representation) -> int:

@@ -9,6 +9,9 @@ tree's ``src/``:
 - every command of the CLI golden corpus (``test_cli_golden._commands``);
 - every command the benchmark's three workloads make for seeds 1-3, on
   inputs that ``bench/workloads.py`` writes once for both trees;
+- ``stable`` over ``q`` and ``f101`` on the algebras of seeded 40-, 80-
+  and 160-gon triangulations, seeds 1-3, written by
+  ``workloads.InputWriter.surface``: the workloads stop at the 20-gon;
 - ``surface --emit-algebra`` on every ``.tri`` under ``tests/data/``,
   where the written file's bytes count as part of the output;
 - ``validate`` on each text of ``tests/data/parse_errors_golden.json``
@@ -35,13 +38,14 @@ that tree's ``src/`` alone and clears ``reps.projective_rep``'s cache
 before each command, since that cache keeps every algebra it sees.  The
 harness prints one summary line, names the changed JSON fields of up to
 five differing commands, and exits 1 on any difference.  The whole
-matrix takes about 15 s on 2 CPUs.
+matrix takes about 16 s on 2 CPUs.
 """
 
 import argparse
 import importlib.util
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -60,6 +64,7 @@ from gentlegp import (InputError, enumerate_strings,  # noqa: E402
 DATA = Path(__file__).resolve().parent / "data"
 WORKLOADS = ("oracle-sweep", "resolve-ladder", "combinatorial-ladder")
 SEEDS = (1, 2, 3)
+STABLE_POLYGONS = (40, 80, 160)
 # stands for the path a command writes; each tree gets its own
 EMIT = "{emit}"
 SHOWN = 5
@@ -129,6 +134,15 @@ def command_matrix(inputs):
             for c in workloads.build(name, seed, workdir):
                 key = " ".join(c.argv).replace(f"{workdir}{os.sep}", "")
                 cmds.append((f"{name}/{seed}: {key}", list(c.argv)))
+    writer = workloads.InputWriter(Path(inputs) / "polygons")
+    for seed in SEEDS:
+        rng = random.Random(f"stable-polygons/{seed}")
+        for n in STABLE_POLYGONS:
+            path = writer.surface(f"poly{n}-{seed}", rng, n)[2].path
+            for field in ("q", "f101"):
+                cmds.append((f"polygons/{seed}: --field {field} stable "
+                             f"poly{n}.gentle",
+                             ["--field", field, "stable", path]))
     for tri in sorted(DATA.glob("**/*.tri")):
         name = tri.relative_to(DATA).as_posix()
         cmds.append((f"surface {name} --emit-algebra",

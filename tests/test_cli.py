@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gentlegp import (Arrow, Matrix, ModuleMap, QuiverPresentation,
-                      parse_presentation, serialize_presentation,
-                      validate_gentle)
+                      enumerate_strings, parse_presentation,
+                      serialize_presentation, validate_gentle)
 from gentlegp.cli import run
 from gentlegp.families import (cyclic_nakayama, linear_quiver,
                                projective_line_chain)
@@ -19,6 +19,7 @@ from gentlegp.families import (cyclic_nakayama, linear_quiver,
 from conftest import data_path
 from reference import add
 from test_cli_golden import _invoke as golden_invoke
+from test_gentle import gentle_presentations
 
 EX22 = str(data_path("eight_vertex.gentle"))
 A2 = str(data_path("a2.gentle"))
@@ -531,6 +532,27 @@ def test_compare_witnesses_the_least_length_whose_multiplicity_differs(
         "factors": [f"{n - 1}-cluster category of type A1"
                     for n in sorted(la)],
         "indecomposable_objects": sum(la)})
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=gentle_presentations(), data=st.data())
+def test_generated_gentle_input_never_fails_a_command(p, data,
+                                                      tmp_path_factory):
+    # valid gentle input is answered, never an internal error
+    a = validate_gentle(p)
+    w = data.draw(st.sampled_from(enumerate_strings(a, 3)))
+    # cmd_ext reads a lone vertex name as its lazy word
+    word = w.display() if w.letters else w.vertices[0]
+    path = tmp_path_factory.getbasetemp() / "drawn.gentle"
+    path.write_text(serialize_presentation(p))
+    for field in ("q", "f2", "f101"):
+        for sub, *extra in (["validate"], ["cycles"], ["gp"], ["dsg"],
+                            ["dim"], ["stable"],
+                            ["oracle", "--max-letters", "3"],
+                            ["ext", "--word", word]):
+            argv = ["--field", field, sub, str(path), *extra]
+            code, out = _run_json(*argv)
+            assert code == 0, (argv, out)
 
 
 def test_surface(capsys, tmp_path):

@@ -4,24 +4,27 @@ differential I^0 -> I^1 of the algebra's injective coresolution, against
 one hom system per indecomposable projective, and the last Ext step read
 off the Euler characteristic of that coresolution.  Also the socle index
 of tests/reference.py, which says which projectives receive a map at
-all."""
+all, and the coefficients of d^0, which must send Lambda's own embedding
+into I^0 to 0."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gentlegp import (QQ, InternalError, algebra_from_triangulation,
-                      direct_sum, embedding_obstruction, enumerate_strings,
-                      ext_profile, gorenstein_dimension, opposite,
-                      parse_presentation, parse_triangulation,
-                      projective_rep, regular_rep, string_module,
-                      validate_gentle)
+from gentlegp import (QQ, InternalError, Representation,
+                      algebra_from_triangulation, direct_sum,
+                      embedding_obstruction, enumerate_strings, ext_profile,
+                      gorenstein_dimension, opposite, parse_presentation,
+                      parse_triangulation, projective_rep, regular_rep,
+                      string_module, validate_gentle)
 from gentlegp import reps
 from gentlegp.families import linear_quiver, projective_line_chain
 from gentlegp.linalg import echelon
 
+import exhaustive
 import reference
 from conftest import field_id
 from test_cli import ALGEBRA_FILES, TRI_FILES
+from test_exhaustive import COUNTS
 from test_gentle import gentle_presentations
 from test_reps import hide_basis
 
@@ -128,6 +131,62 @@ def test_every_projective_embeds_and_receives_lambda_at_its_vertex(
     assert [embedding_obstruction(projective_rep(a, v, fld))
             for v in a.vertices] == [(0, regular.dims[v])
                                      for v in a.vertices]
+
+
+def check_identity_in_the_kernel_of_d0(a, fld):
+    """Lambda's identity lies in the kernel that d^0 defines.  Lambda
+    embeds in I^0 = (+)_k I_{v_k} by the coordinate functionals phi_k of
+    the top generators (v_k, c_k) of the dual regular module over the
+    opposite algebra, so sum c phi_k(Lambda(p) y) = 0 for every summand
+    of I^1 at w, over its entries (k, p, c), and every basis vector y of
+    Lambda at w: read off the table with a walk of the test's own, and
+    as Lambda's own row of Hom(-, Lambda)'s system."""
+    regular = regular_rep(a, fld)
+    tops = reps.top_generators(Representation(a.opposite, fld, regular.dims, {
+        name: x.transpose() for name, x in regular.mats.items()}))
+
+    def vanishes(total):
+        return (total % fld if fld else total) == 0
+
+    _, by_vertex = reps._injective_presentation(a, fld)
+    for w, summands in by_vertex.items():
+        for entries in summands:
+            for y in range(regular.dims[w]):
+                total = 0
+                for k, path, c in entries:
+                    x = {y: 1}
+                    for arrow in path:
+                        rows = regular.mats[arrow].rows \
+                            if arrow in regular.mats else []
+                        x = {i: z for i, row in enumerate(rows)
+                             if (z := sum(e * x.get(j, 0)
+                                          for j, e in row.items()))}
+                    total += c * x.get(tops[k][1], 0)
+                assert vanishes(total), (w, y, entries)
+    rows, cells = reps._hom_lambda_system(regular)
+    identity = {b + tops[k][1]: 1 for _, k, b in cells}
+    assert cells and all(
+        vanishes(sum(c * identity.get(i, 0) for i, c in row.items()))
+        for row in rows)
+
+
+GENTLE = sorted(label for label in ZOO if label.endswith(".gentle"))
+
+
+@pytest.mark.parametrize("fld", [QQ, 101], ids=field_id)
+@pytest.mark.parametrize("label", GENTLE)
+def test_d0_sends_the_identity_to_zero_on_the_fixtures(label, fld):
+    check_identity_in_the_kernel_of_d0(ZOO[label], fld)
+
+
+@pytest.mark.parametrize("fld", [QQ, 101], ids=field_id)
+@pytest.mark.parametrize("n", COUNTS)
+def test_d0_sends_the_identity_to_zero_on_small_polygons(n, fld):
+    for corners in exhaustive.polygon_triangulations(n):
+        # the cache keeps every algebra it sees
+        projective_rep.cache_clear()
+        a = algebra_from_triangulation(exhaustive.triangulation(n, corners))
+        check_identity_in_the_kernel_of_d0(a, fld)
 
 
 @pytest.mark.parametrize("algebra", [

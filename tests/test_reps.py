@@ -676,19 +676,16 @@ def test_disjoint_supports_build_one_system_and_eliminate_nothing(
     assert count == {"systems": 3, "echelon": 1}
 
 
-def test_fully_forced_system_eliminates_nothing(monkeypatch):
-    # on A_3, N_a2 B_2 = 0 forces B_2 to 0, and then N_a1 B_1 = B_2 M_a1
-    # forces B_1: the system keeps no unknown
-    from gentlegp import reps
-
+def test_a3_string_a1_has_no_map_into_a1a2():
+    # on A_3, N_a2 B_2 = 0 makes B_2 zero, and then N_a1 B_1 = B_2 M_a1
+    # makes B_1 zero: both cells are unknowns, and the kernel is 0
     a = validate_gentle(linear_quiver(3))
     m = string_module(a, make_string(a, [Letter("a1", True)]))
     n = string_module(a, make_string(a, [Letter("a1", True),
                                          Letter("a2", True)]))
-    assert reps._hom_system(m, n) == ([], [])
-    count = count_systems(monkeypatch)
+    vectors, cells = reference.hom_vectors(m, n)
+    assert (vectors, len(cells)) == ([], 2)
     assert hom_dim(m, n) == 0
-    assert count == {"systems": 1, "echelon": 0}
 
 
 def reference_stable_hom_dim(m, n, cover):
